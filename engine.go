@@ -42,6 +42,8 @@ import (
 	"mistique/internal/cas"
 	"mistique/internal/colstore"
 	"mistique/internal/cost"
+	"mistique/internal/durable"
+	"mistique/internal/faultfs"
 	"mistique/internal/frame"
 	"mistique/internal/metadata"
 	"mistique/internal/nindex"
@@ -196,6 +198,11 @@ func Open(dir string, cfg Config) (*System, error) {
 		cfg.RowBlockRows = 1024
 	}
 	cfg.Store.RowBlockRows = cfg.RowBlockRows
+	// Every artifact (partitions, catalog, indexes, weight snapshots,
+	// samples, WALs) writes through one fault-injectable FS.
+	if cfg.Store.FS == nil {
+		cfg.Store.FS = faultfs.OS()
+	}
 	if cfg.Store.Workers == 0 {
 		cfg.Store.Workers = cfg.Workers
 	}
@@ -211,6 +218,7 @@ func Open(dir string, cfg Config) (*System, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mistique: %w", err)
 	}
+	durable.SweepTemps(cfg.Store.FS, dir) // a crashed catalog save's metadata.json.tmp*
 	meta := metadata.NewDB()
 	metaPath := filepath.Join(dir, "metadata.json")
 	if _, statErr := os.Stat(metaPath); statErr == nil {
@@ -219,14 +227,17 @@ func Open(dir string, cfg Config) (*System, error) {
 			// Fail soft, like the store does for its manifest: quarantine
 			// the corrupt catalog and start fresh. Stored chunks survive in
 			// the column store and become queryable again as models are
-			// re-logged.
-			os.Rename(metaPath, metaPath+".corrupt")
-			meta, err = metadata.NewDB(), nil
+			// re-logged. A catalog that cannot be moved aside would be
+			// re-read (and overwritten) later, so that fails the open.
+			if err = durable.Quarantine(cfg.Store.FS, metaPath); err == nil {
+				meta = metadata.NewDB()
+			}
 		}
 		if err != nil {
 			return nil, fmt.Errorf("mistique: reopen catalog: %w", err)
 		}
 	}
+	meta.SetFS(cfg.Store.FS)
 	meta.SetObs(metrics.reg)
 	var nidx *nindex.Manager
 	if !cfg.Index.Disable {

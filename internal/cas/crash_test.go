@@ -25,23 +25,23 @@ type casPoint struct {
 
 func casCrashPoints() []casPoint {
 	return []casPoint{
-		{"segment-create", faultfs.Fault{Op: faultfs.OpCreate, PathContains: "seg-", Crash: true}},
-		{"segment-torn-write", faultfs.Fault{Op: faultfs.OpWrite, PathContains: "seg-", AfterBytes: 100, Crash: true}},
-		{"segment-sync", faultfs.Fault{Op: faultfs.OpSync, PathContains: "seg-", Crash: true}},
-		{"segment-close", faultfs.Fault{Op: faultfs.OpClose, PathContains: "seg-", Crash: true}},
+		{"segment-create", faultfs.Fault{Op: faultfs.OpCreate, PathContains: "seg_", Crash: true}},
+		{"segment-torn-write", faultfs.Fault{Op: faultfs.OpWrite, PathContains: "seg_", AfterBytes: 100, Crash: true}},
+		{"segment-sync", faultfs.Fault{Op: faultfs.OpSync, PathContains: "seg_", Crash: true}},
+		{"segment-close", faultfs.Fault{Op: faultfs.OpClose, PathContains: "seg_", Crash: true}},
 		// Rename faults match the destination path, not the temp name.
 		{"segment-rename", faultfs.Fault{Op: faultfs.OpRename, PathContains: "seg_", Crash: true}},
 		{"segment-syncdir", faultfs.Fault{Op: faultfs.OpSyncDir, Countdown: 0, Crash: true}},
-		{"index-create", faultfs.Fault{Op: faultfs.OpCreate, PathContains: "index-", Crash: true}},
-		{"index-torn-write", faultfs.Fault{Op: faultfs.OpWrite, PathContains: "index-", AfterBytes: 40, Crash: true}},
-		{"index-sync", faultfs.Fault{Op: faultfs.OpSync, PathContains: "index-", Crash: true}},
-		{"index-close", faultfs.Fault{Op: faultfs.OpClose, PathContains: "index-", Crash: true}},
+		{"index-create", faultfs.Fault{Op: faultfs.OpCreate, PathContains: indexName + ".tmp", Crash: true}},
+		{"index-torn-write", faultfs.Fault{Op: faultfs.OpWrite, PathContains: indexName + ".tmp", AfterBytes: 40, Crash: true}},
+		{"index-sync", faultfs.Fault{Op: faultfs.OpSync, PathContains: indexName + ".tmp", Crash: true}},
+		{"index-close", faultfs.Fault{Op: faultfs.OpClose, PathContains: indexName + ".tmp", Crash: true}},
 		{"index-rename", faultfs.Fault{Op: faultfs.OpRename, PathContains: indexName, Crash: true}},
 		{"index-syncdir", faultfs.Fault{Op: faultfs.OpSyncDir, Countdown: 1, Crash: true}},
-		{"objects-create", faultfs.Fault{Op: faultfs.OpCreate, PathContains: "objects-", Crash: true}},
-		{"objects-torn-write", faultfs.Fault{Op: faultfs.OpWrite, PathContains: "objects-", AfterBytes: 20, Crash: true}},
-		{"objects-sync", faultfs.Fault{Op: faultfs.OpSync, PathContains: "objects-", Crash: true}},
-		{"objects-close", faultfs.Fault{Op: faultfs.OpClose, PathContains: "objects-", Crash: true}},
+		{"objects-create", faultfs.Fault{Op: faultfs.OpCreate, PathContains: objName + ".tmp", Crash: true}},
+		{"objects-torn-write", faultfs.Fault{Op: faultfs.OpWrite, PathContains: objName + ".tmp", AfterBytes: 20, Crash: true}},
+		{"objects-sync", faultfs.Fault{Op: faultfs.OpSync, PathContains: objName + ".tmp", Crash: true}},
+		{"objects-close", faultfs.Fault{Op: faultfs.OpClose, PathContains: objName + ".tmp", Crash: true}},
 		{"objects-rename", faultfs.Fault{Op: faultfs.OpRename, PathContains: objName, Crash: true}},
 		{"objects-syncdir", faultfs.Fault{Op: faultfs.OpSyncDir, Countdown: 2, Crash: true}},
 	}

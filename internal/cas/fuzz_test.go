@@ -5,6 +5,8 @@ import (
 	"errors"
 	"hash/crc32"
 	"testing"
+
+	"mistique/internal/durable"
 )
 
 // FuzzCDCBoundaries hammers the chunker with hostile data and config:
@@ -64,7 +66,7 @@ func FuzzChunkTableFile(f *testing.F) {
 	k := KeyOf([]byte("payload"))
 	t.segs[0] = 1024
 	t.nextSeg = 1
-	t.entries[k] = &entry{seg: 0, off: 0, size: 7, crc: crc32.Checksum([]byte("payload"), castagnoli)}
+	t.entries[k] = &entry{seg: 0, off: 0, size: 7, crc: crc32.Checksum([]byte("payload"), durable.Castagnoli)}
 	f.Add(t.marshalIndexLocked())
 	f.Add(marshalObjects(map[string]*object{
 		"v0": {chunks: []Key{k}, size: 7, crc: 1},
@@ -106,7 +108,7 @@ func FuzzDeltaDecode(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{7}, 3000), bytes.Repeat([]byte{7}, 3010), uint16(100), true)
 	f.Add([]byte{}, []byte{}, uint16(0), false)
 	f.Fuzz(func(t *testing.T, base, data []byte, flipPos uint16, flipBase bool) {
-		want := crc32.Checksum(data, castagnoli)
+		want := crc32.Checksum(data, durable.Castagnoli)
 		residual := xorBytes(data, base)
 		if len(residual) != len(data) {
 			t.Fatal("residual length drifted")

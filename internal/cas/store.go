@@ -12,6 +12,7 @@ import (
 	"sort"
 	"sync"
 
+	"mistique/internal/durable"
 	"mistique/internal/faultfs"
 )
 
@@ -148,7 +149,7 @@ func (s *Store) Put(name string, data []byte) (ObjectInfo, error) {
 	if err := checkName(name); err != nil {
 		return ObjectInfo{}, err
 	}
-	o := s.ingestLocked(data, 0, "", crc32.Checksum(data, castagnoli))
+	o := s.ingestLocked(data, 0, "", crc32.Checksum(data, durable.Castagnoli))
 	s.replaceLocked(name, o)
 	return s.infoLocked(name), nil
 }
@@ -163,7 +164,7 @@ func (s *Store) PutDelta(name, base string, data []byte) (ObjectInfo, error) {
 	if err := checkName(name); err != nil {
 		return ObjectInfo{}, err
 	}
-	crc := crc32.Checksum(data, castagnoli)
+	crc := crc32.Checksum(data, durable.Castagnoli)
 	bo, ok := s.objects[base]
 	if name == base {
 		ok = false
@@ -331,7 +332,7 @@ func (s *Store) getLocked(name string, hop int) ([]byte, error) {
 }
 
 func verifyPayload(payload []byte, want uint32, name string) ([]byte, error) {
-	if crc32.Checksum(payload, castagnoli) != want {
+	if crc32.Checksum(payload, durable.Castagnoli) != want {
 		return nil, fmt.Errorf("%w: object %q reconstruction crc mismatch", ErrCorrupt, name)
 	}
 	return payload, nil
@@ -386,7 +387,7 @@ func (s *Store) collapseLocked(name string) error {
 	if err != nil {
 		return err
 	}
-	o := s.ingestLocked(payload, 0, "", crc32.Checksum(payload, castagnoli))
+	o := s.ingestLocked(payload, 0, "", crc32.Checksum(payload, durable.Castagnoli))
 	s.replaceLocked(name, o)
 	return nil
 }
@@ -439,10 +440,11 @@ func (s *Store) flushLocked() error {
 	if !s.dirty {
 		return nil
 	}
-	if err := s.t.publishLocked("objects-*.tmp", objName, func(f faultfs.File) error {
-		_, err := f.Write(marshalObjects(s.objects))
+	_, err := durable.Publish(s.cfg.FS, filepath.Join(s.dir, objName), func(w io.Writer) error {
+		_, err := w.Write(marshalObjects(s.objects))
 		return err
-	}); err != nil {
+	})
+	if err != nil {
 		return err
 	}
 	s.dirty = false
@@ -485,7 +487,7 @@ func marshalObjects(objs map[string]*object) []byte {
 			buf = append(buf, k[:]...)
 		}
 	}
-	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
+	return durable.Seal(buf)
 }
 
 // parseObjects decodes an object manifest. Pure and fuzz-friendly:
@@ -497,8 +499,8 @@ func parseObjects(raw []byte) (map[string]*object, error) {
 	if len(raw) < 4+2+4+4 {
 		return fail("short object manifest")
 	}
-	body, tail := raw[:len(raw)-4], raw[len(raw)-4:]
-	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(tail) {
+	body, ok := durable.Unseal(raw)
+	if !ok {
 		return fail("object manifest crc mismatch")
 	}
 	if string(body[:4]) != objMagic {

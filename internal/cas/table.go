@@ -7,12 +7,13 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 
+	"mistique/internal/durable"
 	"mistique/internal/faultfs"
 )
 
@@ -47,8 +48,6 @@ const (
 	maxIndexChunks = 1 << 24
 	maxChunkSize   = 1 << 30
 )
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // entry is one chunk's row in the table. Until the first Flush the
 // payload lives in data; afterwards it lives at (seg, off, size) in an
@@ -131,20 +130,16 @@ func OpenTable(dir string, fs faultfs.FS) (*Table, error) {
 // sweep removes crash leftovers: temp files and segment files the
 // index does not know about.
 func (t *Table) sweep() {
+	durable.SweepTemps(t.fs, t.dir)
 	names, err := os.ReadDir(t.dir)
 	if err != nil {
 		return
 	}
 	for _, de := range names {
-		name := de.Name()
-		if strings.HasSuffix(name, ".tmp") {
-			t.fs.Remove(filepath.Join(t.dir, name))
-			continue
-		}
 		var id int
-		if n, _ := fmt.Sscanf(name, "seg_%08d.dat", &id); n == 1 {
+		if n, _ := fmt.Sscanf(de.Name(), "seg_%08d.dat", &id); n == 1 {
 			if _, ok := t.segs[id]; !ok {
-				t.fs.Remove(filepath.Join(t.dir, name))
+				t.fs.Remove(filepath.Join(t.dir, de.Name()))
 			}
 		}
 	}
@@ -165,7 +160,7 @@ func (t *Table) Put(data []byte) Key {
 		t.stats.DedupBytes += int64(e.size)
 		return k
 	}
-	t.entries[k] = &entry{seg: -1, size: len(data), crc: crc32.Checksum(data, castagnoli), refs: 1, data: append([]byte(nil), data...)}
+	t.entries[k] = &entry{seg: -1, size: len(data), crc: crc32.Checksum(data, durable.Castagnoli), refs: 1, data: append([]byte(nil), data...)}
 	t.pending = append(t.pending, k)
 	t.dirty = true
 	return k
@@ -239,16 +234,15 @@ func (t *Table) Get(k Key) ([]byte, error) {
 	if _, err := f.ReadAt(buf, off); err != nil {
 		return nil, fmt.Errorf("%w: chunk %s: %v", ErrCorrupt, k, err)
 	}
-	if crc32.Checksum(buf, castagnoli) != crc {
+	if crc32.Checksum(buf, durable.Castagnoli) != crc {
 		return nil, fmt.Errorf("%w: chunk %s: crc mismatch", ErrCorrupt, k)
 	}
 	return buf, nil
 }
 
 // Flush publishes pending chunks into a new immutable segment and then
-// rewrites the index, each with temp → write → fsync → rename →
-// fsync-dir. A crash at any syscall leaves either the previous
-// durable state or the new one.
+// rewrites the index, each through durable.Publish. A crash at any
+// syscall leaves either the previous durable state or the new one.
 func (t *Table) Flush() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -260,11 +254,11 @@ func (t *Table) flushLocked() error {
 		id := t.nextSeg
 		var segSize int64
 		offs := make(map[Key]int64, len(t.pending))
-		err := t.publishLocked("seg-*.tmp", segName(id), func(f faultfs.File) error {
+		_, err := durable.Publish(t.fs, filepath.Join(t.dir, segName(id)), func(w io.Writer) error {
 			for _, k := range t.pending {
 				e := t.entries[k]
 				offs[k] = segSize
-				if _, err := f.Write(e.data); err != nil {
+				if _, err := w.Write(e.data); err != nil {
 					return err
 				}
 				segSize += int64(e.size)
@@ -293,42 +287,12 @@ func (t *Table) flushLocked() error {
 	return nil
 }
 
-// publishLocked writes a file through the crash-safe temp → fsync →
-// rename → fsync-dir sequence shared by segments and the index.
-func (t *Table) publishLocked(pattern, final string, write func(faultfs.File) error) error {
-	f, err := t.fs.CreateTemp(t.dir, pattern)
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	if err := write(f); err != nil {
-		f.Close()
-		t.fs.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		t.fs.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		t.fs.Remove(tmp)
-		return err
-	}
-	if err := t.fs.Rename(tmp, filepath.Join(t.dir, final)); err != nil {
-		t.fs.Remove(tmp)
-		return err
-	}
-	// Post-publish directory sync failures are reported: the caller
-	// retries the whole publish, which is idempotent.
-	return t.fs.SyncDir(t.dir)
-}
-
 func (t *Table) writeIndexLocked() error {
-	return t.publishLocked("index-*.tmp", indexName, func(f faultfs.File) error {
-		_, err := f.Write(t.marshalIndexLocked())
+	_, err := durable.Publish(t.fs, filepath.Join(t.dir, indexName), func(w io.Writer) error {
+		_, err := w.Write(t.marshalIndexLocked())
 		return err
 	})
+	return err
 }
 
 func (t *Table) marshalIndexLocked() []byte {
@@ -369,7 +333,7 @@ func (t *Table) marshalIndexLocked() []byte {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(e.size))
 		buf = binary.LittleEndian.AppendUint32(buf, e.crc)
 	}
-	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
+	return durable.Seal(buf)
 }
 
 // parseIndex decodes an index image. It is a pure function so hostile
@@ -383,8 +347,8 @@ func parseIndex(raw []byte) (nextSeg int, segs map[int]int64, entries map[Key]*e
 	if len(raw) < 4+2+4+4+4+4 {
 		return fail("short index")
 	}
-	body, tail := raw[:len(raw)-4], raw[len(raw)-4:]
-	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(tail) {
+	body, ok := durable.Unseal(raw)
+	if !ok {
 		return fail("index crc mismatch")
 	}
 	if string(body[:4]) != idxMagic {
@@ -534,7 +498,7 @@ func (t *Table) getPayloadLocked(e *entry) ([]byte, error) {
 	if _, err := f.ReadAt(buf, e.off); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	if crc32.Checksum(buf, castagnoli) != e.crc {
+	if crc32.Checksum(buf, durable.Castagnoli) != e.crc {
 		return nil, fmt.Errorf("%w: crc mismatch", ErrCorrupt)
 	}
 	return buf, nil

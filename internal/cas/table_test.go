@@ -189,7 +189,7 @@ func TestTableFlushFailureIsRetryable(t *testing.T) {
 	}
 	data := randBytes(t, 2048, 10)
 	k := tab.Put(data)
-	inj.Arm(faultfs.Fault{Op: faultfs.OpSync, PathContains: "seg-"})
+	inj.Arm(faultfs.Fault{Op: faultfs.OpSync, PathContains: "seg_"})
 	if err := tab.Flush(); err == nil {
 		t.Fatal("injected sync fault did not surface")
 	}

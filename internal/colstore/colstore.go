@@ -52,6 +52,7 @@ import (
 	"time"
 
 	"mistique/internal/codec"
+	"mistique/internal/durable"
 	"mistique/internal/faultfs"
 	"mistique/internal/minhash"
 	"mistique/internal/obs"
@@ -733,7 +734,7 @@ func (s *Store) prepareDelta(parent ColumnKey, vals []float32, enc []byte, sig [
 		base:     baseID,
 		depth:    bc.depth + 1,
 		residual: xorEnc(enc, bc.enc),
-		fullCRC:  crc32.Checksum(enc, castagnoli),
+		fullCRC:  crc32.Checksum(enc, durable.Castagnoli),
 	}
 }
 
@@ -798,7 +799,7 @@ func resolveDeltaChunks(pid int64, chunks []*chunk, lookup func(ChunkID) (*chunk
 			}
 		}
 		enc := xorEnc(c.delta, bc.enc)
-		if got := crc32.Checksum(enc, castagnoli); got != c.fullCRC {
+		if got := crc32.Checksum(enc, durable.Castagnoli); got != c.fullCRC {
 			return added, lost, fmt.Errorf("chunk %d delta reconstruction checksum mismatch: want %08x, got %08x", i, c.fullCRC, got)
 		}
 		c.enc = enc

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"mistique/internal/durable"
 	"mistique/internal/faultfs"
 )
 
@@ -455,7 +456,7 @@ func TestSerializeDeltaImageV3(t *testing.T) {
 		delta:   residual,
 		base:    ChunkID{Partition: 0, Index: 0},
 		depth:   1,
-		fullCRC: crc32.Checksum(full[1].enc, castagnoli),
+		fullCRC: crc32.Checksum(full[1].enc, durable.Castagnoli),
 	}
 	img3 := serializePartition(nil, []*chunk{base, d})
 	if v := int(img3[4]) | int(img3[5])<<8; v != partVersionDelta {
@@ -493,7 +494,7 @@ func TestDeltaReconstructionCRCCatchesWrongBase(t *testing.T) {
 		delta:   residual,
 		base:    ChunkID{Partition: 0, Index: 2}, // wrong base
 		depth:   1,
-		fullCRC: crc32.Checksum(full[1].enc, castagnoli),
+		fullCRC: crc32.Checksum(full[1].enc, durable.Castagnoli),
 	}
 	_, _, err := resolveDeltaChunks(0, []*chunk{full[0], d, full[2]}, nil)
 	if err == nil {

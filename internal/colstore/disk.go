@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"mistique/internal/codec"
+	"mistique/internal/durable"
 	"mistique/internal/faultfs"
 	"mistique/internal/quant"
 )
@@ -78,10 +79,6 @@ const (
 // ErrUnavailable, but the file itself is left in place: a newer binary
 // can still read it.
 var ErrUnsupportedFormat = errors.New("colstore: unsupported partition file format")
-
-// castagnoli is the CRC32-C polynomial table (hardware-accelerated on
-// amd64/arm64), shared by partition files and the metadata envelope.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Scratch pools for the flush and page-in hot paths. Ownership rule: a
 // pooled object may be held only for the duration of one call; nothing
@@ -183,10 +180,10 @@ func serializePartition(dst []byte, chunks []*chunk) []byte {
 		}
 		dst = c.q.AppendBinary(dst)
 		dst = append(dst, payload...)
-		chunkCRC := crc32.Checksum(dst[start:], castagnoli)
+		chunkCRC := crc32.Checksum(dst[start:], durable.Castagnoli)
 		dst = binary.LittleEndian.AppendUint32(dst, chunkCRC)
 	}
-	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst, castagnoli))
+	return durable.Seal(dst)
 }
 
 // writePartitionTo serializes chunks and writes the uncompressed image to
@@ -245,18 +242,15 @@ func decodePartitionImage(comp []byte, rawHint int) ([]byte, error) {
 }
 
 // writeImageFileAt codec-compresses a serialized partition image and
-// writes it at path, atomically and durably: unique temp file, fsync the
-// file, rename, fsync the parent directory — so a concurrent reader of
-// the same path always sees a complete file and a crash at any point
-// leaves either the old file or the new one, never a prefix. Returns the
-// compressed file size and the number of fsyncs issued.
+// publishes it at path (durable.Publish), returning the compressed file
+// size and the number of fsyncs issued.
 //
-// Failures after the rename report success: the file is durably published
-// (the data and the rename's dirent both hit the disk no later than the
-// manifest write that follows, which fsyncs the same directory), and
-// treating them as write failures left the partition dirty forever —
-// re-flushed on every Flush with DiskWrites/FsyncCount double-counting
-// the same bytes.
+// A directory-sync failure after the rename reports success: the file is
+// published, and the data and the rename's dirent both hit the disk no
+// later than the manifest write that follows, which fsyncs the same
+// directory. Treating it as a write failure left the partition dirty
+// forever — re-flushed on every Flush with DiskWrites/FsyncCount
+// double-counting the same bytes.
 func writeImageFileAt(fs faultfs.FS, path string, img []byte, c codec.Codec, level int) (size, fsyncs int64, err error) {
 	comp, err := encodePartitionImage(grabBuf(), img, c, level)
 	if err != nil {
@@ -264,39 +258,14 @@ func writeImageFileAt(fs faultfs.FS, path string, img []byte, c codec.Codec, lev
 		return 0, 0, fmt.Errorf("colstore: compress partition %s: %w", path, err)
 	}
 	defer releaseBuf(comp)
-	dir := filepath.Dir(path)
-	f, err := fs.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return 0, 0, fmt.Errorf("colstore: create temp for %s: %w", path, err)
+	n, err := durable.Publish(fs, path, func(w io.Writer) error {
+		_, err := w.Write(comp)
+		return err
+	})
+	if err != nil && !errors.Is(err, durable.ErrDirSync) {
+		return 0, int64(n), fmt.Errorf("colstore: write partition file %s: %w", path, err)
 	}
-	tmp := f.Name()
-	_, err = f.Write(comp)
-	if err == nil {
-		// The write barrier: the data must be on the platter before the
-		// rename publishes the name.
-		err = f.Sync()
-		if err == nil {
-			fsyncs++
-		}
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		fs.Remove(tmp) // best effort; a crashed process leaves the orphan
-		return 0, fsyncs, fmt.Errorf("colstore: write partition file %s: %w", path, err)
-	}
-	if err := fs.Rename(tmp, path); err != nil {
-		fs.Remove(tmp)
-		return 0, fsyncs, fmt.Errorf("colstore: rename %s: %w", tmp, err)
-	}
-	if err := fs.SyncDir(dir); err == nil {
-		fsyncs++
-	}
-	// Post-publish: the rename succeeded, so the write succeeded. A failed
-	// directory fsync costs durability-until-the-manifest-write, not
-	// correctness, and is not this partition's error to report.
-	return int64(len(comp)), fsyncs, nil
+	return int64(len(comp)), int64(n), nil
 }
 
 // writePartitionFileAt serializes a chunk snapshot and writes it at path
@@ -620,7 +589,7 @@ func parsePartition(img []byte) ([]*chunk, int64, error) {
 		if version >= 2 {
 			// flags, meta, delta extras, quantizer and payload are
 			// contiguous in the image: one Checksum covers them all.
-			got := crc32.Checksum(img[metaStart:pos], castagnoli)
+			got := crc32.Checksum(img[metaStart:pos], durable.Castagnoli)
 			crcBuf, err := take(4)
 			if err != nil {
 				return nil, 0, fmt.Errorf("chunk %d checksum: %w", i, err)
@@ -657,7 +626,7 @@ func parsePartition(img []byte) ([]*chunk, int64, error) {
 		payload += int64(elen)
 	}
 	if version >= 2 {
-		fileCRC := crc32.Checksum(img[:pos], castagnoli)
+		fileCRC := crc32.Checksum(img[:pos], durable.Castagnoli)
 		foot, err := take(4)
 		if err != nil {
 			return nil, 0, fmt.Errorf("file footer: %w", err)

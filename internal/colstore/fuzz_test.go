@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"mistique/internal/codec"
+	"mistique/internal/durable"
 	"mistique/internal/quant"
 )
 
@@ -84,7 +85,7 @@ func validDeltaImage(t testing.TB) []byte {
 			delta:   xorEnc(childEnc, baseEnc),
 			base:    ChunkID{Partition: 0, Index: 0},
 			depth:   1,
-			fullCRC: crc32.Checksum(childEnc, castagnoli),
+			fullCRC: crc32.Checksum(childEnc, durable.Castagnoli),
 		},
 	}
 	var raw bytes.Buffer

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+
+	"mistique/internal/durable"
 )
 
 // This file implements the store's index support (Sec. 6 / Sec. 8.3 of the
@@ -187,7 +189,7 @@ func (s *Store) ColumnZones(model, interm, column string) ([]ZoneInfo, error) {
 func (s *Store) ColumnSignature(model, interm, column string) (uint32, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	h := crc32.New(castagnoli)
+	h := crc32.New(durable.Castagnoli)
 	var buf [24]byte
 	for b := 0; ; b++ {
 		key := ColumnKey{Model: model, Intermediate: interm, Column: column, Block: b}

@@ -12,13 +12,14 @@ import (
 	"sync"
 
 	"mistique/internal/codec"
+	"mistique/internal/durable"
 )
 
 // The manifest persists the store's logical state — the column→chunk map
 // and per-partition bookkeeping — so a store directory can be reopened and
 // served without re-logging. Partition payloads stay in their own files;
-// the manifest is small and rewritten atomically and durably (unique temp
-// file, fsync file + directory, rename) on every Flush. A monotonically
+// the manifest is small and rewritten atomically and durably
+// (durable.Publish) on every Flush. A monotonically
 // increasing generation number stamps each write, so recovery and tests
 // can tell which logical state survived a crash.
 
@@ -85,10 +86,9 @@ type manifest struct {
 	Stats      Stats               `json:"stats"`
 }
 
-// writeManifestLocked persists the logical state, atomically (unique temp
-// + rename, so concurrent stores or a crash can never interleave or tear
-// the published file) and durably (fsync file and directory). Caller
-// holds s.mu.
+// writeManifestLocked persists the logical state through durable.Publish,
+// so concurrent stores or a crash can never interleave or tear the
+// published file. Caller holds s.mu.
 func (s *Store) writeManifestLocked() error {
 	s.generation++
 	m := manifest{Version: manifestVersion, Generation: s.generation, NextPart: s.nextPart, Stats: s.stats}
@@ -135,34 +135,14 @@ func (s *Store) writeManifestLocked() error {
 	if werr != nil {
 		return fmt.Errorf("colstore: compress manifest: %w", werr)
 	}
-	path := filepath.Join(s.dir, manifestName)
-	f, err := s.fs.CreateTemp(s.dir, manifestName+".tmp*")
+	n, err := durable.Publish(s.fs, filepath.Join(s.dir, manifestName), func(w io.Writer) error {
+		_, err := w.Write(buf.Bytes())
+		return err
+	})
+	s.stats.FsyncCount += int64(n)
 	if err != nil {
-		return fmt.Errorf("colstore: create manifest temp: %w", err)
-	}
-	tmp := f.Name()
-	_, err = f.Write(buf.Bytes())
-	if err == nil {
-		err = f.Sync()
-		if err == nil {
-			s.stats.FsyncCount++
-		}
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		s.fs.Remove(tmp) // best effort; a crashed process leaves the orphan
 		return fmt.Errorf("colstore: write manifest: %w", err)
 	}
-	if err := s.fs.Rename(tmp, path); err != nil {
-		s.fs.Remove(tmp)
-		return fmt.Errorf("colstore: publish manifest: %w", err)
-	}
-	if err := s.fs.SyncDir(s.dir); err != nil {
-		return fmt.Errorf("colstore: sync manifest dir: %w", err)
-	}
-	s.stats.FsyncCount++
 	return nil
 }
 

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strings"
 
+	"mistique/internal/durable"
 	"mistique/internal/parallel"
 )
 
@@ -127,7 +128,10 @@ func (s *Store) quarantineLocked(p *partition, cause error) {
 // store is shared, so it reads fields without holding mu (the parallel
 // verification workers touch only their own slot).
 func (s *Store) recoverOnOpen(manifestCorrupt bool) error {
-	rep := &RecoveryReport{ManifestQuarantined: manifestCorrupt}
+	rep := &RecoveryReport{
+		ManifestQuarantined: manifestCorrupt,
+		OrphanTempsRemoved:  durable.SweepTemps(s.fs, s.dir),
+	}
 
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
@@ -140,12 +144,6 @@ func (s *Store) recoverOnOpen(manifestCorrupt bool) error {
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() || name == manifestName {
-			continue
-		}
-		if strings.Contains(name, ".tmp") {
-			if err := os.Remove(filepath.Join(s.dir, name)); err == nil || os.IsNotExist(err) {
-				rep.OrphanTempsRemoved = append(rep.OrphanTempsRemoved, name)
-			}
 			continue
 		}
 		if _, ok := known[name]; !ok && strings.HasPrefix(name, "partition_") {

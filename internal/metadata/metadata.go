@@ -11,11 +11,12 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 
+	"mistique/internal/durable"
 	"mistique/internal/faultfs"
 	"mistique/internal/obs"
 )
@@ -313,14 +314,11 @@ type envelope struct {
 
 const envelopeFormat = 1
 
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// Save writes the catalog to a JSON file, atomically (unique temp file,
-// rename) and durably (fsync file and parent directory), with a CRC32-C
-// checksum over the models payload in the envelope. Marshaling happens
-// under the read lock: concurrent RecordQuery/SetMaterialized calls
-// mutate Interm fields in place, and serializing unlocked would race
-// with them.
+// Save writes the catalog to a JSON file, atomically and durably
+// (durable.Publish), with a CRC32-C checksum over the models payload in
+// the envelope. Marshaling happens under the read lock: concurrent
+// RecordQuery/SetMaterialized calls mutate Interm fields in place, and
+// serializing unlocked would race with them.
 func (db *DB) Save(path string) error {
 	defer db.obsSaveSeconds.Time()()
 	db.mu.RLock()
@@ -334,34 +332,17 @@ func (db *DB) Save(path string) error {
 	if err != nil {
 		return fmt.Errorf("metadata: marshal: %w", err)
 	}
-	env := envelope{Format: envelopeFormat, CRC32C: crc32.Checksum(payload, castagnoli), Models: payload}
+	env := envelope{Format: envelopeFormat, CRC32C: crc32.Checksum(payload, durable.Castagnoli), Models: payload}
 	blob, err := json.Marshal(&env)
 	if err != nil {
 		return fmt.Errorf("metadata: marshal envelope: %w", err)
 	}
-	dir := filepath.Dir(path)
-	f, err := db.fs.CreateTemp(dir, filepath.Base(path)+".tmp*")
+	_, err = durable.Publish(db.fs, path, func(w io.Writer) error {
+		_, err := w.Write(blob)
+		return err
+	})
 	if err != nil {
-		return fmt.Errorf("metadata: create temp for %s: %w", path, err)
-	}
-	tmp := f.Name()
-	_, err = f.Write(blob)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		db.fs.Remove(tmp) // best effort; a crashed process leaves the orphan
-		return fmt.Errorf("metadata: write %s: %w", tmp, err)
-	}
-	if err := db.fs.Rename(tmp, path); err != nil {
-		db.fs.Remove(tmp)
-		return fmt.Errorf("metadata: publish %s: %w", path, err)
-	}
-	if err := db.fs.SyncDir(dir); err != nil {
-		return fmt.Errorf("metadata: sync dir %s: %w", dir, err)
+		return fmt.Errorf("metadata: save %s: %w", path, err)
 	}
 	return nil
 }
@@ -386,7 +367,7 @@ func Load(path string) (*DB, error) {
 		if err := json.Compact(&compact, env.Models); err != nil {
 			return nil, fmt.Errorf("%w: payload %s: %v", ErrCorrupt, path, err)
 		}
-		if got := crc32.Checksum(compact.Bytes(), castagnoli); got != env.CRC32C {
+		if got := crc32.Checksum(compact.Bytes(), durable.Castagnoli); got != env.CRC32C {
 			return nil, fmt.Errorf("%w: %s checksum mismatch (envelope %08x, payload %08x)", ErrCorrupt, path, env.CRC32C, got)
 		}
 	}

@@ -220,6 +220,10 @@ func TestLoadLegacyFormat(t *testing.T) {
 	}
 }
 
+// TestSaveFaultLeavesOldCatalogIntact: a failed publish (internal/durable
+// proves it leaves the old bytes and no temp) must surface its cause
+// through Save's wrapping and leave a loadable catalog, and the same DB
+// must save cleanly afterwards.
 func TestSaveFaultLeavesOldCatalogIntact(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "meta.json")
@@ -229,18 +233,12 @@ func TestSaveFaultLeavesOldCatalogIntact(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// An ENOSPC mid-write must fail the save, remove the temp, and leave
-	// the previous catalog loadable.
 	inj := faultfs.NewInjector(nil)
 	db.SetFS(inj)
 	db.RegisterModel(&Model{Name: "second", Kind: DNN})
 	inj.Arm(faultfs.Fault{Op: faultfs.OpWrite, PathContains: "meta.json", Err: syscall.ENOSPC})
 	if err := db.Save(path); !errors.Is(err, syscall.ENOSPC) {
 		t.Fatalf("save error %v, want ENOSPC", err)
-	}
-	entries, _ := os.ReadDir(dir)
-	if len(entries) != 1 {
-		t.Fatalf("temp not cleaned up: %v", entries)
 	}
 	old, err := Load(path)
 	if err != nil {
@@ -250,19 +248,7 @@ func TestSaveFaultLeavesOldCatalogIntact(t *testing.T) {
 		t.Fatal("old catalog damaged by failed save")
 	}
 
-	// A crash mid-write leaves an orphan temp (cleanup dies with the
-	// process) but still never touches the published file.
-	inj.Arm(faultfs.Fault{Op: faultfs.OpWrite, PathContains: "meta.json", AfterBytes: 16, Crash: true})
-	if err := db.Save(path); err == nil {
-		t.Fatal("save survived a crash")
-	}
-	if old, err = Load(path); err != nil || old.Model("zillow_p1") == nil {
-		t.Fatalf("old catalog damaged by crashed save: %v", err)
-	}
-
-	// After "reboot" (clean FS) the save goes through.
 	inj.Disarm()
-	db.SetFS(faultfs.OS())
 	if err := db.Save(path); err != nil {
 		t.Fatal(err)
 	}
@@ -272,27 +258,6 @@ func TestSaveFaultLeavesOldCatalogIntact(t *testing.T) {
 	}
 	if back.Model("second") == nil {
 		t.Fatal("new catalog missing model")
-	}
-}
-
-func TestSaveCrashAtRenameKeepsOldCatalog(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "meta.json")
-	db := NewDB()
-	db.RegisterModel(testModel())
-	if err := db.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	inj := faultfs.NewInjector(nil)
-	db.SetFS(inj)
-	db.RegisterModel(&Model{Name: "second", Kind: DNN})
-	inj.Arm(faultfs.Fault{Op: faultfs.OpRename, PathContains: "meta.json", Crash: true})
-	if err := db.Save(path); err == nil {
-		t.Fatal("save survived a crash at rename")
-	}
-	old, err := Load(path)
-	if err != nil || old.Model("zillow_p1") == nil || old.Model("second") != nil {
-		t.Fatalf("old catalog damaged: %v", err)
 	}
 }
 

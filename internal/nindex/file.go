@@ -4,8 +4,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"math"
+
+	"mistique/internal/durable"
 )
 
 // On-disk format of one persisted index ("MQNI" v1). All integers are
@@ -102,10 +103,8 @@ func Encode(key string, x *Index) []byte {
 		buf = append(buf, s.valsEnc...)
 	}
 
-	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
+	return durable.Seal(buf)
 }
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // reader is a bounds-checked cursor over the decode buffer. Every length
 // it returns has been verified against the remaining payload, so Decode
@@ -164,9 +163,9 @@ func Decode(data []byte) (string, *Index, error) {
 	if len(data) < len(fileMagic)+1+4 {
 		return "", nil, corruptf("short file (%dB)", len(data))
 	}
-	body, footer := data[:len(data)-4], data[len(data)-4:]
-	if got, want := binary.LittleEndian.Uint32(footer), crc32.Checksum(body, castagnoli); got != want {
-		return "", nil, corruptf("checksum mismatch (got %08x want %08x)", got, want)
+	body, ok := durable.Unseal(data)
+	if !ok {
+		return "", nil, corruptf("checksum mismatch")
 	}
 	r := &reader{buf: body}
 	if m, err := r.bytes(len(fileMagic)); err != nil || string(m) != fileMagic {

@@ -191,7 +191,7 @@ func TestManagerQuarantinesCorruptFiles(t *testing.T) {
 	if counterVal(reg2, "mistique_index_builds_total") != 1 {
 		t.Fatal("corrupt file not rebuilt")
 	}
-	if _, err := os.Stat(p + ".quarantine"); err != nil {
+	if _, err := os.Stat(p + ".corrupt"); err != nil {
 		t.Fatalf("quarantine file missing: %v", err)
 	}
 	// The rebuild re-published a clean file.

@@ -4,10 +4,12 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
 
+	"mistique/internal/durable"
 	"mistique/internal/faultfs"
 	"mistique/internal/obs"
 )
@@ -87,7 +89,8 @@ type entry struct {
 	lastUse uint64
 }
 
-// NewManager creates the index directory and wires the instruments.
+// NewManager creates the index directory, sweeps the temp files a crashed
+// publish left in it, and wires the instruments.
 func NewManager(cfg ManagerConfig) (*Manager, error) {
 	if cfg.MemBudgetBytes <= 0 {
 		cfg.MemBudgetBytes = 64 << 20
@@ -99,6 +102,7 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 	if fs == nil {
 		fs = faultfs.OS()
 	}
+	durable.SweepTemps(fs, cfg.Dir)
 	r := cfg.Obs
 	return &Manager{
 		cfg:         cfg,
@@ -252,48 +256,23 @@ func (m *Manager) loadFromDisk(key Key, sig uint32) *Index {
 // rename fails) so it is never re-read, while keeping the evidence.
 func (m *Manager) quarantine(p string) {
 	m.quarantines.Inc()
-	if err := m.fs.Rename(p, p+".quarantine"); err != nil {
+	if err := durable.Quarantine(m.fs, p); err != nil {
 		m.fs.Remove(p)
 	}
-	m.fs.SyncDir(filepath.Dir(p))
 }
 
-// publish persists idx under the store's temp→fsync→rename→syncdir
-// discipline. Failures are absorbed (counted): the in-memory index is
-// authoritative and a later build retries the persist.
+// publish persists idx through durable.Publish. Failures are absorbed
+// (counted): the in-memory index is authoritative and a later build
+// retries the persist.
 func (m *Manager) publish(key Key, idx *Index) {
-	if err := m.writeFile(m.path(key), Encode(key.fileKey(), idx)); err != nil {
+	img := Encode(key.fileKey(), idx)
+	_, err := durable.Publish(m.fs, m.path(key), func(w io.Writer) error {
+		_, err := w.Write(img)
+		return err
+	})
+	if err != nil {
 		m.publishErrs.Inc()
 	}
-}
-
-func (m *Manager) writeFile(path string, data []byte) error {
-	dir, base := filepath.Dir(path), filepath.Base(path)
-	f, err := m.fs.CreateTemp(dir, base+".tmp*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	cleanup := func() { m.fs.Remove(tmp) }
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		cleanup()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		cleanup()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		cleanup()
-		return err
-	}
-	if err := m.fs.Rename(tmp, path); err != nil {
-		cleanup()
-		return err
-	}
-	return m.fs.SyncDir(dir)
 }
 
 // Invalidate drops a column's index from memory and disk. Call after any

@@ -4,8 +4,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"math"
+
+	"mistique/internal/durable"
 )
 
 // MQSM on-disk format (all integers uvarint unless noted, floats and
@@ -81,10 +82,8 @@ func Encode(model, interm string, s *Sample) []byte {
 		}
 		buf = appendFloats(buf, str.Data)
 	}
-	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
+	return durable.Seal(buf)
 }
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Decode parses and validates an MQSM image, returning the sample and the
 // model/intermediate identity it was written for.
@@ -97,8 +96,8 @@ func Decode(data []byte) (model, interm string, s *Sample, err error) {
 			return "", "", nil, ErrCorrupt
 		}
 	}
-	body, tail := data[:len(data)-4], data[len(data)-4:]
-	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(tail) {
+	body, sealed := durable.Unseal(data)
+	if !sealed {
 		return "", "", nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 	}
 	d := decoder{buf: body[len(magicMQSM):]}

@@ -5,10 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
 
+	"mistique/internal/durable"
 	"mistique/internal/faultfs"
 	"mistique/internal/obs"
 )
@@ -23,10 +25,9 @@ type ManagerConfig struct {
 	Obs *obs.Registry
 }
 
-// Manager persists samples as checksummed MQSM files under the store's
-// temp→fsync→rename→syncdir discipline, one file per (model,
-// intermediate), hash-named with the real identity stored — and verified
-// — inside the file.
+// Manager persists samples as checksummed MQSM files (durable.Publish),
+// one file per (model, intermediate), hash-named with the real identity
+// stored — and verified — inside the file.
 type Manager struct {
 	dir string
 	fs  faultfs.FS
@@ -38,7 +39,8 @@ type Manager struct {
 	publishErrs *obs.Counter
 }
 
-// NewManager creates the sample directory and wires the instruments.
+// NewManager creates the sample directory, sweeps the temp files a crashed
+// Save left in it, and wires the instruments.
 func NewManager(cfg ManagerConfig) (*Manager, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("sample: %w", err)
@@ -47,6 +49,7 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 	if fs == nil {
 		fs = faultfs.OS()
 	}
+	durable.SweepTemps(fs, cfg.Dir)
 	r := cfg.Obs
 	return &Manager{
 		dir:         cfg.Dir,
@@ -74,7 +77,11 @@ func (m *Manager) Save(model, interm string, s *Sample) error {
 	img := Encode(model, interm, s)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if err := m.writeFile(m.path(model, interm), img); err != nil {
+	_, err := durable.Publish(m.fs, m.path(model, interm), func(w io.Writer) error {
+		_, err := w.Write(img)
+		return err
+	})
+	if err != nil {
 		m.publishErrs.Inc()
 		return fmt.Errorf("sample: persist %s/%s: %w", model, interm, err)
 	}
@@ -112,33 +119,4 @@ func (m *Manager) Remove(model, interm string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.fs.Remove(m.path(model, interm))
-}
-
-func (m *Manager) writeFile(path string, data []byte) error {
-	dir, base := filepath.Dir(path), filepath.Base(path)
-	f, err := m.fs.CreateTemp(dir, base+".tmp*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	cleanup := func() { m.fs.Remove(tmp) }
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		cleanup()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		cleanup()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		cleanup()
-		return err
-	}
-	if err := m.fs.Rename(tmp, path); err != nil {
-		cleanup()
-		return err
-	}
-	return m.fs.SyncDir(dir)
 }

@@ -5,8 +5,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
-
-	"mistique/internal/faultfs"
 )
 
 func TestManagerSaveLoadRemove(t *testing.T) {
@@ -60,43 +58,5 @@ func TestManagerQuarantinesCorruptFile(t *testing.T) {
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Fatal("corrupt file not quarantined")
-	}
-}
-
-func TestManagerSurvivesPublishFault(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "sample")
-	inj := faultfs.NewInjector(nil)
-	m, err := NewManager(ManagerConfig{Dir: dir, FS: inj})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := sampleForCodec(t)
-	if err := m.Save("m1", "i1", s); err != nil {
-		t.Fatal(err)
-	}
-	// A failed re-save must leave the previous snapshot intact.
-	inj.Arm(faultfs.Fault{Op: faultfs.OpRename})
-	s2 := sampleForCodec(t)
-	s2.Seen += 1000
-	if err := m.Save("m1", "i1", s2); err == nil {
-		t.Fatal("save through a rename fault succeeded")
-	}
-	inj.Disarm()
-	got, err := m.Load("m1", "i1")
-	if err != nil || got == nil {
-		t.Fatalf("Load after failed save: %v, %v", got, err)
-	}
-	if got.Seen != s.Seen {
-		t.Fatalf("previous snapshot clobbered: seen=%d, want %d", got.Seen, s.Seen)
-	}
-	// No temp debris.
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range ents {
-		if filepath.Ext(e.Name()) != ".mqsm" {
-			t.Fatalf("debris left behind: %s", e.Name())
-		}
 	}
 }

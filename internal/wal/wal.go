@@ -11,9 +11,9 @@
 //     debris a crash mid-append leaves — back to the last whole record.
 //     Everything before the tear is returned intact; nothing after a valid
 //     frame is ever invented.
-//   - Rewrite atomically replaces the log's contents (temp → fsync →
-//     rename → dir fsync), which is how a flush discards records whose
-//     rows now live in durable partitions.
+//   - Rewrite atomically replaces the log's contents (durable.Publish),
+//     which is how a flush discards records whose rows now live in
+//     durable partitions.
 //
 // File layout:
 //
@@ -32,10 +32,11 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
-	"path/filepath"
 	"sync"
 
+	"mistique/internal/durable"
 	"mistique/internal/faultfs"
 )
 
@@ -50,8 +51,6 @@ var header = [8]byte{'M', 'Q', 'W', 'L', 1, 0, 0, 0}
 // treated as a torn/garbage tail, keeping hostile files from ballooning
 // allocation during replay.
 const maxRecordBytes = 64 << 20
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Decode parses a log image, returning the whole records and the byte
 // length of the valid prefix (header included). A short, torn or
@@ -79,7 +78,7 @@ func Decode(data []byte) (records [][]byte, validLen int64, err error) {
 			return records, off, nil
 		}
 		payload := rest[8 : 8+n]
-		if crc32.Checksum(payload, castagnoli) != crc {
+		if crc32.Checksum(payload, durable.Castagnoli) != crc {
 			return records, off, nil
 		}
 		records = append(records, payload)
@@ -154,6 +153,18 @@ func Open(path string, fs faultfs.FS) (*Log, OpenResult, error) {
 	return l, res, nil
 }
 
+// writeFrame writes one record: the length|crc frame, then the payload.
+func writeFrame(w io.Writer, p []byte) error {
+	var frame [8]byte
+	binary.LittleEndian.PutUint32(frame[:4], uint32(len(p)))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(p, durable.Castagnoli))
+	if _, err := w.Write(frame[:]); err != nil {
+		return err
+	}
+	_, err := w.Write(p)
+	return err
+}
+
 // Append frames, writes and fsyncs one record; when it returns nil the
 // record is durable.
 func (l *Log) Append(payload []byte) error {
@@ -167,18 +178,12 @@ func (l *Log) AppendBatch(payloads [][]byte) error {
 	if l.f == nil {
 		return fmt.Errorf("wal: %s is closed", l.path)
 	}
-	var frame [8]byte
 	wrote := int64(0)
 	for _, p := range payloads {
 		if int64(len(p)) > maxRecordBytes {
 			return fmt.Errorf("wal: record of %d bytes exceeds the %d-byte cap", len(p), maxRecordBytes)
 		}
-		binary.LittleEndian.PutUint32(frame[:4], uint32(len(p)))
-		binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(p, castagnoli))
-		if _, err := l.f.Write(frame[:]); err != nil {
-			return fmt.Errorf("wal: append %s: %w", l.path, err)
-		}
-		if _, err := l.f.Write(p); err != nil {
+		if err := writeFrame(l.f, p); err != nil {
 			return fmt.Errorf("wal: append %s: %w", l.path, err)
 		}
 		wrote += 8 + int64(len(p))
@@ -202,46 +207,21 @@ func (l *Log) Rewrite(payloads [][]byte) error {
 }
 
 func (l *Log) rewriteLocked(payloads [][]byte) error {
-	dir := filepath.Dir(l.path)
-	f, err := l.fs.CreateTemp(dir, filepath.Base(l.path)+".tmp*")
+	size := int64(len(header))
+	_, err := durable.Publish(l.fs, l.path, func(w io.Writer) error {
+		if _, err := w.Write(header[:]); err != nil {
+			return err
+		}
+		for _, p := range payloads {
+			if err := writeFrame(w, p); err != nil {
+				return err
+			}
+			size += 8 + int64(len(p))
+		}
+		return nil
+	})
 	if err != nil {
 		return fmt.Errorf("wal: rewrite %s: %w", l.path, err)
-	}
-	tmp := f.Name()
-	fail := func(err error) error {
-		f.Close()
-		l.fs.Remove(tmp)
-		return fmt.Errorf("wal: rewrite %s: %w", l.path, err)
-	}
-	if _, err := f.Write(header[:]); err != nil {
-		return fail(err)
-	}
-	size := int64(len(header))
-	var frame [8]byte
-	for _, p := range payloads {
-		binary.LittleEndian.PutUint32(frame[:4], uint32(len(p)))
-		binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(p, castagnoli))
-		if _, err := f.Write(frame[:]); err != nil {
-			return fail(err)
-		}
-		if _, err := f.Write(p); err != nil {
-			return fail(err)
-		}
-		size += 8 + int64(len(p))
-	}
-	if err := f.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		l.fs.Remove(tmp)
-		return fmt.Errorf("wal: rewrite %s: %w", l.path, err)
-	}
-	if err := l.fs.Rename(tmp, l.path); err != nil {
-		l.fs.Remove(tmp)
-		return fmt.Errorf("wal: publish %s: %w", l.path, err)
-	}
-	if err := l.fs.SyncDir(dir); err != nil {
-		return fmt.Errorf("wal: sync dir %s: %w", dir, err)
 	}
 	// Swap the append handle to the new file.
 	if l.f != nil {

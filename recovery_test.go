@@ -1,6 +1,7 @@
 package mistique
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -8,6 +9,7 @@ import (
 
 	"mistique/internal/colstore"
 	"mistique/internal/cost"
+	"mistique/internal/faultfs"
 )
 
 // Engine-level recovery tests: the store loses data (corrupted or deleted
@@ -269,5 +271,129 @@ func TestRecoveryReportCleanOnHealthyReopen(t *testing.T) {
 	}
 	if rep := s2.RecoveryReport(); rep == nil || !rep.Clean() {
 		t.Fatalf("healthy reopen not clean: %+v", rep)
+	}
+}
+
+// tempFiles lists the *.tmp* names directly under dir.
+func tempFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var temps []string
+	for _, e := range entries {
+		if strings.Contains(e.Name(), ".tmp") {
+			temps = append(temps, e.Name())
+		}
+	}
+	return temps
+}
+
+// TestReopenSweepsOrphanTemps: a process killed between CreateTemp and
+// Rename strands a temp file beside the artifact it was publishing. Every
+// artifact directory — not just the partition and CAS ones — must be swept
+// on the next Open, and the crash must cost nothing that was acknowledged.
+func TestReopenSweepsOrphanTemps(t *testing.T) {
+	cases := []struct {
+		name   string
+		target string // substring of the publish's rename target
+		subdir string // where its temp file is stranded
+	}{
+		{"nindex", ".mqni", "data/nindex"},
+		{"sample", ".mqsm", "data/sample"},
+		{"wal-rewrite", ".wal", "data/wal"},
+		{"catalog", "metadata.json", ""},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			inj := faultfs.NewInjector(nil)
+			s, err := Open(dir, Config{RowBlockRows: 64, Store: colstore.Config{FS: inj}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cols := []string{"v", "w"}
+			ingestStream(t, s, "live", "acts", cols, 0, 200, 50)
+			if err := s.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			ingestStream(t, s, "live", "acts", cols, 200, 30, 30)
+
+			// Die at the rename of the next publish of this artifact kind:
+			// the index probe publishes an index, the flush publishes the
+			// catalog, then each stream's sample and WAL checkpoint.
+			inj.Arm(faultfs.Fault{Op: faultfs.OpRename, PathContains: tc.target, Crash: true})
+			s.TopK("live", "acts", "v", 3)
+			s.Flush()
+			if !inj.Crashed() {
+				t.Fatal("fault never fired")
+			}
+			artifactDir := filepath.Join(dir, filepath.FromSlash(tc.subdir))
+			if len(tempFiles(t, artifactDir)) == 0 {
+				t.Fatalf("no orphan temp in %s: the crash point moved", artifactDir)
+			}
+
+			s2, err := Open(dir, Config{RowBlockRows: 64})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if left := tempFiles(t, artifactDir); len(left) != 0 {
+				t.Fatalf("reopen left orphan temps in %s: %v", artifactDir, left)
+			}
+			if err := s2.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			checkStreamRead(t, s2, "live", "acts", cols, 230)
+		})
+	}
+}
+
+// TestOpenFailsWhenQuarantineFails: a corrupt catalog or stream WAL that
+// cannot be moved aside would be re-read on every open (and the catalog
+// overwritten by the next flush), so Open must report it instead of
+// carrying on as if the quarantine had worked.
+func TestOpenFailsWhenQuarantineFails(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Config{RowBlockRows: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingestStream(t, s, "live", "acts", []string{"v"}, 0, 100, 25)
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	metaPath := filepath.Join(dir, "metadata.json")
+	wals, err := filepath.Glob(filepath.Join(dir, "data", "wal", "*.wal"))
+	if err != nil || len(wals) != 1 {
+		t.Fatalf("wal files %v, %v", wals, err)
+	}
+
+	for _, path := range []string{metaPath, wals[0]} {
+		good, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte("}{ neither json nor a wal"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		inj := faultfs.NewInjector(nil)
+		inj.Arm(faultfs.Fault{Op: faultfs.OpRename, PathContains: filepath.Base(path) + ".corrupt"})
+		if _, err := Open(dir, Config{RowBlockRows: 64, Store: colstore.Config{FS: inj}}); !errors.Is(err, faultfs.ErrInjected) {
+			t.Fatalf("open with unquarantinable %s: err = %v", filepath.Base(path), err)
+		}
+		if _, err := os.Stat(path); err != nil {
+			t.Fatalf("%s vanished on a failed quarantine: %v", path, err)
+		}
+		// On a healthy filesystem the same file is set aside and Open succeeds.
+		if _, err := Open(dir, Config{RowBlockRows: 64}); err != nil {
+			t.Fatalf("open with quarantinable %s: %v", filepath.Base(path), err)
+		}
+		if _, err := os.Stat(path + ".corrupt"); err != nil {
+			t.Fatalf("%s not quarantined: %v", filepath.Base(path), err)
+		}
+		if err := os.WriteFile(path, good, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"sync"
 
 	"mistique/internal/colstore"
+	"mistique/internal/durable"
 	"mistique/internal/metadata"
 	"mistique/internal/sample"
 	"mistique/internal/wal"
@@ -533,6 +534,7 @@ func (s *System) dropStreams(model string) {
 // queryable.
 func (s *System) replayStreams() error {
 	dir := s.walDir()
+	durable.SweepTemps(s.cfg.Store.FS, dir) // a crashed checkpoint's *.wal.tmp*
 	entries, err := os.ReadDir(dir)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil
@@ -545,11 +547,11 @@ func (s *System) replayStreams() error {
 			continue
 		}
 		path := filepath.Join(dir, e.Name())
-		if err := s.replayOneStream(path); err != nil {
-			if errors.Is(err, wal.ErrCorrupt) || errors.Is(err, errStreamReplay) {
-				os.Rename(path, path+".corrupt")
-				continue
-			}
+		err := s.replayOneStream(path)
+		if errors.Is(err, wal.ErrCorrupt) || errors.Is(err, errStreamReplay) {
+			err = durable.Quarantine(s.cfg.Store.FS, path)
+		}
+		if err != nil {
 			return err
 		}
 	}

@@ -301,6 +301,11 @@ func TestStreamConcurrentStress(t *testing.T) {
 				interm := fmt.Sprintf("s%d", (r+i)%nStreams)
 				d, err := s.ColDist("live", interm, "v", 0)
 				if err != nil {
+					// The stream (or its first block) may not exist yet:
+					// keep polling, like the exact readers below.
+					if errors.Is(err, ErrNotMaterialized) || errors.Is(err, ErrUnknownIntermediate) || errors.Is(err, ErrUnknownModel) {
+						continue
+					}
 					t.Errorf("approx reader: %v", err)
 					return
 				}
