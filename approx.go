@@ -2,10 +2,8 @@ package mistique
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"sort"
-	"time"
 
 	"mistique/internal/cost"
 	"mistique/internal/sample"
@@ -74,52 +72,93 @@ func (s *System) ColDist(model, interm, column string, maxError float64) (*ColDi
 // column's value range) is within maxError, and from an exact read
 // otherwise.
 func (s *System) ColDistCtx(ctx context.Context, model, interm, column string, maxError float64) (*ColDist, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	out := &ColDist{Model: model, Intermediate: interm, Column: column}
-	if sm := s.sampleFor(model, interm); sm != nil {
-		if j := sm.ColIndex(column); j >= 0 {
-			st := sm.Stats[j]
-			est := sm.MeanEstimate(j)
-			if withinRangeFraction(est.Bound, float64(st.Max)-float64(st.Min), maxError) {
-				start := time.Now()
-				_, std, _ := sm.Moments(j)
-				out.Rows, out.Finite, out.NaN, out.PosInf, out.NegInf = st.Rows(), st.Finite, st.NaN, st.PosInf, st.NegInf
-				out.Min, out.Max = st.Min, st.Max
-				out.Mean, out.MeanBound, out.Std = est.Value, est.Bound, std
-				out.P50, out.P50RankBound = sm.Quantile(j, 0.5)
-				out.SampleRows = int64(sm.Rows())
-				out.Strategy = cost.Sample
-				costP := s.CostParams()
-				out.EstSampleSecs = cost.SampleReadSeconds(out.SampleRows, 4, costP)
-				out.EstReadSecs = cost.ChainReadSeconds(4, int(out.Rows), s.store.MaxDeltaDepth(model, interm), costP)
-				out.FetchSeconds = time.Since(start).Seconds()
-				if _, err := s.meta.RecordQuery(model, interm); err != nil {
-					return nil, err
-				}
-				s.metrics.observeSample(out.EstSampleSecs, out.FetchSeconds)
-				s.noteSlowQuery(slowQueryRecord{
-					Op: "col_dist", Model: model, Intermediate: interm,
-					Strategy: out.Strategy.String(), Cols: 1, NEx: int(out.Rows),
-					EstReadSecs: out.EstReadSecs, Seconds: out.FetchSeconds,
-				})
-				return out, nil
-			}
-		}
-	}
-	// Exact fallback: fetch the column through the normal cost-model path
-	// and compute the same statistics exactly.
-	s.metrics.sampleFallbacks.Inc()
-	res, err := s.GetIntermediateCtx(ctx, model, interm, []string{column}, 0)
+	a, err := s.Execute(ctx, Query{Op: OpColDist, Model: model, Intermediate: interm, Columns: []string{column}, MaxError: maxError})
 	if err != nil {
 		return nil, err
 	}
-	exactColDist(out, res.Data.Col(0))
-	out.Strategy = res.Strategy
-	out.EstReadSecs = res.EstReadSecs
-	out.FetchSeconds = res.FetchSeconds
-	return out, nil
+	return a.ColDist, nil
+}
+
+// sampleAnswer answers p from the reservoir sample. It returns nil when
+// the sample lacks a column or the bound it can deliver is wider than
+// p.MaxError (the caller plans the exact path instead), else the answer
+// and the sample rows behind it. limit is OpSampleRows' row limit.
+func sampleAnswer(p *Plan, limit int, sm *sample.Sample) (*Answer, int64) {
+	idx := make([]int, len(p.Columns))
+	for i, c := range p.Columns {
+		if idx[i] = sm.ColIndex(c); idx[i] < 0 {
+			return nil, 0
+		}
+	}
+	switch p.Op {
+	case OpColDist:
+		j := idx[0]
+		st, est := sm.Stats[j], sm.MeanEstimate(j)
+		if !withinRangeFraction(est.Bound, float64(st.Max)-float64(st.Min), p.MaxError) {
+			return nil, 0
+		}
+		_, std, _ := sm.Moments(j)
+		d := &ColDist{
+			Rows: st.Rows(), Finite: st.Finite, NaN: st.NaN, PosInf: st.PosInf, NegInf: st.NegInf,
+			Min: st.Min, Max: st.Max, Mean: est.Value, MeanBound: est.Bound, Std: std,
+			SampleRows: int64(sm.Rows()),
+		}
+		d.P50, d.P50RankBound = sm.Quantile(j, 0.5)
+		return &Answer{ColDist: d}, d.SampleRows
+	case OpApproxTopK:
+		entries, bound := sm.TopK(idx[0], p.K, true)
+		if p.MaxError > 0 && bound > p.MaxError {
+			return nil, 0
+		}
+		t := &TopKApprox{Entries: entries, RankBound: bound, Rows: sm.Stats[idx[0]].Rows(), SampleRows: int64(sm.Rows())}
+		return &Answer{ApproxTopK: t}, t.SampleRows
+	case OpConfusion:
+		est, err := sm.Confusion(idx[0], idx[1])
+		if err != nil || (p.MaxError > 0 && est.MaxBound > p.MaxError) {
+			return nil, 0
+		}
+		c := &ConfusionMatrix{Cells: est.Cells, Rows: sm.Seen, Stratified: est.Stratified, MaxBound: est.MaxBound, SampleRows: est.SampledRows}
+		return &Answer{Confusion: c}, c.SampleRows
+	}
+	// OpSampleRows: a uniform row sample, in ascending row-id order for
+	// stable presentation.
+	n := sm.Rows()
+	if limit > 0 && limit < n {
+		n = limit
+	}
+	order := make([]int, sm.Rows())
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool { return sm.RowIDs[order[a]] < sm.RowIDs[order[b]] })
+	a := &Answer{RowIDs: make([]int64, n), Data: tensor.NewDense(n, len(idx)), Population: sm.Seen}
+	for r := 0; r < n; r++ {
+		sr := order[r]
+		a.RowIDs[r] = sm.RowIDs[sr]
+		for j, cj := range idx {
+			a.Data.Set(r, j, sm.Value(sr, cj))
+		}
+	}
+	return a, int64(n)
+}
+
+// mirror copies the executed plan and timing into the fields the
+// approximate result types carry themselves.
+func (a *Answer) mirror() {
+	switch {
+	case a.ColDist != nil:
+		d := a.ColDist
+		d.Model, d.Intermediate, d.Column = a.Model, a.Intermediate, a.Columns[0]
+		d.Strategy, d.EstSampleSecs, d.EstReadSecs, d.FetchSeconds = a.Strategy, a.EstSampleSecs, a.EstReadSecs, a.Seconds
+	case a.ApproxTopK != nil:
+		t := a.ApproxTopK
+		t.Model, t.Intermediate, t.Column = a.Model, a.Intermediate, a.Columns[0]
+		t.Strategy, t.FetchSeconds = a.Strategy, a.Seconds
+	case a.Confusion != nil:
+		c := a.Confusion
+		c.Model, c.Intermediate, c.LabelCol, c.PredCol = a.Model, a.Intermediate, a.Columns[0], a.Columns[1]
+		c.Strategy, c.FetchSeconds = a.Strategy, a.Seconds
+	}
 }
 
 // withinRangeFraction reports whether an absolute bound over a value range
@@ -136,6 +175,18 @@ func withinRangeFraction(bound, width, maxError float64) bool {
 		return false
 	}
 	return bound/width <= maxError
+}
+
+// colDist is OpColDist's exact operator: fetch the column through the
+// planned strategy and compute the same statistics exactly.
+func (s *System) colDist(ctx context.Context, p *Plan) (*ColDist, error) {
+	data, err := s.fetchMatrix(ctx, p)
+	if err != nil {
+		return nil, err
+	}
+	out := &ColDist{}
+	exactColDist(out, data.Col(0))
+	return out, nil
 }
 
 // exactColDist fills a ColDist from a fully materialized column.
@@ -219,48 +270,23 @@ func (s *System) ApproxTopK(model, interm, column string, k int, maxError float6
 // is within maxError (a rank fraction), and from the exact index-backed
 // TopK otherwise.
 func (s *System) ApproxTopKCtx(ctx context.Context, model, interm, column string, k int, maxError float64) (*TopKApprox, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if k <= 0 {
-		return nil, fmt.Errorf("mistique: approx topk needs k > 0")
-	}
-	out := &TopKApprox{Model: model, Intermediate: interm, Column: column}
-	if sm := s.sampleFor(model, interm); sm != nil {
-		if j := sm.ColIndex(column); j >= 0 {
-			entries, bound := sm.TopK(j, k, true)
-			if maxError <= 0 || bound <= maxError {
-				start := time.Now()
-				out.Entries = entries
-				out.RankBound = bound
-				out.Rows = sm.Stats[j].Rows()
-				out.SampleRows = int64(sm.Rows())
-				out.Strategy = cost.Sample
-				out.FetchSeconds = time.Since(start).Seconds()
-				if _, err := s.meta.RecordQuery(model, interm); err != nil {
-					return nil, err
-				}
-				est := cost.SampleReadSeconds(out.SampleRows, 4, s.CostParams())
-				s.metrics.observeSample(est, out.FetchSeconds)
-				return out, nil
-			}
-		}
-	}
-	s.metrics.sampleFallbacks.Inc()
-	start := time.Now()
-	exact, err := s.TopKCtx(ctx, model, interm, column, k)
+	a, err := s.Execute(ctx, Query{Op: OpApproxTopK, Model: model, Intermediate: interm, Columns: []string{column}, K: k, MaxError: maxError})
 	if err != nil {
 		return nil, err
 	}
-	out.Entries = make([]sample.RowValue, len(exact))
+	return a.ApproxTopK, nil
+}
+
+// approxTopK is OpApproxTopK's exact operator: OpTopK's, reshaped.
+func (s *System) approxTopK(ctx context.Context, p *Plan) (*TopKApprox, error) {
+	exact, err := s.topK(ctx, p)
+	if err != nil {
+		return nil, err
+	}
+	out := &TopKApprox{Entries: make([]sample.RowValue, len(exact)), Rows: int64(p.it.Rows)}
 	for i, e := range exact {
 		out.Entries[i] = sample.RowValue{Row: int64(e.Row), Value: e.Value}
 	}
-	if it, ok := s.meta.IntermSnapshot(model, interm); ok {
-		out.Rows = int64(it.Rows)
-	}
-	out.Strategy = cost.Read
-	out.FetchSeconds = time.Since(start).Seconds()
 	return out, nil
 }
 
@@ -295,58 +321,34 @@ func (s *System) ConfusionMatrixApprox(model, interm, labelCol, predCol string, 
 // fraction of the row count) is within maxError, and from an exact
 // two-column read otherwise.
 func (s *System) ConfusionMatrixCtx(ctx context.Context, model, interm, labelCol, predCol string, maxError float64) (*ConfusionMatrix, error) {
-	if err := ctx.Err(); err != nil {
+	a, err := s.Execute(ctx, Query{Op: OpConfusion, Model: model, Intermediate: interm, Columns: []string{labelCol, predCol}, MaxError: maxError})
+	if err != nil {
 		return nil, err
 	}
-	out := &ConfusionMatrix{Model: model, Intermediate: interm, LabelCol: labelCol, PredCol: predCol}
-	if sm := s.sampleFor(model, interm); sm != nil {
-		lj, pj := sm.ColIndex(labelCol), sm.ColIndex(predCol)
-		if lj >= 0 && pj >= 0 {
-			est, err := sm.Confusion(lj, pj)
-			if err == nil && (maxError <= 0 || est.MaxBound <= maxError) {
-				start := time.Now()
-				out.Cells = est.Cells
-				out.Rows = sm.Seen
-				out.Stratified = est.Stratified
-				out.MaxBound = est.MaxBound
-				out.SampleRows = est.SampledRows
-				out.Strategy = cost.Sample
-				out.FetchSeconds = time.Since(start).Seconds()
-				if _, err := s.meta.RecordQuery(model, interm); err != nil {
-					return nil, err
-				}
-				estSecs := cost.SampleReadSeconds(est.SampledRows, 8, s.CostParams())
-				s.metrics.observeSample(estSecs, out.FetchSeconds)
-				s.noteSlowQuery(slowQueryRecord{
-					Op: "confusion", Model: model, Intermediate: interm,
-					Strategy: out.Strategy.String(), Cols: 2, NEx: int(out.Rows),
-					Seconds: out.FetchSeconds,
-				})
-				return out, nil
-			}
-		}
-	}
-	s.metrics.sampleFallbacks.Inc()
-	res, err := s.GetIntermediateCtx(ctx, model, interm, []string{labelCol, predCol}, 0)
+	return a.Confusion, nil
+}
+
+// confusion is OpConfusion's exact operator: count the (label, pred)
+// pairs of a two-column fetch.
+func (s *System) confusion(ctx context.Context, p *Plan) (*ConfusionMatrix, error) {
+	data, err := s.fetchMatrix(ctx, p)
 	if err != nil {
 		return nil, err
 	}
 	type cellKey struct{ l, p float32 }
 	counts := map[cellKey]int64{}
-	for r := 0; r < res.Data.Rows; r++ {
-		l, p := res.Data.At(r, 0), res.Data.At(r, 1)
+	for r := 0; r < data.Rows; r++ {
+		l, p := data.At(r, 0), data.At(r, 1)
 		if l != l || p != p {
 			continue
 		}
 		counts[cellKey{l, p}]++
 	}
+	out := &ConfusionMatrix{Rows: int64(data.Rows)}
 	for k, c := range counts {
 		out.Cells = append(out.Cells, sample.Cell{Label: k.l, Pred: k.p, Count: float64(c)})
 	}
 	sample.SortCells(out.Cells)
-	out.Rows = int64(res.Data.Rows)
-	out.Strategy = res.Strategy
-	out.FetchSeconds = res.FetchSeconds
 	return out, nil
 }
 
@@ -377,75 +379,14 @@ func (s *System) GetIntermediateApprox(model, interm string, cols []string, maxR
 // (maxRows <= 0 returns the whole reservoir). Without a sample it falls
 // back to an exact read of the first maxRows rows.
 func (s *System) GetIntermediateApproxCtx(ctx context.Context, model, interm string, cols []string, maxRows int) (*ApproxRows, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	out := &ApproxRows{Model: model, Intermediate: interm}
-	if sm := s.sampleFor(model, interm); sm != nil {
-		if len(cols) == 0 {
-			cols = sm.Cols
-		}
-		idx := make([]int, len(cols))
-		ok := true
-		for i, c := range cols {
-			if idx[i] = sm.ColIndex(c); idx[i] < 0 {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			start := time.Now()
-			n := sm.Rows()
-			if maxRows > 0 && maxRows < n {
-				n = maxRows
-			}
-			// Emit in ascending row-id order for stable presentation.
-			order := make([]int, sm.Rows())
-			for i := range order {
-				order[i] = i
-			}
-			sortByRowID(order, sm.RowIDs)
-			out.Cols = cols
-			out.RowIDs = make([]int64, n)
-			out.Data = tensor.NewDense(n, len(cols))
-			for r := 0; r < n; r++ {
-				sr := order[r]
-				out.RowIDs[r] = sm.RowIDs[sr]
-				for j, cj := range idx {
-					out.Data.Set(r, j, sm.Value(sr, cj))
-				}
-			}
-			out.Rows = sm.Seen
-			out.Strategy = cost.Sample
-			out.FetchSeconds = time.Since(start).Seconds()
-			if _, err := s.meta.RecordQuery(model, interm); err != nil {
-				return nil, err
-			}
-			est := cost.SampleReadSeconds(int64(n), int64(4*len(cols)), s.CostParams())
-			s.metrics.observeSample(est, out.FetchSeconds)
-			return out, nil
-		}
-	}
-	s.metrics.sampleFallbacks.Inc()
-	res, err := s.GetIntermediateCtx(ctx, model, interm, cols, maxRows)
+	a, err := s.Execute(ctx, Query{Op: OpSampleRows, Model: model, Intermediate: interm, Columns: cols, To: max(maxRows, 0)})
 	if err != nil {
 		return nil, err
 	}
-	out.Cols = res.Cols
-	out.Data = res.Data
-	out.RowIDs = make([]int64, res.Data.Rows)
-	for i := range out.RowIDs {
-		out.RowIDs[i] = int64(i)
-	}
-	out.Rows = int64(res.Data.Rows)
-	out.Strategy = res.Strategy
-	out.FetchSeconds = res.FetchSeconds
-	return out, nil
-}
-
-// sortByRowID sorts sample-slot indices by their population row id.
-func sortByRowID(order []int, rowIDs []int64) {
-	sort.Slice(order, func(a, b int) bool { return rowIDs[order[a]] < rowIDs[order[b]] })
+	return &ApproxRows{
+		Model: model, Intermediate: interm, Cols: a.Columns, RowIDs: a.RowIDs, Data: a.Data,
+		Rows: a.Population, Strategy: a.Strategy, FetchSeconds: a.Seconds,
+	}, nil
 }
 
 // sampleFor returns the freshest sample for (model, interm): the live

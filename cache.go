@@ -6,6 +6,8 @@ import (
 	"sort"
 	"strings"
 	"sync"
+
+	"mistique/internal/cost"
 )
 
 // The paper's future-work section observes that "a diagnosis session often
@@ -50,33 +52,15 @@ func NewSession(sys *System, capBytes int64) *Session {
 	return &Session{sys: sys, capBytes: capBytes, entries: make(map[string]*sessionEntry)}
 }
 
-// cacheKey builds the cache index key from the query parameters as given.
-// Callers must normalize cols/nEx first (normalizeQuery) so the distinct
-// spellings of the same query — nil cols vs. the full column list, nEx <= 0
-// vs. the exact row count — share one entry instead of caching three
-// identical copies of the data.
+// cacheKey builds the cache index key from a planned query, whose cols
+// and row count are already normalized against the catalog — so the
+// distinct spellings of the same query (nil cols vs. the full column list,
+// nEx <= 0 vs. the exact row count) share one entry instead of caching
+// three identical copies of the data.
 func cacheKey(model, interm string, cols []string, nEx int) string {
 	sorted := append([]string(nil), cols...)
 	sort.Strings(sorted)
 	return fmt.Sprintf("%s\x00%s\x00%s\x00%d", model, interm, strings.Join(sorted, ","), nEx)
-}
-
-// normalizeQuery resolves cols and nEx against the catalog exactly like
-// System.GetIntermediate will, so equivalent queries produce equal cache
-// keys. Unknown intermediates pass through untouched — the miss path
-// reports the real error.
-func (se *Session) normalizeQuery(model, interm string, cols []string, nEx int) ([]string, int) {
-	it, ok := se.sys.meta.IntermSnapshot(model, interm)
-	if !ok {
-		return cols, nEx
-	}
-	if nEx <= 0 || nEx > it.Rows {
-		nEx = it.Rows
-	}
-	if len(cols) == 0 {
-		cols = it.Columns
-	}
-	return cols, nEx
 }
 
 // Get answers like System.GetIntermediate but serves repeated queries from
@@ -85,8 +69,11 @@ func (se *Session) normalizeQuery(model, interm string, cols []string, nEx int) 
 // results are shared between callers: treat the returned Result and its
 // Data as read-only.
 func (se *Session) Get(model, interm string, cols []string, nEx int) (*Result, error) {
-	cols, nEx = se.normalizeQuery(model, interm, cols, nEx)
-	key := cacheKey(model, interm, cols, nEx)
+	p, err := se.sys.Plan(Query{Op: OpGet, Model: model, Intermediate: interm, Columns: cols, To: max(nEx, 0)})
+	if err != nil {
+		return nil, err
+	}
+	key := cacheKey(model, interm, p.Columns, p.To)
 	se.mu.Lock()
 	if e, ok := se.entries[key]; ok {
 		se.hits++
@@ -180,15 +167,13 @@ func (se *Session) Invalidate(model string) {
 // Prefetch pages every partition holding the intermediate's chunks into
 // the store's buffer pool so a following read is warm. It reads (and
 // discards) each column's chunks; the partitions stay resident subject to
-// the pool's LRU policy.
+// the pool's LRU policy. It is a forced READ that is planned but not
+// recorded as a query.
 func (s *System) Prefetch(model, interm string) error {
-	it, ok := s.meta.IntermSnapshot(model, interm)
-	if !ok {
-		return fmt.Errorf("mistique: unknown intermediate %s.%s", model, interm)
+	p, err := s.Plan(Query{Op: OpGet, Model: model, Intermediate: interm, Force: cost.Read.String()})
+	if err != nil {
+		return err
 	}
-	if !it.Materialized {
-		return fmt.Errorf("mistique: %s.%s not materialized; nothing to prefetch", model, interm)
-	}
-	_, err := s.readMatrix(context.Background(), model, interm, &it, it.Columns, it.Rows)
+	_, err = s.run(context.Background(), p)
 	return err
 }

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"mistique/internal/cost"
 	"mistique/internal/tensor"
 )
 
@@ -239,34 +238,5 @@ func TestSessionStatsRace(t *testing.T) {
 	}
 	if misses < 1 {
 		t.Fatalf("misses=%d want >=1", misses)
-	}
-}
-
-// TestResultEstimatesAlwaysPopulated pins the documented Result contract:
-// both cost estimates are populated even when only one strategy was
-// available or the strategy was forced.
-func TestResultEstimatesAlwaysPopulated(t *testing.T) {
-	s := openSys(t, Config{Gamma: 1e30}) // adaptive on: nothing materialized
-	logDemo(t, s)
-
-	// Unmaterialized intermediate: RERUN is the only available strategy,
-	// yet both estimates must be present.
-	res, err := s.GetIntermediate("demo", "model", nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.EstReadSecs <= 0 || res.EstRerunSecs <= 0 {
-		t.Fatalf("estimates not populated on rerun-only query: read=%g rerun=%g", res.EstReadSecs, res.EstRerunSecs)
-	}
-
-	// Forced strategy via Fetch: estimates still populated.
-	s2 := openSys(t, Config{})
-	logDemo(t, s2)
-	res2, err := s2.Fetch("demo", "model", nil, 0, cost.Read)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.EstReadSecs <= 0 || res2.EstRerunSecs <= 0 {
-		t.Fatalf("Fetch estimates not populated: read=%g rerun=%g", res2.EstReadSecs, res2.EstRerunSecs)
 	}
 }

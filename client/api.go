@@ -164,11 +164,11 @@ type QueryResponse struct {
 	Rows            int      `json:"rows"`
 	Data            [][]F32  `json:"data"`
 	Strategy        string   `json:"strategy"`
-	EstReadSecs     float64     `json:"est_read_secs"`
-	EstRerunSecs    float64     `json:"est_rerun_secs"`
-	FetchSeconds    float64     `json:"fetch_seconds"`
-	Recovered       bool        `json:"recovered,omitempty"`
-	MaterializedNow bool        `json:"materialized_now,omitempty"`
+	EstReadSecs     float64  `json:"est_read_secs"`
+	EstRerunSecs    float64  `json:"est_rerun_secs"`
+	FetchSeconds    float64  `json:"fetch_seconds"`
+	Recovered       bool     `json:"recovered,omitempty"`
+	MaterializedNow bool     `json:"materialized_now,omitempty"`
 }
 
 // ColumnResponse is one column of an intermediate
@@ -274,9 +274,9 @@ type HistogramInfo struct {
 	P99   float64 `json:"p99"`
 }
 
-// StatsResponse is the full metrics snapshot (GET /api/v1/stats and
-// /statsz): every counter, gauge and histogram in the system's registry,
-// including the HTTP service's own series.
+// StatsResponse is the full metrics snapshot (GET /api/v1/stats): every
+// counter, gauge and histogram in the system's registry, including the
+// HTTP service's own series.
 type StatsResponse struct {
 	Counters   map[string]int64         `json:"counters"`
 	Gauges     map[string]int64         `json:"gauges"`

@@ -348,7 +348,7 @@ func runStats(dir string, args []string) error {
 }
 
 // runServe runs the query service (internal/server) over the store: the
-// full JSON API under /api/v1 plus /metrics, /statsz and /healthz, with
+// full JSON API under /api/v1 plus /metrics and /healthz, with
 // admission control, per-request deadlines and graceful shutdown —
 // SIGINT/SIGTERM stops accepting, drains in-flight requests, then flushes
 // the store and catalog so nothing logged is lost. Optionally logs Zillow
@@ -357,7 +357,6 @@ func runStats(dir string, args []string) error {
 func runServe(dir string, args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", "", "listen address (e.g. 127.0.0.1:7420; required)")
-	metricsAddr := fs.String("metrics-addr", "", "deprecated alias for -addr")
 	nPipes := fs.Int("pipelines", 0, "Zillow pipelines to log before serving")
 	seed := fs.Int64("seed", 1, "data seed")
 	shard := fs.String("shard", "", "shard name reported by /readyz when this node serves in a cluster")
@@ -368,9 +367,6 @@ func runServe(dir string, args []string) error {
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "shutdown bound on finishing in-flight requests")
 	codecName := fs.String("codec", "", "partition codec for new flushes: "+strings.Join(codec.Names(), ", ")+" (default: store default)")
 	fs.Parse(args)
-	if *addr == "" {
-		*addr = *metricsAddr
-	}
 	if *addr == "" {
 		return fmt.Errorf("serve needs -addr")
 	}
@@ -411,7 +407,7 @@ func runServe(dir string, args []string) error {
 	defer stop()
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
-	fmt.Printf("serving queries on http://%s/api/v1 (metrics at /metrics, JSON stats at /statsz)\n", ln.Addr())
+	fmt.Printf("serving queries on http://%s/api/v1 (metrics at /metrics, JSON stats at /api/v1/stats)\n", ln.Addr())
 
 	select {
 	case err := <-serveErr:

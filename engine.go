@@ -629,7 +629,7 @@ func (s *System) Calibrate() (float64, error) {
 		return 0, err
 	}
 	start := nowSeconds()
-	m, err := s.readMatrix(context.Background(), probeModel, probe.Name, probe, probe.Columns, probe.Rows)
+	m, err := s.readMatrix(context.Background(), probeModel, probe.Name, probe.Columns, probe.Rows)
 	if err != nil {
 		return 0, err
 	}

@@ -538,6 +538,61 @@ func TestAdmissionShed(t *testing.T) {
 	<-h.sem
 }
 
+// TestScatterWiderThanAdmissionBound: one query over far more row-blocks
+// than a shard admits at once must pace its own fan-out instead of
+// shedding itself into a degraded answer with no fault anywhere.
+func TestScatterWiderThanAdmissionBound(t *testing.T) {
+	cfg := testConfig()
+	cfg.MaxPerShard = 4
+	cfg.BlockRows = 16
+	r, nodes := newTestCluster(t, 1, cfg)
+	sys := anyNode(nodes)
+	ctx := context.Background()
+	info, ok := sys.Metadata().IntermSnapshot("demo", "joined")
+	if !ok || info.Rows < 3*cfg.MaxPerShard*cfg.BlockRows {
+		t.Fatalf("fixture too small to overrun the bound: %+v", info)
+	}
+
+	tk, err := r.TopK(ctx, "demo", "joined", "logerror", 17)
+	if err != nil || tk.Degraded {
+		t.Fatalf("topk over %d blocks: degraded=%v err=%v", info.Rows/cfg.BlockRows, tk != nil && tk.Degraded, err)
+	}
+	dtk, err := sys.TopK("demo", "joined", "logerror", 17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertTopKEqual(t, tk.Entries, dtk)
+
+	fr, err := r.FilterRows(ctx, "demo", "joined", "logerror", "gt", 0)
+	if err != nil || fr.Degraded {
+		t.Fatalf("filter: %+v, %v", fr, err)
+	}
+	direct, err := sys.FilterRows("demo", "joined", "logerror", colstore.Gt, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(fr.Rows) != fmt.Sprint(direct) {
+		t.Fatalf("filter rows diverge from the single node: %d vs %d rows", len(fr.Rows), len(direct))
+	}
+
+	rr, err := r.GetRows(ctx, "demo", "joined", []string{"logerror"}, 0, info.Rows)
+	if err != nil || rr.Degraded {
+		t.Fatalf("rows: %v", err)
+	}
+	drm, err := sys.GetRows("demo", "joined", []string{"logerror"}, 0, info.Rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range rr.Data {
+		if rr.Data[i] == nil || !f32eq(rr.Data[i][0], drm.Row(i)[0]) {
+			t.Fatalf("row %d diverges from the single node", i)
+		}
+	}
+	if n := r.met.shed.Value(); n != 0 {
+		t.Fatalf("mistique_cluster_shard_shed_total = %d: the scatter shed its own sub-requests", n)
+	}
+}
+
 // TestPermanentErrorsNoFailover: a 404 is a definitive answer, not a
 // fault — no retries, no failover, surfaced as-is.
 func TestPermanentErrorsNoFailover(t *testing.T) {

@@ -28,7 +28,8 @@ type Config struct {
 	BlockRows int
 	// MaxPerShard bounds concurrently in-flight sub-requests per shard
 	// (default 32) — the PR 4 admission semaphore, applied client-side. A
-	// shard at the bound sheds instantly and the replica chain moves on.
+	// shard at the bound sheds instantly and the replica chain moves on;
+	// one scatter paces its own blocks to stay under it.
 	MaxPerShard int
 	// RetryRounds is how many extra passes over a block's replica chain
 	// the router may take after the first (default 1). Each round starts
@@ -463,16 +464,23 @@ func blockRanges(rows, blockRows int) []BlockRange {
 	return out
 }
 
-// scatter runs fn once per block concurrently (bounded downstream by the
-// per-shard semaphores) and collects per-block values or errors.
+// scatter runs fn once per block, concurrently, and collects per-block
+// values or errors. It keeps at most half the per-shard admission bound of
+// its own blocks in flight: a block has at most one live attempt per shard,
+// and the block that held the slot before it may still have a cancelled
+// hedge loser winding down there, so one scatter never fills a shard's
+// semaphore and call sheds only across different queries.
 func (r *Router) scatter(ctx context.Context, model, interm string, blocks []BlockRange, fn func(ctx context.Context, be Backend, br BlockRange) (any, error)) ([]any, []error) {
 	vals := make([]any, len(blocks))
 	errs := make([]error, len(blocks))
+	slots := make(chan struct{}, max(1, r.cfg.MaxPerShard/2))
 	var wg sync.WaitGroup
 	for i, br := range blocks {
+		slots <- struct{}{}
 		wg.Add(1)
 		go func(i int, br BlockRange) {
 			defer wg.Done()
+			defer func() { <-slots }()
 			chain := r.chainFor(BlockRef{Model: model, Intermediate: interm, Block: br.Block})
 			v, err := r.executeBlock(ctx, chain, func(ctx context.Context, be Backend) (any, error) {
 				return fn(ctx, be, br)

@@ -838,6 +838,11 @@ func (s *Store) DeltaDepth(key ColumnKey) int {
 func (s *Store) MaxDeltaDepth(model, interm string) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	// Every query plan asks; a store without delta generations (no
+	// Parent-linked logging) answers without walking its column map.
+	if len(s.deltas) == 0 {
+		return 0
+	}
 	maxDepth := 0
 	for k, id := range s.columns {
 		if k.Model != model || k.Intermediate != interm {

@@ -92,7 +92,7 @@ func FuzzRouting(f *testing.F) {
 		{"DELETE", "/api/v1/query", ""},
 		{"GET", "/", ""},
 		{"GET", "/metrics", ""},
-		{"GET", "/statsz", ""},
+		{"GET", "/api/v1/stats", ""},
 		{"PATCH", "/api/v1/unknown/../../etc/passwd", ""},
 		{"POST", "/api/v1/compact", ""},
 	}

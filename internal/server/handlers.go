@@ -10,7 +10,6 @@ import (
 	"mistique"
 	"mistique/client"
 	"mistique/internal/colstore"
-	"mistique/internal/cost"
 	"mistique/internal/metadata"
 	"mistique/internal/tensor"
 )
@@ -147,36 +146,23 @@ func (s *Server) handleQuery(r *http.Request) (any, error) {
 	if err := decodeBody(r, &req); err != nil {
 		return nil, err
 	}
-	if req.Model == "" || req.Intermediate == "" {
-		return nil, badRequest("query needs model and intermediate")
-	}
-	var res *mistique.Result
-	var err error
-	switch req.Strategy {
-	case "":
-		res, err = s.sys.GetIntermediateCtx(r.Context(), req.Model, req.Intermediate, req.Cols, req.NEx)
-	case cost.Read.String():
-		res, err = s.sys.FetchCtx(r.Context(), req.Model, req.Intermediate, req.Cols, req.NEx, cost.Read)
-	case cost.Rerun.String():
-		res, err = s.sys.FetchCtx(r.Context(), req.Model, req.Intermediate, req.Cols, req.NEx, cost.Rerun)
-	default:
-		return nil, badRequest("unknown strategy %q (want READ, RERUN or empty)", req.Strategy)
-	}
+	a, err := s.sys.Execute(r.Context(), mistique.Query{Op: mistique.OpGet, Model: req.Model, Intermediate: req.Intermediate,
+		Columns: req.Cols, To: max(req.NEx, 0), Force: req.Strategy})
 	if err != nil {
 		return nil, err
 	}
 	return client.QueryResponse{
-		Model:           res.Model,
-		Intermediate:    res.Intermediate,
-		Cols:            res.Cols,
-		Rows:            res.Data.Rows,
-		Data:            matrixRows(res.Data),
-		Strategy:        res.Strategy.String(),
-		EstReadSecs:     res.EstReadSecs,
-		EstRerunSecs:    res.EstRerunSecs,
-		FetchSeconds:    res.FetchSeconds,
-		Recovered:       res.Recovered,
-		MaterializedNow: res.MaterializedNow,
+		Model:           a.Model,
+		Intermediate:    a.Intermediate,
+		Cols:            a.Columns,
+		Rows:            a.Data.Rows,
+		Data:            matrixRows(a.Data),
+		Strategy:        a.Strategy.String(),
+		EstReadSecs:     a.EstReadSecs,
+		EstRerunSecs:    a.EstRerunSecs,
+		FetchSeconds:    a.Seconds,
+		Recovered:       a.Recovered,
+		MaterializedNow: a.MaterializedNow,
 	}, nil
 }
 
@@ -186,57 +172,33 @@ func (s *Server) handleColumn(r *http.Request) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Validate the column against the catalog up front: the engine's
-	// read path would otherwise degrade an unknown column into a rerun
-	// recovery attempt before failing.
-	it, ok := s.sys.Metadata().IntermSnapshot(model, interm)
-	if ok && !hasColumn(it.Columns, col) {
-		return nil, notFound("intermediate %s.%s has no column %q", model, interm, col)
-	}
-	vals, err := s.sys.GetColumnCtx(r.Context(), model, interm, col, nEx)
+	a, err := s.sys.Execute(r.Context(), mistique.Query{Op: mistique.OpGet, Model: model, Intermediate: interm,
+		Columns: []string{col}, To: max(nEx, 0)})
 	if err != nil {
 		return nil, err
 	}
-	return client.ColumnResponse{Model: model, Intermediate: interm, Column: col, Values: wireRow(vals)}, nil
-}
-
-func hasColumn(cols []string, want string) bool {
-	for _, c := range cols {
-		if c == want {
-			return true
-		}
-	}
-	return false
+	return client.ColumnResponse{Model: model, Intermediate: interm, Column: col, Values: wireRow(a.Data.Col(0))}, nil
 }
 
 func (s *Server) handleEstimate(r *http.Request) (any, error) {
 	q := r.URL.Query()
-	model, interm := q.Get("model"), q.Get("interm")
-	if model == "" || interm == "" {
-		return nil, badRequest("estimate needs model and interm query params")
-	}
 	nEx, err := intParam(r, "n", 0)
 	if err != nil {
 		return nil, err
 	}
-	readSecs, rerunSecs, err := s.sys.Estimate(model, interm, nEx)
+	// The plan is the engine's actual choice, tie-break and
+	// materialization gate included: /api/v1/query would run exactly this.
+	p, err := s.sys.Plan(mistique.Query{Op: mistique.OpGet, Model: q.Get("model"), Intermediate: q.Get("interm"), To: max(nEx, 0)})
 	if err != nil {
 		return nil, err
 	}
-	// Expose the engine's actual choice, tie-break included (the paper
-	// reads when t_rerun >= t_read), gated on materialization exactly as
-	// GetIntermediate gates it.
-	chosen := cost.Rerun
-	if it, ok := s.sys.Metadata().IntermSnapshot(model, interm); ok && it.Materialized && cost.Choose(rerunSecs, readSecs) == cost.Read {
-		chosen = cost.Read
-	}
 	return client.EstimateResponse{
-		Model:        model,
-		Intermediate: interm,
+		Model:        p.Model,
+		Intermediate: p.Intermediate,
 		NEx:          nEx,
-		EstReadSecs:  readSecs,
-		EstRerunSecs: rerunSecs,
-		Chosen:       chosen.String(),
+		EstReadSecs:  p.EstReadSecs,
+		EstRerunSecs: p.EstRerunSecs,
+		Chosen:       p.Strategy.String(),
 	}, nil
 }
 
@@ -245,24 +207,16 @@ func (s *Server) handleFilter(r *http.Request) (any, error) {
 	if err := decodeBody(r, &req); err != nil {
 		return nil, err
 	}
-	if req.Model == "" || req.Intermediate == "" || req.Column == "" {
-		return nil, badRequest("filter needs model, intermediate and column")
-	}
 	op, err := parseOp(req.Op)
 	if err != nil {
 		return nil, err
 	}
-	if req.From < 0 || (req.To != 0 && req.To < req.From) {
-		return nil, badRequest("bad row range [%d, %d)", req.From, req.To)
-	}
-	rows, err := s.sys.FilterRowsRangeCtx(r.Context(), req.Model, req.Intermediate, req.Column, op, float32(req.Bound), req.From, req.To)
+	a, err := s.sys.Execute(r.Context(), mistique.Query{Op: mistique.OpFilter, Model: req.Model, Intermediate: req.Intermediate,
+		Columns: []string{req.Column}, Pred: op, Bound: float32(req.Bound), From: req.From, To: req.To})
 	if err != nil {
 		return nil, err
 	}
-	if rows == nil {
-		rows = []int{}
-	}
-	return client.FilterResponse{Rows: rows, Count: len(rows)}, nil
+	return client.FilterResponse{Rows: a.Rows, Count: len(a.Rows)}, nil
 }
 
 func (s *Server) handleTopK(r *http.Request) (any, error) {
@@ -270,21 +224,13 @@ func (s *Server) handleTopK(r *http.Request) (any, error) {
 	if err := decodeBody(r, &req); err != nil {
 		return nil, err
 	}
-	if req.Model == "" || req.Intermediate == "" || req.Column == "" {
-		return nil, badRequest("topk needs model, intermediate and column")
-	}
-	if req.K < 0 {
-		return nil, badRequest("topk needs k >= 0, got %d", req.K)
-	}
-	if req.From < 0 || (req.To != 0 && req.To < req.From) {
-		return nil, badRequest("bad row range [%d, %d)", req.From, req.To)
-	}
-	entries, err := s.sys.TopKRangeCtx(r.Context(), req.Model, req.Intermediate, req.Column, req.K, req.From, req.To)
+	a, err := s.sys.Execute(r.Context(), mistique.Query{Op: mistique.OpTopK, Model: req.Model, Intermediate: req.Intermediate,
+		Columns: []string{req.Column}, K: req.K, From: req.From, To: req.To})
 	if err != nil {
 		return nil, err
 	}
-	out := make([]client.TopKEntry, len(entries))
-	for i, e := range entries {
+	out := make([]client.TopKEntry, len(a.TopK))
+	for i, e := range a.TopK {
 		out[i] = client.TopKEntry{Row: e.Row, Value: client.F32(e.Value)}
 	}
 	return client.TopKResponse{
@@ -314,29 +260,18 @@ func (s *Server) handleRows(r *http.Request) (any, error) {
 	if err := decodeBody(r, &req); err != nil {
 		return nil, err
 	}
-	if req.Model == "" || req.Intermediate == "" {
-		return nil, badRequest("rows needs model and intermediate")
-	}
-	if req.From < 0 || req.From > req.To {
-		return nil, badRequest("bad row range [%d, %d)", req.From, req.To)
-	}
-	m, err := s.sys.GetRowsCtx(r.Context(), req.Model, req.Intermediate, req.Cols, req.From, req.To)
+	a, err := s.sys.Execute(r.Context(), mistique.Query{Op: mistique.OpRows, Model: req.Model, Intermediate: req.Intermediate,
+		Columns: req.Cols, From: req.From, To: req.To})
 	if err != nil {
 		return nil, err
-	}
-	cols := req.Cols
-	if len(cols) == 0 {
-		if it, ok := s.sys.Metadata().IntermSnapshot(req.Model, req.Intermediate); ok {
-			cols = it.Columns
-		}
 	}
 	return client.RowsResponse{
 		Model:        req.Model,
 		Intermediate: req.Intermediate,
-		Cols:         cols,
-		From:         req.From,
-		To:           req.From + m.Rows,
-		Data:         matrixRows(m),
+		Cols:         a.Columns,
+		From:         a.From,
+		To:           a.To,
+		Data:         matrixRows(a.Data),
 	}, nil
 }
 
@@ -350,7 +285,7 @@ func (s *Server) handleStats(r *http.Request) (any, error) {
 }
 
 // handleMetrics is the one non-JSON endpoint: Prometheus text exposition
-// of the same snapshot /statsz serves.
+// of the same snapshot /api/v1/stats serves.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.requests.Inc()
 	defer s.recoverPanic(w)

@@ -27,7 +27,7 @@
 //
 // Observability threads through the System's own obs registry: request
 // latency, in-flight, rejected and error counters surface in the same
-// /metrics and /statsz expositions as the engine's series.
+// /metrics and /api/v1/stats expositions as the engine's series.
 package server
 
 import (
@@ -127,13 +127,13 @@ type tenantState struct {
 
 // New wraps sys in a query service. The server registers its instruments
 // in sys's obs registry, so its series appear in the system's own
-// /metrics and /statsz expositions.
+// /metrics and /api/v1/stats expositions.
 func New(sys *mistique.System, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	reg := sys.Obs()
 	s := &Server{
-		sys: sys,
-		cfg: cfg,
+		sys:     sys,
+		cfg:     cfg,
 		mux:     http.NewServeMux(),
 		sem:     make(chan struct{}, cfg.MaxInFlight),
 		tenants: make(map[string]*tenantState),
@@ -180,7 +180,6 @@ func (s *Server) routes() {
 
 	// Ops surface.
 	s.mux.HandleFunc("/api/v1/stats", s.plain(http.MethodGet, s.handleStats))
-	s.mux.HandleFunc("/statsz", s.plain(http.MethodGet, s.handleStats))
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	// Liveness vs readiness: /healthz answers "is the process up" and
 	// stays 200 as long as the server can serve at all; /readyz answers
@@ -332,6 +331,8 @@ func errorStatus(err error) int {
 		return http.StatusNotFound
 	case errors.Is(err, mistique.ErrNotMaterialized):
 		return http.StatusConflict
+	case errors.Is(err, mistique.ErrBadQuery):
+		return http.StatusBadRequest
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout
 	case errors.Is(err, context.Canceled):

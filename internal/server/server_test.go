@@ -306,7 +306,7 @@ func TestOpsEndpoints(t *testing.T) {
 	_ = sys
 }
 
-// TestMetricsExposition hits /metrics and /statsz raw.
+// TestMetricsExposition hits /metrics and /api/v1/stats raw.
 func TestMetricsExposition(t *testing.T) {
 	sys := newSys(t, mistique.Config{})
 	srv := New(sys, Config{})
@@ -333,14 +333,14 @@ func TestMetricsExposition(t *testing.T) {
 		}
 	}
 
-	resp, err = http.Get(ts.URL + "/statsz")
+	resp, err = http.Get(ts.URL + "/api/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	var snap map[string]json.RawMessage
 	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		t.Fatalf("statsz not JSON: %v", err)
+		t.Fatalf("stats not JSON: %v", err)
 	}
 }
 
@@ -376,33 +376,17 @@ func TestErrorEnvelopes(t *testing.T) {
 	}
 	ctx := context.Background()
 
-	// Unknown model / intermediate / column → 404, surfaced as APIError.
+	// An unknown catalog entry → 404, surfaced as APIError. (What every
+	// query route does with a malformed target is
+	// TestMalformedTargetsOverHTTP's table.)
 	if _, err := c.Model(ctx, "nope"); !client.IsNotFound(err) {
 		t.Fatalf("unknown model err = %v", err)
 	}
-	if _, err := c.GetIntermediate(ctx, "nope", "joined", nil, 1); !client.IsNotFound(err) {
-		t.Fatalf("unknown model query err = %v", err)
-	}
-	if _, err := c.GetIntermediate(ctx, "demo", "nope", nil, 1); !client.IsNotFound(err) {
-		t.Fatalf("unknown intermediate err = %v", err)
-	}
-	if _, err := c.GetColumn(ctx, "demo", "joined", "no_such_col", 1); !client.IsNotFound(err) {
-		t.Fatalf("unknown column err = %v", err)
-	}
-	if _, err := c.FilterRows(ctx, "demo", "nope", "logerror", "gt", 0); !client.IsNotFound(err) {
-		t.Fatalf("filter unknown intermediate err = %v", err)
-	}
 
-	// Bad params → 400.
+	// A predicate the wire format does not know → 400.
 	var ae *client.APIError
 	if _, err := c.FilterRows(ctx, "demo", "joined", "logerror", "between", 0); !errors.As(err, &ae) || ae.Status != 400 {
 		t.Fatalf("bad op err = %v", err)
-	}
-	if _, err := c.GetRows(ctx, "demo", "joined", nil, -1, 5); !errors.As(err, &ae) || ae.Status != 400 {
-		t.Fatalf("bad range err = %v", err)
-	}
-	if _, err := c.Fetch(ctx, "demo", "joined", nil, 5, "MAYBE"); !errors.As(err, &ae) || ae.Status != 400 {
-		t.Fatalf("bad strategy err = %v", err)
 	}
 
 	// Raw shapes: malformed body, unknown field, bad query param, wrong
@@ -442,22 +426,6 @@ func TestErrorEnvelopes(t *testing.T) {
 		t.Fatal(err)
 	}
 	errorShape(t, resp, 400)
-}
-
-// TestForceReadUnmaterialized maps ErrNotMaterialized to 409.
-func TestForceReadUnmaterialized(t *testing.T) {
-	// A huge gamma keeps everything unmaterialized at logging time.
-	sys := newSys(t, mistique.Config{Gamma: 1e12})
-	srv := New(sys, Config{})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	c, _ := client.New(ts.URL, client.WithMaxRetries(0))
-
-	var ae *client.APIError
-	_, err := c.Fetch(context.Background(), "demo", "joined", nil, 5, "READ")
-	if !errors.As(err, &ae) || ae.Status != 409 {
-		t.Fatalf("force READ on unmaterialized = %v, want 409", err)
-	}
 }
 
 // TestAdmissionControl proves over-capacity requests are rejected with

@@ -15,6 +15,7 @@ import (
 	"net/http"
 	"time"
 
+	"mistique"
 	"mistique/client"
 )
 
@@ -111,13 +112,12 @@ func (s *Server) handleColDist(r *http.Request) (any, error) {
 	if err := decodeBody(r, &req); err != nil {
 		return nil, err
 	}
-	if req.Model == "" || req.Intermediate == "" || req.Column == "" {
-		return nil, badRequest("coldist needs model, intermediate and column")
-	}
-	d, err := s.sys.ColDistCtx(r.Context(), req.Model, req.Intermediate, req.Column, req.MaxError)
+	a, err := s.sys.Execute(r.Context(), mistique.Query{Op: mistique.OpColDist, Model: req.Model, Intermediate: req.Intermediate,
+		Columns: []string{req.Column}, MaxError: req.MaxError})
 	if err != nil {
 		return nil, err
 	}
+	d := a.ColDist
 	return client.ColDistResponse{
 		Model: d.Model, Intermediate: d.Intermediate, Column: d.Column,
 		Rows: d.Rows, Finite: d.Finite, NaN: d.NaN, PosInf: d.PosInf, NegInf: d.NegInf,
@@ -133,16 +133,12 @@ func (s *Server) handleApproxTopK(r *http.Request) (any, error) {
 	if err := decodeBody(r, &req); err != nil {
 		return nil, err
 	}
-	if req.Model == "" || req.Intermediate == "" || req.Column == "" {
-		return nil, badRequest("approx topk needs model, intermediate and column")
-	}
-	if req.K <= 0 {
-		return nil, badRequest("approx topk needs k > 0, got %d", req.K)
-	}
-	a, err := s.sys.ApproxTopKCtx(r.Context(), req.Model, req.Intermediate, req.Column, req.K, req.MaxError)
+	ans, err := s.sys.Execute(r.Context(), mistique.Query{Op: mistique.OpApproxTopK, Model: req.Model, Intermediate: req.Intermediate,
+		Columns: []string{req.Column}, K: req.K, MaxError: req.MaxError})
 	if err != nil {
 		return nil, err
 	}
+	a := ans.ApproxTopK
 	entries := make([]client.ApproxTopKEntry, len(a.Entries))
 	for i, e := range a.Entries {
 		entries[i] = client.ApproxTopKEntry{Row: e.Row, Value: client.F32(e.Value)}
@@ -160,13 +156,12 @@ func (s *Server) handleConfusion(r *http.Request) (any, error) {
 	if err := decodeBody(r, &req); err != nil {
 		return nil, err
 	}
-	if req.Model == "" || req.Intermediate == "" || req.LabelCol == "" || req.PredCol == "" {
-		return nil, badRequest("confusion needs model, intermediate, label_col and pred_col")
-	}
-	cm, err := s.sys.ConfusionMatrixCtx(r.Context(), req.Model, req.Intermediate, req.LabelCol, req.PredCol, req.MaxError)
+	a, err := s.sys.Execute(r.Context(), mistique.Query{Op: mistique.OpConfusion, Model: req.Model, Intermediate: req.Intermediate,
+		Columns: []string{req.LabelCol, req.PredCol}, MaxError: req.MaxError})
 	if err != nil {
 		return nil, err
 	}
+	cm := a.Confusion
 	cells := make([]client.ConfusionCell, len(cm.Cells))
 	for i, c := range cm.Cells {
 		cells[i] = client.ConfusionCell{Label: client.F32(c.Label), Pred: client.F32(c.Pred), Count: c.Count, Bound: c.Bound}
@@ -185,16 +180,14 @@ func (s *Server) handleSampleRows(r *http.Request) (any, error) {
 	if err := decodeBody(r, &req); err != nil {
 		return nil, err
 	}
-	if req.Model == "" || req.Intermediate == "" {
-		return nil, badRequest("approx rows needs model and intermediate")
-	}
-	res, err := s.sys.GetIntermediateApproxCtx(r.Context(), req.Model, req.Intermediate, req.Cols, req.MaxRows)
+	a, err := s.sys.Execute(r.Context(), mistique.Query{Op: mistique.OpSampleRows, Model: req.Model, Intermediate: req.Intermediate,
+		Columns: req.Cols, To: max(req.MaxRows, 0)})
 	if err != nil {
 		return nil, err
 	}
 	return client.SampleRowsResponse{
-		Model: res.Model, Intermediate: res.Intermediate,
-		Cols: res.Cols, RowIDs: res.RowIDs, Data: matrixRows(res.Data),
-		Rows: res.Rows, Strategy: res.Strategy.String(), FetchSeconds: res.FetchSeconds,
+		Model: a.Model, Intermediate: a.Intermediate,
+		Cols: a.Columns, RowIDs: a.RowIDs, Data: matrixRows(a.Data),
+		Rows: a.Population, Strategy: a.Strategy.String(), FetchSeconds: a.Seconds,
 	}, nil
 }

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"errors"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -14,7 +13,8 @@ import (
 )
 
 // TestTopKEndpoint holds POST /api/v1/topk to exact parity with direct
-// System.TopK calls and checks the endpoint's whole error surface.
+// System.TopK calls and checks its wire-level error shapes (malformed
+// targets are TestMalformedTargetsOverHTTP's).
 func TestTopKEndpoint(t *testing.T) {
 	sys := newSys(t, mistique.Config{})
 	srv := New(sys, Config{})
@@ -45,26 +45,6 @@ func TestTopKEndpoint(t *testing.T) {
 					k, i, got[i].Row, got[i].Value, want[i].Row, want[i].Value)
 			}
 		}
-	}
-
-	// Unknown model / intermediate / column → 404.
-	if _, err := c.TopK(ctx, "nope", "joined", "yearbuilt", 3); !client.IsNotFound(err) {
-		t.Fatalf("unknown model err = %v", err)
-	}
-	if _, err := c.TopK(ctx, "demo", "nope", "yearbuilt", 3); !client.IsNotFound(err) {
-		t.Fatalf("unknown intermediate err = %v", err)
-	}
-	if _, err := c.TopK(ctx, "demo", "joined", "no_such_col", 3); !client.IsNotFound(err) {
-		t.Fatalf("unknown column err = %v", err)
-	}
-
-	// Bad params → 400.
-	var ae *client.APIError
-	if _, err := c.TopK(ctx, "demo", "joined", "yearbuilt", -1); !errors.As(err, &ae) || ae.Status != 400 {
-		t.Fatalf("negative k err = %v", err)
-	}
-	if _, err := c.TopK(ctx, "demo", "joined", "", 3); !errors.As(err, &ae) || ae.Status != 400 {
-		t.Fatalf("empty column err = %v", err)
 	}
 
 	// Raw shapes: malformed body and wrong method.

@@ -147,28 +147,25 @@ func (s *System) LogPipeline(p *pipeline.Pipeline, env map[string]*frame.Frame) 
 // path). It re-runs the stored transformers to obtain the frame; the
 // re-run holds the model's execution lock (transformers keep per-run
 // state), storage does not.
-func (s *System) materializeTRAD(pm *pipelineModel, model, interm string) (int64, error) {
+func (s *System) materializeTRAD(pm *pipelineModel, model, interm string) error {
 	si, ok := pm.stageOf[interm]
 	if !ok {
-		return 0, fmt.Errorf("mistique: unknown intermediate %s.%s", model, interm)
+		return fmt.Errorf("mistique: %w %s.%s", ErrUnknownIntermediate, model, interm)
 	}
 	pm.exec.Lock()
 	res, err := pm.p.RunTo(si)
 	pm.exec.Unlock()
 	if err != nil {
-		return 0, err
+		return err
 	}
 	f := res.Intermediate(interm)
 	if f == nil {
-		return 0, fmt.Errorf("mistique: re-run did not produce %s.%s", model, interm)
+		return fmt.Errorf("mistique: re-run did not produce %s.%s", model, interm)
 	}
 	m, cols := f.FloatMatrix()
 	stored, err := s.storeMatrix(model, interm, m, cols, func([]float32) (*quant.Quantizer, error) { return nil, nil })
 	if err != nil {
-		return 0, err
+		return err
 	}
-	if err := s.meta.SetMaterialized(model, interm, stored, string(SchemeFull)); err != nil {
-		return 0, err
-	}
-	return stored, nil
+	return s.meta.SetMaterialized(model, interm, stored, string(SchemeFull))
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"time"
@@ -35,17 +36,16 @@ type systemMetrics struct {
 	ingestForwardSeconds  *obs.Histogram
 
 	// Query.
-	queries             *obs.Counter
-	queryReadSeconds    *obs.Histogram
-	queryRerunSeconds   *obs.Histogram
-	queryFilterSeconds  *obs.Histogram
-	queryGetRowsSeconds *obs.Histogram
-	queryTopKSeconds    *obs.Histogram
-	queryKNNSeconds     *obs.Histogram
-	costReadRelErr      *obs.Histogram
-	costRerunRelErr     *obs.Histogram
-	materializations    *obs.Counter
-	slowQueries         *obs.Counter
+	queries           *obs.Counter
+	queryReadSeconds  *obs.Histogram
+	queryRerunSeconds *obs.Histogram
+	// storedOpSeconds holds the latency histogram of each op bound to
+	// stored chunks (OpApproxTopK's exact path shares OpTopK's).
+	storedOpSeconds  map[Op]*obs.Histogram
+	costReadRelErr   *obs.Histogram
+	costRerunRelErr  *obs.Histogram
+	materializations *obs.Counter
+	slowQueries      *obs.Counter
 
 	// Approximate (SAMPLE) query path.
 	sampleBuilds       *obs.Counter
@@ -76,6 +76,7 @@ type systemMetrics struct {
 
 func newSystemMetrics() *systemMetrics {
 	reg := obs.New()
+	topK := reg.Histogram("mistique_query_topk_seconds", "TopK (neuron top-k probe) wall time")
 	return &systemMetrics{
 		reg: reg,
 
@@ -84,17 +85,20 @@ func newSystemMetrics() *systemMetrics {
 		ingestQuantizeSeconds: reg.Histogram("mistique_ingest_quantize_seconds", "per-column quantizer fit time (KBIT/THRESHOLD calibration included)"),
 		ingestForwardSeconds:  reg.Histogram("mistique_ingest_forward_seconds", "DNN per-layer forward time for one logging batch"),
 
-		queries:             reg.Counter("mistique_queries_total", "GetIntermediate and Fetch calls answered"),
-		queryReadSeconds:    reg.Histogram("mistique_query_read_seconds", "fetch wall time of queries answered by READ"),
-		queryRerunSeconds:   reg.Histogram("mistique_query_rerun_seconds", "fetch wall time of queries answered by RERUN"),
-		queryFilterSeconds:  reg.Histogram("mistique_query_filter_rows_seconds", "FilterRows (zone-map predicate scan) wall time"),
-		queryGetRowsSeconds: reg.Histogram("mistique_query_get_rows_seconds", "GetRows (row-range read) wall time"),
-		queryTopKSeconds:    reg.Histogram("mistique_query_topk_seconds", "TopK (neuron top-k probe) wall time"),
-		queryKNNSeconds:     reg.Histogram("mistique_query_knn_seconds", "KNN (block-pruned nearest neighbors) wall time"),
-		costReadRelErr:      reg.Histogram("mistique_cost_read_rel_error", "cost-model relative error |est-actual|/actual for READ queries"),
-		costRerunRelErr:     reg.Histogram("mistique_cost_rerun_rel_error", "cost-model relative error |est-actual|/actual for RERUN queries"),
-		materializations:    reg.Counter("mistique_adaptive_materializations_total", "intermediates materialized by a query crossing the gamma threshold"),
-		slowQueries:         reg.Counter("mistique_slow_queries_total", "queries recorded in the slow-query log"),
+		queries:           reg.Counter("mistique_queries_total", "matrix fetches (GetIntermediate, Fetch and the exact fallbacks of the approximate ops) answered by READ or RERUN"),
+		queryReadSeconds:  reg.Histogram("mistique_query_read_seconds", "fetch wall time of queries answered by READ"),
+		queryRerunSeconds: reg.Histogram("mistique_query_rerun_seconds", "fetch wall time of queries answered by RERUN"),
+		storedOpSeconds: map[Op]*obs.Histogram{
+			OpFilter:     reg.Histogram("mistique_query_filter_rows_seconds", "FilterRows (zone-map predicate scan) wall time"),
+			OpRows:       reg.Histogram("mistique_query_get_rows_seconds", "GetRows (row-range read) wall time"),
+			OpTopK:       topK,
+			OpApproxTopK: topK,
+			OpKNN:        reg.Histogram("mistique_query_knn_seconds", "KNN (block-pruned nearest neighbors) wall time"),
+		},
+		costReadRelErr:   reg.Histogram("mistique_cost_read_rel_error", "cost-model relative error |est-actual|/actual for READ queries"),
+		costRerunRelErr:  reg.Histogram("mistique_cost_rerun_rel_error", "cost-model relative error |est-actual|/actual for RERUN queries"),
+		materializations: reg.Counter("mistique_adaptive_materializations_total", "intermediates materialized by a query crossing the gamma threshold"),
+		slowQueries:      reg.Counter("mistique_slow_queries_total", "queries recorded in the slow-query log"),
 
 		sampleBuilds:       reg.Counter("mistique_sample_builds_total", "reservoir samples built at ingest"),
 		sampleQueries:      reg.Counter("mistique_sample_queries_total", "approximate queries answered from a sample"),
@@ -120,45 +124,40 @@ func newSystemMetrics() *systemMetrics {
 	}
 }
 
-// observeQuery records the per-strategy fetch latency and, for queries the
-// cost model actually drove (not recovered fallbacks), the
+// observe records one executed query: an op bound to stored chunks feeds
+// its own latency histogram; every other answer feeds the latency
+// histogram of the strategy that produced it and, when the cost model's
+// estimate for that strategy is what the fetch was measured against, the
 // estimate-vs-actual relative error.
-func (m *systemMetrics) observeQuery(res *Result) {
-	actual := res.FetchSeconds
+func (m *systemMetrics) observe(a *Answer) {
+	tr := ops[a.Op]
+	if a.Strategy != cost.Sample {
+		if tr.sample {
+			m.sampleFallbacks.Inc()
+		}
+		if tr.stored {
+			m.storedOpSeconds[a.Op].Observe(a.Seconds)
+			return
+		}
+		m.queries.Inc()
+	}
 	var latency, relErr *obs.Histogram
 	var est float64
-	if res.Strategy == cost.Read {
-		latency, relErr, est = m.queryReadSeconds, m.costReadRelErr, res.EstReadSecs
-	} else {
-		latency, relErr, est = m.queryRerunSeconds, m.costRerunRelErr, res.EstRerunSecs
+	switch a.Strategy {
+	case cost.Sample:
+		m.sampleQueries.Inc()
+		latency, relErr, est = m.querySampleSeconds, m.costSampleRelErr, a.EstSampleSecs
+	case cost.Read:
+		latency, relErr, est = m.queryReadSeconds, m.costReadRelErr, a.EstReadSecs
+	default:
+		latency, relErr, est = m.queryRerunSeconds, m.costRerunRelErr, a.EstRerunSecs
 	}
-	latency.Observe(actual)
-	if res.Recovered {
-		// The READ estimate drove the decision, but the fetch degenerated
-		// into a rerun; the error is not the model's to learn from.
-		return
+	latency.Observe(a.Seconds)
+	// A recovered fetch was planned on the READ estimate but degenerated
+	// into a rerun; the error is not the model's to learn from.
+	if !a.Recovered && est > 0 && a.Seconds > 0 {
+		relErr.Observe(math.Abs(est-a.Seconds) / a.Seconds)
 	}
-	if est > 0 && actual > 0 {
-		relErr.Observe(absFloat(est-actual) / actual)
-	}
-}
-
-// observeSample records one approximate query answered from a sample:
-// latency, plus the SAMPLE strategy's estimate-vs-actual relative error —
-// the same honesty signal the READ/RERUN paths feed.
-func (m *systemMetrics) observeSample(est, actual float64) {
-	m.sampleQueries.Inc()
-	m.querySampleSeconds.Observe(actual)
-	if est > 0 && actual > 0 {
-		m.costSampleRelErr.Observe(absFloat(est-actual) / actual)
-	}
-}
-
-func absFloat(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }
 
 // Metrics returns a structured snapshot of every engine, store and catalog
@@ -208,44 +207,53 @@ func (s *System) WritePrometheus(w io.Writer) error {
 // Obs returns the System's observability registry so co-located components
 // (the HTTP query service in internal/server) can register their
 // instruments in the same namespace and surface through the same
-// /metrics and /statsz expositions. Never nil.
+// /metrics and /api/v1/stats expositions. Never nil.
 func (s *System) Obs() *obs.Registry { return s.metrics.reg }
 
 // slowQueryRecord is one line of the slow-query log: everything needed to
-// replay the cost-model decision offline (model, intermediate, strategy,
-// both estimates, the measured wall time).
+// replay the plan offline (op, target, strategy, every estimate Plan
+// computed, the measured wall time, what recovery it took).
 type slowQueryRecord struct {
-	Time         string  `json:"time"`
-	Op           string  `json:"op"`
-	Model        string  `json:"model"`
-	Intermediate string  `json:"intermediate"`
-	Strategy     string  `json:"strategy"`
-	Cols         int     `json:"cols"`
-	NEx          int     `json:"n_ex"`
-	EstReadSecs  float64 `json:"est_read_secs"`
-	EstRerunSecs float64 `json:"est_rerun_secs"`
-	Seconds      float64 `json:"seconds"`
-	Recovered    bool    `json:"recovered,omitempty"`
-	Materialized bool    `json:"materialized_now,omitempty"`
+	Time          string  `json:"time"`
+	Op            Op      `json:"op"`
+	Model         string  `json:"model"`
+	Intermediate  string  `json:"intermediate"`
+	Strategy      string  `json:"strategy"`
+	Forced        bool    `json:"forced,omitempty"`
+	Cols          int     `json:"cols"`
+	NEx           int     `json:"n_ex"`
+	EstReadSecs   float64 `json:"est_read_secs"`
+	EstRerunSecs  float64 `json:"est_rerun_secs"`
+	EstSampleSecs float64 `json:"est_sample_secs,omitempty"`
+	Seconds       float64 `json:"seconds"`
+	Recovered     bool    `json:"recovered,omitempty"`
+	Healed        bool    `json:"healed,omitempty"`
+	Materialized  bool    `json:"materialized_now,omitempty"`
 }
 
 // slowQueryLogName is the JSON-lines slow-query log, rooted next to the
 // store directory.
 const slowQueryLogName = "slow_queries.jsonl"
 
-// noteSlowQuery appends a record to the slow-query log when the query's
+// noteSlowQuery appends a record to the slow-query log when the answer's
 // wall time crossed Config.SlowQueryThreshold. Best effort: a failed
 // append drops the record (the counter still moves), never the query.
 // The log is size-bounded: past Config.SlowQueryLogMaxBytes it rotates to
 // slow_queries.jsonl.1, replacing the previous generation, so the log's
 // footprint stays under two generations no matter how long the server runs.
-func (s *System) noteSlowQuery(rec slowQueryRecord) {
-	if s.cfg.SlowQueryThreshold <= 0 || rec.Seconds < s.cfg.SlowQueryThreshold.Seconds() {
+func (s *System) noteSlowQuery(a *Answer) {
+	if s.cfg.SlowQueryThreshold <= 0 || a.Seconds < s.cfg.SlowQueryThreshold.Seconds() {
 		return
 	}
 	s.metrics.slowQueries.Inc()
-	rec.Time = time.Now().UTC().Format(time.RFC3339Nano)
-	line, err := json.Marshal(rec)
+	line, err := json.Marshal(slowQueryRecord{
+		Time: time.Now().UTC().Format(time.RFC3339Nano),
+		Op:   a.Op, Model: a.Model, Intermediate: a.Intermediate,
+		Strategy: a.Strategy.String(), Forced: a.Force != "",
+		Cols: len(a.Columns), NEx: a.To - a.From,
+		EstReadSecs: a.EstReadSecs, EstRerunSecs: a.EstRerunSecs, EstSampleSecs: a.EstSampleSecs,
+		Seconds: a.Seconds, Recovered: a.Recovered, Healed: a.Healed, Materialized: a.MaterializedNow,
+	})
 	if err != nil {
 		return
 	}

@@ -2,10 +2,8 @@ package mistique
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
-	"time"
 
 	"mistique/internal/colstore"
 	"mistique/internal/cost"
@@ -13,22 +11,6 @@ import (
 	"mistique/internal/parallel"
 	"mistique/internal/quant"
 	"mistique/internal/tensor"
-)
-
-// Typed query errors. Every query entry point wraps these with %w so
-// callers serving the engine over a protocol boundary (internal/server
-// maps them to HTTP 404/409) can classify failures with errors.Is instead
-// of string matching.
-var (
-	// ErrUnknownModel marks a query against a model absent from the catalog.
-	ErrUnknownModel = errors.New("unknown model")
-	// ErrUnknownIntermediate marks a query against an intermediate the
-	// model did not produce.
-	ErrUnknownIntermediate = errors.New("unknown intermediate")
-	// ErrNotMaterialized marks an operation that needs stored chunks
-	// (forced READ, zone-map scans, row-range reads) against an
-	// intermediate that has none.
-	ErrNotMaterialized = errors.New("not materialized")
 )
 
 // Result is the answer to an intermediate query.
@@ -59,15 +41,6 @@ type Result struct {
 	Recovered bool
 }
 
-// recoverableReadErr reports whether a read failure can be healed by
-// re-running the model: the chunks are unavailable (quarantined or lost
-// to a crash) or the store lost the column mappings entirely (e.g. a
-// corrupt manifest forced an empty restart while the catalog still says
-// materialized).
-func recoverableReadErr(err error) bool {
-	return errors.Is(err, colstore.ErrUnavailable) || errors.Is(err, colstore.ErrNotStored)
-}
-
 // GetIntermediate fetches columns of an intermediate for the first nEx
 // examples. cols == nil fetches every column; nEx <= 0 fetches all rows.
 // The engine consults the query cost model (Sec. 5.1): if the intermediate
@@ -76,130 +49,14 @@ func recoverableReadErr(err error) bool {
 // n_query(i), and under adaptive materialization (Config.Gamma > 0) a
 // re-run result whose gamma has crossed the threshold is stored on the
 // spot, so later queries read.
-//
-// Queries run without any engine-wide lock: reads fan chunk fetches out
-// across the worker pool, and re-runs serialize only on the model's own
-// execution mutex, so queries against different models proceed in
-// parallel.
 func (s *System) GetIntermediate(model, interm string, cols []string, nEx int) (*Result, error) {
 	return s.GetIntermediateCtx(context.Background(), model, interm, cols, nEx)
 }
 
-// GetIntermediateCtx is GetIntermediate under a context: the deadline or
-// cancellation is honored before any work starts, before queueing on a
-// model's execution mutex, and between chunk-read tasks. Adaptive
-// materialization triggered by the query is deliberately *not* bound to
-// ctx — once the threshold is crossed, persistence proceeds even if the
-// requesting client has gone away, so a slow client cannot leave the
-// store half-materialized.
+// GetIntermediateCtx is GetIntermediate under a context; see Execute for
+// the cancellation points.
 func (s *System) GetIntermediateCtx(ctx context.Context, model, interm string, cols []string, nEx int) (*Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	m := s.meta.Model(model)
-	if m == nil {
-		return nil, fmt.Errorf("mistique: %w %q", ErrUnknownModel, model)
-	}
-	it, ok := s.meta.IntermSnapshot(model, interm)
-	if !ok {
-		return nil, fmt.Errorf("mistique: %w %s.%s", ErrUnknownIntermediate, model, interm)
-	}
-	nQuery, err := s.meta.RecordQuery(model, interm)
-	if err != nil {
-		return nil, err
-	}
-	if nEx <= 0 || nEx > it.Rows {
-		nEx = it.Rows
-	}
-	if len(cols) == 0 {
-		cols = it.Columns
-	}
-
-	res := &Result{Model: model, Intermediate: interm, Cols: cols}
-
-	// Cost the two strategies against a stable snapshot of the constants.
-	// READ is charged its delta-chain amplification: reconstructing a chunk
-	// stored as a generation-d residual pages in d+1 generations cold, so a
-	// deep chain tips the choice back to RERUN exactly when it should.
-	costP := s.CostParams()
-	bytesPerRow := s.bytesPerRow(m, &it)
-	res.EstReadSecs = cost.ChainReadSeconds(bytesPerRow, nEx, s.store.MaxDeltaDepth(model, interm), costP)
-	if m.Kind == metadata.Stream {
-		// Stream models have no stages: RERUN is unavailable and READ is
-		// the only exact strategy (the approximate path — ColDist,
-		// ApproxTopK, ConfusionMatrix — answers from the sampler instead).
-		if !it.Materialized {
-			return nil, fmt.Errorf("mistique: stream %s.%s %w; no rows flushed yet", model, interm, ErrNotMaterialized)
-		}
-		res.Strategy = cost.Read
-	} else {
-		res.EstRerunSecs, err = cost.RerunSeconds(m, it.StageIndex, nEx, costP)
-		if err != nil {
-			return nil, err
-		}
-		res.Strategy = cost.Rerun
-		if it.Materialized && cost.Choose(res.EstRerunSecs, res.EstReadSecs) == cost.Read {
-			res.Strategy = cost.Read
-		}
-	}
-
-	start := time.Now()
-	switch res.Strategy {
-	case cost.Read:
-		res.Data, err = s.readMatrix(ctx, model, interm, &it, cols, nEx)
-		if err != nil && recoverableReadErr(err) {
-			res.Data, err = s.recoverRead(ctx, m, &it, cols, nEx, err)
-			if err == nil {
-				res.Strategy = cost.Rerun
-				res.Recovered = true
-			}
-		}
-	default:
-		res.Data, err = s.rerunMatrix(ctx, m, &it, cols, nEx)
-	}
-	if err != nil {
-		return nil, err
-	}
-	res.FetchSeconds = time.Since(start).Seconds()
-	s.metrics.queries.Inc()
-	s.metrics.observeQuery(res)
-
-	// Adaptive materialization (Alg. 4): storage is worth it once the
-	// cumulative saved query time per byte crosses gamma. Two queries
-	// racing past the threshold both materialize; the store accepts the
-	// identical re-puts as dedup hits, so the race is benign.
-	if s.adaptiveOn() && !it.Materialized {
-		estBytes := bytesPerRow * int64(it.Rows)
-		fullRerun, rerr := cost.RerunSeconds(m, it.StageIndex, it.Rows, costP)
-		fullRead := cost.ReadSeconds(bytesPerRow, it.Rows, costP)
-		if rerr == nil && cost.Gamma(fullRerun, fullRead, nQuery, estBytes) >= s.cfg.Gamma {
-			if err := s.materialize(m, &it); err != nil {
-				// A concurrent DropModel may have removed the catalog entry
-				// mid-materialization; scrub the stray column mappings so
-				// their chunks stay reclaimable.
-				if s.meta.Model(model) == nil {
-					s.store.DeleteModel(model)
-				}
-				return nil, fmt.Errorf("mistique: adaptive materialization of %s.%s: %w", model, interm, err)
-			}
-			res.MaterializedNow = true
-			s.metrics.materializations.Inc()
-		}
-	}
-	s.noteSlowQuery(slowQueryRecord{
-		Op:           "get_intermediate",
-		Model:        model,
-		Intermediate: interm,
-		Strategy:     res.Strategy.String(),
-		Cols:         len(cols),
-		NEx:          nEx,
-		EstReadSecs:  res.EstReadSecs,
-		EstRerunSecs: res.EstRerunSecs,
-		Seconds:      res.FetchSeconds,
-		Recovered:    res.Recovered,
-		Materialized: res.MaterializedNow,
-	})
-	return res, nil
+	return s.getIntermediate(ctx, model, interm, cols, nEx, "")
 }
 
 // Fetch retrieves an intermediate with a caller-forced strategy, bypassing
@@ -210,91 +67,33 @@ func (s *System) Fetch(model, interm string, cols []string, nEx int, strategy co
 	return s.FetchCtx(context.Background(), model, interm, cols, nEx, strategy)
 }
 
-// FetchCtx is Fetch under a context; see GetIntermediateCtx for the
-// cancellation points.
+// FetchCtx is Fetch under a context.
 func (s *System) FetchCtx(ctx context.Context, model, interm string, cols []string, nEx int, strategy cost.Strategy) (*Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	m := s.meta.Model(model)
-	if m == nil {
-		return nil, fmt.Errorf("mistique: %w %q", ErrUnknownModel, model)
-	}
-	it, ok := s.meta.IntermSnapshot(model, interm)
-	if !ok {
-		return nil, fmt.Errorf("mistique: %w %s.%s", ErrUnknownIntermediate, model, interm)
-	}
-	if _, err := s.meta.RecordQuery(model, interm); err != nil {
-		return nil, err
-	}
-	if nEx <= 0 || nEx > it.Rows {
-		nEx = it.Rows
-	}
-	if len(cols) == 0 {
-		cols = it.Columns
-	}
-	if strategy == cost.Read && !it.Materialized {
-		return nil, fmt.Errorf("mistique: %s.%s is %w; cannot force READ", model, interm, ErrNotMaterialized)
-	}
-	res := &Result{Model: model, Intermediate: interm, Cols: cols, Strategy: strategy}
-	// Populate both estimates even though the caller forced the strategy,
-	// so Result carries the trade-off the cost model would have seen (and
-	// the evaluation harness can compare forced measurements against it).
-	costP := s.CostParams()
-	res.EstReadSecs = cost.ChainReadSeconds(s.bytesPerRow(m, &it), nEx, s.store.MaxDeltaDepth(model, interm), costP)
-	if est, eerr := cost.RerunSeconds(m, it.StageIndex, nEx, costP); eerr == nil {
-		res.EstRerunSecs = est
-	}
-	start := time.Now()
-	var err error
-	if strategy == cost.Read {
-		res.Data, err = s.readMatrix(ctx, model, interm, &it, cols, nEx)
-	} else {
-		res.Data, err = s.rerunMatrix(ctx, m, &it, cols, nEx)
-	}
+	return s.getIntermediate(ctx, model, interm, cols, nEx, strategy.String())
+}
+
+func (s *System) getIntermediate(ctx context.Context, model, interm string, cols []string, nEx int, force string) (*Result, error) {
+	a, err := s.Execute(ctx, Query{Op: OpGet, Model: model, Intermediate: interm, Columns: cols, To: max(nEx, 0), Force: force})
 	if err != nil {
 		return nil, err
 	}
-	res.FetchSeconds = time.Since(start).Seconds()
-	s.metrics.queries.Inc()
-	s.metrics.observeQuery(res)
-	s.noteSlowQuery(slowQueryRecord{
-		Op:           "fetch",
-		Model:        model,
-		Intermediate: interm,
-		Strategy:     res.Strategy.String(),
-		Cols:         len(cols),
-		NEx:          nEx,
-		EstReadSecs:  res.EstReadSecs,
-		EstRerunSecs: res.EstRerunSecs,
-		Seconds:      res.FetchSeconds,
-	})
-	return res, nil
+	return &Result{
+		Model: model, Intermediate: interm, Cols: a.Columns, Data: a.Data,
+		Strategy: a.Strategy, EstReadSecs: a.EstReadSecs, EstRerunSecs: a.EstRerunSecs,
+		FetchSeconds: a.Seconds, MaterializedNow: a.MaterializedNow, Recovered: a.Recovered,
+	}, nil
 }
 
 // Estimate returns the cost model's read and re-run predictions for
 // fetching nEx examples of an intermediate, without executing anything or
-// updating query counters.
+// updating query counters. Plan returns the same numbers together with
+// the strategy they lead to.
 func (s *System) Estimate(model, interm string, nEx int) (readSecs, rerunSecs float64, err error) {
-	m := s.meta.Model(model)
-	if m == nil {
-		return 0, 0, fmt.Errorf("mistique: %w %q", ErrUnknownModel, model)
+	p, err := s.Plan(Query{Op: OpGet, Model: model, Intermediate: interm, To: max(nEx, 0)})
+	if err != nil {
+		return 0, 0, err
 	}
-	it, ok := s.meta.IntermSnapshot(model, interm)
-	if !ok {
-		return 0, 0, fmt.Errorf("mistique: %w %s.%s", ErrUnknownIntermediate, model, interm)
-	}
-	if nEx <= 0 || nEx > it.Rows {
-		nEx = it.Rows
-	}
-	costP := s.CostParams()
-	readSecs = cost.ChainReadSeconds(s.bytesPerRow(m, &it), nEx, s.store.MaxDeltaDepth(model, interm), costP)
-	if m.Kind == metadata.Stream {
-		// No stages to re-run: the READ estimate is the whole story.
-		return readSecs, 0, nil
-	}
-	rerunSecs, err = cost.RerunSeconds(m, it.StageIndex, nEx, costP)
-	return readSecs, rerunSecs, err
+	return p.EstReadSecs, p.EstRerunSecs, nil
 }
 
 // GetColumn fetches a single column for the first nEx rows.
@@ -311,16 +110,6 @@ func (s *System) GetColumnCtx(ctx context.Context, model, interm, column string,
 	return res.Data.Col(0), nil
 }
 
-// bytesPerRow returns the stored width of one example of the intermediate.
-func (s *System) bytesPerRow(m *metadata.Model, it *metadata.Interm) int64 {
-	if it.StageIndex >= 0 && it.StageIndex < len(m.Stages) {
-		if b := m.Stages[it.StageIndex].OutputBytesPerRow; b > 0 {
-			return b
-		}
-	}
-	return int64(4 * len(it.Columns))
-}
-
 // readMatrix is the ChunkReader's assembly path: it fans the requested
 // intermediate's (column, block) chunks out across the worker pool, each
 // task reading, decompressing and decoding one chunk and scattering it
@@ -328,7 +117,7 @@ func (s *System) bytesPerRow(m *metadata.Model, it *metadata.Interm) int64 {
 // per-(column, block) ordering regardless of completion order. Each task
 // checks ctx before touching the store, so a canceled query stops reading
 // at chunk granularity.
-func (s *System) readMatrix(ctx context.Context, model, interm string, it *metadata.Interm, cols []string, nEx int) (*tensor.Dense, error) {
+func (s *System) readMatrix(ctx context.Context, model, interm string, cols []string, nEx int) (*tensor.Dense, error) {
 	out := tensor.NewDense(nEx, len(cols))
 	blockRows := s.cfg.RowBlockRows
 	nBlocks := (nEx + blockRows - 1) / blockRows
@@ -369,28 +158,37 @@ func (s *System) readMatrix(ctx context.Context, model, interm string, it *metad
 	return out, nil
 }
 
+// executor returns m's resident executor — exactly one of the pipeline
+// and the network is non-nil — or why the model cannot be re-run.
+func (s *System) executor(m *metadata.Model) (*pipelineModel, *dnnModel, error) {
+	switch m.Kind {
+	case metadata.TRAD:
+		if pm, ok := s.pipelineModelFor(m.Name); ok {
+			return pm, nil, nil
+		}
+	case metadata.DNN:
+		if dm, ok := s.dnnModelFor(m.Name); ok {
+			return nil, dm, nil
+		}
+	case metadata.Stream:
+		return nil, nil, fmt.Errorf("mistique: stream model %s cannot be re-run; its rows exist only in the store and the WAL", m.Name)
+	}
+	return nil, nil, fmt.Errorf("mistique: %s model %q not resident; re-log it to enable re-runs", m.Kind, m.Name)
+}
+
 // rerunMatrix recomputes the intermediate by executing the stored model.
 // ctx is checked before queueing on the model's execution mutex — a
 // canceled query should not lengthen the line for a serialized re-run.
 func (s *System) rerunMatrix(ctx context.Context, m *metadata.Model, it *metadata.Interm, cols []string, nEx int) (*tensor.Dense, error) {
-	switch m.Kind {
-	case metadata.TRAD:
-		return s.rerunTRAD(ctx, m.Name, it, cols, nEx)
-	case metadata.DNN:
-		return s.rerunDNN(ctx, m.Name, it, cols, nEx)
-	case metadata.Stream:
-		return nil, fmt.Errorf("mistique: stream model %s cannot be re-run; its rows exist only in the store and the WAL", m.Name)
-	}
-	return nil, fmt.Errorf("mistique: model %s has unknown kind %q", m.Name, m.Kind)
-}
-
-func (s *System) rerunTRAD(ctx context.Context, model string, it *metadata.Interm, cols []string, nEx int) (*tensor.Dense, error) {
-	pm, ok := s.pipelineModelFor(model)
-	if !ok {
-		return nil, fmt.Errorf("mistique: pipeline %q not resident; re-log it to enable re-runs", model)
+	pm, dm, err := s.executor(m)
+	if err != nil {
+		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
+	}
+	if dm != nil {
+		return s.rerunDNN(dm, it, cols, nEx)
 	}
 	pm.exec.Lock()
 	res, err := pm.p.RunTo(it.StageIndex)
@@ -400,20 +198,13 @@ func (s *System) rerunTRAD(ctx context.Context, model string, it *metadata.Inter
 	}
 	f := res.Intermediate(it.Name)
 	if f == nil {
-		return nil, fmt.Errorf("mistique: re-run did not produce %s.%s", model, it.Name)
+		return nil, fmt.Errorf("mistique: re-run did not produce %s.%s", m.Name, it.Name)
 	}
 	full, names := f.FloatMatrix()
 	return selectCols(full, names, cols, nEx)
 }
 
-func (s *System) rerunDNN(ctx context.Context, model string, it *metadata.Interm, cols []string, nEx int) (*tensor.Dense, error) {
-	dm, ok := s.dnnModelFor(model)
-	if !ok {
-		return nil, fmt.Errorf("mistique: network %q not resident; re-log it to enable re-runs", model)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
+func (s *System) rerunDNN(dm *dnnModel, it *metadata.Interm, cols []string, nEx int) (*tensor.Dense, error) {
 	in := dm.input
 	if nEx < in.N {
 		in = in.SliceN(0, nEx)
@@ -468,28 +259,16 @@ func selectCols(full *tensor.Dense, names, want []string, nEx int) (*tensor.Dens
 	return full.SliceRows(0, nEx).SelectCols(idx), nil
 }
 
-// materialize stores an intermediate on demand (adaptive path).
+// materialize stores an intermediate on demand (adaptive path, recovery).
 func (s *System) materialize(m *metadata.Model, it *metadata.Interm) error {
-	switch m.Kind {
-	case metadata.TRAD:
-		pm, ok := s.pipelineModelFor(m.Name)
-		if !ok {
-			return fmt.Errorf("pipeline %q not resident", m.Name)
-		}
-		_, err := s.materializeTRAD(pm, m.Name, it.Name)
+	pm, dm, err := s.executor(m)
+	if err != nil {
 		return err
-	case metadata.DNN:
-		return s.materializeDNN(m.Name, it)
 	}
-	return fmt.Errorf("unknown model kind %q", m.Kind)
-}
-
-func (s *System) materializeDNN(model string, it *metadata.Interm) error {
-	dm, ok := s.dnnModelFor(model)
-	if !ok {
-		return fmt.Errorf("network %q not resident", model)
+	if pm != nil {
+		return s.materializeTRAD(pm, m.Name, it.Name)
 	}
-	full, err := s.rerunDNN(context.Background(), model, it, it.Columns, it.Rows)
+	full, err := s.rerunDNN(dm, it, it.Columns, it.Rows)
 	if err != nil {
 		return err
 	}
@@ -505,71 +284,13 @@ func (s *System) materializeDNN(model string, it *metadata.Interm) error {
 	if err != nil {
 		return err
 	}
-	stored, err := s.storeMatrix(model, it.Name, full, it.Columns, func([]float32) (*quant.Quantizer, error) {
+	stored, err := s.storeMatrix(m.Name, it.Name, full, it.Columns, func([]float32) (*quant.Quantizer, error) {
 		return quantFor(dm.opts.Scheme, fitted), nil
 	})
 	if err != nil {
 		return err
 	}
-	return s.meta.SetMaterialized(model, it.Name, stored, string(dm.opts.Scheme))
-}
-
-// recoverRead is the self-healing read path: the cost model chose READ
-// but the stored chunks turned out to be unavailable (quarantined by a
-// checksum failure, lost to a crash, or gone with a corrupt manifest).
-// The query is answered by re-running the model, and the intermediate is
-// re-materialized through the normal store path so subsequent queries
-// read again. If re-materialization fails, the catalog entry is flipped
-// to unmaterialized so the cost model stops choosing READ for data that
-// is not there.
-func (s *System) recoverRead(ctx context.Context, m *metadata.Model, it *metadata.Interm, cols []string, nEx int, readErr error) (*tensor.Dense, error) {
-	data, err := s.rerunMatrix(ctx, m, it, cols, nEx)
-	if err != nil {
-		return nil, fmt.Errorf("mistique: read %s.%s failed (%v) and rerun recovery failed: %w", m.Name, it.Name, readErr, err)
-	}
-	s.store.NoteRecoveredRead()
-	s.metrics.rerunFallbacks.Inc()
-	// Drop the dead mappings first so the fresh puts are stored instead of
-	// tripping over quarantined chunk ids.
-	s.store.DeleteColumns(m.Name, it.Name)
-	if merr := s.materialize(m, it); merr != nil {
-		s.meta.SetUnmaterialized(m.Name, it.Name)
-	}
-	// Re-materialization moved the columns to fresh chunks; drop any
-	// diagnostic indexes built over the old ones (their stale signatures
-	// would be rejected anyway — this just skips the wasted load).
-	if s.nidx != nil {
-		s.nidx.InvalidateModel(m.Name)
-	}
-	return data, nil
-}
-
-// healIntermediate re-materializes an intermediate whose stored chunks
-// were lost, for query paths that have no rerun representation of their
-// own (zone-map scans, row-range reads). On failure the catalog entry is
-// flipped to unmaterialized and the error returned.
-func (s *System) healIntermediate(model, interm string) error {
-	m := s.meta.Model(model)
-	if m == nil {
-		return fmt.Errorf("mistique: %w %q", ErrUnknownModel, model)
-	}
-	it, ok := s.meta.IntermSnapshot(model, interm)
-	if !ok {
-		return fmt.Errorf("mistique: %w %s.%s", ErrUnknownIntermediate, model, interm)
-	}
-	stop := s.metrics.healSeconds.Time()
-	s.store.DeleteColumns(model, interm)
-	if err := s.materialize(m, &it); err != nil {
-		s.meta.SetUnmaterialized(model, interm)
-		return fmt.Errorf("mistique: heal %s.%s: %w", model, interm, err)
-	}
-	stop()
-	s.metrics.heals.Inc()
-	s.store.NoteRecoveredRead()
-	if s.nidx != nil {
-		s.nidx.InvalidateModel(model)
-	}
-	return nil
+	return s.meta.SetMaterialized(m.Name, it.Name, stored, string(dm.opts.Scheme))
 }
 
 // FilterRows evaluates `column op bound` over a materialized intermediate
@@ -584,75 +305,46 @@ func (s *System) FilterRows(model, interm, column string, op colstore.Op, bound 
 // single store call, so cancellation is honored at entry and between the
 // scan and its heal-and-retry.
 func (s *System) FilterRowsCtx(ctx context.Context, model, interm, column string, op colstore.Op, bound float32) ([]int, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	it, ok := s.meta.IntermSnapshot(model, interm)
-	if !ok {
-		return nil, fmt.Errorf("mistique: %w %s.%s", ErrUnknownIntermediate, model, interm)
-	}
-	if !it.Materialized {
-		return nil, fmt.Errorf("mistique: %s.%s %w; zone-map scans need stored chunks", model, interm, ErrNotMaterialized)
-	}
-	if _, err := s.meta.RecordQuery(model, interm); err != nil {
-		return nil, err
-	}
-	defer s.metrics.queryFilterSeconds.Time()()
-	// Prefer the neuron-centric index: it decodes only the priority-list
-	// segments straddling the bound. Any index-side trouble falls back to
-	// the zone-map scan below — both paths return identical rows.
-	if rows, ok, ierr := s.filterViaIndex(ctx, model, interm, column, op, bound, it.Rows); ierr != nil {
-		return nil, ierr
-	} else if ok {
-		return rows, nil
-	}
-	matches, _, err := s.store.ScanColumn(model, interm, column, op, bound)
-	if err != nil && recoverableReadErr(err) {
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, cerr
-		}
-		// Lost chunks: re-materialize from a model re-run, then retry once.
-		if herr := s.healIntermediate(model, interm); herr != nil {
-			return nil, herr
-		}
-		matches, _, err = s.store.ScanColumn(model, interm, column, op, bound)
-	}
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]int, len(matches))
-	for i, m := range matches {
-		rows[i] = m.Row
-	}
-	return rows, nil
+	return s.FilterRowsRangeCtx(ctx, model, interm, column, op, bound, 0, 0)
 }
 
 // FilterRowsRangeCtx restricts FilterRowsCtx to global rows [from, to) —
 // the shard-local form of the predicate scan used by the cluster router
 // (internal/cluster), which owns disjoint row-blocks of an intermediate
-// and must evaluate each block exactly once. from <= 0 means row 0 and
-// to <= 0 means the intermediate's row count, so the zero range is the
-// whole intermediate and old callers are unaffected. Offsets stay global
-// and the scan path is the same, so a concatenation of per-block answers
-// in block order is byte-identical to the single-node scan.
+// and must evaluate each block exactly once. to == 0 means the
+// intermediate's row count, so the zero range is the whole intermediate.
+// Offsets stay global and the scan path is the same, so a concatenation of
+// per-block answers in block order is byte-identical to the single-node
+// scan.
 func (s *System) FilterRowsRangeCtx(ctx context.Context, model, interm, column string, op colstore.Op, bound float32, from, to int) ([]int, error) {
-	rows, err := s.FilterRowsCtx(ctx, model, interm, column, op, bound)
+	a, err := s.Execute(ctx, Query{Op: OpFilter, Model: model, Intermediate: interm, Columns: []string{column}, Pred: op, Bound: bound, From: from, To: to})
 	if err != nil {
 		return nil, err
 	}
+	return a.Rows, nil
+}
+
+// filterRows is OpFilter's operator. It prefers the neuron-centric index,
+// which decodes only the priority-list segments straddling the bound; any
+// index-side trouble falls back to the zone-map scan — both paths return
+// identical rows.
+func (s *System) filterRows(ctx context.Context, p *Plan) ([]int, error) {
+	rows, err := s.filterViaIndex(ctx, p)
+	if err != nil {
+		return nil, err
+	}
+	if rows == nil {
+		matches, _, err := s.store.ScanColumn(p.Model, p.Intermediate, p.Columns[0], p.Pred, p.Bound)
+		if err != nil {
+			return nil, err
+		}
+		rows = make([]int, len(matches))
+		for i, m := range matches {
+			rows[i] = m.Row
+		}
+	}
 	// rows is ascending, so the range restriction is two binary searches.
-	lo := 0
-	if from > 0 {
-		lo = sort.SearchInts(rows, from)
-	}
-	hi := len(rows)
-	if to > 0 {
-		hi = sort.SearchInts(rows, to)
-	}
-	if lo > hi {
-		lo = hi
-	}
-	return rows[lo:hi], nil
+	return rows[sort.SearchInts(rows, p.From):sort.SearchInts(rows, p.To)], nil
 }
 
 // GetRows reads rows [from, to) of the given columns from a materialized
@@ -665,65 +357,31 @@ func (s *System) GetRows(model, interm string, cols []string, from, to int) (*te
 // GetRowsCtx is GetRows under a context; per-column fetch tasks check ctx
 // before touching the store.
 func (s *System) GetRowsCtx(ctx context.Context, model, interm string, cols []string, from, to int) (*tensor.Dense, error) {
-	if err := ctx.Err(); err != nil {
+	a, err := s.Execute(ctx, Query{Op: OpRows, Model: model, Intermediate: interm, Columns: cols, From: from, To: to})
+	if err != nil {
 		return nil, err
 	}
-	it, ok := s.meta.IntermSnapshot(model, interm)
-	if !ok {
-		return nil, fmt.Errorf("mistique: %w %s.%s", ErrUnknownIntermediate, model, interm)
-	}
-	if !it.Materialized {
-		return nil, fmt.Errorf("mistique: %s.%s %w", model, interm, ErrNotMaterialized)
-	}
-	if to > it.Rows {
-		to = it.Rows
-	}
-	if from < 0 || from > to {
-		return nil, fmt.Errorf("mistique: bad row range [%d, %d)", from, to)
-	}
-	if _, err := s.meta.RecordQuery(model, interm); err != nil {
-		return nil, err
-	}
-	if len(cols) == 0 {
-		cols = it.Columns
-	}
-	defer s.metrics.queryGetRowsSeconds.Time()()
-	return s.readRowRange(ctx, model, interm, cols, from, to)
+	return a.Data, nil
 }
 
 // readRowRange assembles rows [from, to) of the given columns via the
-// primary (row-aligned block) index, fetching columns concurrently and
-// healing lost chunks with one re-materialize-and-retry. Shared by GetRows
-// and the KNN block scanner.
+// primary (row-aligned block) index, fetching columns concurrently. Shared
+// by OpRows, range-restricted OpTopK and the KNN block scanner.
 func (s *System) readRowRange(ctx context.Context, model, interm string, cols []string, from, to int) (*tensor.Dense, error) {
-	fetch := func() (*tensor.Dense, error) {
-		out := tensor.NewDense(to-from, len(cols))
-		err := parallel.ForEach(len(cols), s.workers(), func(j int) error {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			vals, err := s.store.GetColumnRange(model, interm, cols[j], from, to)
-			if err != nil {
-				return err
-			}
-			out.SetCol(j, vals)
-			return nil
-		})
+	out := tensor.NewDense(to-from, len(cols))
+	err := parallel.ForEach(len(cols), s.workers(), func(j int) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		vals, err := s.store.GetColumnRange(model, interm, cols[j], from, to)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		return out, nil
+		out.SetCol(j, vals)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	out, err := fetch()
-	if err != nil && recoverableReadErr(err) {
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, cerr
-		}
-		// Lost chunks: re-materialize from a model re-run, then retry once.
-		if herr := s.healIntermediate(model, interm); herr != nil {
-			return nil, herr
-		}
-		out, err = fetch()
-	}
-	return out, err
+	return out, nil
 }

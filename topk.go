@@ -2,8 +2,6 @@ package mistique
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"math"
 	"sort"
 
@@ -20,10 +18,6 @@ import (
 // by the same pinned comparators (diag.RankLess / diag.DistLess), and the
 // differential harness in internal/nindex/oracletest plus the root
 // TestIndexScanParity* tests hold the two byte-identical.
-
-// ErrUnknownColumn marks a column-level query naming a column the
-// intermediate does not have.
-var ErrUnknownColumn = errors.New("unknown column")
 
 // IndexConfig controls the neuron-centric diagnostic indexes. Zero values
 // select defaults; the indexes are on unless Disable is set.
@@ -67,38 +61,7 @@ func (s *System) TopK(model, interm, column string, k int) ([]TopKEntry, error) 
 // TopKCtx is TopK under a context, honored at entry and inside the
 // column fetch that backs an index build or scan fallback.
 func (s *System) TopKCtx(ctx context.Context, model, interm, column string, k int) ([]TopKEntry, error) {
-	it, err := s.columnQueryTarget(ctx, model, interm, column)
-	if err != nil {
-		return nil, err
-	}
-	defer s.metrics.queryTopKSeconds.Time()()
-	fetch := s.columnFetcher(ctx, model, interm, column, it.Rows)
-	if s.nidx != nil {
-		if sig, serr := s.store.ColumnSignature(model, interm, column); serr == nil {
-			entries, terr := s.nidx.TopK(indexKey(model, interm, column), sig, k, fetch)
-			if terr == nil {
-				out := make([]TopKEntry, len(entries))
-				for i, e := range entries {
-					out[i] = TopKEntry{Row: e.Row, Value: e.Value}
-				}
-				return out, nil
-			}
-			if errors.Is(terr, context.Canceled) || errors.Is(terr, context.DeadlineExceeded) {
-				return nil, terr
-			}
-		}
-	}
-	// Full-scan twin: fetch the column and rank with the same comparator.
-	col, _, err := fetch()
-	if err != nil {
-		return nil, err
-	}
-	ranked := diag.TopK(col, k)
-	out := make([]TopKEntry, len(ranked))
-	for i, r := range ranked {
-		out[i] = TopKEntry{Row: r, Value: col[r]}
-	}
-	return out, nil
+	return s.TopKRangeCtx(ctx, model, interm, column, k, 0, 0)
 }
 
 // TopKRangeCtx ranks only global rows [from, to) of a column, in the same
@@ -107,46 +70,46 @@ func (s *System) TopKCtx(ctx context.Context, model, interm, column string, k in
 // (internal/cluster): each shard ranks the row-blocks it owns, and because
 // every path uses the one comparator, merging per-block candidate lists
 // with RankLess again reproduces the single-node answer bit for bit.
-// from <= 0 means row 0; to <= 0 or past the end means the row count. The
-// full range delegates to TopKCtx, which is index-accelerated.
+// to == 0 or past the end means the row count. The full range is
+// index-accelerated.
 func (s *System) TopKRangeCtx(ctx context.Context, model, interm, column string, k, from, to int) ([]TopKEntry, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	it, ok := s.meta.IntermSnapshot(model, interm)
-	if !ok {
-		return nil, fmt.Errorf("mistique: %w %s.%s", ErrUnknownIntermediate, model, interm)
-	}
-	if from < 0 {
-		from = 0
-	}
-	if to <= 0 || to > it.Rows {
-		to = it.Rows
-	}
-	if from > to {
-		from = to
-	}
-	if from == 0 && to == it.Rows {
-		return s.TopKCtx(ctx, model, interm, column, k)
-	}
-	if _, err := s.columnQueryTarget(ctx, model, interm, column); err != nil {
-		return nil, err
-	}
-	defer s.metrics.queryTopKSeconds.Time()()
-	m, err := s.readRowRange(ctx, model, interm, []string{column}, from, to)
+	a, err := s.Execute(ctx, Query{Op: OpTopK, Model: model, Intermediate: interm, Columns: []string{column}, K: k, From: from, To: to})
 	if err != nil {
 		return nil, err
 	}
-	col := make([]float32, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		col[i] = m.Row(i)[0]
+	return a.TopK, nil
+}
+
+// topK is OpTopK's operator: an index probe over the full range, the
+// full-scan twin (same comparator) when the index is off, failed or the
+// range is partial.
+func (s *System) topK(ctx context.Context, p *Plan) ([]TopKEntry, error) {
+	if s.nidx != nil && p.From == 0 && p.To == p.it.Rows {
+		if sig, serr := s.store.ColumnSignature(p.Model, p.Intermediate, p.Columns[0]); serr == nil {
+			entries, terr := s.nidx.TopK(indexKey(p), sig, p.K, s.columnFetcher(ctx, p))
+			if terr == nil {
+				out := make([]TopKEntry, len(entries))
+				for i, e := range entries {
+					out[i] = TopKEntry{Row: e.Row, Value: e.Value}
+				}
+				return out, nil
+			}
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
 	}
+	m, err := s.readRowRange(ctx, p.Model, p.Intermediate, p.Columns, p.From, p.To)
+	if err != nil {
+		return nil, err
+	}
+	col := m.Col(0)
 	// diag.TopK breaks ties by ascending local offset; adding the constant
-	// `from` preserves that order in global row ids.
-	ranked := diag.TopK(col, k)
+	// From preserves that order in global row ids.
+	ranked := diag.TopK(col, p.K)
 	out := make([]TopKEntry, len(ranked))
 	for i, r := range ranked {
-		out[i] = TopKEntry{Row: from + r, Value: col[r]}
+		out[i] = TopKEntry{Row: p.From + r, Value: col[r]}
 	}
 	return out, nil
 }
@@ -162,42 +125,33 @@ func (s *System) KNN(model, interm string, queryRow, k int) ([]Neighbor, error) 
 
 // KNNCtx is KNN under a context; per-block reads check ctx.
 func (s *System) KNNCtx(ctx context.Context, model, interm string, queryRow, k int) ([]Neighbor, error) {
-	if err := ctx.Err(); err != nil {
+	a, err := s.Execute(ctx, Query{Op: OpKNN, Model: model, Intermediate: interm, Row: queryRow, K: k})
+	if err != nil {
 		return nil, err
 	}
-	it, ok := s.meta.IntermSnapshot(model, interm)
-	if !ok {
-		return nil, fmt.Errorf("mistique: %w %s.%s", ErrUnknownIntermediate, model, interm)
-	}
-	if !it.Materialized {
-		return nil, fmt.Errorf("mistique: %s.%s %w; KNN needs stored chunks", model, interm, ErrNotMaterialized)
-	}
-	if queryRow < 0 || queryRow >= it.Rows {
-		return nil, fmt.Errorf("mistique: KNN query row %d outside [0, %d)", queryRow, it.Rows)
-	}
-	if _, err := s.meta.RecordQuery(model, interm); err != nil {
-		return nil, err
-	}
-	defer s.metrics.queryKNNSeconds.Time()()
-	cols := it.Columns
-	qm, err := s.readRowRange(ctx, model, interm, cols, queryRow, queryRow+1)
+	return a.Neighbors, nil
+}
+
+// knn is OpKNN's operator: the block-pruned scan, or its full-scan twin
+// when the index layer is off or the pruned scan fails.
+func (s *System) knn(ctx context.Context, p *Plan) ([]Neighbor, error) {
+	qm, err := s.readRowRange(ctx, p.Model, p.Intermediate, p.Columns, p.Row, p.Row+1)
 	if err != nil {
 		return nil, err
 	}
 	query := qm.Row(0)
 	if s.nidx != nil {
-		if out, kerr := s.knnPruned(ctx, model, interm, cols, query, queryRow, it.Rows, k); kerr == nil {
+		if out, kerr := s.knnPruned(ctx, p, query); kerr == nil {
 			return out, nil
-		} else if errors.Is(kerr, context.Canceled) || errors.Is(kerr, context.DeadlineExceeded) {
-			return nil, kerr
+		} else if err := ctx.Err(); err != nil {
+			return nil, err
 		}
 	}
-	// Full-scan twin.
-	x, err := s.readRowRange(ctx, model, interm, cols, 0, it.Rows)
+	x, err := s.readRowRange(ctx, p.Model, p.Intermediate, p.Columns, 0, p.it.Rows)
 	if err != nil {
 		return nil, err
 	}
-	ranked := diag.KNN(x, query, k, queryRow)
+	ranked := diag.KNN(x, query, p.K, p.Row)
 	out := make([]Neighbor, len(ranked))
 	for i, r := range ranked {
 		out[i] = Neighbor{Row: r, Dist: tensor.L2Dist(x.Row(r), query)}
@@ -211,13 +165,9 @@ func (s *System) KNNCtx(ctx context.Context, model, interm string, queryRow, k i
 // lb ≤ tensor.L2Dist for every row in the block (see nindex.PlanKNN), and
 // pruning requires strict excess, so boundary ties survive and the result
 // equals the full scan under diag.DistLess exactly.
-func (s *System) knnPruned(ctx context.Context, model, interm string, cols []string, query []float32, queryRow, rows, k int) ([]Neighbor, error) {
-	if k < 0 {
-		k = 0
-	}
-	if k > rows-1 {
-		k = rows - 1
-	}
+func (s *System) knnPruned(ctx context.Context, p *Plan, query []float32) ([]Neighbor, error) {
+	model, interm, cols, queryRow, rows := p.Model, p.Intermediate, p.Columns, p.Row, p.it.Rows
+	k := min(p.K, rows-1)
 	if k <= 0 {
 		return []Neighbor{}, nil
 	}
@@ -273,92 +223,44 @@ func (s *System) knnPruned(ctx context.Context, model, interm string, cols []str
 	return cands, nil
 }
 
-// columnQueryTarget validates a (model, intermediate, column) probe target
-// and records the query.
-func (s *System) columnQueryTarget(ctx context.Context, model, interm, column string) (*colQueryTarget, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	it, ok := s.meta.IntermSnapshot(model, interm)
-	if !ok {
-		return nil, fmt.Errorf("mistique: %w %s.%s", ErrUnknownIntermediate, model, interm)
-	}
-	found := false
-	for _, c := range it.Columns {
-		if c == column {
-			found = true
-			break
-		}
-	}
-	if !found {
-		return nil, fmt.Errorf("mistique: %w %s.%s.%s", ErrUnknownColumn, model, interm, column)
-	}
-	if !it.Materialized {
-		return nil, fmt.Errorf("mistique: %s.%s %w; column probes need stored chunks", model, interm, ErrNotMaterialized)
-	}
-	if _, err := s.meta.RecordQuery(model, interm); err != nil {
-		return nil, err
-	}
-	return &colQueryTarget{Rows: it.Rows}, nil
+// indexKey names the index of a single-column plan's column.
+func indexKey(p *Plan) nindex.Key {
+	return nindex.Key{Model: p.Model, Intermediate: p.Intermediate, Column: p.Columns[0]}
 }
 
-type colQueryTarget struct {
-	Rows int
-}
-
-func indexKey(model, interm, column string) nindex.Key {
-	return nindex.Key{Model: model, Intermediate: interm, Column: column}
-}
-
-// columnFetcher loads a full column for an index build or scan fallback,
-// healing lost chunks by re-materializing from a model re-run (once).
-func (s *System) columnFetcher(ctx context.Context, model, interm, column string, rows int) nindex.Fetch {
+// columnFetcher loads the full column of a single-column plan for an index
+// build. ctx is checked first: the build may have queued behind another.
+func (s *System) columnFetcher(ctx context.Context, p *Plan) nindex.Fetch {
 	return func() ([]float32, int, error) {
-		vals, err := s.store.GetColumnRange(model, interm, column, 0, rows)
-		if err != nil && recoverableReadErr(err) {
-			if cerr := ctx.Err(); cerr != nil {
-				return nil, 0, cerr
-			}
-			if herr := s.healIntermediate(model, interm); herr != nil {
-				return nil, 0, herr
-			}
-			vals, err = s.store.GetColumnRange(model, interm, column, 0, rows)
-		}
-		if err != nil {
+		if err := ctx.Err(); err != nil {
 			return nil, 0, err
 		}
-		return vals, s.cfg.RowBlockRows, nil
+		vals, err := s.store.GetColumnRange(p.Model, p.Intermediate, p.Columns[0], 0, p.it.Rows)
+		return vals, s.cfg.RowBlockRows, err
 	}
 }
 
-// filterViaIndex answers a FilterRows predicate from the column's index.
-// ok=false sends the caller to the zone-map scan path (index disabled,
-// signature unavailable, or probe failed) — falling back is always safe
-// because both paths rank identically.
-func (s *System) filterViaIndex(ctx context.Context, model, interm, column string, op colstore.Op, bound float32, rows int) ([]int, bool, error) {
-	if s.nidx == nil {
-		return nil, false, nil
+// filterViaIndex answers OpFilter's predicate from the column's index.
+// nil rows send the caller to the zone-map scan (index disabled, signature
+// unavailable, or probe failed) — falling back is always safe because both
+// paths rank identically.
+func (s *System) filterViaIndex(ctx context.Context, p *Plan) ([]int, error) {
+	nop, ok := indexOp(p.Pred)
+	if s.nidx == nil || !ok {
+		return nil, nil
 	}
-	nop, ok := indexOp(op)
-	if !ok {
-		return nil, false, nil
-	}
-	sig, err := s.store.ColumnSignature(model, interm, column)
+	sig, err := s.store.ColumnSignature(p.Model, p.Intermediate, p.Columns[0])
 	if err != nil {
-		return nil, false, nil
+		return nil, nil
 	}
-	out, err := s.nidx.FilterRows(indexKey(model, interm, column), sig, nop, bound,
-		s.columnFetcher(ctx, model, interm, column, rows))
+	out, err := s.nidx.FilterRows(indexKey(p), sig, nop, p.Bound, s.columnFetcher(ctx, p))
 	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return nil, false, err
-		}
-		return nil, false, nil
+		return nil, ctx.Err()
 	}
 	if out == nil {
 		out = []int{}
 	}
-	return out, true, nil
+	return out, nil
 }
 
 // indexOp maps the store's zone-map predicate to the index's.

@@ -1,7 +1,6 @@
 package mistique
 
 import (
-	"errors"
 	"math"
 	"os"
 	"path/filepath"
@@ -190,29 +189,6 @@ func TestIndexServesOverLostChunks(t *testing.T) {
 	}
 	if s.Store().Stats().RecoveredReads != 0 {
 		t.Fatal("index replica answer should not have touched the corrupt chunks")
-	}
-}
-
-func TestTopKValidation(t *testing.T) {
-	s := openSys(t, Config{})
-	logDemo(t, s)
-	if _, err := s.TopK("demo", "joined", "no_such_column", 3); !errors.Is(err, ErrUnknownColumn) {
-		t.Fatalf("unknown column: %v", err)
-	}
-	if _, err := s.TopK("demo", "no_such_interm", "yearbuilt", 3); !errors.Is(err, ErrUnknownIntermediate) {
-		t.Fatalf("unknown intermediate: %v", err)
-	}
-	if _, err := s.KNN("demo", "joined", -1, 3); err == nil {
-		t.Fatal("negative query row accepted")
-	}
-	if _, err := s.KNN("demo", "joined", 600, 3); err == nil {
-		t.Fatal("out-of-range query row accepted")
-	}
-
-	lazy := openSys(t, Config{Gamma: 1e12}) // adaptive: nothing stored
-	logDemo(t, lazy)
-	if _, err := lazy.TopK("demo", "joined", "yearbuilt", 3); !errors.Is(err, ErrNotMaterialized) {
-		t.Fatalf("unmaterialized topk: %v", err)
 	}
 }
 
