@@ -223,7 +223,7 @@ func Open(dir string, cfg Config) (*System, error) {
 	metaPath := filepath.Join(dir, "metadata.json")
 	if _, statErr := os.Stat(metaPath); statErr == nil {
 		meta, err = metadata.Load(metaPath)
-		if errors.Is(err, metadata.ErrCorrupt) {
+		if errors.Is(err, durable.ErrCorrupt) {
 			// Fail soft, like the store does for its manifest: quarantine
 			// the corrupt catalog and start fresh. Stored chunks survive in
 			// the column store and become queryable again as models are
@@ -245,13 +245,8 @@ func Open(dir string, cfg Config) (*System, error) {
 		// store's recovery sweep skips subdirectories, so it never mistakes
 		// them for partitions) and share the store's fault-injectable FS.
 		nidx, err = nindex.NewManager(nindex.ManagerConfig{
-			Dir:            filepath.Join(dir, "data", "nindex"),
-			FS:             cfg.Store.FS,
-			MemBudgetBytes: cfg.Index.MemBudgetBytes,
-			Index: nindex.Config{
-				SegmentEntries: cfg.Index.SegmentEntries,
-				HistogramBins:  cfg.Index.HistogramBins,
-			},
+			Dir: filepath.Join(dir, "data", "nindex"),
+			FS:  cfg.Store.FS,
 			Obs: metrics.reg,
 		})
 		if err != nil {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"testing"
 
+	"mistique/internal/durable"
 	"mistique/internal/faultfs"
 )
 
@@ -92,7 +93,7 @@ func TestCrashMatrixCASAppend(t *testing.T) {
 				if !bytes.Equal(got, nextData) {
 					t.Fatal("v1 survived the crash with wrong bytes")
 				}
-			} else if !errors.Is(err, ErrNotFound) && !errors.Is(err, ErrCorrupt) {
+			} else if !errors.Is(err, ErrNotFound) && !errors.Is(err, durable.ErrCorrupt) {
 				t.Fatalf("v1 failed with untyped error: %v", err)
 			}
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"mistique/internal/durable"
+	"mistique/internal/durable/durabletest"
 )
 
 // FuzzCDCBoundaries hammers the chunker with hostile data and config:
@@ -56,48 +57,111 @@ func FuzzCDCBoundaries(f *testing.F) {
 	})
 }
 
-// FuzzChunkTableFile feeds hostile bytes to the index and
-// object-manifest parsers: corrupt, truncated, or adversarial input
-// must yield a typed error (ErrCorrupt/ErrUnsupported), never a panic
-// and never a silently-wrong table.
+// goldenTable and goldenObjects are the images behind testdata/parent.mqci
+// and testdata/parent.mqco: two segments and three chunks; a full object,
+// a delta on it and a compressed delta on that.
+func goldenTable() []byte {
+	t := &Table{entries: map[Key]*entry{}, segs: map[int]int64{0: 1024, 2: 64}, nextSeg: 3}
+	for i, payload := range []string{"payload", "another payload", "x"} {
+		t.entries[KeyOf([]byte(payload))] = &entry{
+			seg: 2 * (i % 2), off: int64(7 * i), size: len(payload),
+			crc: crc32.Checksum([]byte(payload), durable.Castagnoli),
+		}
+	}
+	return t.marshalIndexLocked()
+}
+
+func goldenObjects() []byte {
+	k0, k1 := KeyOf([]byte("payload")), KeyOf([]byte("another payload"))
+	return marshalObjects(map[string]*object{
+		"v0": {chunks: []Key{k0, k1}, size: 22, crc: 1, newBytes: 22},
+		"v1": {chunks: []Key{k0}, size: 7, crc: 2, depth: 1, base: "v0", newBytes: 7},
+		"v2": {chunks: []Key{k1}, size: 15, crc: 3, depth: 2, base: "v1", comp: true},
+	})
+}
+
+// reencodeIndex and reencodeObjects round-trip an image through the parser
+// and the marshaller, checking what the parser promises about anything it
+// accepts.
+func reencodeIndex(t testing.TB) func([]byte) ([]byte, error) {
+	return func(raw []byte) ([]byte, error) {
+		nextSeg, segs, entries, err := parseIndex(raw)
+		if err != nil {
+			return nil, err
+		}
+		for _, e := range entries {
+			if e.size < 0 || e.off < 0 {
+				t.Fatal("parser accepted negative geometry")
+			}
+		}
+		return (&Table{entries: entries, segs: segs, nextSeg: nextSeg}).marshalIndexLocked(), nil
+	}
+}
+
+func reencodeObjects(t testing.TB) func([]byte) ([]byte, error) {
+	return func(raw []byte) ([]byte, error) {
+		objs, err := parseObjects(raw)
+		if err != nil {
+			return nil, err
+		}
+		for name, o := range objs {
+			if name == "" || o.size < 0 || (o.depth == 0) != (o.base == "") {
+				t.Fatal("parser accepted inconsistent object")
+			}
+		}
+		return marshalObjects(objs), nil
+	}
+}
+
+// FuzzChunkTableFile feeds hostile bytes to the index and object-manifest
+// parsers under the shared decoder contract: corrupt, truncated, or
+// adversarial input must yield a typed error, never a panic, a runaway
+// allocation or a silently-wrong table.
 func FuzzChunkTableFile(f *testing.F) {
 	// Seed with valid images so the fuzzer mutates real structure.
-	t := &Table{entries: map[Key]*entry{}, segs: map[int]int64{}}
-	k := KeyOf([]byte("payload"))
-	t.segs[0] = 1024
-	t.nextSeg = 1
-	t.entries[k] = &entry{seg: 0, off: 0, size: 7, crc: crc32.Checksum([]byte("payload"), durable.Castagnoli)}
-	f.Add(t.marshalIndexLocked())
-	f.Add(marshalObjects(map[string]*object{
-		"v0": {chunks: []Key{k}, size: 7, crc: 1},
-		"v1": {chunks: []Key{k}, size: 7, crc: 2, depth: 1, base: "v0"},
-	}))
+	f.Add(goldenTable())
+	f.Add(goldenObjects())
 	f.Add([]byte(idxMagic))
 	f.Add([]byte(objMagic))
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		if _, _, entries, err := parseIndex(raw); err != nil {
-			if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrUnsupported) {
-				t.Fatalf("untyped index parse error: %v", err)
-			}
-		} else {
-			for _, e := range entries {
-				if e.size < 0 || e.off < 0 {
-					t.Fatal("parser accepted negative geometry")
-				}
-			}
-		}
-		if objs, err := parseObjects(raw); err != nil {
-			if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrUnsupported) {
-				t.Fatalf("untyped object parse error: %v", err)
-			}
-		} else {
-			for name, o := range objs {
-				if name == "" || o.size < 0 || (o.depth == 0) != (o.base == "") {
-					t.Fatal("parser accepted inconsistent object")
-				}
-			}
+		for _, reencode := range []func([]byte) ([]byte, error){reencodeIndex(t), reencodeObjects(t)} {
+			durabletest.Input(t, raw, func(raw []byte) error {
+				_, err := reencode(raw)
+				return err
+			})
 		}
 	})
+}
+
+func TestDecoderContract(t *testing.T) {
+	for name, f := range map[string]struct {
+		image    []byte
+		reencode func([]byte) ([]byte, error)
+	}{
+		"MQCI": {goldenTable(), reencodeIndex(t)},
+		"MQCO": {goldenObjects(), reencodeObjects(t)},
+	} {
+		durabletest.Contract(t, durabletest.Format{
+			Image:     f.image,
+			Sealed:    true,
+			VersionAt: [2]int{4, 6},
+			Decode: func(raw []byte) error {
+				again, err := f.reencode(raw)
+				if err == nil && !bytes.Equal(again, raw) {
+					t.Fatalf("%s: re-encode of an accepted image differs", name)
+				}
+				return err
+			},
+		})
+	}
+}
+
+// TestGoldenParentImages: testdata/parent.mqci and parent.mqco were written
+// by the commit before the parsers moved onto durable.Reader (goldenTable
+// and goldenObjects, run there).
+func TestGoldenParentImages(t *testing.T) {
+	durabletest.Golden(t, "parent.mqci", goldenTable(), reencodeIndex(t))
+	durabletest.Golden(t, "parent.mqco", goldenObjects(), reencodeObjects(t))
 }
 
 // FuzzDeltaDecode attacks the delta reconstruction path: arbitrary
@@ -136,7 +200,7 @@ func FuzzDeltaDecode(f *testing.F) {
 		}
 		got, err = verifyPayload(xorBytes(cr, cb), want, "fuzz")
 		if err != nil {
-			if !errors.Is(err, ErrCorrupt) {
+			if !errors.Is(err, durable.ErrCorrupt) {
 				t.Fatalf("untyped delta decode error: %v", err)
 			}
 			return

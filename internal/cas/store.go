@@ -21,9 +21,7 @@ const (
 	objVersion = 1
 	objName    = "OBJECTS.bin"
 
-	maxObjects     = 1 << 20
-	maxObjectName  = 1 << 12
-	maxObjectChunk = 1 << 22
+	maxObjectName = 1 << 12
 
 	// objFlagCompressed marks a delta object whose stored residual is
 	// deflate-compressed (see object.comp).
@@ -81,7 +79,7 @@ type object struct {
 // Table. A delta object's chunks encode the XOR residual against its
 // base; reconstruction walks the chain down to a full object and is
 // verified against a whole-object CRC, so a flipped bit in any
-// generation surfaces as ErrCorrupt rather than wrong bytes.
+// generation surfaces as durable.ErrCorrupt rather than wrong bytes.
 type Store struct {
 	dir string
 	cfg Config
@@ -121,7 +119,7 @@ func OpenStore(dir string, cfg Config) (*Store, error) {
 					// An object referencing an unpublished chunk means the
 					// manifest outran the index, which the publish order
 					// forbids — treat as corruption.
-					return nil, fmt.Errorf("cas: object %q references missing chunk: %w", name, ErrCorrupt)
+					return nil, fmt.Errorf("cas: object %q references missing chunk: %w", name, durable.ErrCorrupt)
 				}
 			}
 		}
@@ -215,17 +213,17 @@ func inflateBytes(b []byte, want int64) ([]byte, error) {
 		n, err := r.Read(buf)
 		out = append(out, buf[:n]...)
 		if int64(len(out)) > want {
-			return nil, fmt.Errorf("%w: residual inflates past its object size", ErrCorrupt)
+			return nil, fmt.Errorf("%w: residual inflates past its object size", durable.ErrCorrupt)
 		}
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			return nil, fmt.Errorf("%w: residual inflate: %v", ErrCorrupt, err)
+			return nil, fmt.Errorf("%w: residual inflate: %v", durable.ErrCorrupt, err)
 		}
 	}
 	if int64(len(out)) != want {
-		return nil, fmt.Errorf("%w: residual inflates to %d bytes, want %d", ErrCorrupt, len(out), want)
+		return nil, fmt.Errorf("%w: residual inflates to %d bytes, want %d", durable.ErrCorrupt, len(out), want)
 	}
 	return out, nil
 }
@@ -304,7 +302,7 @@ func (s *Store) getLocked(name string, hop int) ([]byte, error) {
 		return nil, fmt.Errorf("%w: object %q", ErrNotFound, name)
 	}
 	if hop > s.cfg.MaxDepth+1 {
-		return nil, fmt.Errorf("%w: delta chain at %q exceeds max depth", ErrCorrupt, name)
+		return nil, fmt.Errorf("%w: delta chain at %q exceeds max depth", durable.ErrCorrupt, name)
 	}
 	payload := make([]byte, 0, o.size)
 	for _, k := range o.chunks {
@@ -333,7 +331,7 @@ func (s *Store) getLocked(name string, hop int) ([]byte, error) {
 
 func verifyPayload(payload []byte, want uint32, name string) ([]byte, error) {
 	if crc32.Checksum(payload, durable.Castagnoli) != want {
-		return nil, fmt.Errorf("%w: object %q reconstruction crc mismatch", ErrCorrupt, name)
+		return nil, fmt.Errorf("%w: object %q reconstruction crc mismatch", durable.ErrCorrupt, name)
 	}
 	return payload, nil
 }
@@ -491,93 +489,44 @@ func marshalObjects(objs map[string]*object) []byte {
 }
 
 // parseObjects decodes an object manifest. Pure and fuzz-friendly:
-// hostile bytes yield ErrCorrupt/ErrUnsupported, never a panic.
+// hostile bytes yield durable.ErrCorrupt/ErrUnsupported, never a panic.
 func parseObjects(raw []byte) (map[string]*object, error) {
-	fail := func(msg string) (map[string]*object, error) {
-		return nil, fmt.Errorf("%w: %s", ErrCorrupt, msg)
+	_, r, err := durable.Open(raw, objMagic, 2, objVersion)
+	if err != nil {
+		return nil, err
 	}
-	if len(raw) < 4+2+4+4 {
-		return fail("short object manifest")
-	}
-	body, ok := durable.Unseal(raw)
-	if !ok {
-		return fail("object manifest crc mismatch")
-	}
-	if string(body[:4]) != objMagic {
-		return fail("bad magic")
-	}
-	if v := binary.LittleEndian.Uint16(body[4:]); v != objVersion {
-		return nil, fmt.Errorf("%w: object manifest version %d", ErrUnsupported, v)
-	}
-	p := 6
-	need := func(n int) bool { return len(body)-p >= n }
-	if !need(4) {
-		return fail("truncated object count")
-	}
-	n := int(binary.LittleEndian.Uint32(body[p:]))
-	p += 4
-	if n > maxObjects {
-		return fail("object count too large")
-	}
+	n := r.Fit(uint64(r.U32()), 32)
 	objs := make(map[string]*object, n)
 	for i := 0; i < n; i++ {
-		if !need(2) {
-			return fail("truncated name length")
-		}
-		nameLen := int(binary.LittleEndian.Uint16(body[p:]))
-		p += 2
-		if nameLen == 0 || nameLen > maxObjectName || !need(nameLen) {
-			return fail("bad name length")
-		}
-		name := string(body[p : p+nameLen])
-		p += nameLen
-		if !need(8 + 4 + 2 + 2 + 2) {
-			return fail("truncated object header")
-		}
-		o := &object{
-			size:  int64(binary.LittleEndian.Uint64(body[p:])),
-			crc:   binary.LittleEndian.Uint32(body[p+8:]),
-			depth: int(binary.LittleEndian.Uint16(body[p+12:])),
-		}
-		flags := binary.LittleEndian.Uint16(body[p+14:])
-		baseLen := int(binary.LittleEndian.Uint16(body[p+16:]))
-		p += 18
-		if flags&^objFlagCompressed != 0 {
-			return fail("unknown object flags")
-		}
+		name := string(r.Bytes(int(r.U16())))
+		o := &object{size: int64(r.U64()), crc: r.U32(), depth: int(r.U16())}
+		flags := r.U16()
 		o.comp = flags&objFlagCompressed != 0
-		if baseLen > maxObjectName || !need(baseLen) {
-			return fail("bad base length")
-		}
-		o.base = string(body[p : p+baseLen])
-		p += baseLen
-		if o.size < 0 || (o.depth == 0) != (o.base == "") {
-			return fail("inconsistent depth/base")
-		}
-		if o.comp && o.base == "" {
-			return fail("compressed residual without a base")
-		}
-		if !need(12) {
-			return fail("truncated chunk list header")
-		}
-		o.newBytes = int64(binary.LittleEndian.Uint64(body[p:]))
-		nChunks := int(binary.LittleEndian.Uint32(body[p+8:]))
-		p += 12
-		if nChunks > maxObjectChunk || !need(nChunks*32) {
-			return fail("bad chunk count")
-		}
-		o.chunks = make([]Key, nChunks)
+		o.base = string(r.Bytes(int(r.U16())))
+		o.newBytes = int64(r.U64())
+		o.chunks = make([]Key, r.Fit(uint64(r.U32()), 32))
 		for j := range o.chunks {
-			copy(o.chunks[j][:], body[p:])
-			p += 32
+			copy(o.chunks[j][:], r.Bytes(32))
 		}
-		if _, dup := objs[name]; dup {
-			return fail("duplicate object name")
+		if r.Err() != nil {
+			break
+		}
+		switch _, dup := objs[name]; {
+		case name == "" || len(name) > maxObjectName || len(o.base) > maxObjectName:
+			r.Failf("bad name or base length")
+		case flags&^objFlagCompressed != 0:
+			r.Failf("object %q: unknown flags %#x", name, flags)
+		case o.size < 0 || (o.depth == 0) != (o.base == ""):
+			r.Failf("object %q: inconsistent depth/base", name)
+		case o.comp && o.base == "":
+			r.Failf("object %q: compressed residual without a base", name)
+		case dup:
+			r.Failf("duplicate object name %q", name)
 		}
 		objs[name] = o
 	}
-	if p != len(body) {
-		return fail("trailing bytes")
+	if err := r.End(); err != nil {
+		return nil, err
 	}
 	return objs, nil
 }

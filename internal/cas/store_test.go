@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"mistique/internal/durable"
 )
 
 func openStore(t *testing.T, dir string, cfg Config) *Store {
@@ -259,7 +261,7 @@ func TestStoreCorruptReconstructionCaught(t *testing.T) {
 	sawCorrupt := false
 	for _, name := range []string{"v0", "v1"} {
 		if _, err := s2.Get(name); err != nil {
-			if !errors.Is(err, ErrCorrupt) {
+			if !errors.Is(err, durable.ErrCorrupt) {
 				t.Fatalf("%s: error not typed: %v", name, err)
 			}
 			sawCorrupt = true

@@ -26,27 +26,20 @@ func KeyOf(data []byte) Key { return sha256.Sum256(data) }
 
 func (k Key) String() string { return hex.EncodeToString(k[:8]) }
 
-var (
-	// ErrCorrupt marks structural damage: a CRC mismatch, a truncated
-	// index, an offset pointing past a segment. Callers must treat the
-	// payload as unavailable, never as approximately right.
-	ErrCorrupt = errors.New("cas: corrupt")
-	// ErrNotFound is returned for keys the table has never stored or
-	// has garbage-collected.
-	ErrNotFound = errors.New("cas: chunk not found")
-	// ErrUnsupported is returned for index/object files written by a
-	// future format version; the file is left in place.
-	ErrUnsupported = errors.New("cas: unsupported format version")
-)
+// ErrNotFound is returned for keys the table has never stored or has
+// garbage-collected. Structural damage — a CRC mismatch, a truncated
+// index, an offset pointing past a segment — is durable.ErrCorrupt:
+// callers must treat the payload as unavailable, never as approximately
+// right. An index or object file from a future format version is
+// durable.ErrUnsupported and is left in place.
+var ErrNotFound = errors.New("cas: chunk not found")
 
 const (
 	idxMagic   = "MQCI"
 	idxVersion = 1
 	indexName  = "INDEX.bin"
 
-	maxIndexSegs   = 1 << 20
-	maxIndexChunks = 1 << 24
-	maxChunkSize   = 1 << 30
+	maxChunkSize = 1 << 30
 )
 
 // entry is one chunk's row in the table. Until the first Flush the
@@ -94,7 +87,7 @@ type Table struct {
 }
 
 // OpenTable opens (or creates) a chunk table in dir. A missing index
-// means an empty table; a corrupt index fails with ErrCorrupt rather
+// means an empty table; a corrupt index fails with durable.ErrCorrupt rather
 // than silently dropping chunks. Orphan temp files and segments the
 // index does not reference — both produced only by crashes between
 // publishes — are swept.
@@ -208,7 +201,7 @@ func (t *Table) Release(k Key) {
 }
 
 // Get returns the chunk payload. Flushed chunks are read back from
-// their segment and CRC-verified: a bit flip yields ErrCorrupt, never
+// their segment and CRC-verified: a bit flip yields durable.ErrCorrupt, never
 // wrong bytes.
 func (t *Table) Get(k Key) ([]byte, error) {
 	t.mu.Lock()
@@ -227,15 +220,15 @@ func (t *Table) Get(k Key) ([]byte, error) {
 
 	f, err := os.Open(filepath.Join(t.dir, segName(seg)))
 	if err != nil {
-		return nil, fmt.Errorf("%w: chunk %s: %v", ErrCorrupt, k, err)
+		return nil, fmt.Errorf("%w: chunk %s: %v", durable.ErrCorrupt, k, err)
 	}
 	defer f.Close()
 	buf := make([]byte, size)
 	if _, err := f.ReadAt(buf, off); err != nil {
-		return nil, fmt.Errorf("%w: chunk %s: %v", ErrCorrupt, k, err)
+		return nil, fmt.Errorf("%w: chunk %s: %v", durable.ErrCorrupt, k, err)
 	}
 	if crc32.Checksum(buf, durable.Castagnoli) != crc {
-		return nil, fmt.Errorf("%w: chunk %s: crc mismatch", ErrCorrupt, k)
+		return nil, fmt.Errorf("%w: chunk %s: crc mismatch", durable.ErrCorrupt, k)
 	}
 	return buf, nil
 }
@@ -337,78 +330,45 @@ func (t *Table) marshalIndexLocked() []byte {
 }
 
 // parseIndex decodes an index image. It is a pure function so hostile
-// inputs can be fuzzed directly; every malformation returns ErrCorrupt
-// (or ErrUnsupported for future versions), never a panic and never a
-// partially-believed table.
+// inputs can be fuzzed directly; every malformation returns
+// durable.ErrCorrupt (or durable.ErrUnsupported for future versions),
+// never a panic and never a partially-believed table.
 func parseIndex(raw []byte) (nextSeg int, segs map[int]int64, entries map[Key]*entry, err error) {
-	fail := func(msg string) (int, map[int]int64, map[Key]*entry, error) {
-		return 0, nil, nil, fmt.Errorf("%w: %s", ErrCorrupt, msg)
+	_, r, err := durable.Open(raw, idxMagic, 2, idxVersion)
+	if err != nil {
+		return 0, nil, nil, err
 	}
-	if len(raw) < 4+2+4+4+4+4 {
-		return fail("short index")
-	}
-	body, ok := durable.Unseal(raw)
-	if !ok {
-		return fail("index crc mismatch")
-	}
-	if string(body[:4]) != idxMagic {
-		return fail("bad magic")
-	}
-	if v := binary.LittleEndian.Uint16(body[4:]); v != idxVersion {
-		return 0, nil, nil, fmt.Errorf("%w: index version %d", ErrUnsupported, v)
-	}
-	p := 6
-	need := func(n int) bool { return len(body)-p >= n }
-	if !need(8) {
-		return fail("truncated header")
-	}
-	nextSeg = int(binary.LittleEndian.Uint32(body[p:]))
-	nSegs := int(binary.LittleEndian.Uint32(body[p+4:]))
-	p += 8
-	if nSegs > maxIndexSegs || !need(nSegs*12) {
-		return fail("bad segment count")
-	}
+	nextSeg = int(r.U32())
+	nSegs := r.Fit(uint64(r.U32()), 12)
 	segs = make(map[int]int64, nSegs)
 	for i := 0; i < nSegs; i++ {
-		id := int(binary.LittleEndian.Uint32(body[p:]))
-		size := int64(binary.LittleEndian.Uint64(body[p+4:]))
-		p += 12
+		id := int(r.U32())
+		size := int64(r.U64())
 		if id >= nextSeg || size < 0 {
-			return fail("segment out of range")
+			r.Failf("segment %d out of range", id)
 		}
 		if _, dup := segs[id]; dup {
-			return fail("duplicate segment")
+			r.Failf("duplicate segment %d", id)
 		}
 		segs[id] = size
 	}
-	if !need(4) {
-		return fail("truncated chunk count")
-	}
-	nChunks := int(binary.LittleEndian.Uint32(body[p:]))
-	p += 4
-	if nChunks > maxIndexChunks || !need(nChunks*52) {
-		return fail("bad chunk count")
-	}
+	nChunks := r.Fit(uint64(r.U32()), 52)
 	entries = make(map[Key]*entry, nChunks)
 	for i := 0; i < nChunks; i++ {
 		var k Key
-		copy(k[:], body[p:])
-		seg := int(binary.LittleEndian.Uint32(body[p+32:]))
-		off := int64(binary.LittleEndian.Uint64(body[p+36:]))
-		size := int(binary.LittleEndian.Uint32(body[p+44:]))
-		crc := binary.LittleEndian.Uint32(body[p+48:])
-		p += 52
-		segSize, ok := segs[seg]
-		if !ok || off < 0 || size > maxChunkSize || off+int64(size) > segSize {
-			return fail("chunk outside segment")
+		copy(k[:], r.Bytes(32))
+		e := &entry{seg: int(r.U32()), off: int64(r.U64()), size: int(r.U32()), crc: r.U32()}
+		segSize, ok := segs[e.seg]
+		if !ok || e.off < 0 || e.size > maxChunkSize || e.off+int64(e.size) > segSize {
+			r.Failf("chunk %s outside its segment", k)
 		}
 		if _, dup := entries[k]; dup {
-			return fail("duplicate chunk key")
+			r.Failf("duplicate chunk key %s", k)
 		}
-		entries[k] = &entry{seg: seg, off: off, size: size, crc: crc}
+		entries[k] = e
 	}
-	if p != len(body) {
-		return fail("trailing bytes")
+	if err := r.End(); err != nil {
+		return 0, nil, nil, err
 	}
 	return nextSeg, segs, entries, nil
 }
@@ -491,15 +451,15 @@ func (t *Table) getPayloadLocked(e *entry) ([]byte, error) {
 	}
 	f, err := os.Open(filepath.Join(t.dir, segName(e.seg)))
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		return nil, fmt.Errorf("%w: %v", durable.ErrCorrupt, err)
 	}
 	defer f.Close()
 	buf := make([]byte, e.size)
 	if _, err := f.ReadAt(buf, e.off); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		return nil, fmt.Errorf("%w: %v", durable.ErrCorrupt, err)
 	}
 	if crc32.Checksum(buf, durable.Castagnoli) != e.crc {
-		return nil, fmt.Errorf("%w: crc mismatch", ErrCorrupt)
+		return nil, fmt.Errorf("%w: crc mismatch", durable.ErrCorrupt)
 	}
 	return buf, nil
 }

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"mistique/internal/durable"
 	"mistique/internal/faultfs"
 )
 
@@ -140,7 +141,7 @@ func TestTableCorruptChunkDetected(t *testing.T) {
 	if err := os.WriteFile(seg, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tab.Get(k); !errors.Is(err, ErrCorrupt) {
+	if _, err := tab.Get(k); !errors.Is(err, durable.ErrCorrupt) {
 		t.Fatalf("bit flip not caught: %v", err)
 	}
 }
@@ -156,7 +157,7 @@ func TestTableCorruptIndexRejected(t *testing.T) {
 	raw, _ := os.ReadFile(idx)
 	raw[len(raw)/2] ^= 0x01
 	os.WriteFile(idx, raw, 0o644)
-	if _, err := OpenTable(dir, nil); !errors.Is(err, ErrCorrupt) {
+	if _, err := OpenTable(dir, nil); !errors.Is(err, durable.ErrCorrupt) {
 		t.Fatalf("corrupt index accepted: %v", err)
 	}
 }

@@ -470,7 +470,7 @@ func Open(dir string, cfg Config) (*Store, error) {
 	}
 	manifestCorrupt := false
 	if err := s.loadManifest(); err != nil {
-		if !errors.Is(err, errCorruptManifest) {
+		if !errors.Is(err, durable.ErrCorrupt) {
 			return nil, err
 		}
 		// A corrupt manifest survives only literal disk corruption (the
@@ -684,7 +684,7 @@ func (s *Store) putColumn(key ColumnKey, vals []float32, q *quant.Quantizer, par
 		res.Depth = spec.depth
 	}
 	s.touchLocked(p.id)
-	if err := s.evictIfNeededLocked(); err != nil {
+	if err := s.evictIfNeededLocked(-1); err != nil {
 		return PutResult{}, err
 	}
 	return res, nil
@@ -1122,21 +1122,8 @@ func (s *Store) chunkRef(id ChunkID) (*chunk, error) {
 		s.markUnresolvedLostLocked(id.Partition, chunks)
 	}
 	if p.chunks == nil {
-		p.chunks = chunks
-		p.bytes = payload
-		p.dirty = false
-		s.memBytes += payload
-		s.stats.DiskReads++
-		s.stats.DiskReadBytes += fileBytes
-		s.touchLocked(id.Partition)
-		if err := s.evictIfNeededLocked(); err != nil {
+		if err := s.installLocked(p, chunks, payload, fileBytes); err != nil {
 			return nil, err
-		}
-		if p.chunks == nil {
-			// Pathological budget smaller than one partition: keep it
-			// resident anyway for this read.
-			p.chunks = chunks
-			s.memBytes += payload
 		}
 	}
 	if _, bad := s.lostChunks[id]; bad {
@@ -1336,10 +1323,26 @@ func (s *Store) touchLocked(pid int64) {
 	s.lru = append(s.lru, pid)
 }
 
+// installLocked makes a partition just read from disk resident and brings
+// the pool back under budget around it: a pool smaller than one partition
+// still serves this read, and the partition stays on the LRU, so the next
+// page-in is what evicts it. Caller holds mu.
+func (s *Store) installLocked(p *partition, chunks []*chunk, payload, fileBytes int64) error {
+	p.chunks = chunks
+	p.bytes = payload
+	p.dirty = false
+	s.memBytes += payload
+	s.stats.DiskReads++
+	s.stats.DiskReadBytes += fileBytes
+	s.touchLocked(p.id)
+	return s.evictIfNeededLocked(p.id)
+}
+
 // evictIfNeededLocked writes out and drops LRU partitions until the memory
 // budget is met. The partition currently being filled is never evicted,
-// and neither is one whose file a Flush/Compact worker owns (flushing).
-func (s *Store) evictIfNeededLocked() error {
+// and neither is keep (the one being installed; -1 for none) or one whose
+// file a Flush/Compact worker owns (flushing).
+func (s *Store) evictIfNeededLocked(keep int64) error {
 	skipped := 0
 	for s.memBytes > s.cfg.MemBudgetBytes && len(s.lru) > 1 && skipped < len(s.lru) {
 		pid := s.lru[0]
@@ -1348,8 +1351,9 @@ func (s *Store) evictIfNeededLocked() error {
 		if !ok || p.chunks == nil {
 			continue
 		}
-		if pid == s.current || p.flushing {
-			// Keep the open / being-flushed partition resident; re-queue.
+		if pid == s.current || pid == keep || p.flushing {
+			// Keep the open / installing / being-flushed partition
+			// resident; re-queue.
 			s.lru = append(s.lru, pid)
 			skipped++
 			if len(s.lru) == 1 {

@@ -248,6 +248,57 @@ func TestEvictionUnderMemoryPressure(t *testing.T) {
 	}
 }
 
+// TestPoolSmallerThanPartitionStillEvicts: with a budget below one
+// partition and an open partition pinned in the pool, each cold read still
+// has to be served — and has to push out the previous one. The page-in
+// paths used to re-install the partition after the eviction loop had
+// dropped it from the LRU, so nothing ever evicted it again and the pool
+// grew to the whole working set.
+func TestPoolSmallerThanPartitionStillEvicts(t *testing.T) {
+	const budget, target = 4 << 10, 8 << 10
+	s := openTest(t, Config{MemBudgetBytes: budget, PartitionTargetBytes: target})
+	const cols = 40 // 8 KiB each: one to a partition, so no warm hit re-queues it
+	for i := 0; i < cols; i++ {
+		if _, err := s.PutColumn(key("m", "i", fmt.Sprintf("c%d", i), 0), randCol(2048, int64(100+i)), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A small column opens the partition that stays pinned as s.current.
+	if _, err := s.PutColumn(key("m", "i", "open", 0), randCol(16, 1), nil); err != nil {
+		t.Fatal(err)
+	}
+	var largest int64
+	s.mu.Lock()
+	if s.current < 0 {
+		t.Fatal("no open partition to pin")
+	}
+	for _, p := range s.parts {
+		largest = max(largest, p.bytes)
+	}
+	s.mu.Unlock()
+
+	before := s.Stats()
+	for pass := 0; pass < 2; pass++ {
+		for i := 0; i < cols; i++ {
+			if _, err := s.GetColumn(key("m", "i", fmt.Sprintf("c%d", i), 0)); err != nil {
+				t.Fatalf("pass %d column %d: %v", pass, i, err)
+			}
+			s.mu.Lock()
+			resident := s.memBytes
+			s.mu.Unlock()
+			if resident > budget+largest {
+				t.Fatalf("pass %d column %d: %d bytes resident, budget %d + one partition %d", pass, i, resident, budget, largest)
+			}
+		}
+	}
+	after := s.Stats()
+	if pageIns := after.DiskReads - before.DiskReads; pageIns < 32 {
+		t.Fatalf("only %d page-ins; the test needs a cold working set", pageIns)
+	} else if evicted := after.Evictions - before.Evictions; evicted < pageIns-1 {
+		t.Fatalf("%d page-ins evicted only %d partitions", pageIns, evicted)
+	}
+}
+
 func TestScatterModeSpreadsChunks(t *testing.T) {
 	s := openTest(t, Config{Mode: ModeScatter, ScatterWays: 4})
 	for i := 0; i < 8; i++ {

@@ -42,8 +42,8 @@ import (
 // earlier in partition order) and fullCRC checks the reconstruction. A
 // partition containing no delta chunks is still written as v2, byte-
 // identical to pre-delta stores; v3 appears only when needed, so old
-// binaries reject exactly the files they cannot read (ErrUnsupportedFormat
-// leaves them in place for a newer binary).
+// binaries reject exactly the files they cannot read
+// (durable.ErrUnsupported leaves them in place for a newer binary).
 //
 // On disk the image is wrapped by a codec. Two framings exist:
 //
@@ -57,9 +57,10 @@ import (
 //
 // The reader sniffs the first bytes: gzip magic -> legacy framing, MQPC
 // -> v3 container. A v3 container with an unknown codec ID or a future
-// version fails with ErrUnsupportedFormat — typed, so recovery can keep
-// the (perfectly intact) file for a newer binary instead of deleting it
-// as corrupt.
+// version fails with durable.ErrUnsupported — a forward-compatibility
+// rejection, not corruption: the partition's chunks answer ErrUnavailable,
+// but recovery keeps the (perfectly intact) file for a newer binary
+// instead of quarantining it as corrupt.
 const (
 	partMagic = "MQPT"
 	// partVersion is the format written for all-full partitions;
@@ -72,13 +73,6 @@ const (
 	contVersion = 3
 	contHdrLen  = 7 // magic + version uint16 + codec ID byte
 )
-
-// ErrUnsupportedFormat marks a partition file written in a format (or by
-// a codec) this binary does not understand — a forward-compatibility
-// rejection, not corruption. The partition's chunks answer
-// ErrUnavailable, but the file itself is left in place: a newer binary
-// can still read it.
-var ErrUnsupportedFormat = errors.New("colstore: unsupported partition file format")
 
 // Scratch pools for the flush and page-in hot paths. Ownership rule: a
 // pooled object may be held only for the duration of one call; nothing
@@ -215,30 +209,28 @@ func decodePartitionImage(comp []byte, rawHint int) ([]byte, error) {
 	if hint <= 0 {
 		hint = 64 << 10
 	}
-	switch {
-	case len(comp) >= 2 && comp[0] == 0x1f && comp[1] == 0x8b:
-		// Legacy framing: a bare gzip stream (v1/v2 files, and everything
-		// the gzip codec writes today).
-		return codec.MustByID(codec.IDGzip).Decompress(make([]byte, 0, hint), comp)
-	case len(comp) >= contHdrLen && string(comp[:4]) == contMagic:
-		version := binary.LittleEndian.Uint16(comp[4:])
-		if version != contVersion {
-			return nil, fmt.Errorf("%w: container version %d", ErrUnsupportedFormat, version)
-		}
-		c, err := codec.ByID(comp[6])
+	// Legacy framing: a bare gzip stream (v1/v2 files, and everything the
+	// gzip codec writes today).
+	c, payload := codec.MustByID(codec.IDGzip), comp
+	if len(comp) < 2 || comp[0] != 0x1f || comp[1] != 0x8b {
+		version, r, err := durable.OpenUnsealed(comp, contMagic, 2, contVersion)
 		if err != nil {
-			return nil, fmt.Errorf("%w: codec id %d", ErrUnsupportedFormat, comp[6])
+			return nil, err
 		}
-		img, err := c.Decompress(make([]byte, 0, hint), comp[contHdrLen:])
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", c.Name(), err)
+		id := r.U8()
+		if version != contVersion || r.Err() != nil {
+			return nil, fmt.Errorf("%w: container version %d, %d header bytes", durable.ErrCorrupt, version, len(comp))
 		}
-		return img, nil
-	case len(comp) >= 4 && string(comp[:4]) == contMagic:
-		return nil, fmt.Errorf("%w: truncated container header", ErrUnsupportedFormat)
-	default:
-		return nil, fmt.Errorf("not a partition file (bad leading bytes)")
+		if c, err = codec.ByID(id); err != nil {
+			return nil, fmt.Errorf("%w: codec id %d", durable.ErrUnsupported, id)
+		}
+		payload = comp[r.Offset():]
 	}
+	img, err := c.Decompress(make([]byte, 0, hint), payload)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %s: %v", durable.ErrCorrupt, c.Name(), err)
+	}
+	return img, nil
 }
 
 // writeImageFileAt codec-compresses a serialized partition image and
@@ -401,7 +393,7 @@ func readAllSized(r io.Reader, hint int) ([]byte, error) {
 // stream starting with a codec framing — gzip magic or the v3 container
 // — is decompressed first; anything else is treated as a bare image, the
 // historical contract of this seam. Unknown container versions or codec
-// IDs fail with ErrUnsupportedFormat, exactly like the file path.
+// IDs fail with durable.ErrUnsupported, exactly like the file path.
 func readPartitionFrom(r io.Reader) ([]*chunk, int64, error) {
 	img, err := readAllSized(r, 0)
 	if err != nil {
@@ -464,139 +456,78 @@ func (s *Store) loadPartitionLocked(pid int64) (*partition, error) {
 	if deltaLost {
 		s.markUnresolvedLostLocked(pid, chunks)
 	}
-	p.chunks = chunks
-	p.bytes = payload
-	p.dirty = false
-	s.memBytes += payload
-	s.stats.DiskReads++
-	s.stats.DiskReadBytes += fileBytes
-	s.touchLocked(pid)
-	if err := s.evictIfNeededLocked(); err != nil {
+	if err := s.installLocked(p, chunks, payload, fileBytes); err != nil {
 		return nil, err
-	}
-	if p.chunks == nil {
-		// Pathological budget smaller than one partition: keep it resident
-		// anyway for this read.
-		p.chunks = chunks
-		s.memBytes += payload
 	}
 	return p, nil
 }
 
-// Sanity bounds for partition decoding. A corrupt (or malicious) header
-// must produce an error, not a multi-gigabyte allocation: length fields are
-// validated before any buffer is sized from them.
-const (
-	maxChunkBlob  = 1 << 30 // quantizer table or encoded payload
-	chunkPrealloc = 1 << 12 // initial chunk-slice capacity
-)
+// chunkPrealloc caps the chunk-slice capacity taken from the header.
+const chunkPrealloc = 1 << 12
 
 // parsePartition decodes and checksum-verifies an uncompressed partition
 // image. Chunk payloads are subslices of img (chunks are immutable and a
 // partition's payloads live and die together, so one arena replaces a pair
 // of allocations per chunk); img must therefore not be reused afterwards.
+// A future image version is durable.ErrUnsupported whatever the rest of
+// the bytes say; every other rejection wraps durable.ErrCorrupt.
 func parsePartition(img []byte) ([]*chunk, int64, error) {
-	pos := 0
-	// take returns the next n bytes of the image, or an io error shaped
-	// like the streaming reader's (truncation maps to ErrUnexpectedEOF).
-	take := func(n int) ([]byte, error) {
-		if n > len(img)-pos {
-			if pos == len(img) {
-				return nil, io.EOF
-			}
-			return nil, io.ErrUnexpectedEOF
-		}
-		b := img[pos : pos+n]
-		pos += n
-		return b, nil
+	version, r, err := durable.OpenUnsealed(img, partMagic, 2, partVersionDelta)
+	if err == nil && version >= 2 {
+		// v1 predates the checksums; everything since is a sealed image.
+		_, r, err = durable.Open(img, partMagic, 2, partVersionDelta)
 	}
-	hdr, err := take(10)
 	if err != nil {
 		return nil, 0, err
 	}
-	if string(hdr[:4]) != partMagic {
-		return nil, 0, fmt.Errorf("bad magic %q", hdr[:4])
-	}
-	version := binary.LittleEndian.Uint16(hdr[4:])
-	if version != 1 && version != partVersion && version != partVersionDelta {
-		// A future image version is a forward-compat rejection, not
-		// corruption: the bytes are presumed intact, just unreadable here.
-		return nil, 0, fmt.Errorf("%w: image version %d", ErrUnsupportedFormat, version)
-	}
-	n := int(binary.LittleEndian.Uint32(hdr[6:]))
-	prealloc := n
-	if prealloc > chunkPrealloc {
-		prealloc = chunkPrealloc // grow on demand; don't trust the header
-	}
+	// Every chunk carries at least its 12-byte meta.
+	n := r.Fit(uint64(r.U32()), 12)
+	prealloc := min(n, chunkPrealloc)
 	chunks := make([]*chunk, 0, prealloc)
 	// Chunk and quantizer structs come out of per-partition slabs (two
 	// allocations instead of two per chunk). Pointers are taken only while
 	// len < cap, so append never relocates a referenced element; past the
-	// distrusted-header prealloc they fall back to singles.
+	// prealloc they fall back to singles.
 	chunkSlab := make([]chunk, 0, prealloc)
 	quantSlab := make([]quant.Quantizer, 0, prealloc)
 	var payload int64
 	for i := 0; i < n; i++ {
-		metaStart := pos
+		metaStart := r.Offset()
 		isDelta := false
 		if version >= partVersionDelta {
-			fb, err := take(1)
-			if err != nil {
-				return nil, 0, fmt.Errorf("chunk %d flags: %w", i, err)
-			}
-			switch fb[0] {
+			switch flags := r.U8(); flags {
 			case 0:
 			case 1:
 				isDelta = true
 			default:
-				return nil, 0, fmt.Errorf("chunk %d unknown flags %#x", i, fb[0])
+				r.Failf("chunk %d unknown flags %#x", i, flags)
 			}
 		}
-		meta, err := take(12)
-		if err != nil {
-			return nil, 0, fmt.Errorf("chunk %d header: %w", i, err)
-		}
-		count := int(binary.LittleEndian.Uint32(meta))
-		qlen := int(binary.LittleEndian.Uint32(meta[4:]))
-		elen := int(binary.LittleEndian.Uint32(meta[8:]))
-		if qlen > maxChunkBlob || elen > maxChunkBlob {
-			return nil, 0, fmt.Errorf("chunk %d implausible sizes q=%d e=%d", i, qlen, elen)
-		}
+		count, qlen, elen := int(r.U32()), int(r.U32()), int(r.U32())
 		var base ChunkID
 		var depth int
 		var fullCRC uint32
 		if isDelta {
-			ext, err := take(18)
-			if err != nil {
-				return nil, 0, fmt.Errorf("chunk %d delta extras: %w", i, err)
-			}
-			base.Partition = int64(binary.LittleEndian.Uint64(ext))
-			base.Index = int(binary.LittleEndian.Uint32(ext[8:]))
-			depth = int(binary.LittleEndian.Uint16(ext[12:]))
-			fullCRC = binary.LittleEndian.Uint32(ext[14:])
+			base.Partition = int64(r.U64())
+			base.Index = int(r.U32())
+			depth = int(r.U16())
+			fullCRC = r.U32()
 			if base.Partition < 0 || depth < 1 {
-				return nil, 0, fmt.Errorf("chunk %d implausible delta base %d/%d depth %d", i, base.Partition, base.Index, depth)
+				r.Failf("chunk %d implausible delta base %d/%d depth %d", i, base.Partition, base.Index, depth)
 			}
 		}
-		qb, err := take(qlen)
-		if err != nil {
-			return nil, 0, fmt.Errorf("chunk %d quantizer: %w", i, err)
-		}
-		enc, err := take(elen)
-		if err != nil {
-			return nil, 0, fmt.Errorf("chunk %d payload: %w", i, err)
-		}
+		qb := r.Bytes(qlen)
+		enc := r.Bytes(elen)
 		if version >= 2 {
 			// flags, meta, delta extras, quantizer and payload are
 			// contiguous in the image: one Checksum covers them all.
-			got := crc32.Checksum(img[metaStart:pos], durable.Castagnoli)
-			crcBuf, err := take(4)
-			if err != nil {
-				return nil, 0, fmt.Errorf("chunk %d checksum: %w", i, err)
+			got := crc32.Checksum(img[metaStart:r.Offset()], durable.Castagnoli)
+			if want := r.U32(); got != want {
+				r.Failf("chunk %d checksum mismatch: file says %08x, data hashes to %08x", i, want, got)
 			}
-			if want := binary.LittleEndian.Uint32(crcBuf); got != want {
-				return nil, 0, fmt.Errorf("chunk %d checksum mismatch: file says %08x, data hashes to %08x", i, want, got)
-			}
+		}
+		if err := r.Err(); err != nil {
+			return nil, 0, err
 		}
 		var q *quant.Quantizer
 		if len(quantSlab) < cap(quantSlab) {
@@ -626,16 +557,8 @@ func parsePartition(img []byte) ([]*chunk, int64, error) {
 		payload += int64(elen)
 	}
 	if version >= 2 {
-		fileCRC := crc32.Checksum(img[:pos], durable.Castagnoli)
-		foot, err := take(4)
-		if err != nil {
-			return nil, 0, fmt.Errorf("file footer: %w", err)
-		}
-		if want := binary.LittleEndian.Uint32(foot); want != fileCRC {
-			return nil, 0, fmt.Errorf("file checksum mismatch: footer says %08x, contents hash to %08x", want, fileCRC)
-		}
-		if pos != len(img) {
-			return nil, 0, fmt.Errorf("trailing bytes after footer")
+		if err := r.End(); err != nil {
+			return nil, 0, err
 		}
 	}
 	return chunks, payload, nil

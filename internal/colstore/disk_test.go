@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"mistique/internal/codec"
+	"mistique/internal/durable"
 	"mistique/internal/faultfs"
 	"mistique/internal/quant"
 )
@@ -138,7 +139,7 @@ func TestLegacyFilesReadableUnderAnyCodecConfig(t *testing.T) {
 }
 
 // TestUnknownCodecIDUnsupported: a v3 container naming a codec this
-// binary does not have must fail with ErrUnsupportedFormat.
+// binary does not have must fail with durable.ErrUnsupported.
 func TestUnknownCodecIDUnsupported(t *testing.T) {
 	chunks := testChunks(t, 2)
 	path := filepath.Join(t.TempDir(), partFileName(0, 0))
@@ -154,8 +155,8 @@ func TestUnknownCodecIDUnsupported(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, _, _, err = readPartitionFile(path, 0)
-	if !errors.Is(err, ErrUnsupportedFormat) {
-		t.Fatalf("unknown codec ID: got %v, want ErrUnsupportedFormat", err)
+	if !errors.Is(err, durable.ErrUnsupported) {
+		t.Fatalf("unknown codec ID: got %v, want durable.ErrUnsupported", err)
 	}
 }
 
@@ -176,8 +177,8 @@ func TestFutureContainerVersionUnsupported(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, _, _, err = readPartitionFile(path, 0)
-	if !errors.Is(err, ErrUnsupportedFormat) {
-		t.Fatalf("future container version: got %v, want ErrUnsupportedFormat", err)
+	if !errors.Is(err, durable.ErrUnsupported) {
+		t.Fatalf("future container version: got %v, want durable.ErrUnsupported", err)
 	}
 }
 
@@ -189,8 +190,8 @@ func TestFutureImageVersionUnsupported(t *testing.T) {
 	img := serializePartition(nil, chunks)
 	img[4] = partVersionDelta + 1
 	_, _, err := parsePartition(img)
-	if !errors.Is(err, ErrUnsupportedFormat) {
-		t.Fatalf("future image version: got %v, want ErrUnsupportedFormat", err)
+	if !errors.Is(err, durable.ErrUnsupported) {
+		t.Fatalf("future image version: got %v, want durable.ErrUnsupported", err)
 	}
 }
 
@@ -214,7 +215,7 @@ func (evilCodec) Decompress(dst, src []byte) ([]byte, error) {
 
 // TestWrongCodecRoundTripCaughtByCRC: a codec that silently corrupts its
 // payload must be caught by the image checksums — the read fails, it is
-// NOT ErrUnsupportedFormat (the format was understood; the bytes are
+// NOT durable.ErrUnsupported (the format was understood; the bytes are
 // bad), and no chunks are returned.
 func TestWrongCodecRoundTripCaughtByCRC(t *testing.T) {
 	codec.Register(evilCodec{})
@@ -227,7 +228,7 @@ func TestWrongCodecRoundTripCaughtByCRC(t *testing.T) {
 	if err == nil {
 		t.Fatal("corrupting decompress produced a clean read")
 	}
-	if errors.Is(err, ErrUnsupportedFormat) {
+	if errors.Is(err, durable.ErrUnsupported) {
 		t.Fatalf("CRC corruption misclassified as unsupported format: %v", err)
 	}
 	if got != nil {

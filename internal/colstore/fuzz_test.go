@@ -3,13 +3,13 @@ package colstore
 import (
 	"bytes"
 	"compress/gzip"
+	"errors"
 	"hash/crc32"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"mistique/internal/codec"
 	"mistique/internal/durable"
+	"mistique/internal/durable/durabletest"
 	"mistique/internal/quant"
 )
 
@@ -96,10 +96,10 @@ func validDeltaImage(t testing.TB) []byte {
 }
 
 // FuzzPartitionFile feeds arbitrary bytes through the partition read path
-// (decompress -> header parse -> chunk decode). A corrupt or truncated file
-// must produce an error — never a panic, never a runaway allocation — and
-// anything that parses must survive a re-serialize/re-read round trip and
-// decode every chunk cleanly.
+// (decompress -> header parse -> chunk decode) under the shared decoder
+// contract. A corrupt or truncated file must produce a typed error — never
+// a panic, never a runaway allocation — and anything that parses must
+// survive a re-serialize/re-read round trip and decode every chunk cleanly.
 func FuzzPartitionFile(f *testing.F) {
 	raw := validPartitionImage(f)
 	valid := gzipped(f, raw)
@@ -149,25 +149,37 @@ func FuzzPartitionFile(f *testing.F) {
 	f.Add(futureVersion)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		path := filepath.Join(t.TempDir(), "partition_00000000.bin.gz")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		chunks, payload, _, err := readPartitionFile(path, 0)
+		// A codec legitimately expands its input, so the contract's
+		// allocation bound starts at the decompressed image; the framing
+		// only has to fail typed.
+		img, err := decodePartitionImage(data, 0)
 		if err != nil {
-			return // rejected cleanly: that's the contract
+			if !errors.Is(err, durable.ErrCorrupt) && !errors.Is(err, durable.ErrUnsupported) {
+				t.Fatalf("untyped framing error: %v", err)
+			}
+			img = data // not framed: a bare image, as readPartitionFrom reads it
 		}
-		// Whatever parsed must be fully usable: decodable chunks and a
-		// stable round trip through the writer.
-		var sum int64
+		durabletest.Input(t, img, reparse(t))
+	})
+}
+
+// reparse parses a partition image and holds whatever parses to the
+// format's promises: fully usable chunks and a stable round trip through
+// the writer.
+func reparse(t testing.TB) func([]byte) error {
+	return func(img []byte) error {
+		chunks, payload, err := parsePartition(img)
+		if err != nil {
+			return err // rejected cleanly: that's the contract
+		}
 		for i, c := range chunks {
 			if c.count < 0 || c.count > 1<<20 {
 				t.Fatalf("chunk %d parsed with absurd count %d", i, c.count)
 			}
-			if _, derr := c.q.Decode(make([]float32, 0, c.count), c.enc, c.count); derr != nil {
-				continue // short payload for the claimed count: error, not panic
+			if c.enc != nil {
+				// A short payload for the claimed count is an error, not a panic.
+				c.q.Decode(make([]float32, 0, c.count), c.enc, c.count)
 			}
-			sum += int64(len(c.enc))
 		}
 		var raw bytes.Buffer
 		if _, werr := writePartitionTo(&raw, chunks); werr != nil {
@@ -182,11 +194,42 @@ func FuzzPartitionFile(f *testing.F) {
 				len(again), len(chunks), payload2, payload)
 		}
 		for i := range again {
-			if again[i].count != chunks[i].count || !bytesEqual(again[i].enc, chunks[i].enc) {
+			if again[i].count != chunks[i].count || !bytesEqual(again[i].enc, chunks[i].enc) ||
+				!bytesEqual(again[i].delta, chunks[i].delta) {
 				t.Fatalf("round trip changed chunk %d", i)
 			}
 		}
-	})
+		return nil
+	}
+}
+
+// TestDecoderContract runs both sealed image versions through the shared
+// decoder contract. The version field is read before the seal (a v1 image
+// has none), so a flip there may read as a newer format.
+func TestDecoderContract(t *testing.T) {
+	for _, img := range [][]byte{validPartitionImage(t), validDeltaImage(t)} {
+		durabletest.Contract(t, durabletest.Format{
+			Image:     img,
+			Sealed:    true,
+			VersionAt: [2]int{4, 6},
+			Decode:    reparse(t),
+		})
+	}
+}
+
+// TestGoldenParentImages: testdata/parent_v2.mqpt and parent_v3.mqpt were
+// written by the commit before parsePartition moved onto durable.Reader
+// (validPartitionImage and validDeltaImage, run there).
+func TestGoldenParentImages(t *testing.T) {
+	for name, now := range map[string][]byte{"parent_v2.mqpt": validPartitionImage(t), "parent_v3.mqpt": validDeltaImage(t)} {
+		durabletest.Golden(t, name, now, func(img []byte) ([]byte, error) {
+			chunks, _, err := parsePartition(img)
+			if err != nil {
+				return nil, err
+			}
+			return serializePartition(nil, chunks), nil
+		})
+	}
 }
 
 // FuzzColumnRoundTrip drives PutColumn/GetColumn with fuzz-chosen values

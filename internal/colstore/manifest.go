@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"compress/gzip"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -31,12 +30,6 @@ const (
 // manifestBufPool recycles the scratch buffer the manifest is compressed
 // into before the atomic file write.
 var manifestBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// errCorruptManifest marks a manifest that exists but cannot be decoded.
-// Open quarantines it and starts from an empty logical state instead of
-// aborting; the partition files it referenced are quarantined by the
-// recovery sweep and the data is rebuilt by re-logging or re-running.
-var errCorruptManifest = errors.New("colstore: corrupt manifest")
 
 type manifestColumn struct {
 	Key   ColumnKey `json:"key"`
@@ -152,8 +145,12 @@ func (s *Store) writeManifestLocked() error {
 // chunks simply will not dedup against pre-restart data, a deliberately
 // conservative trade-off (correctness is unaffected).
 //
-// A manifest that exists but cannot be decoded returns errCorruptManifest
-// (wrapped); real IO errors are returned as-is.
+// A manifest that exists but cannot be decoded returns durable.ErrCorrupt
+// (wrapped): Open quarantines it and starts from an empty logical state
+// instead of aborting; the partition files it referenced are quarantined
+// by the recovery sweep and the data is rebuilt by re-logging or
+// re-running. One a newer binary wrote is durable.ErrUnsupported and, like
+// a real IO error, fails the open with every file left where it is.
 func (s *Store) loadManifest() error {
 	raw, err := os.ReadFile(filepath.Join(s.dir, manifestName))
 	if os.IsNotExist(err) {
@@ -164,18 +161,21 @@ func (s *Store) loadManifest() error {
 	}
 	zr, err := gzip.NewReader(bytes.NewReader(raw))
 	if err != nil {
-		return fmt.Errorf("%w: gunzip: %v", errCorruptManifest, err)
+		return fmt.Errorf("colstore: manifest: %w: gunzip: %v", durable.ErrCorrupt, err)
 	}
 	blob, err := io.ReadAll(zr)
 	if err != nil {
-		return fmt.Errorf("%w: gunzip: %v", errCorruptManifest, err)
+		return fmt.Errorf("colstore: manifest: %w: gunzip: %v", durable.ErrCorrupt, err)
 	}
 	var m manifest
 	if err := json.Unmarshal(blob, &m); err != nil {
-		return fmt.Errorf("%w: parse: %v", errCorruptManifest, err)
+		return fmt.Errorf("colstore: manifest: %w: parse: %v", durable.ErrCorrupt, err)
 	}
-	if m.Version != 1 && m.Version != manifestVersion {
-		return fmt.Errorf("%w: unsupported version %d", errCorruptManifest, m.Version)
+	if m.Version > manifestVersion {
+		return fmt.Errorf("colstore: manifest: %w: version %d, newest known %d", durable.ErrUnsupported, m.Version, manifestVersion)
+	}
+	if m.Version < 1 {
+		return fmt.Errorf("colstore: manifest: %w: version %d", durable.ErrCorrupt, m.Version)
 	}
 	s.generation = m.Generation
 	s.nextPart = m.NextPart

@@ -93,7 +93,7 @@ func (s *Store) moveToCorrupt(name string) {
 // stay — they still describe the (rerun-recoverable) values, which keeps
 // predicate skipping sound. Caller holds s.mu.
 //
-// A cause of ErrUnsupportedFormat is the exception: the file is intact,
+// A cause of durable.ErrUnsupported is the exception: the file is intact,
 // just written by a newer binary, so it stays where it is (deleting or
 // quarantining it would destroy data a future binary could serve) and is
 // counted separately from corruption.
@@ -110,7 +110,7 @@ func (s *Store) quarantineLocked(p *partition, cause error) {
 		p.chunks = nil
 	}
 	p.dirty = false
-	if errors.Is(cause, ErrUnsupportedFormat) {
+	if errors.Is(cause, durable.ErrUnsupported) {
 		s.stats.UnsupportedPartitions++
 	} else {
 		s.stats.CorruptPartitions++
@@ -179,7 +179,7 @@ func (s *Store) recoverOnOpen(manifestCorrupt bool) error {
 			}
 			chunks, _, _, err := readPartitionFile(path, p.raw)
 			switch {
-			case errors.Is(err, ErrUnsupportedFormat):
+			case errors.Is(err, durable.ErrUnsupported):
 				verdicts[i].unsupported = true
 			case err != nil:
 				verdicts[i].corrupt = true

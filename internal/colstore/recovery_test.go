@@ -846,7 +846,7 @@ func serializeV1Image(chunks []*chunk) []byte {
 // (pre-codec binary), a v3 actz container (this binary), and a file
 // stamped with a future container version (a NEWER binary) — then
 // reopens it. The three readable vintages must serve bit-exact; the
-// future file is marked lost with ErrUnsupportedFormat semantics: its
+// future file is marked lost with durable.ErrUnsupported semantics: its
 // columns answer ErrUnavailable, the file is NOT deleted or moved to
 // corrupt/, and re-logging heals without touching it.
 func TestMixedVersionDirectory(t *testing.T) {

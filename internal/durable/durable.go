@@ -1,9 +1,13 @@
 // Package durable holds the decisions every on-disk artifact shares: how
 // a file becomes durable (Publish), how its bytes are checksummed (Seal,
-// Unseal, Castagnoli), how crash debris is collected (SweepTemps) and how
-// a bad file is set aside (Quarantine). Formats — magics, versions, field
-// layouts, record framing — stay with their owners; this package never
-// looks inside a body.
+// Unseal, Castagnoli), how crash debris is collected (SweepTemps), how a
+// bad file is set aside (Quarantine) and how one is read back (Open, Reader,
+// ErrCorrupt, ErrUnsupported in reader.go). The split with the formats'
+// owners: an owner knows its magic, its versions and its field layout and
+// says so by the order of its Reader calls; this package knows the frame
+// (seal, magic, version), the two ways a read may fail, and that no length
+// is believed before it has been checked against the bytes that remain.
+// It never learns a layout.
 //
 // Writes go through faultfs so one crash matrix covers the protocol for
 // every artifact kind; reads stay on plain os calls, like the rest of the

@@ -8,7 +8,6 @@ package metadata
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -20,11 +19,6 @@ import (
 	"mistique/internal/faultfs"
 	"mistique/internal/obs"
 )
-
-// ErrCorrupt marks a catalog file that exists but fails to parse or whose
-// checksum does not match its payload. Callers (the engine) quarantine
-// the file and start from an empty catalog instead of refusing to open.
-var ErrCorrupt = errors.New("metadata: corrupt catalog file")
 
 // ModelKind distinguishes the two model classes the paper supports.
 type ModelKind string
@@ -348,8 +342,10 @@ func (db *DB) Save(path string) error {
 }
 
 // Load reads a catalog previously written by Save, validating the
-// envelope checksum. Decode and checksum failures wrap ErrCorrupt; IO
-// errors are returned as-is.
+// envelope checksum. Decode and checksum failures wrap durable.ErrCorrupt
+// (the file exists but cannot be trusted, as distinct from an IO error
+// reading it, which is returned as-is); an envelope format newer than this
+// binary writes is durable.ErrUnsupported.
 func Load(path string) (*DB, error) {
 	blob, err := os.ReadFile(path)
 	if err != nil {
@@ -357,23 +353,26 @@ func Load(path string) (*DB, error) {
 	}
 	var env envelope
 	if err := json.Unmarshal(blob, &env); err != nil {
-		return nil, fmt.Errorf("%w: parse %s: %v", ErrCorrupt, path, err)
+		return nil, fmt.Errorf("%w: parse %s: %v", durable.ErrCorrupt, path, err)
 	}
-	if env.Format >= envelopeFormat {
+	if env.Format > envelopeFormat {
+		return nil, fmt.Errorf("metadata: %s: %w: envelope format %d, newest known %d", path, durable.ErrUnsupported, env.Format, envelopeFormat)
+	}
+	if env.Format == envelopeFormat {
 		// json.RawMessage preserves the value bytes as written, modulo
 		// surrounding whitespace; compact to the canonical form Save
 		// checksummed.
 		var compact bytes.Buffer
 		if err := json.Compact(&compact, env.Models); err != nil {
-			return nil, fmt.Errorf("%w: payload %s: %v", ErrCorrupt, path, err)
+			return nil, fmt.Errorf("%w: payload %s: %v", durable.ErrCorrupt, path, err)
 		}
 		if got := crc32.Checksum(compact.Bytes(), durable.Castagnoli); got != env.CRC32C {
-			return nil, fmt.Errorf("%w: %s checksum mismatch (envelope %08x, payload %08x)", ErrCorrupt, path, env.CRC32C, got)
+			return nil, fmt.Errorf("%w: %s checksum mismatch (envelope %08x, payload %08x)", durable.ErrCorrupt, path, env.CRC32C, got)
 		}
 	}
 	var models []*Model
 	if err := json.Unmarshal(env.Models, &models); err != nil {
-		return nil, fmt.Errorf("%w: parse models %s: %v", ErrCorrupt, path, err)
+		return nil, fmt.Errorf("%w: parse models %s: %v", durable.ErrCorrupt, path, err)
 	}
 	db := NewDB()
 	for _, m := range models {

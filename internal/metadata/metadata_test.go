@@ -9,6 +9,7 @@ import (
 	"syscall"
 	"testing"
 
+	"mistique/internal/durable"
 	"mistique/internal/faultfs"
 )
 
@@ -191,15 +192,15 @@ func TestLoadDetectsCorruption(t *testing.T) {
 	if err := os.WriteFile(path, blob, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(path); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("corrupted catalog load: %v, want ErrCorrupt", err)
+	if _, err := Load(path); !errors.Is(err, durable.ErrCorrupt) {
+		t.Fatalf("corrupted catalog load: %v, want durable.ErrCorrupt", err)
 	}
-	// Outright garbage is also ErrCorrupt (vs an IO error).
+	// Outright garbage is also durable.ErrCorrupt (vs an IO error).
 	if err := os.WriteFile(path, []byte("{{{"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(path); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("garbage catalog load: %v, want ErrCorrupt", err)
+	if _, err := Load(path); !errors.Is(err, durable.ErrCorrupt) {
+		t.Fatalf("garbage catalog load: %v, want durable.ErrCorrupt", err)
 	}
 }
 

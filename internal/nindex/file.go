@@ -2,8 +2,6 @@ package nindex
 
 import (
 	"encoding/binary"
-	"errors"
-	"fmt"
 	"math"
 
 	"mistique/internal/durable"
@@ -45,14 +43,6 @@ const (
 	// model/interm/column triples.
 	maxKeyLen = 4096
 )
-
-// ErrCorrupt marks a persisted index that failed validation; the manager
-// quarantines the file and rebuilds from the column data.
-var ErrCorrupt = errors.New("nindex: corrupt index file")
-
-func corruptf(format string, args ...any) error {
-	return fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...))
-}
 
 // Encode serializes the index with its logical key into the MQNI v1 wire
 // form, CRC32-C footer included.
@@ -106,243 +96,92 @@ func Encode(key string, x *Index) []byte {
 	return durable.Seal(buf)
 }
 
-// reader is a bounds-checked cursor over the decode buffer. Every length
-// it returns has been verified against the remaining payload, so Decode
-// never over-allocates on adversarial input.
-type reader struct {
-	buf []byte
-	off int
-}
-
-func (r *reader) remaining() int { return len(r.buf) - r.off }
-
-func (r *reader) bytes(n int) ([]byte, error) {
-	if n < 0 || n > r.remaining() {
-		return nil, corruptf("need %d bytes, have %d", n, r.remaining())
-	}
-	b := r.buf[r.off : r.off+n]
-	r.off += n
-	return b, nil
-}
-
-func (r *reader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.buf[r.off:])
-	if n <= 0 {
-		return 0, corruptf("bad varint at offset %d", r.off)
-	}
-	r.off += n
-	return v, nil
-}
-
-// count reads a uvarint that counts elements of at least elemBytes each
-// and rejects values the remaining payload cannot possibly hold.
-func (r *reader) count(elemBytes int) (int, error) {
-	v, err := r.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if v > uint64(r.remaining())/uint64(elemBytes) {
-		return 0, corruptf("count %d exceeds payload", v)
-	}
-	return int(v), nil
-}
-
-func (r *reader) f32() (float32, error) {
-	b, err := r.bytes(4)
-	if err != nil {
-		return 0, err
-	}
-	return math.Float32frombits(binary.LittleEndian.Uint32(b)), nil
-}
-
 // Decode parses and validates one MQNI file, returning the stored key and
 // the index. Any structural violation returns an error wrapping
-// ErrCorrupt; the returned index is safe to probe (row lists are further
-// validated lazily at decode time).
+// durable.ErrCorrupt, a newer version durable.ErrUnsupported; the returned
+// index is safe to probe (row lists are further validated lazily at decode
+// time).
 func Decode(data []byte) (string, *Index, error) {
-	if len(data) < len(fileMagic)+1+4 {
-		return "", nil, corruptf("short file (%dB)", len(data))
-	}
-	body, ok := durable.Unseal(data)
-	if !ok {
-		return "", nil, corruptf("checksum mismatch")
-	}
-	r := &reader{buf: body}
-	if m, err := r.bytes(len(fileMagic)); err != nil || string(m) != fileMagic {
-		return "", nil, corruptf("bad magic")
-	}
-	if v, err := r.bytes(1); err != nil || v[0] != fileVersion {
-		return "", nil, corruptf("unsupported version")
-	}
-	keyLen, err := r.count(1)
+	_, r, err := durable.Open(data, fileMagic, 1, fileVersion)
 	if err != nil {
 		return "", nil, err
 	}
-	if keyLen > maxKeyLen {
-		return "", nil, corruptf("key length %d", keyLen)
-	}
-	keyBytes, err := r.bytes(keyLen)
-	if err != nil {
-		return "", nil, err
-	}
-	key := string(keyBytes)
-
-	x := &Index{}
-	sigBytes, err := r.bytes(4)
-	if err != nil {
-		return "", nil, err
-	}
-	x.sig = binary.LittleEndian.Uint32(sigBytes)
-	rows, err := r.uvarint()
-	if err != nil {
-		return "", nil, err
-	}
-	blockRows, err := r.uvarint()
-	if err != nil {
-		return "", nil, err
-	}
-	nonNaN, err := r.uvarint()
-	if err != nil {
-		return "", nil, err
-	}
+	key := r.String(maxKeyLen)
+	x := &Index{sig: r.U32()}
 	// Each row carries at least 4 value bytes somewhere in the segment
 	// payload, which bounds rows by the file size.
-	if rows > uint64(len(data))/4 {
-		return "", nil, corruptf("row count %d exceeds payload", rows)
+	x.rows = r.Fit(r.Uvarint(math.MaxUint64), 4)
+	x.blockRows = int(r.Uvarint(math.MaxInt32))
+	nonNaN := r.Uvarint(math.MaxUint64)
+	if x.blockRows == 0 {
+		r.Failf("block rows 0")
 	}
-	if blockRows == 0 || blockRows > uint64(math.MaxInt32) {
-		return "", nil, corruptf("block rows %d", blockRows)
-	}
-	x.rows = int(rows)
-	x.blockRows = int(blockRows)
-
-	if x.hist, err = decodeHistogram(r, x.rows); err != nil {
-		return "", nil, err
+	if r.Err() != nil {
+		return "", nil, r.Err()
 	}
 
-	nZones, err := r.count(9) // f32 + f32 + ≥1-byte count
-	if err != nil {
-		return "", nil, err
+	x.hist = decodeHistogram(r, x.rows)
+
+	x.zones = make([]Zone, r.Count(9)) // f32 + f32 + ≥1-byte count
+	if want := (x.rows + x.blockRows - 1) / x.blockRows; len(x.zones) != want {
+		r.Failf("%d zones for %d rows of %d", len(x.zones), x.rows, x.blockRows)
 	}
-	wantZones := 0
-	if x.rows > 0 {
-		wantZones = (x.rows + x.blockRows - 1) / x.blockRows
-	}
-	if nZones != wantZones {
-		return "", nil, corruptf("%d zones for %d rows of %d", nZones, x.rows, x.blockRows)
-	}
-	x.zones = make([]Zone, nZones)
 	zoneSum := 0
 	for i := range x.zones {
-		if x.zones[i].Min, err = r.f32(); err != nil {
-			return "", nil, err
-		}
-		if x.zones[i].Max, err = r.f32(); err != nil {
-			return "", nil, err
-		}
-		c, err := r.uvarint()
-		if err != nil {
-			return "", nil, err
-		}
-		if c > uint64(x.blockRows) {
-			return "", nil, corruptf("zone %d count %d exceeds block", i, c)
-		}
-		x.zones[i].Count = int(c)
-		zoneSum += int(c)
+		x.zones[i] = Zone{Min: r.F32(), Max: r.F32(), Count: int(r.Uvarint(uint64(x.blockRows)))}
+		zoneSum += x.zones[i].Count
 	}
 	if zoneSum != x.rows {
-		return "", nil, corruptf("zone counts sum %d, rows %d", zoneSum, x.rows)
+		r.Failf("zone counts sum %d, rows %d", zoneSum, x.rows)
 	}
 
-	nSegs, err := r.count(10) // count + max + min + rows len, minimum ~10B
-	if err != nil {
-		return "", nil, err
-	}
-	if nonNaN > uint64(nSegs) {
-		return "", nil, corruptf("nonNaN %d of %d segments", nonNaN, nSegs)
+	x.segs = make([]segment, r.Count(10)) // count + max + min + rows len, minimum ~10B
+	if nonNaN > uint64(len(x.segs)) {
+		r.Failf("nonNaN %d of %d segments", nonNaN, len(x.segs))
 	}
 	x.nonNaN = int(nonNaN)
-	x.segs = make([]segment, nSegs)
 	segSum := 0
 	for i := range x.segs {
 		s := &x.segs[i]
 		s.nan = i >= x.nonNaN
-		cnt, err := r.uvarint()
-		if err != nil {
-			return "", nil, err
+		if s.count = int(r.Uvarint(uint64(x.rows))); s.count == 0 {
+			r.Failf("segment %d is empty", i)
 		}
-		if cnt == 0 || cnt > uint64(x.rows) {
-			return "", nil, corruptf("segment %d entry count %d", i, cnt)
-		}
-		s.count = int(cnt)
-		if s.max, err = r.f32(); err != nil {
-			return "", nil, err
-		}
-		if s.min, err = r.f32(); err != nil {
-			return "", nil, err
-		}
-		rowsLen, err := r.count(1)
-		if err != nil {
-			return "", nil, err
-		}
-		if s.rowsEnc, err = r.bytes(rowsLen); err != nil {
-			return "", nil, err
-		}
-		if s.valsEnc, err = r.bytes(4 * s.count); err != nil {
-			return "", nil, err
-		}
+		s.max = r.F32()
+		s.min = r.F32()
+		s.rowsEnc = r.Bytes(r.Count(1))
+		s.valsEnc = r.Bytes(4 * s.count)
 		segSum += s.count
 	}
 	if segSum != x.rows {
-		return "", nil, corruptf("segment counts sum %d, rows %d", segSum, x.rows)
+		r.Failf("segment counts sum %d, rows %d", segSum, x.rows)
 	}
-	if r.remaining() != 0 {
-		return "", nil, corruptf("%d trailing bytes", r.remaining())
+	if err := r.End(); err != nil {
+		return "", nil, err
 	}
 	x.bytes = x.footprint()
 	return key, x, nil
 }
 
-func decodeHistogram(r *reader, rows int) (Histogram, error) {
+func decodeHistogram(r *durable.Reader, rows int) Histogram {
 	var h Histogram
-	bins, err := r.count(5) // f32 bound + ≥1-byte count per bin
-	if err != nil {
-		return h, err
-	}
+	bins := r.Count(5) // f32 bound + ≥1-byte count per bin
 	if bins > rows {
-		return h, corruptf("%d histogram bins for %d rows", bins, rows)
+		r.Failf("%d histogram bins for %d rows", bins, rows)
+		return h
 	}
 	if bins > 0 {
-		h.Bounds = make([]float32, bins+1)
-		for i := range h.Bounds {
-			if h.Bounds[i], err = r.f32(); err != nil {
-				return h, err
-			}
-		}
+		h.Bounds = r.Floats(bins + 1)
 		h.Counts = make([]int, bins)
 		sum := 0
 		for i := range h.Counts {
-			c, err := r.uvarint()
-			if err != nil {
-				return h, err
-			}
-			if c > uint64(rows) {
-				return h, corruptf("histogram bin %d count %d", i, c)
-			}
-			h.Counts[i] = int(c)
-			sum += int(c)
+			h.Counts[i] = int(r.Uvarint(uint64(rows)))
+			sum += h.Counts[i]
 		}
 		if sum > rows {
-			return h, corruptf("histogram counts sum %d, rows %d", sum, rows)
+			r.Failf("histogram counts sum %d, rows %d", sum, rows)
 		}
 	}
-	nans, err := r.uvarint()
-	if err != nil {
-		return h, err
-	}
-	if nans > uint64(rows) {
-		return h, corruptf("histogram NaN count %d, rows %d", nans, rows)
-	}
-	h.NaNs = int(nans)
-	return h, nil
+	h.NaNs = int(r.Uvarint(uint64(rows)))
+	return h
 }

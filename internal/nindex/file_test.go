@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"testing"
 
+	"mistique/internal/durable"
+	"mistique/internal/durable/durabletest"
 	"mistique/internal/obs"
 )
 
@@ -61,30 +63,40 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDecodeRejectsCorruption(t *testing.T) {
-	x := Build(testColumn(200, 9), 32, 7, Config{SegmentEntries: 16})
-	enc := Encode("key", x)
+// reencode is the MQNI round trip the contract and golden tests share: an
+// accepted image must re-encode to a codec fixed point.
+func reencode(data []byte) ([]byte, error) {
+	key, x, err := Decode(data)
+	if err != nil {
+		return nil, err
+	}
+	return Encode(key, x), nil
+}
 
-	// Every truncation fails cleanly.
-	for cut := 0; cut < len(enc); cut += 13 {
-		if _, _, err := Decode(enc[:cut]); err == nil {
-			t.Fatalf("truncation at %d accepted", cut)
-		}
-	}
-	// Every single-byte flip fails (CRC32-C catches all 1-byte errors).
-	for i := 0; i < len(enc); i += 7 {
-		mut := append([]byte{}, enc...)
-		mut[i] ^= 0xff
-		if _, _, err := Decode(mut); err == nil {
-			t.Fatalf("byte flip at %d accepted", i)
-		} else if !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("byte flip at %d: error %v not ErrCorrupt", i, err)
-		}
-	}
-	// Trailing garbage fails even with the original CRC intact up front.
-	if _, _, err := Decode(append(append([]byte{}, enc...), 0)); err == nil {
-		t.Fatal("trailing byte accepted")
-	}
+// goldenIndex is the index behind testdata/parent.mqni.
+func goldenIndex() []byte {
+	return Encode("m\x00i\x00c", Build(testColumn(40, 7), 8, 0xfeed, Config{SegmentEntries: 6, HistogramBins: 4}))
+}
+
+func TestDecoderContract(t *testing.T) {
+	durabletest.Contract(t, durabletest.Format{
+		Image:     goldenIndex(),
+		Sealed:    true,
+		VersionAt: [2]int{4, 5},
+		Decode: func(data []byte) error {
+			again, err := reencode(data)
+			if err == nil && !bytes.Equal(again, data) {
+				t.Fatal("decode(encode) not canonical")
+			}
+			return err
+		},
+	})
+}
+
+// TestGoldenParentImage: testdata/parent.mqni was written by the commit
+// before the decoders moved onto durable.Reader (goldenIndex, run there).
+func TestGoldenParentImage(t *testing.T) {
+	durabletest.Golden(t, "parent.mqni", goldenIndex(), reencode)
 }
 
 func managerForTest(t *testing.T, dir string) (*Manager, *obs.Registry) {
@@ -197,6 +209,50 @@ func TestManagerQuarantinesCorruptFiles(t *testing.T) {
 	// The rebuild re-published a clean file.
 	if _, _, err := Decode(mustRead(t, p)); err != nil {
 		t.Fatalf("re-published file invalid: %v", err)
+	}
+}
+
+// TestManagerLeavesNewerVersionFileInPlace: an index file a newer binary
+// wrote is neither renamed aside nor overwritten — the probe answers from
+// an index rebuilt in memory only, and the file is byte-for-byte what the
+// newer binary left.
+func TestManagerLeavesNewerVersionFileInPlace(t *testing.T) {
+	dir := t.TempDir()
+	col := testColumn(120, 8)
+	key := Key{Model: "m", Intermediate: "i", Column: "c"}
+	m, reg := managerForTest(t, dir)
+	newer := Encode(key.fileKey(), Build(col, 32, 1, Config{}))
+	newer = newer[:len(newer)-4] // unseal, bump the version, reseal
+	newer[4] = fileVersion + 1
+	newer = durable.Seal(newer)
+	if _, _, err := Decode(newer); !errors.Is(err, durable.ErrUnsupported) {
+		t.Fatalf("newer-version image: %v, want ErrUnsupported", err)
+	}
+	p := m.path(key)
+	if err := os.WriteFile(p, newer, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for probe := 0; probe < 2; probe++ {
+		got, err := m.TopK(key, 1, 3, fetchOf(col, 32))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, _ := Build(col, 32, 1, Config{SegmentEntries: 16}).TopK(3)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("probe %d: in-memory rebuild diverges at %d", probe, i)
+			}
+		}
+	}
+	if counterVal(reg, "mistique_index_builds_total") != 1 || counterVal(reg, "mistique_index_quarantined_total") != 0 {
+		t.Fatalf("builds %d, quarantines %d; want 1, 0",
+			counterVal(reg, "mistique_index_builds_total"), counterVal(reg, "mistique_index_quarantined_total"))
+	}
+	if !bytes.Equal(mustRead(t, p), newer) {
+		t.Fatal("newer-version file was overwritten")
+	}
+	if names, _ := os.ReadDir(dir); len(names) != 1 {
+		t.Fatalf("directory holds %d entries, want only the newer file", len(names))
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math"
 	"testing"
+
+	"mistique/internal/durable/durabletest"
 )
 
 // FuzzNIndexFile hardens the MQNI decoder: arbitrary bytes must never
@@ -37,30 +39,33 @@ func FuzzNIndexFile(f *testing.F) {
 	f.Add([]byte("MQNI\x01\x00"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		key, x, err := Decode(data)
-		if err != nil {
-			return
-		}
-		// Decoded OK: re-encoding must be a fixed point of the codec. The
-		// original bytes may use non-minimal varints, so compare the
-		// canonical forms, not data itself.
-		enc1 := Encode(key, x)
-		key2, x2, err := Decode(enc1)
-		if err != nil {
-			t.Fatalf("re-decode of canonical encoding failed: %v", err)
-		}
-		if key2 != key {
-			t.Fatalf("key changed across re-encode: %q -> %q", key, key2)
-		}
-		if !bytes.Equal(Encode(key2, x2), enc1) {
-			t.Fatal("canonical encoding is not a fixed point")
-		}
-		// Probes must not panic whatever the payload claims.
-		if _, _, err := x.TopK(3); err == nil {
-			x.TopK(x.Rows() + 1)
-		}
-		for _, op := range []Op{Gt, Ge, Lt, Le} {
-			x.FilterRows(op, 0.5)
-		}
+		durabletest.Input(t, data, func(data []byte) error {
+			key, x, err := Decode(data)
+			if err != nil {
+				return err
+			}
+			// Decoded OK: re-encoding must be a fixed point of the codec. The
+			// original bytes may use non-minimal varints, so compare the
+			// canonical forms, not data itself.
+			enc1 := Encode(key, x)
+			key2, x2, err := Decode(enc1)
+			if err != nil {
+				t.Fatalf("re-decode of canonical encoding failed: %v", err)
+			}
+			if key2 != key {
+				t.Fatalf("key changed across re-encode: %q -> %q", key, key2)
+			}
+			if !bytes.Equal(Encode(key2, x2), enc1) {
+				t.Fatal("canonical encoding is not a fixed point")
+			}
+			// Probes must not panic whatever the payload claims.
+			if _, _, err := x.TopK(3); err == nil {
+				x.TopK(x.Rows() + 1)
+			}
+			for _, op := range []Op{Gt, Ge, Lt, Le} {
+				x.FilterRows(op, 0.5)
+			}
+			return nil
+		})
 	})
 }

@@ -2,6 +2,7 @@ package nindex
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -149,7 +150,8 @@ func (m *Manager) Get(key Key, sig uint32, fetch Fetch) (*Index, error) {
 		m.hits.Inc()
 		return idx, nil
 	}
-	if idx = m.loadFromDisk(key, sig); idx != nil {
+	idx, foreign := m.loadFromDisk(key, sig)
+	if idx != nil {
 		m.hits.Inc()
 		m.install(key, e, idx)
 		return idx, nil
@@ -164,7 +166,9 @@ func (m *Manager) Get(key Key, sig uint32, fetch Fetch) (*Index, error) {
 	idx = Build(values, blockRows, sig, m.cfg.Index)
 	stop()
 	m.builds.Inc()
-	m.publish(key, idx)
+	if !foreign {
+		m.publish(key, idx)
+	}
 	m.install(key, e, idx)
 	return idx, nil
 }
@@ -234,22 +238,27 @@ func (m *Manager) install(key Key, e *entry, idx *Index) {
 
 // loadFromDisk reads and verifies the persisted index. Missing file or
 // stale signature return nil (rebuild); a file that fails validation or
-// names a different column is quarantined.
-func (m *Manager) loadFromDisk(key Key, sig uint32) *Index {
+// names a different column is quarantined. foreign reports a file written
+// by a newer binary: it stays in place, so the rebuild must not publish
+// over it.
+func (m *Manager) loadFromDisk(key Key, sig uint32) (idx *Index, foreign bool) {
 	p := m.path(key)
 	data, err := os.ReadFile(p)
 	if err != nil {
-		return nil
+		return nil, false
 	}
 	storedKey, idx, err := Decode(data)
+	if errors.Is(err, durable.ErrUnsupported) {
+		return nil, true
+	}
 	if err != nil || storedKey != key.fileKey() {
 		m.quarantine(p)
-		return nil
+		return nil, false
 	}
 	if idx.Sig() != sig {
-		return nil
+		return nil, false
 	}
-	return idx
+	return idx, false
 }
 
 // quarantine moves a corrupt index file aside (removing it when even the

@@ -2,11 +2,11 @@ package nn
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 
+	"mistique/internal/durable"
 	"mistique/internal/tensor"
 )
 
@@ -288,33 +288,25 @@ func (n *Network) SaveWeights() []byte {
 }
 
 // LoadWeights restores parameters saved by SaveWeights into this network.
-// The architecture must match.
+// A blob that is not a checkpoint, is cut short, or was saved from a
+// different architecture is durable.ErrCorrupt.
 func (n *Network) LoadWeights(blob []byte) error {
-	if len(blob) < 8 || string(blob[:4]) != ckptMagic {
-		return errors.New("nn: bad checkpoint header")
+	_, r, err := durable.OpenUnsealed(blob, ckptMagic, 0, 0)
+	if err != nil {
+		return fmt.Errorf("nn: %w", err)
 	}
 	params := n.allParams()
-	cnt := int(binary.LittleEndian.Uint32(blob[4:]))
-	if cnt != len(params) {
-		return fmt.Errorf("nn: checkpoint has %d params, network has %d", cnt, len(params))
+	if cnt := int(r.U32()); cnt != len(params) {
+		r.Failf("checkpoint has %d params, network has %d", cnt, len(params))
 	}
-	pos := 8
 	for _, p := range params {
-		if len(blob) < pos+4 {
-			return errors.New("nn: truncated checkpoint")
+		if k := int(r.U32()); k != len(p.W) {
+			r.Failf("checkpoint param size %d, want %d", k, len(p.W))
 		}
-		k := int(binary.LittleEndian.Uint32(blob[pos:]))
-		pos += 4
-		if k != len(p.W) {
-			return fmt.Errorf("nn: checkpoint param size %d, want %d", k, len(p.W))
-		}
-		if len(blob) < pos+4*k {
-			return errors.New("nn: truncated checkpoint")
-		}
-		for i := 0; i < k; i++ {
-			p.W[i] = math.Float32frombits(binary.LittleEndian.Uint32(blob[pos:]))
-			pos += 4
-		}
+		copy(p.W, r.Floats(len(p.W)))
+	}
+	if err := r.End(); err != nil {
+		return fmt.Errorf("nn: %w", err)
 	}
 	return nil
 }

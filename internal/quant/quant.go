@@ -22,6 +22,7 @@ import (
 	"math"
 	"sort"
 
+	"mistique/internal/durable"
 	"mistique/internal/f16"
 	"mistique/internal/tensor"
 )
@@ -334,33 +335,16 @@ func (q *Quantizer) AppendBinary(dst []byte) []byte {
 }
 
 // UnmarshalBinary deserializes a quantizer produced by MarshalBinary.
+// Malformed bytes return an error wrapping durable.ErrCorrupt.
 func (q *Quantizer) UnmarshalBinary(data []byte) error {
-	if len(data) < 14 {
-		return errors.New("quant: truncated quantizer")
-	}
-	q.Kind = Kind(data[0])
-	q.Bits = int(data[1])
-	q.Thresh = math.Float32frombits(binary.LittleEndian.Uint32(data[2:]))
-	pos := 6
-	nb := int(binary.LittleEndian.Uint32(data[pos:]))
-	pos += 4
-	if len(data) < pos+4*nb+4 {
-		return errors.New("quant: truncated boundaries")
-	}
-	q.boundaries = make([]float32, nb)
-	for i := range q.boundaries {
-		q.boundaries[i] = math.Float32frombits(binary.LittleEndian.Uint32(data[pos:]))
-		pos += 4
-	}
-	nr := int(binary.LittleEndian.Uint32(data[pos:]))
-	pos += 4
-	if len(data) < pos+4*nr {
-		return errors.New("quant: truncated reps")
-	}
-	q.reps = make([]float32, nr)
-	for i := range q.reps {
-		q.reps[i] = math.Float32frombits(binary.LittleEndian.Uint32(data[pos:]))
-		pos += 4
+	r := durable.NewReader(data)
+	q.Kind = Kind(r.U8())
+	q.Bits = int(r.U8())
+	q.Thresh = r.F32()
+	q.boundaries = r.Floats(int(r.U32()))
+	q.reps = r.Floats(int(r.U32()))
+	if err := r.Err(); err != nil {
+		return fmt.Errorf("quant: %w", err)
 	}
 	// A quantizer deserialized from untrusted bytes (a corrupt partition
 	// file) must be safe to Decode with: reject shapes that would make
@@ -369,13 +353,13 @@ func (q *Quantizer) UnmarshalBinary(data []byte) error {
 	case Full, LP, Threshold:
 	case KBit:
 		if q.Bits < 1 || q.Bits > 16 {
-			return fmt.Errorf("quant: kbit bits %d out of range", q.Bits)
+			return fmt.Errorf("quant: %w: kbit bits %d out of range", durable.ErrCorrupt, q.Bits)
 		}
 		if len(q.reps) != 1<<q.Bits {
-			return fmt.Errorf("quant: kbit needs %d reps, have %d", 1<<q.Bits, len(q.reps))
+			return fmt.Errorf("quant: %w: kbit needs %d reps, have %d", durable.ErrCorrupt, 1<<q.Bits, len(q.reps))
 		}
 	default:
-		return fmt.Errorf("quant: unknown kind %d", q.Kind)
+		return fmt.Errorf("quant: %w: unknown kind %d", durable.ErrCorrupt, q.Kind)
 	}
 	return nil
 }

@@ -2,8 +2,6 @@ package sample
 
 import (
 	"encoding/binary"
-	"errors"
-	"fmt"
 	"math"
 
 	"mistique/internal/durable"
@@ -23,25 +21,26 @@ import (
 //	StratifyCol string; overflow byte
 //	numStrata; each { Key f32 bits; Count; kS; kS × RowID; kS·C × f32 }
 //	CRC32-C  u32 LE over everything above
-var magicMQSM = [5]byte{'M', 'Q', 'S', 'M', 1}
-
-// ErrCorrupt marks an MQSM image that fails structural or checksum
-// validation.
-var ErrCorrupt = errors.New("sample: corrupt MQSM image")
-
-// Structural ceilings so a corrupt length field cannot balloon
-// allocation during decode.
 const (
-	maxCols      = 1 << 16
+	magicMQSM   = "MQSM"
+	versionMQSM = 1
+)
+
+// Ceilings on the fields nothing else bounds. Element counts need none:
+// the Reader checks each against the bytes that remain.
+const (
 	maxSampleCap = 1 << 26
 	maxStrataCap = 1 << 14
+	maxKeyLen    = 1 << 17
+	maxNameLen   = 1 << 12
 )
 
 // Encode serializes the sample with its identity into an MQSM image.
 func Encode(model, interm string, s *Sample) []byte {
 	c := len(s.Cols)
 	buf := make([]byte, 0, 64+len(s.Data)*4+len(s.RowIDs)*2)
-	buf = append(buf, magicMQSM[:]...)
+	buf = append(buf, magicMQSM...)
+	buf = append(buf, versionMQSM)
 	buf = appendString(buf, model+"\x00"+interm)
 	buf = binary.AppendUvarint(buf, uint64(s.Cap))
 	buf = binary.AppendUvarint(buf, uint64(s.StratumCap))
@@ -86,89 +85,67 @@ func Encode(model, interm string, s *Sample) []byte {
 }
 
 // Decode parses and validates an MQSM image, returning the sample and the
-// model/intermediate identity it was written for.
+// model/intermediate identity it was written for. Errors wrap
+// durable.ErrCorrupt or durable.ErrUnsupported.
 func Decode(data []byte) (model, interm string, s *Sample, err error) {
-	if len(data) < len(magicMQSM)+4 {
-		return "", "", nil, ErrCorrupt
+	_, r, err := durable.Open(data, magicMQSM, 1, versionMQSM)
+	if err != nil {
+		return "", "", nil, err
 	}
-	for i, b := range magicMQSM {
-		if data[i] != b {
-			return "", "", nil, ErrCorrupt
-		}
-	}
-	body, sealed := durable.Unseal(data)
-	if !sealed {
-		return "", "", nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
-	}
-	d := decoder{buf: body[len(magicMQSM):]}
-	fileKey := d.str(maxCols * 2)
+	fileKey := r.String(maxKeyLen)
 	s = &Sample{}
-	s.Cap = int(d.uvarint(maxSampleCap))
-	s.StratumCap = int(d.uvarint(maxSampleCap))
-	s.MaxStrata = int(d.uvarint(maxStrataCap))
-	s.Seed = d.u64()
-	s.RNGState = d.u64()
-	s.Seen = int64(d.uvarint(math.MaxInt64))
-	c := int(d.uvarint(maxCols))
-	if d.err == nil {
-		s.Cols = make([]string, c)
-		for i := range s.Cols {
-			s.Cols[i] = d.str(1 << 12)
-		}
-		s.Stats = make([]ColStats, c)
-		for i := range s.Stats {
-			s.Stats[i] = ColStats{
-				Finite: int64(d.uvarint(math.MaxInt64)),
-				NaN:    int64(d.uvarint(math.MaxInt64)),
-				PosInf: int64(d.uvarint(math.MaxInt64)),
-				NegInf: int64(d.uvarint(math.MaxInt64)),
-				Min:    math.Float32frombits(d.u32()),
-				Max:    math.Float32frombits(d.u32()),
-			}
+	s.Cap = int(r.Uvarint(maxSampleCap))
+	s.StratumCap = int(r.Uvarint(maxSampleCap))
+	s.MaxStrata = int(r.Uvarint(maxStrataCap))
+	s.Seed = r.U64()
+	s.RNGState = r.U64()
+	s.Seen = int64(r.Uvarint(math.MaxInt64))
+	c := r.Count(1)
+	s.Cols = make([]string, c)
+	for i := range s.Cols {
+		s.Cols[i] = r.String(maxNameLen)
+	}
+	s.Stats = make([]ColStats, r.Fit(uint64(c), 12))
+	for i := range s.Stats {
+		s.Stats[i] = ColStats{
+			Finite: int64(r.Uvarint(math.MaxInt64)),
+			NaN:    int64(r.Uvarint(math.MaxInt64)),
+			PosInf: int64(r.Uvarint(math.MaxInt64)),
+			NegInf: int64(r.Uvarint(math.MaxInt64)),
+			Min:    r.F32(),
+			Max:    r.F32(),
 		}
 	}
-	k := int(d.uvarint(maxSampleCap))
-	if d.err == nil {
-		s.RowIDs = make([]int64, k)
-		for i := range s.RowIDs {
-			s.RowIDs[i] = int64(d.uvarint(math.MaxInt64))
-		}
-		s.Data = d.floats(k * c)
+	s.RowIDs, s.Data = decodeRows(r, c)
+	s.StratifyCol = r.String(maxNameLen)
+	s.StrataOverflow = r.U8() != 0
+	s.Strata = make([]Stratum, r.Count(6))
+	for i := range s.Strata {
+		str := &s.Strata[i]
+		str.Key = r.F32()
+		str.Count = int64(r.Uvarint(math.MaxInt64))
+		str.RowIDs, str.Data = decodeRows(r, c)
 	}
-	s.StratifyCol = d.str(1 << 12)
-	s.StrataOverflow = d.u8() != 0
-	nStr := int(d.uvarint(maxStrataCap))
-	if d.err == nil {
-		s.Strata = make([]Stratum, nStr)
-		for i := range s.Strata {
-			str := &s.Strata[i]
-			str.Key = math.Float32frombits(d.u32())
-			str.Count = int64(d.uvarint(math.MaxInt64))
-			kS := int(d.uvarint(maxSampleCap))
-			if d.err != nil {
-				break
-			}
-			str.RowIDs = make([]int64, kS)
-			for r := range str.RowIDs {
-				str.RowIDs[r] = int64(d.uvarint(math.MaxInt64))
-			}
-			str.Data = d.floats(kS * c)
-		}
-	}
-	if d.err != nil {
-		return "", "", nil, fmt.Errorf("%w: %v", ErrCorrupt, d.err)
-	}
-	if len(d.buf) != 0 {
-		return "", "", nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(d.buf))
-	}
-	if int64(len(s.RowIDs)) > s.Seen || len(s.RowIDs) > s.Cap {
-		return "", "", nil, fmt.Errorf("%w: sample larger than population or cap", ErrCorrupt)
+	if len(s.RowIDs) > s.Cap || int64(len(s.RowIDs)) > s.Seen {
+		r.Failf("sample of %d rows larger than population %d or cap %d", len(s.RowIDs), s.Seen, s.Cap)
 	}
 	model, interm, ok := splitKey(fileKey)
 	if !ok {
-		return "", "", nil, fmt.Errorf("%w: malformed file key", ErrCorrupt)
+		r.Failf("malformed file key")
+	}
+	if err := r.End(); err != nil {
+		return "", "", nil, err
 	}
 	return model, interm, s, nil
+}
+
+// decodeRows reads one reservoir: k; k × RowID; k·c × f32.
+func decodeRows(r *durable.Reader, c int) ([]int64, []float32) {
+	ids := make([]int64, r.Count(1))
+	for i := range ids {
+		ids[i] = int64(r.Uvarint(math.MaxInt64))
+	}
+	return ids, r.Floats(len(ids) * c)
 }
 
 func splitKey(key string) (model, interm string, ok bool) {
@@ -190,104 +167,4 @@ func appendFloats(buf []byte, vals []float32) []byte {
 		buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(v))
 	}
 	return buf
-}
-
-// decoder is a cursor with sticky error over one MQSM body.
-type decoder struct {
-	buf []byte
-	err error
-}
-
-func (d *decoder) fail(what string) {
-	if d.err == nil {
-		d.err = fmt.Errorf("truncated %s", what)
-	}
-}
-
-func (d *decoder) uvarint(limit uint64) uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.buf)
-	if n <= 0 {
-		d.fail("uvarint")
-		return 0
-	}
-	if v > limit {
-		if d.err == nil {
-			d.err = fmt.Errorf("value %d exceeds limit %d", v, limit)
-		}
-		return 0
-	}
-	d.buf = d.buf[n:]
-	return v
-}
-
-func (d *decoder) u64() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.buf) < 8 {
-		d.fail("u64")
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.buf)
-	d.buf = d.buf[8:]
-	return v
-}
-
-func (d *decoder) u32() uint32 {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.buf) < 4 {
-		d.fail("u32")
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(d.buf)
-	d.buf = d.buf[4:]
-	return v
-}
-
-func (d *decoder) u8() byte {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.buf) < 1 {
-		d.fail("byte")
-		return 0
-	}
-	v := d.buf[0]
-	d.buf = d.buf[1:]
-	return v
-}
-
-func (d *decoder) str(limit uint64) string {
-	n := d.uvarint(limit)
-	if d.err != nil {
-		return ""
-	}
-	if uint64(len(d.buf)) < n {
-		d.fail("string")
-		return ""
-	}
-	s := string(d.buf[:n])
-	d.buf = d.buf[n:]
-	return s
-}
-
-func (d *decoder) floats(n int) []float32 {
-	if d.err != nil {
-		return nil
-	}
-	if n < 0 || len(d.buf) < n*4 {
-		d.fail("float block")
-		return nil
-	}
-	out := make([]float32, n)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(d.buf[i*4:]))
-	}
-	d.buf = d.buf[n*4:]
-	return out
 }

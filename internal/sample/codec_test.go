@@ -1,11 +1,13 @@
 package sample
 
 import (
-	"errors"
+	"bytes"
 	"math"
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"mistique/internal/durable/durabletest"
 )
 
 func sampleForCodec(t *testing.T) *Sample {
@@ -66,23 +68,50 @@ func TestCodecEmptySample(t *testing.T) {
 	}
 }
 
-func TestCodecRejectsCorruption(t *testing.T) {
-	s := sampleForCodec(t)
-	img := Encode("m1", "i1", s)
-	cases := map[string]func([]byte) []byte{
-		"truncated":  func(b []byte) []byte { return b[:len(b)/2] },
-		"empty":      func(b []byte) []byte { return nil },
-		"bad magic":  func(b []byte) []byte { c := clone(b); c[0] = 'X'; return c },
-		"bit flip":   func(b []byte) []byte { c := clone(b); c[len(c)/2] ^= 0x40; return c },
-		"bad crc":    func(b []byte) []byte { c := clone(b); c[len(c)-1] ^= 0xff; return c },
-		"trailing":   func(b []byte) []byte { return append(clone(b), 0xaa) },
-		"short head": func(b []byte) []byte { return b[:4] },
+// reencode is the MQSM round trip the contract, golden and fuzz tests
+// share.
+func reencode(data []byte) ([]byte, error) {
+	model, interm, s, err := Decode(data)
+	if err != nil {
+		return nil, err
 	}
-	for name, mut := range cases {
-		if _, _, _, err := Decode(mut(img)); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
-		}
-	}
+	return Encode(model, interm, s), nil
 }
 
-func clone(b []byte) []byte { return append([]byte(nil), b...) }
+// goldenSample is the sample behind testdata/parent.mqsm: stratified, with
+// NaN and -Inf cells, small enough for the contract's every-bit sweep.
+func goldenSample() []byte {
+	b := NewBuilder([]string{"label", "act"}, Config{Cap: 8, StratumCap: 3, Seed: 5, StratifyColumn: "label"})
+	for i := 0; i < 40; i++ {
+		v := float32(i) * 1.5
+		switch i % 10 {
+		case 3:
+			v = float32(math.NaN())
+		case 7:
+			v = float32(math.Inf(-1))
+		}
+		b.Add([]float32{float32(i % 3), v})
+	}
+	return Encode("m1", "conv/act", b.Snapshot())
+}
+
+func TestDecoderContract(t *testing.T) {
+	durabletest.Contract(t, durabletest.Format{
+		Image:     goldenSample(),
+		Sealed:    true,
+		VersionAt: [2]int{4, 5},
+		Decode: func(data []byte) error {
+			again, err := reencode(data)
+			if err == nil && !bytes.Equal(again, data) {
+				t.Fatal("re-encode of decode differs")
+			}
+			return err
+		},
+	})
+}
+
+// TestGoldenParentImage: testdata/parent.mqsm was written by the commit
+// before the decoders moved onto durable.Reader (goldenSample, run there).
+func TestGoldenParentImage(t *testing.T) {
+	durabletest.Golden(t, "parent.mqsm", goldenSample(), reencode)
+}

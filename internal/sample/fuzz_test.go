@@ -2,13 +2,15 @@ package sample
 
 import (
 	"testing"
+
+	"mistique/internal/durable/durabletest"
 )
 
 // FuzzSampleDecode hammers the MQSM decoder: it must never panic, and any
 // image it accepts must re-encode to an image that decodes identically.
 func FuzzSampleDecode(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(magicMQSM[:])
+	f.Add([]byte(magicMQSM))
 	b := NewBuilder([]string{"a", "b"}, Config{Cap: 8, StratumCap: 4, StratifyColumn: "a"})
 	for i := 0; i < 30; i++ {
 		b.Add([]float32{float32(i % 3), float32(i)})
@@ -17,25 +19,27 @@ func FuzzSampleDecode(f *testing.F) {
 	f.Add(Encode("", "", b.Snapshot()))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		model, interm, s, err := Decode(data)
-		if err != nil {
-			return
-		}
-		img := Encode(model, interm, s)
-		m2, i2, s2, err2 := Decode(img)
-		if err2 != nil {
-			t.Fatalf("re-encode of accepted image rejected: %v", err2)
-		}
-		if m2 != model || i2 != interm {
-			t.Fatalf("identity changed: %q/%q vs %q/%q", m2, i2, model, interm)
-		}
-		if s2.Seen != s.Seen || s2.Rows() != s.Rows() || len(s2.Strata) != len(s.Strata) {
-			t.Fatal("shape changed across re-encode")
-		}
-		// Accepted samples must also be safe to query.
-		if len(s.Cols) > 0 && s.Rows() > 0 {
-			s.MeanEstimate(0)
-			s.TopK(0, 3, true)
-		}
+		durabletest.Input(t, data, func(data []byte) error {
+			model, interm, s, err := Decode(data)
+			if err != nil {
+				return err
+			}
+			m2, i2, s2, err2 := Decode(Encode(model, interm, s))
+			if err2 != nil {
+				t.Fatalf("re-encode of accepted image rejected: %v", err2)
+			}
+			if m2 != model || i2 != interm {
+				t.Fatalf("identity changed: %q/%q vs %q/%q", m2, i2, model, interm)
+			}
+			if s2.Seen != s.Seen || s2.Rows() != s.Rows() || len(s2.Strata) != len(s.Strata) {
+				t.Fatal("shape changed across re-encode")
+			}
+			// Accepted samples must also be safe to query.
+			if len(s.Cols) > 0 && s.Rows() > 0 {
+				s.MeanEstimate(0)
+				s.TopK(0, 3, true)
+			}
+			return nil
+		})
 	})
 }

@@ -56,7 +56,7 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 		fs:          fs,
 		saves:       r.Counter("mistique_sample_saves_total", "Sample snapshots persisted to disk."),
 		loads:       r.Counter("mistique_sample_loads_total", "Sample snapshots loaded from disk."),
-		quarantines: r.Counter("mistique_sample_quarantined_total", "Corrupt sample files removed."),
+		quarantines: r.Counter("mistique_sample_quarantined_total", "Corrupt sample files quarantined."),
 		publishErrs: r.Counter("mistique_sample_publish_errors_total", "Sample persists that failed."),
 	}, nil
 }
@@ -90,9 +90,10 @@ func (m *Manager) Save(model, interm string, s *Sample) error {
 }
 
 // Load returns the persisted sample for (model, interm), or (nil, nil)
-// when none exists. A corrupt or mismatched file is quarantined (removed)
-// and reported as absent: the sample is an accelerator, not a source of
-// truth, and the caller falls back to exact reads.
+// when none exists. A corrupt or mismatched file is quarantined and one
+// from a newer binary is left in place; both read as absent: the sample is
+// an accelerator, not a source of truth, and the caller falls back to
+// exact reads.
 func (m *Manager) Load(model, interm string) (*Sample, error) {
 	path := m.path(model, interm)
 	data, err := os.ReadFile(path)
@@ -103,10 +104,15 @@ func (m *Manager) Load(model, interm string) (*Sample, error) {
 		return nil, fmt.Errorf("sample: read %s: %w", path, err)
 	}
 	gotModel, gotInterm, s, err := Decode(data)
+	if errors.Is(err, durable.ErrUnsupported) {
+		return nil, nil
+	}
 	if err != nil || gotModel != model || gotInterm != interm {
 		m.quarantines.Inc()
 		m.mu.Lock()
-		m.fs.Remove(path)
+		if durable.Quarantine(m.fs, path) != nil {
+			m.fs.Remove(path)
+		}
 		m.mu.Unlock()
 		return nil, nil
 	}

@@ -40,12 +40,12 @@ import (
 	"mistique/internal/faultfs"
 )
 
-// ErrCorrupt marks a log whose header is unrecognized. Torn tails are not
-// corruption — Open truncates them silently — but a file that is not a WAL
-// at all must not be clobbered.
-var ErrCorrupt = errors.New("wal: corrupt log file")
+const (
+	magic   = "MQWL"
+	version = 1
+)
 
-var header = [8]byte{'M', 'Q', 'W', 'L', 1, 0, 0, 0}
+var header = binary.LittleEndian.AppendUint32([]byte(magic), version)
 
 // maxRecordBytes bounds one record (64 MiB): a length field beyond it is
 // treated as a torn/garbage tail, keeping hostile files from ballooning
@@ -56,33 +56,31 @@ const maxRecordBytes = 64 << 20
 // length of the valid prefix (header included). A short, torn or
 // CRC-mismatched tail simply ends the valid prefix — records before it are
 // returned. A file too short to hold the header decodes as empty (validLen
-// 0); a file with a wrong magic returns ErrCorrupt.
+// 0). Torn tails are not corruption, but a file that is not a WAL at all
+// (durable.ErrCorrupt) or one a newer binary wrote (durable.ErrUnsupported)
+// must not be clobbered.
 func Decode(data []byte) (records [][]byte, validLen int64, err error) {
 	if len(data) < len(header) {
 		return nil, 0, nil
 	}
-	for i, b := range header {
-		if data[i] != b {
-			return nil, 0, ErrCorrupt
-		}
+	_, r, err := durable.OpenUnsealed(data, magic, 4, version)
+	if err != nil {
+		return nil, 0, err
 	}
-	off := int64(len(header))
 	for {
-		rest := data[off:]
-		if len(rest) < 8 {
-			return records, off, nil
+		validLen = int64(r.Offset())
+		if r.Remaining() < 8 {
+			return records, validLen, nil
 		}
-		n := int64(binary.LittleEndian.Uint32(rest[:4]))
-		crc := binary.LittleEndian.Uint32(rest[4:8])
-		if n > maxRecordBytes || int64(len(rest)) < 8+n {
-			return records, off, nil
+		n, crc := r.U32(), r.U32()
+		if n > maxRecordBytes || int(n) > r.Remaining() {
+			return records, validLen, nil
 		}
-		payload := rest[8 : 8+n]
+		payload := r.Bytes(int(n))
 		if crc32.Checksum(payload, durable.Castagnoli) != crc {
-			return records, off, nil
+			return records, validLen, nil
 		}
 		records = append(records, payload)
-		off += 8 + n
 	}
 }
 
@@ -124,7 +122,7 @@ func Open(path string, fs faultfs.FS) (*Log, OpenResult, error) {
 	}
 	records, validLen, err := Decode(data)
 	if err != nil {
-		return nil, res, fmt.Errorf("%w: %s", ErrCorrupt, path)
+		return nil, res, fmt.Errorf("wal: %s: %w", path, err)
 	}
 	res.Records = records
 	if int64(len(data)) > validLen {
@@ -209,7 +207,7 @@ func (l *Log) Rewrite(payloads [][]byte) error {
 func (l *Log) rewriteLocked(payloads [][]byte) error {
 	size := int64(len(header))
 	_, err := durable.Publish(l.fs, l.path, func(w io.Writer) error {
-		if _, err := w.Write(header[:]); err != nil {
+		if _, err := w.Write(header); err != nil {
 			return err
 		}
 		for _, p := range payloads {

@@ -9,6 +9,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"mistique/internal/durable"
 )
 
 func openT(t *testing.T, path string) (*Log, OpenResult) {
@@ -164,8 +166,8 @@ func TestWrongMagicRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, _, err := Open(path, nil)
-	if !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("Open on foreign file: err = %v, want ErrCorrupt", err)
+	if !errors.Is(err, durable.ErrCorrupt) {
+		t.Fatalf("Open on foreign file: err = %v, want durable.ErrCorrupt", err)
 	}
 	// The foreign file must survive untouched.
 	data, err := os.ReadFile(path)

@@ -1,7 +1,10 @@
 package mistique
 
 import (
+	"bytes"
+	"compress/gzip"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,6 +12,7 @@ import (
 
 	"mistique/internal/colstore"
 	"mistique/internal/cost"
+	"mistique/internal/durable"
 	"mistique/internal/faultfs"
 )
 
@@ -396,4 +400,81 @@ func TestOpenFailsWhenQuarantineFails(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// TestOpenRefusesNewerArtifactsAndLeavesThem: the three artifacts Open
+// cannot do without — catalog, store manifest, stream WAL — stamped with a
+// version this binary does not know fail the open with
+// durable.ErrUnsupported and stay byte-for-byte in place (an older binary
+// pointed at a newer directory must not quarantine it into an empty store).
+func TestOpenRefusesNewerArtifactsAndLeavesThem(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Config{RowBlockRows: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingestStream(t, s, "live", "acts", []string{"v"}, 0, 100, 25)
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	wals, err := filepath.Glob(filepath.Join(dir, "data", "wal", "*.wal"))
+	if err != nil || len(wals) != 1 {
+		t.Fatalf("wal files %v, %v", wals, err)
+	}
+	regzip := func(edit func([]byte) []byte) func([]byte) []byte {
+		return func(raw []byte) []byte {
+			zr, err := gzip.NewReader(bytes.NewReader(raw))
+			if err != nil {
+				t.Fatal(err)
+			}
+			plain, err := io.ReadAll(zr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var out bytes.Buffer
+			zw := gzip.NewWriter(&out)
+			zw.Write(edit(plain))
+			zw.Close()
+			return out.Bytes()
+		}
+	}
+	replace := func(old, new string) func([]byte) []byte {
+		return func(b []byte) []byte {
+			if !bytes.Contains(b, []byte(old)) {
+				t.Fatalf("no %s to bump", old)
+			}
+			return bytes.Replace(b, []byte(old), []byte(new), 1)
+		}
+	}
+	for path, bump := range map[string]func([]byte) []byte{
+		filepath.Join(dir, "metadata.json"):            replace(`"format":1`, `"format":2`),
+		filepath.Join(dir, "data", "MANIFEST.json.gz"): regzip(replace(`"version":2`, `"version":3`)),
+		wals[0]: func(b []byte) []byte { b = bytes.Clone(b); b[4]++; return b },
+	} {
+		good, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		newer := bump(good)
+		if err := os.WriteFile(path, newer, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(dir, Config{RowBlockRows: 64}); !errors.Is(err, durable.ErrUnsupported) {
+			t.Fatalf("open over a newer %s: err = %v, want ErrUnsupported", filepath.Base(path), err)
+		}
+		if kept, err := os.ReadFile(path); err != nil || !bytes.Equal(kept, newer) {
+			t.Fatalf("newer %s disturbed: %v", filepath.Base(path), err)
+		}
+		if moved, _ := filepath.Glob(filepath.Join(dir, "data", "corrupt", "*")); len(moved) != 0 {
+			t.Fatalf("open over a newer %s quarantined %v", filepath.Base(path), moved)
+		}
+		if err := os.WriteFile(path, good, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s2, err := Open(dir, Config{RowBlockRows: 64})
+	if err != nil {
+		t.Fatalf("open after restoring every file: %v", err)
+	}
+	checkStreamRead(t, s2, "live", "acts", []string{"v"}, 100)
 }

@@ -44,31 +44,31 @@ const (
 
 func encodeStreamHeader(model, interm string, cols []string) []byte {
 	buf := []byte{streamRecHeader}
-	buf = appendUvarint(buf, uint64(len(model)))
+	buf = binary.AppendUvarint(buf, uint64(len(model)))
 	buf = append(buf, model...)
-	buf = appendUvarint(buf, uint64(len(interm)))
+	buf = binary.AppendUvarint(buf, uint64(len(interm)))
 	buf = append(buf, interm...)
-	buf = appendUvarint(buf, uint64(len(cols)))
+	buf = binary.AppendUvarint(buf, uint64(len(cols)))
 	for _, c := range cols {
-		buf = appendUvarint(buf, uint64(len(c)))
+		buf = binary.AppendUvarint(buf, uint64(len(c)))
 		buf = append(buf, c...)
 	}
 	return buf
 }
 
 func decodeStreamHeader(rec []byte) (model, interm string, cols []string, err error) {
-	d := streamDec{buf: rec}
-	if d.u8() != streamRecHeader {
-		return "", "", nil, errors.New("not a stream header record")
+	r := durable.NewReader(rec)
+	if r.U8() != streamRecHeader {
+		r.Failf("not a stream header record")
 	}
-	model = d.str()
-	interm = d.str()
-	n := d.uvarint(1 << 16)
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		cols = append(cols, d.str())
+	model = r.String(maxStreamName)
+	interm = r.String(maxStreamName)
+	cols = make([]string, r.Count(1))
+	for i := range cols {
+		cols[i] = r.String(maxStreamName)
 	}
-	if d.err != nil || len(d.buf) != d.off {
-		return "", "", nil, errors.New("malformed stream header record")
+	if err := r.End(); err != nil {
+		return "", "", nil, err
 	}
 	return model, interm, cols, nil
 }
@@ -76,9 +76,9 @@ func decodeStreamHeader(rec []byte) (model, interm string, cols []string, err er
 func encodeStreamBatch(startRow int64, nCols int, rows [][]float32) []byte {
 	buf := make([]byte, 0, 1+3*binary.MaxVarintLen64+4*len(rows)*nCols)
 	buf = append(buf, streamRecBatch)
-	buf = appendUvarint(buf, uint64(startRow))
-	buf = appendUvarint(buf, uint64(len(rows)))
-	buf = appendUvarint(buf, uint64(nCols))
+	buf = binary.AppendUvarint(buf, uint64(startRow))
+	buf = binary.AppendUvarint(buf, uint64(len(rows)))
+	buf = binary.AppendUvarint(buf, uint64(nCols))
 	var w [4]byte
 	for _, r := range rows {
 		for _, v := range r {
@@ -90,74 +90,25 @@ func encodeStreamBatch(startRow int64, nCols int, rows [][]float32) []byte {
 }
 
 func decodeStreamBatch(rec []byte) (startRow int64, nRows, nCols int, vals []float32, err error) {
-	d := streamDec{buf: rec}
-	if d.u8() != streamRecBatch {
-		return 0, 0, 0, nil, errors.New("not a stream batch record")
+	r := durable.NewReader(rec)
+	if r.U8() != streamRecBatch {
+		r.Failf("not a stream batch record")
 	}
-	startRow = int64(d.uvarint(1 << 62))
-	nRows = int(d.uvarint(1 << 32))
-	nCols = int(d.uvarint(1 << 16))
-	if d.err != nil || len(d.buf)-d.off != 4*nRows*nCols {
-		return 0, 0, 0, nil, errors.New("malformed stream batch record")
+	startRow = int64(r.Uvarint(1 << 62))
+	nRows = int(r.Uvarint(1 << 32))
+	if nCols = int(r.Uvarint(1 << 16)); nCols == 0 {
+		r.Failf("batch without columns") // nothing would bound nRows
 	}
-	vals = make([]float32, nRows*nCols)
-	for i := range vals {
-		vals[i] = math.Float32frombits(binary.LittleEndian.Uint32(rec[d.off+4*i:]))
+	vals = r.Floats(nRows * nCols)
+	if err := r.End(); err != nil {
+		return 0, 0, 0, nil, err
 	}
 	return startRow, nRows, nCols, vals, nil
 }
 
-func appendUvarint(buf []byte, v uint64) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	return append(buf, tmp[:binary.PutUvarint(tmp[:], v)]...)
-}
-
-// streamDec is a cursor with a sticky error over one WAL record.
-type streamDec struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (d *streamDec) fail() {
-	if d.err == nil {
-		d.err = errors.New("short record")
-	}
-}
-
-func (d *streamDec) u8() byte {
-	if d.err != nil || d.off >= len(d.buf) {
-		d.fail()
-		return 0
-	}
-	v := d.buf[d.off]
-	d.off++
-	return v
-}
-
-func (d *streamDec) uvarint(limit uint64) uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.buf[d.off:])
-	if n <= 0 || v > limit {
-		d.fail()
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *streamDec) str() string {
-	n := d.uvarint(1 << 16)
-	if d.err != nil || d.off+int(n) > len(d.buf) {
-		d.fail()
-		return ""
-	}
-	s := string(d.buf[d.off : d.off+int(n)])
-	d.off += int(n)
-	return s
-}
+// maxStreamName bounds the model, intermediate and column names a stream
+// header may carry.
+const maxStreamName = 1 << 16
 
 // streamState is one live (model, intermediate) ingest stream.
 type streamState struct {
@@ -529,9 +480,10 @@ func (s *System) dropStreams(model string) {
 // re-put (identical full blocks dedup away) and rows beyond the persisted
 // sample's horizon are re-offered to the sampler — both keyed purely on
 // row id, so replay is idempotent across repeated crashes. A log that is
-// not a WAL, or whose records are inconsistent, is quarantined (renamed
+// not a WAL, or whose records are inconsistent (bad header, column
+// mismatch, row-id gap), is durable.ErrCorrupt and quarantined (renamed
 // *.corrupt) rather than trusted: the durable partition prefix remains
-// queryable.
+// queryable. A log a newer binary wrote fails the open and stays in place.
 func (s *System) replayStreams() error {
 	dir := s.walDir()
 	durable.SweepTemps(s.cfg.Store.FS, dir) // a crashed checkpoint's *.wal.tmp*
@@ -548,7 +500,7 @@ func (s *System) replayStreams() error {
 		}
 		path := filepath.Join(dir, e.Name())
 		err := s.replayOneStream(path)
-		if errors.Is(err, wal.ErrCorrupt) || errors.Is(err, errStreamReplay) {
+		if errors.Is(err, durable.ErrCorrupt) {
 			err = durable.Quarantine(s.cfg.Store.FS, path)
 		}
 		if err != nil {
@@ -557,10 +509,6 @@ func (s *System) replayStreams() error {
 	}
 	return nil
 }
-
-// errStreamReplay marks a WAL whose records are internally inconsistent
-// (bad header, column mismatch, row-id gap); the file is quarantined.
-var errStreamReplay = errors.New("inconsistent stream wal")
 
 func (s *System) replayOneStream(path string) error {
 	l, res, err := wal.Open(path, s.cfg.Store.FS)
@@ -579,7 +527,7 @@ func (s *System) replayOneStream(path string) error {
 	model, interm, cols, err := decodeStreamHeader(res.Records[0])
 	if err != nil {
 		l.Close()
-		return fmt.Errorf("%w: %s: %v", errStreamReplay, path, err)
+		return fmt.Errorf("stream wal %s: %w", path, err)
 	}
 	// The catalog may have been quarantined; re-register from the header.
 	if m := s.meta.Model(model); m == nil {
@@ -610,9 +558,12 @@ func (s *System) replayOneStream(path string) error {
 	samplerSeen := st.sampler.Seen()
 	for _, rec := range res.Records[1:] {
 		startRow, nRows, nCols, vals, err := decodeStreamBatch(rec)
-		if err != nil || nCols != len(cols) {
+		if err == nil && nCols != len(cols) {
+			err = fmt.Errorf("%w: batch of %d columns, stream has %d", durable.ErrCorrupt, nCols, len(cols))
+		}
+		if err != nil {
 			st.log.Close()
-			return fmt.Errorf("%w: %s", errStreamReplay, path)
+			return fmt.Errorf("stream wal %s: %w", path, err)
 		}
 		for r := 0; r < nRows; r++ {
 			rowID := startRow + int64(r)
@@ -631,7 +582,7 @@ func (s *System) replayOneStream(path string) error {
 				st.rows++
 			default:
 				st.log.Close()
-				return fmt.Errorf("%w: %s: row gap at %d", errStreamReplay, path, rowID)
+				return fmt.Errorf("stream wal %s: %w: row gap at %d", path, durable.ErrCorrupt, rowID)
 			}
 		}
 		if err := st.cutFullBlocksLocked(s); err != nil {

@@ -19,21 +19,13 @@ import (
 // differential harness in internal/nindex/oracletest plus the root
 // TestIndexScanParity* tests hold the two byte-identical.
 
-// IndexConfig controls the neuron-centric diagnostic indexes. Zero values
-// select defaults; the indexes are on unless Disable is set.
+// IndexConfig controls the neuron-centric diagnostic indexes, which are on
+// unless Disable is set. Their sizing (64 MiB resident, 1024-entry
+// segments, 64 histogram bins) is internal/nindex's defaults.
 type IndexConfig struct {
 	// Disable turns the index layer off entirely: TOPK, FilterRows and
 	// KNN answer by full scans (the differential baseline).
 	Disable bool
-	// MemBudgetBytes caps resident index bytes before LRU eviction
-	// (default 64 MiB). Evicted indexes reload from disk on next probe.
-	MemBudgetBytes int64
-	// SegmentEntries is the priority-list segment length (default 1024):
-	// a TOPK(k) decodes ceil(k/SegmentEntries) segments.
-	SegmentEntries int
-	// HistogramBins is the per-column equi-depth histogram resolution
-	// (default 64).
-	HistogramBins int
 }
 
 // TopKEntry is one row of a TOPK answer, in rank order (value descending,
