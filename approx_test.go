@@ -3,6 +3,8 @@ package mistique
 import (
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"sort"
 	"testing"
 
@@ -418,5 +420,63 @@ func TestApproxOnLoggedModel(t *testing.T) {
 	}
 	if d2.Mean != d.Mean || d2.SampleRows != d.SampleRows {
 		t.Fatalf("reopened sample drifted: %+v vs %+v", d2, d)
+	}
+}
+
+// TestStaleSampleAfterQuarantinePlansExact: a stream's .mqsm is corrupt
+// after the stream was fully drained, so the reopened sampler restarts
+// empty while the catalog holds every row. That sample describes none of
+// them: ColDist and ApproxTopK must plan the exact READ and answer it.
+func TestStaleSampleAfterQuarantinePlansExact(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{RowBlockRows: 64}
+	s, err := Open(dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rows = 1000
+	ingestStream(t, s, "live", "acts", []string{"v"}, 0, rows, 100)
+	if err := s.Close(); err != nil { // drains the stream, publishes the sample
+		t.Fatal(err)
+	}
+	mqsm, err := filepath.Glob(filepath.Join(dir, "data", "sample", "*.mqsm"))
+	if err != nil || len(mqsm) != 1 {
+		t.Fatalf("sample files %v, %v", mqsm, err)
+	}
+	fi, err := os.Stat(mqsm[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(mqsm[0], fi.Size()/2); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := Open(dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum float64
+	for r := int64(0); r < rows; r++ {
+		sum += float64(streamVal(r, 0))
+	}
+	d, err := s2.ColDist("live", "acts", "v", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Strategy != cost.Read || d.Rows != rows || d.Min != 0 || d.Max != 976 || d.Mean != sum/rows {
+		t.Fatalf("ColDist = strategy %v rows %d [%v, %v] mean %v; want READ %d [0, 976] mean %v",
+			d.Strategy, d.Rows, d.Min, d.Max, d.Mean, rows, sum/rows)
+	}
+	top, err := s2.ApproxTopK("live", "acts", "v", 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if top.Strategy != cost.Read || len(top.Entries) != 3 {
+		t.Fatalf("ApproxTopK = strategy %v, %d entries; want READ, 3", top.Strategy, len(top.Entries))
+	}
+	for i, e := range top.Entries {
+		if want := int64(976 - i); e.Row != want || e.Value != float32(want) {
+			t.Fatalf("entry %d = %+v, want row %d value %d", i, e, want, want)
+		}
 	}
 }

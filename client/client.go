@@ -261,8 +261,9 @@ func retriable(err error) bool {
 	if errors.As(err, &ce) {
 		return true
 	}
+	// A full disk (507) does not heal within a backoff window.
 	var ae *APIError
-	return errors.As(err, &ae) && ae.Status >= 500
+	return errors.As(err, &ae) && ae.Status >= 500 && ae.Status != http.StatusInsufficientStorage
 }
 
 // retryAfter returns the wait hint of a 429, or 0.

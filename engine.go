@@ -17,7 +17,7 @@
 // Calibrate and DropModel may be called from multiple goroutines, and the
 // hot paths (per-column quantize/encode/dedup on ingest, partition
 // compression on flush, chunk reads on query) fan out across a worker pool
-// bounded by Config.Workers. See DESIGN.md for the concurrency model.
+// bounded by GOMAXPROCS. See DESIGN.md for the concurrency model.
 //
 // Basic use:
 //
@@ -93,11 +93,6 @@ type Config struct {
 	Gamma float64
 	// Cost holds calibrated cost-model constants; zero uses defaults.
 	Cost cost.Params
-	// Workers bounds the goroutines each hot path fans out to: per-column
-	// quantizer fitting, encoding and dedup hashing on ingest; partition
-	// compression on flush/compaction; chunk reads on query. 0 selects
-	// GOMAXPROCS; 1 recovers the serial baseline for A/B benchmarking.
-	Workers int
 	// SlowQueryThreshold, when positive, enables the slow-query log:
 	// queries whose fetch wall time meets or exceeds the threshold append
 	// a JSON line (model, intermediate, strategy, cost estimates, measured
@@ -203,9 +198,6 @@ func Open(dir string, cfg Config) (*System, error) {
 	if cfg.Store.FS == nil {
 		cfg.Store.FS = faultfs.OS()
 	}
-	if cfg.Store.Workers == 0 {
-		cfg.Store.Workers = cfg.Workers
-	}
 	if cfg.Cost == (cost.Params{}) {
 		cfg.Cost = cost.DefaultParams()
 	}
@@ -304,7 +296,7 @@ func (s *System) RecoveryReport() *colstore.RecoveryReport { return s.store.Last
 func (s *System) Store() *colstore.Store { return s.store }
 
 // Flush writes all dirty partitions to disk (concurrently, bounded by
-// Config.Workers) and persists the catalog. Streaming-ingest states drain
+// GOMAXPROCS) and persists the catalog. Streaming-ingest states drain
 // first (their partial tail block goes to the store, so the catalog row
 // counts saved below only ever cover durable rows), and their WALs shrink
 // to the header afterwards — strictly after the partitions and the catalog
@@ -358,9 +350,6 @@ func (s *System) DiskBytes() (int64, error) { return s.store.DiskBytes() }
 
 // adaptiveOn reports whether adaptive materialization gates storage.
 func (s *System) adaptiveOn() bool { return s.cfg.Gamma > 0 }
-
-// workers returns the ingest/query fan-out bound (immutable after Open).
-func (s *System) workers() int { return s.cfg.Workers }
 
 // beginLogging reserves a model name for an in-flight Log* call. It fails
 // if the name is already resident or being logged.
@@ -480,7 +469,7 @@ func (s *System) storeMatrix(model, interm string, m *tensor.Dense, cols []strin
 		mb = sample.NewMatrixBuilder(cols, m.Rows, labels, s.cfg.Sample)
 	}
 	var stored int64
-	err := parallel.ForEach(len(cols), s.workers(), func(j int) error {
+	err := parallel.ForEach(len(cols), func(j int) error {
 		col := m.ColInto(grabColBuf(), j)
 		defer releaseColBuf(col)
 		var q *quant.Quantizer

@@ -5,14 +5,10 @@ package mistique
 // and zone-map scans.
 
 import (
-	"fmt"
-	"runtime"
 	"testing"
 
 	"mistique/internal/colstore"
 	"mistique/internal/cost"
-	"mistique/internal/data"
-	"mistique/internal/nn"
 	"mistique/internal/pipeline"
 	"mistique/internal/zillow"
 )
@@ -96,88 +92,6 @@ func BenchmarkFilterRowsZoneScan(b *testing.B) {
 		if _, err := s.FilterRows("demo", "joined", "yearbuilt", colstore.Ge, 2018); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// benchWorkerCounts sweeps the Workers knob: serial baseline, a fixed mid
-// point, and every core. On a multi-core box the GOMAXPROCS run should beat
-// workers=1 on both parallel paths; on one core all three should tie (the
-// pool must not cost anything when it cannot help).
-func benchWorkerCounts() []int {
-	counts := []int{1, 4}
-	if np := runtime.GOMAXPROCS(0); np != 1 && np != 4 {
-		counts = append(counts, np)
-	}
-	return counts
-}
-
-// BenchmarkLogDNNParallel measures the ingest hot path: one conv layer's
-// 2048 pooled columns fanned across the worker pool while the forward pass
-// stops at the deepest logged layer.
-func BenchmarkLogDNNParallel(b *testing.B) {
-	net := nn.SimpleCNN("cnn", 4, 1)
-	imgs, _ := data.Images(32, 4, 2)
-	for _, w := range benchWorkerCounts() {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				s, err := Open(b.TempDir(), Config{
-					RowBlockRows: 64,
-					Workers:      w,
-					Store:        colstore.Config{Mode: colstore.ModeArrival, Workers: w},
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				if _, err := s.LogDNN("cnn", net, imgs, DNNLogOptions{
-					Scheme: SchemePool2,
-					Layers: []int{0},
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkFlushParallel measures the flush hot path: many dirty
-// partitions compressed and written concurrently. Puts happen off the
-// clock; only Flush is timed.
-func BenchmarkFlushParallel(b *testing.B) {
-	const cols, rows = 256, 64
-	vals := make([][]float32, cols)
-	for j := range vals {
-		col := make([]float32, rows)
-		for r := range col {
-			col[r] = float32(j*rows+r) / 7 // distinct per column: no dedup
-		}
-		vals[j] = col
-	}
-	for _, w := range benchWorkerCounts() {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				s, err := colstore.Open(b.TempDir(), colstore.Config{
-					RowBlockRows:         rows,
-					PartitionTargetBytes: 8 << 10,
-					Workers:              w,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				for j := range vals {
-					key := colstore.ColumnKey{Model: "m", Intermediate: "x", Column: fmt.Sprintf("c%d", j)}
-					if _, err := s.PutColumn(key, vals[j], nil); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.StartTimer()
-				if err := s.Flush(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

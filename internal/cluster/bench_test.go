@@ -7,8 +7,8 @@ import (
 
 // The scatter-gather benchmarks run the full stack — router, HTTP wire,
 // three real shards — so they price the distribution overhead the way a
-// deployment would see it. They feed the same benchjson -compare gate as
-// the engine benchmarks.
+// deployment would see it. The gated end-to-end number for this path is
+// bench/'s cluster-scatter workload.
 
 func benchCluster(b *testing.B) *Router {
 	cfg := testConfig()

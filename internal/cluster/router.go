@@ -12,6 +12,7 @@ import (
 	"mistique/client"
 	"mistique/internal/diag"
 	"mistique/internal/obs"
+	"mistique/internal/parallel"
 )
 
 // Config controls a Router. Zero values select defaults.
@@ -473,22 +474,17 @@ func blockRanges(rows, blockRows int) []BlockRange {
 func (r *Router) scatter(ctx context.Context, model, interm string, blocks []BlockRange, fn func(ctx context.Context, be Backend, br BlockRange) (any, error)) ([]any, []error) {
 	vals := make([]any, len(blocks))
 	errs := make([]error, len(blocks))
-	slots := make(chan struct{}, max(1, r.cfg.MaxPerShard/2))
-	var wg sync.WaitGroup
+	g := parallel.NewGroup(max(1, r.cfg.MaxPerShard/2))
 	for i, br := range blocks {
-		slots <- struct{}{}
-		wg.Add(1)
-		go func(i int, br BlockRange) {
-			defer wg.Done()
-			defer func() { <-slots }()
+		g.Go(func() error {
 			chain := r.chainFor(BlockRef{Model: model, Intermediate: interm, Block: br.Block})
-			v, err := r.executeBlock(ctx, chain, func(ctx context.Context, be Backend) (any, error) {
+			vals[i], errs[i] = r.executeBlock(ctx, chain, func(ctx context.Context, be Backend) (any, error) {
 				return fn(ctx, be, br)
 			})
-			vals[i], errs[i] = v, err
-		}(i, br)
+			return nil // a failed block is reported per block, never stops the rest
+		})
 	}
-	wg.Wait()
+	g.Wait()
 	return vals, errs
 }
 

@@ -6,9 +6,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
-
-	"mistique/internal/parallel"
 )
 
 func init() { Register(actzCodec{}) }
@@ -69,42 +66,7 @@ type actzCodec struct{}
 func (actzCodec) Name() string { return "actz" }
 func (actzCodec) ID() byte     { return IDActz }
 
-// actzWorkers is the per-image fan-out knob for the block stages. Blocks
-// are independent 128 KiB units, so a large partition image compresses
-// and decompresses across cores without changing a single output byte.
-// 0 (the default) resolves to GOMAXPROCS; 1 pins the serial path, which
-// benchmarks use as the before/after baseline.
-var actzWorkers atomic.Int32
-
-// SetActzWorkers sets the actz codec's per-image fan-out and returns the
-// previous setting. n <= 0 restores the default (GOMAXPROCS); n == 1
-// forces serial block coding.
-func SetActzWorkers(n int) int {
-	if n < 0 {
-		n = 0
-	}
-	return int(actzWorkers.Swap(int32(n)))
-}
-
-// actzFanout resolves the worker count for an image of nBlocks blocks:
-// single-block images (the common small-partition case) stay serial so
-// they pay zero scheduling overhead.
-func actzFanout(nBlocks int) int {
-	if nBlocks < 2 {
-		return 1
-	}
-	w := parallel.Workers(int(actzWorkers.Load()))
-	if w > nBlocks {
-		w = nBlocks
-	}
-	return w
-}
-
 func (actzCodec) Compress(dst, src []byte, _ int) ([]byte, error) {
-	nBlocks := (len(src) + actzMaxBlock - 1) / actzMaxBlock
-	if workers := actzFanout(nBlocks); workers > 1 {
-		return actzCompressParallel(dst, src, nBlocks, workers), nil
-	}
 	for len(src) > 0 {
 		blk := src
 		if len(blk) > actzMaxBlock {
@@ -114,29 +76,6 @@ func (actzCodec) Compress(dst, src []byte, _ int) ([]byte, error) {
 		dst = actzCompressBlock(dst, blk)
 	}
 	return dst, nil
-}
-
-// actzCompressParallel encodes every block concurrently into pooled
-// scratch, then stitches the results in block order — byte-identical to
-// the serial path, since each block's encoding depends only on the block.
-func actzCompressParallel(dst, src []byte, nBlocks, workers int) []byte {
-	outs := make([][]byte, nBlocks)
-	bufs := make([]*[]byte, nBlocks)
-	parallel.ForEach(nBlocks, workers, func(i int) error {
-		blk := src[i*actzMaxBlock:]
-		if len(blk) > actzMaxBlock {
-			blk = blk[:actzMaxBlock]
-		}
-		bufs[i] = grabActzScratch()
-		outs[i] = actzCompressBlock((*bufs[i])[:0], blk)
-		return nil
-	})
-	for i := range outs {
-		dst = append(dst, outs[i]...)
-		*bufs[i] = outs[i]
-		releaseActzScratch(bufs[i])
-	}
-	return dst
 }
 
 func actzCompressBlock(dst, blk []byte) []byte {
@@ -326,16 +265,14 @@ type actzBlock struct {
 	coder    int
 	shuffled bool
 	payload  []byte
-	off      int // decoded offset of this block within the image
 	rawLen   int
 }
 
 // actzScanBlocks walks the frame headers (strictly sequential — frames
-// are back to back) and returns the block table plus the total decoded
-// size, rejecting every malformed header the way the decoder always has.
-func actzScanBlocks(src []byte) ([]actzBlock, int, error) {
+// are back to back) and returns the block table, rejecting every malformed
+// header before any block is decoded.
+func actzScanBlocks(src []byte) ([]actzBlock, error) {
 	blocks := make([]actzBlock, 0, (len(src)+actzMaxBlock-1)/actzMaxBlock)
-	total := 0
 	for len(src) > 0 {
 		mode := int(src[0])
 		src = src[1:]
@@ -345,73 +282,37 @@ func actzScanBlocks(src []byte) ([]actzBlock, int, error) {
 			coder > amSparseHuff,
 			coder == amRaw && mode&amShuffle != 0,
 			coder&amSparse != 0 && mode&amShuffle != 0:
-			return nil, 0, fmt.Errorf("%w: mode byte %#x", errActzCorrupt, mode)
+			return nil, fmt.Errorf("%w: mode byte %#x", errActzCorrupt, mode)
 		}
 		rawLen64, k := binary.Uvarint(src)
 		if k <= 0 || rawLen64 == 0 || rawLen64 > actzMaxBlock {
-			return nil, 0, fmt.Errorf("%w: bad raw length", errActzCorrupt)
+			return nil, fmt.Errorf("%w: bad raw length", errActzCorrupt)
 		}
 		src = src[k:]
 		rawLen := int(rawLen64)
 		encLen64, k := binary.Uvarint(src)
 		if k <= 0 || encLen64 > uint64(rawLen) || encLen64 > uint64(len(src)-k) {
-			return nil, 0, fmt.Errorf("%w: bad payload length", errActzCorrupt)
+			return nil, fmt.Errorf("%w: bad payload length", errActzCorrupt)
 		}
 		src = src[k:]
 		blocks = append(blocks, actzBlock{
 			coder: coder, shuffled: mode&amShuffle != 0,
-			payload: src[:encLen64], off: total, rawLen: rawLen,
+			payload: src[:encLen64], rawLen: rawLen,
 		})
-		total += rawLen
 		src = src[encLen64:]
 	}
-	return blocks, total, nil
+	return blocks, nil
 }
 
 func (actzCodec) Decompress(dst, src []byte) ([]byte, error) {
-	blocks, total, err := actzScanBlocks(src)
+	blocks, err := actzScanBlocks(src)
 	if err != nil {
 		return dst, err
-	}
-	if workers := actzFanout(len(blocks)); workers > 1 {
-		return actzDecompressParallel(dst, blocks, total, workers)
 	}
 	for _, b := range blocks {
 		if dst, err = actzDecodeBlock(dst, b.coder, b.shuffled, b.payload, b.rawLen); err != nil {
 			return dst, err
 		}
-	}
-	return dst, nil
-}
-
-// actzDecompressParallel decodes blocks concurrently, each appending into
-// its own pre-sized region of dst. Every coder validates its decoded
-// length against rawLen, so a successful block fills exactly its region;
-// the zero-length full-capacity sub-slices mean a hypothetical over-long
-// decode reallocates away from dst instead of clobbering a neighbour, and
-// the length check then rejects it.
-func actzDecompressParallel(dst []byte, blocks []actzBlock, total, workers int) ([]byte, error) {
-	base := len(dst)
-	if cap(dst)-base < total {
-		grown := make([]byte, base, base+total)
-		copy(grown, dst)
-		dst = grown
-	}
-	dst = dst[:base+total]
-	err := parallel.ForEach(len(blocks), workers, func(i int) error {
-		b := blocks[i]
-		seg := dst[base+b.off : base+b.off : base+b.off+b.rawLen]
-		out, err := actzDecodeBlock(seg, b.coder, b.shuffled, b.payload, b.rawLen)
-		if err != nil {
-			return err
-		}
-		if len(out) != b.rawLen {
-			return fmt.Errorf("%w: block length mismatch", errActzCorrupt)
-		}
-		return nil
-	})
-	if err != nil {
-		return dst[:base], err
 	}
 	return dst, nil
 }

@@ -44,51 +44,6 @@ func BenchmarkCodecCompress(b *testing.B) {
 	}
 }
 
-// BenchmarkActzParallel is the before/after pair for the parallel block
-// path on a many-block image: workers=1 is the serial baseline, workers=0
-// lets the codec fan out to GOMAXPROCS.
-func BenchmarkActzParallel(b *testing.B) {
-	c := MustByID(IDActz)
-	src := bigMixedImage(b, 24)
-	comp, err := c.Compress(nil, src, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, w := range []int{1, 0} {
-		wname := "max"
-		if w == 1 {
-			wname = "1"
-		}
-		b.Run("mode=compress/workers="+wname, func(b *testing.B) {
-			pinActzWorkers(b, w)
-			var buf []byte
-			b.SetBytes(int64(len(src)))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var err error
-				if buf, err = c.Compress(buf[:0], src, 0); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run("mode=decompress/workers="+wname, func(b *testing.B) {
-			pinActzWorkers(b, w)
-			var buf []byte
-			b.SetBytes(int64(len(src)))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var err error
-				if buf, err = c.Decompress(buf[:0], comp); err != nil {
-					b.Fatal(err)
-				}
-				if len(buf) != len(src) {
-					b.Fatal("length mismatch")
-				}
-			}
-		})
-	}
-}
-
 func BenchmarkCodecDecompress(b *testing.B) {
 	for _, sname := range []string{"f16", "kbit", "threshold"} {
 		src := benchStreams(b)[sname]

@@ -25,6 +25,14 @@ func FuzzActzDecode(f *testing.F) {
 	}
 	f.Add([]byte{amHuff, 0x80, 0x01, 0x02})
 	f.Add([]byte{amLZHuff | amShuffle, 0xff, 0xff})
+	// Multi-block images: every frame of a many-block image goes through
+	// the same serial block loop as a single-block one.
+	multi, err := c.Compress(nil, bigMixedImage(f, 3), 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(multi)
+	f.Add(multi[:len(multi)*2/3])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		out, err := c.Decompress(nil, data)
 		if err != nil {
@@ -49,6 +57,7 @@ func FuzzActzRoundTrip(f *testing.F) {
 	f.Add([]byte{0x42})
 	f.Add(bytes.Repeat([]byte{0, 1}, 2048))
 	f.Add(bytes.Repeat([]byte{0}, 1<<13))
+	f.Add(bigMixedImage(f, 3)) // multi-block, every block mode
 	f.Fuzz(func(t *testing.T, src []byte) {
 		for _, name := range []string{"store", "actz", "gzip"} {
 			c, err := ByName(name)

@@ -120,9 +120,6 @@ type Config struct {
 	// chases more than DeltaMaxDepth bases. Default 4; negative disables
 	// delta storage entirely (every versioned put stores full).
 	DeltaMaxDepth int
-	// Workers bounds the goroutines used by Flush and Compact to compress
-	// and write partitions (0 = GOMAXPROCS, 1 = serial).
-	Workers int
 	// CompressionLevel is the gzip level for partition files, in
 	// [gzip.HuffmanOnly, gzip.BestCompression] = [-2, 9]. 0 selects the
 	// measured default (gzip.BestSpeed: BenchmarkPartitionWriteLevels
@@ -1157,8 +1154,8 @@ func (s *Store) readChunkLocked(id ChunkID) ([]float32, error) {
 	return out, nil
 }
 
-// flushTask pairs a partition with the chunk snapshot a worker serializes
-// and the destination path (resolved under mu, since compaction can bump
+// flushTask pairs a partition with the chunk snapshot to serialize and
+// the destination path (resolved under mu, since compaction can bump
 // the partition's file generation).
 type flushTask struct {
 	p      *partition
@@ -1168,11 +1165,11 @@ type flushTask struct {
 
 // Flush writes every dirty partition to disk and persists the manifest
 // (the store's durability point: a flushed store can be reopened and read
-// without re-logging). Partitions are gzip-compressed and written
-// concurrently, bounded by Config.Workers. Partitions stay resident until
-// evicted by memory pressure. Puts racing a Flush are safe: the worker
-// serializes a snapshot, and a partition that grew meanwhile simply stays
-// dirty for the next Flush.
+// without re-logging). Partitions are compressed and written concurrently
+// (see writeSnapshots). Partitions stay resident until evicted by memory
+// pressure. Puts racing a Flush are safe: the flush serializes a
+// snapshot, and a partition that grew meanwhile simply stays dirty for the
+// next Flush.
 func (s *Store) Flush() error {
 	s.flushMu.Lock()
 	defer s.flushMu.Unlock()
@@ -1190,21 +1187,9 @@ func (s *Store) flushDirty() error {
 			tasks = append(tasks, flushTask{p: p, chunks: p.chunks, path: s.partPathGen(p.id, p.gen)})
 		}
 	}
-	workers := s.cfg.Workers
 	s.mu.Unlock()
 
-	// Pipeline the flush: partition images are serialized in order on this
-	// goroutine (cheap memory writes) while workers gzip-compress and write
-	// them, so compressing partition N overlaps serializing partition N+1.
-	werr := parallel.Pipeline(len(tasks), workers,
-		func(i int) ([]byte, error) {
-			return serializePartition(grabBuf(), tasks[i].chunks), nil
-		},
-		func(i int, img []byte) error {
-			err := s.writeSnapshotImage(tasks[i], img)
-			releaseBuf(img)
-			return err
-		})
+	werr := s.writeSnapshots(tasks)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1217,15 +1202,25 @@ func (s *Store) flushDirty() error {
 	return s.writeManifestLocked()
 }
 
-// writeSnapshot serializes, compresses and writes one partition snapshot,
-// then updates the partition's state under mu. Used by the parallel
-// Compact workers (Flush pipelines the serialize step separately); the
-// caller must have set p.flushing under mu.
-func (s *Store) writeSnapshot(t flushTask) error {
-	img := serializePartition(grabBuf(), t.chunks)
-	err := s.writeSnapshotImage(t, img)
-	releaseBuf(img)
-	return err
+// writeSnapshots writes the snapshots of Flush and Compact. Each image is
+// serialized in order on this goroutine (cheap memory writes) and its
+// compress+publish runs on a GOMAXPROCS-bounded group, so compressing
+// partition N overlaps serializing partition N+1; the group's slot bound
+// caps the serialized images in flight. The caller must have set
+// p.flushing under mu for every task.
+func (s *Store) writeSnapshots(tasks []flushTask) error {
+	g := parallel.NewGroup(0)
+	for _, t := range tasks {
+		if g.Err() != nil {
+			break
+		}
+		img := serializePartition(grabBuf(), t.chunks)
+		g.Go(func() error {
+			defer releaseBuf(img)
+			return s.writeSnapshotImage(t, img)
+		})
+	}
+	return g.Wait()
 }
 
 // writeSnapshotImage compresses and writes one pre-serialized partition

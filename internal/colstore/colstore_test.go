@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -33,6 +34,16 @@ func openTest(t *testing.T, cfg Config) *Store {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// pinProcs sets GOMAXPROCS — the bound of every Flush, Compact and
+// recovery fan-out — for one test and restores it afterwards. At 1 every
+// fan-out runs inline, so a faultfs crash matrix sees one deterministic op
+// order. Tests that pin must not call t.Parallel.
+func pinProcs(t *testing.T, n int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
 func TestPutGetRoundTrip(t *testing.T) {

@@ -33,6 +33,7 @@ func TestConcurrentStore(t *testing.T) {
 		iters   = 24
 		rows    = 64
 	)
+	pinProcs(t, 4)
 	s := openTest(t, Config{
 		RowBlockRows: rows,
 		// Tiny pool and partitions: force seals, evictions and page-ins
@@ -40,7 +41,6 @@ func TestConcurrentStore(t *testing.T) {
 		MemBudgetBytes:       16 << 10,
 		PartitionTargetBytes: 4 << 10,
 		Mode:                 ModeSimilarity,
-		Workers:              4,
 	})
 
 	var wg sync.WaitGroup
@@ -178,11 +178,11 @@ func TestConcurrentStore(t *testing.T) {
 // serialization plus snapshot writes must never lose data.
 func TestConcurrentFlushCompact(t *testing.T) {
 	const rows = 64
+	pinProcs(t, 4)
 	s := openTest(t, Config{
 		RowBlockRows:         rows,
 		PartitionTargetBytes: 2 << 10,
 		Mode:                 ModeArrival,
-		Workers:              4,
 	})
 	var wg sync.WaitGroup
 	stop := make(chan struct{})

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"os"
 	"sort"
-
-	"mistique/internal/parallel"
 )
 
 // Deletion and compaction. Chunks are shared between logical columns by
@@ -202,8 +200,7 @@ func (s *Store) partitionChunksLocked(pid int64, p *partition) ([]*chunk, error)
 // reclaimed. Partitions that become empty are deleted outright. The
 // manifest is rewritten, so the store stays reopenable. The index
 // surgery happens under the index lock; the rewritten partition files
-// are then codec-compressed and written concurrently (bounded by
-// Config.Workers), like Flush.
+// are then codec-compressed and written concurrently, like Flush.
 //
 // Compaction is crash-safe: a rewrite remaps chunk indices, so it goes to
 // a NEW file generation, and the manifest write flips old→new atomically.
@@ -430,12 +427,9 @@ func (s *Store) Compact() (droppedChunks int, reclaimed int64, err error) {
 		}
 	}
 	s.stats.StoredBytes -= reclaimed
-	workers := s.cfg.Workers
 	s.mu.Unlock()
 
-	werr := parallel.ForEach(len(rewrites), workers, func(i int) error {
-		return s.writeSnapshot(rewrites[i])
-	})
+	werr := s.writeSnapshots(rewrites)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -512,7 +512,8 @@ func TestCrashMatrixDeltaFlush(t *testing.T) {
 		t.Run(fp.name, func(t *testing.T) {
 			dir := t.TempDir()
 			inj := faultfs.NewInjector(nil)
-			s, err := Open(dir, Config{FS: inj, Workers: 1})
+			pinProcs(t, 1)
+			s, err := Open(dir, Config{FS: inj})
 			if err != nil {
 				t.Fatal(err)
 			}

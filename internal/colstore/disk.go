@@ -275,8 +275,8 @@ func writePartitionFileAt(fs faultfs.FS, path string, chunks []*chunk, c codec.C
 }
 
 // writePartitionLocked writes a partition's current chunks while the
-// caller holds mu (eviction and DropCache stragglers use it; the parallel
-// Flush path uses writeSnapshot instead).
+// caller holds mu (eviction and DropCache stragglers use it; Flush and
+// Compact use writeSnapshots instead).
 func (s *Store) writePartitionLocked(p *partition) error {
 	t0 := time.Now()
 	size, raw, fsyncs, err := writePartitionFileAt(s.fs, s.partPathGen(p.id, p.gen), p.chunks, s.codec, s.cfg.CompressionLevel)

@@ -170,7 +170,7 @@ func (s *Store) recoverOnOpen(manifestCorrupt bool) error {
 	}
 	verdicts := make([]verdict, len(pids))
 	if !s.cfg.SkipRecoveryScan {
-		parallel.ForEach(len(pids), s.cfg.Workers, func(i int) error {
+		parallel.ForEach(len(pids), func(i int) error {
 			p := s.parts[pids[i]]
 			path := s.partPathGen(p.id, p.gen)
 			if _, err := os.Stat(path); os.IsNotExist(err) {

@@ -130,7 +130,8 @@ func TestCrashMatrixFirstFlush(t *testing.T) {
 			t.Run(cdc+"/"+fp.name, func(t *testing.T) {
 				dir := t.TempDir()
 				inj := faultfs.NewInjector(nil)
-				s, err := Open(dir, Config{FS: inj, Workers: 1, Codec: cdc})
+				pinProcs(t, 1)
+				s, err := Open(dir, Config{FS: inj, Codec: cdc})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -176,7 +177,8 @@ func TestCrashMatrixSecondFlush(t *testing.T) {
 			t.Run(cdc+"/"+fp.name, func(t *testing.T) {
 				dir := t.TempDir()
 				inj := faultfs.NewInjector(nil)
-				s, err := Open(dir, Config{FS: inj, Workers: 1, Codec: cdc})
+				pinProcs(t, 1)
+				s, err := Open(dir, Config{FS: inj, Codec: cdc})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -220,7 +222,8 @@ func TestCrashMatrixCompact(t *testing.T) {
 			t.Run(cdc+"/"+fp.name, func(t *testing.T) {
 				dir := t.TempDir()
 				inj := faultfs.NewInjector(nil)
-				s, err := Open(dir, Config{FS: inj, Workers: 1, Codec: cdc})
+				pinProcs(t, 1)
+				s, err := Open(dir, Config{FS: inj, Codec: cdc})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -291,7 +294,8 @@ func TestCrashMatrixCompact(t *testing.T) {
 // file under a name the live manifest maps to old indices.
 func TestCompactGenerationOnDisk(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Config{Workers: 1})
+	pinProcs(t, 1)
+	s, err := Open(dir, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -608,7 +612,8 @@ func TestManifestCorruptFailSoft(t *testing.T) {
 func TestENOSPCFlushRecovers(t *testing.T) {
 	dir := t.TempDir()
 	inj := faultfs.NewInjector(nil)
-	s, err := Open(dir, Config{FS: inj, Workers: 1})
+	pinProcs(t, 1)
+	s, err := Open(dir, Config{FS: inj})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -961,7 +966,8 @@ func TestMixedVersionDirectory(t *testing.T) {
 func TestPostPublishSyncDirReturnsSuccess(t *testing.T) {
 	dir := t.TempDir()
 	inj := faultfs.NewInjector(nil)
-	s, err := Open(dir, Config{FS: inj, Workers: 1})
+	pinProcs(t, 1)
+	s, err := Open(dir, Config{FS: inj})
 	if err != nil {
 		t.Fatal(err)
 	}

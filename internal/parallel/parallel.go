@@ -1,12 +1,13 @@
-// Package parallel provides the shared worker-pool primitives behind every
-// concurrent hot path in mistique: ingest fan-out (per-column quantize +
-// encode + dedup), partition flush/compaction, and parallel chunk reads.
+// Package parallel is the one worker pool behind every concurrent hot path
+// in mistique: ingest fan-out (per-column quantize + encode + dedup),
+// partition flush/compaction, parallel chunk reads, the recovery scan and
+// the cluster router's block scatter.
 //
-// The package is deliberately tiny: a bounded parallel-for (ForEach), a
-// bounded error group (Group), and a two-stage producer/consumer overlap
-// (Pipeline). All degrade to exact serial execution when workers <= 1,
-// which is what Config.Workers = 1 uses to recover the single-threaded
-// baseline for A/B benchmarking.
+// It is a bounded error group (Group) plus a parallel-for over it
+// (ForEach). Fan-outs size themselves from runtime.GOMAXPROCS; the Go
+// runtime's own setting is the only control. One error rule holds
+// everywhere: no task starts after the first recorded error, tasks already
+// running finish, and the first error is returned.
 package parallel
 
 import (
@@ -14,125 +15,72 @@ import (
 	"sync"
 )
 
-// Workers resolves a worker-count knob: n <= 0 selects GOMAXPROCS (use all
-// available parallelism), any positive n is used as-is.
-func Workers(n int) int {
-	if n <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return n
-}
-
-// ForEach runs fn(i) for every i in [0, n) across at most workers
-// goroutines and returns the first error encountered (remaining indices
-// are still visited; fn must be safe to call after another index failed).
-// With workers <= 1 (or n <= 1) it runs serially on the calling goroutine
-// and stops at the first error, matching a plain loop.
-func ForEach(n, workers int, fn func(i int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	workers = Workers(workers)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 || n == 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var (
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		ferr error
-	)
-	idx := make(chan int)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				if err := fn(i); err != nil {
-					mu.Lock()
-					if ferr == nil {
-						ferr = err
-					}
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	return ferr
-}
-
-// Group is a bounded error group: at most workers tasks run concurrently,
-// Go submits a task, Wait joins all tasks and returns the first error.
-// With workers <= 1, Go runs the task synchronously on the caller (exact
-// serial semantics); Err lets long submit loops bail out early.
+// Group runs submitted tasks with at most limit of them in flight. At
+// limit 1 Go runs each task inline on the caller, so a serial run is the
+// same loop rather than a second code path.
 type Group struct {
-	workers int
-	sem     chan struct{}
-	wg      sync.WaitGroup
-	mu      sync.Mutex
-	err     error
+	sem chan struct{} // nil at limit 1: tasks run inline
+	wg  sync.WaitGroup
+	mu  sync.Mutex
+	err error
 }
 
-// NewGroup creates a group bounded to Workers(workers) concurrent tasks.
-func NewGroup(workers int) *Group {
-	workers = Workers(workers)
-	g := &Group{workers: workers}
-	if workers > 1 {
-		g.sem = make(chan struct{}, workers)
+// NewGroup returns a group bounded to limit concurrent tasks; limit <= 0
+// selects runtime.GOMAXPROCS(0).
+func NewGroup(limit int) *Group {
+	if limit <= 0 {
+		limit = runtime.GOMAXPROCS(0)
+	}
+	g := &Group{}
+	if limit > 1 {
+		g.sem = make(chan struct{}, limit)
 	}
 	return g
 }
 
-// Go runs fn, synchronously when the group is serial, otherwise on a new
-// goroutine once a worker slot frees up. The first error is retained.
+// Go runs fn once a slot frees up, or skips it if a task already failed.
+// Go blocks while every slot is taken, which is what bounds a producer
+// loop's in-flight items (e.g. serialized partition images) to the limit.
 func (g *Group) Go(fn func() error) {
 	if g.sem == nil {
-		if err := fn(); err != nil {
-			g.setErr(err)
+		if g.Err() == nil {
+			g.record(fn())
 		}
 		return
 	}
 	g.sem <- struct{}{}
+	if g.Err() != nil {
+		<-g.sem
+		return
+	}
 	g.wg.Add(1)
 	go func() {
-		defer func() {
-			<-g.sem
-			g.wg.Done()
-		}()
-		if err := fn(); err != nil {
-			g.setErr(err)
-		}
+		defer g.wg.Done()
+		// Record before freeing the slot, so a Go waiting on it sees the error.
+		g.record(fn())
+		<-g.sem
 	}()
 }
 
-// Wait blocks until every submitted task finished and returns the first
+// Wait blocks until every started task finished and returns the first
 // error any of them produced.
 func (g *Group) Wait() error {
 	g.wg.Wait()
 	return g.Err()
 }
 
-// Err returns the first recorded error without waiting (submit loops use
-// it to stop enqueueing doomed work).
+// Err returns the first recorded error without waiting; producer loops use
+// it to stop computing work that would be skipped.
 func (g *Group) Err() error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.err
 }
 
-func (g *Group) setErr(err error) {
+func (g *Group) record(err error) {
+	if err == nil {
+		return
+	}
 	g.mu.Lock()
 	if g.err == nil {
 		g.err = err
@@ -140,84 +88,12 @@ func (g *Group) setErr(err error) {
 	g.mu.Unlock()
 }
 
-// Pipeline overlaps a serial production stage with a parallel consumption
-// stage: produce(i) runs in order on the calling goroutine while consume(i,
-// item) calls fan out across at most workers goroutines, so producing item
-// i+1 overlaps consuming item i (e.g. serializing partition N+1 while
-// partition N compresses). At most workers items are in flight, bounding
-// memory to workers produced-but-unconsumed items. With workers <= 1 each
-// item is produced and consumed inline, in order, stopping at the first
-// error — exact serial semantics for the A/B baseline. With workers > 1 a
-// produce error stops production immediately; consume errors stop further
-// production but already-produced items still reach consume (mirroring
-// ForEach's "fn must be safe after another index failed" contract), and the
-// first error in pipeline order wins.
-func Pipeline[T any](n, workers int, produce func(i int) (T, error), consume func(i int, item T) error) error {
-	if n <= 0 {
-		return nil
+// ForEach runs fn(i) for every i in [0, n) on a GOMAXPROCS-bounded group
+// and returns the first error; no index starts after it.
+func ForEach(n int, fn func(i int) error) error {
+	g := NewGroup(0)
+	for i := 0; i < n && g.Err() == nil; i++ {
+		g.Go(func() error { return fn(i) })
 	}
-	workers = Workers(workers)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			item, err := produce(i)
-			if err != nil {
-				return err
-			}
-			if err := consume(i, item); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	type job struct {
-		i    int
-		item T
-	}
-	var (
-		wg      sync.WaitGroup
-		mu      sync.Mutex
-		consErr error
-	)
-	jobs := make(chan job, workers-1)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				if err := consume(j.i, j.item); err != nil {
-					mu.Lock()
-					if consErr == nil {
-						consErr = err
-					}
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-	var prodErr error
-	for i := 0; i < n; i++ {
-		mu.Lock()
-		stop := consErr != nil
-		mu.Unlock()
-		if stop {
-			break
-		}
-		item, err := produce(i)
-		if err != nil {
-			prodErr = err
-			break
-		}
-		jobs <- job{i: i, item: item}
-	}
-	close(jobs)
-	wg.Wait()
-	// A consume failure stops production, so when both stages failed the
-	// consume error came first in pipeline order; report it.
-	if consErr != nil {
-		return consErr
-	}
-	return prodErr
+	return g.Wait()
 }

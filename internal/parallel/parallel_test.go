@@ -7,23 +7,55 @@ import (
 	"testing"
 )
 
+// pinProcs sets GOMAXPROCS for one test and restores it afterwards.
+func pinProcs(t *testing.T, n int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// peakTracker records the highest value a shared in-flight counter reached.
+type peakTracker struct{ cur, peak int64 }
+
+func (p *peakTracker) enter() {
+	c := atomic.AddInt64(&p.cur, 1)
+	for {
+		old := atomic.LoadInt64(&p.peak)
+		if c <= old || atomic.CompareAndSwapInt64(&p.peak, old, c) {
+			return
+		}
+	}
+}
+
+func (p *peakTracker) leave() { atomic.AddInt64(&p.cur, -1) }
+
+// TestWorkers: ForEach sizes itself from GOMAXPROCS — never more tasks in
+// flight than the runtime setting, and exactly one (inline) at 1.
 func TestWorkers(t *testing.T) {
-	if got := Workers(0); got != runtime.GOMAXPROCS(0) {
-		t.Fatalf("Workers(0) = %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
-	}
-	if got := Workers(-3); got != runtime.GOMAXPROCS(0) {
-		t.Fatalf("Workers(-3) = %d", got)
-	}
-	if got := Workers(5); got != 5 {
-		t.Fatalf("Workers(5) = %d", got)
+	for _, procs := range []int{1, 3} {
+		pinProcs(t, procs)
+		var pt peakTracker
+		err := ForEach(60, func(int) error {
+			pt.enter()
+			runtime.Gosched()
+			pt.leave()
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pt.peak > int64(procs) {
+			t.Fatalf("GOMAXPROCS=%d: observed %d concurrent tasks", procs, pt.peak)
+		}
 	}
 }
 
 func TestForEachVisitsAll(t *testing.T) {
-	for _, workers := range []int{1, 2, 8} {
+	for _, procs := range []int{1, 2, 8} {
+		pinProcs(t, procs)
 		const n = 100
 		seen := make([]int32, n)
-		err := ForEach(n, workers, func(i int) error {
+		err := ForEach(n, func(i int) error {
 			atomic.AddInt32(&seen[i], 1)
 			return nil
 		})
@@ -32,31 +64,36 @@ func TestForEachVisitsAll(t *testing.T) {
 		}
 		for i, c := range seen {
 			if c != 1 {
-				t.Fatalf("workers=%d: index %d visited %d times", workers, i, c)
+				t.Fatalf("GOMAXPROCS=%d: index %d visited %d times", procs, i, c)
 			}
 		}
+	}
+	if err := ForEach(0, func(int) error { return errors.New("called") }); err != nil {
+		t.Fatalf("ForEach(0) = %v", err)
 	}
 }
 
 func TestForEachPropagatesError(t *testing.T) {
 	boom := errors.New("boom")
-	for _, workers := range []int{1, 4} {
-		err := ForEach(50, workers, func(i int) error {
+	for _, procs := range []int{1, 4} {
+		pinProcs(t, procs)
+		err := ForEach(50, func(i int) error {
 			if i == 17 {
 				return boom
 			}
 			return nil
 		})
 		if !errors.Is(err, boom) {
-			t.Fatalf("workers=%d: err = %v, want boom", workers, err)
+			t.Fatalf("GOMAXPROCS=%d: err = %v, want boom", procs, err)
 		}
 	}
 }
 
 func TestForEachSerialStopsEarly(t *testing.T) {
+	pinProcs(t, 1)
 	var calls int32
 	boom := errors.New("boom")
-	_ = ForEach(10, 1, func(i int) error {
+	_ = ForEach(10, func(i int) error {
 		atomic.AddInt32(&calls, 1)
 		if i == 3 {
 			return boom
@@ -69,11 +106,10 @@ func TestForEachSerialStopsEarly(t *testing.T) {
 }
 
 func TestGroup(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		g := NewGroup(workers)
+	for _, limit := range []int{1, 4, 0} {
+		g := NewGroup(limit)
 		var sum int64
 		for i := 1; i <= 64; i++ {
-			i := i
 			g.Go(func() error {
 				atomic.AddInt64(&sum, int64(i))
 				return nil
@@ -83,7 +119,7 @@ func TestGroup(t *testing.T) {
 			t.Fatal(err)
 		}
 		if sum != 64*65/2 {
-			t.Fatalf("workers=%d: sum = %d", workers, sum)
+			t.Fatalf("limit=%d: sum = %d", limit, sum)
 		}
 	}
 }
@@ -92,7 +128,6 @@ func TestGroupError(t *testing.T) {
 	boom := errors.New("boom")
 	g := NewGroup(4)
 	for i := 0; i < 16; i++ {
-		i := i
 		g.Go(func() error {
 			if i == 7 {
 				return boom
@@ -108,38 +143,78 @@ func TestGroupError(t *testing.T) {
 	}
 }
 
+// TestGroupStopsAfterFirstError: once a task failed no new task starts —
+// inline and concurrent alike. With limit 4 and task 0 failing, tasks 1–3
+// hold their slots until the failure is recorded, so the only tasks that
+// ever run are the four that were already in flight.
+func TestGroupStopsAfterFirstError(t *testing.T) {
+	boom := errors.New("boom")
+	for _, limit := range []int{1, 4} {
+		g := NewGroup(limit)
+		var ran int32
+		for i := 0; i < 64; i++ {
+			g.Go(func() error {
+				atomic.AddInt32(&ran, 1)
+				if i == 0 {
+					return boom
+				}
+				for g.Err() == nil {
+					runtime.Gosched()
+				}
+				return nil
+			})
+		}
+		if err := g.Wait(); !errors.Is(err, boom) {
+			t.Fatalf("limit=%d: err = %v, want boom", limit, err)
+		}
+		if ran > int32(limit) {
+			t.Fatalf("limit=%d: %d tasks ran after task 0 failed", limit, ran)
+		}
+	}
+}
+
 func TestGroupBoundedConcurrency(t *testing.T) {
-	const workers = 3
-	g := NewGroup(workers)
-	var cur, peak int64
+	const limit = 3
+	g := NewGroup(limit)
+	var pt peakTracker
 	for i := 0; i < 40; i++ {
 		g.Go(func() error {
-			c := atomic.AddInt64(&cur, 1)
-			for {
-				p := atomic.LoadInt64(&peak)
-				if c <= p || atomic.CompareAndSwapInt64(&peak, p, c) {
-					break
-				}
-			}
+			pt.enter()
 			runtime.Gosched()
-			atomic.AddInt64(&cur, -1)
+			pt.leave()
 			return nil
 		})
 	}
 	if err := g.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if peak > workers {
-		t.Fatalf("observed %d concurrent tasks, bound %d", peak, workers)
+	if pt.peak > limit {
+		t.Fatalf("observed %d concurrent tasks, bound %d", pt.peak, limit)
 	}
 }
 
+// pipeline is the shape colstore's flush uses: produce runs in order on
+// the caller, consume runs on the group. A failed produce stops the loop;
+// a failed consume stops it through the group's error rule.
+func pipeline(limit, n int, produce func(i int) (int, error), consume func(i, item int) error) error {
+	g := NewGroup(limit)
+	for i := 0; i < n && g.Err() == nil; i++ {
+		item, err := produce(i)
+		if err != nil {
+			g.Wait()
+			return err
+		}
+		g.Go(func() error { return consume(i, item) })
+	}
+	return g.Wait()
+}
+
 func TestPipelineVisitsAllInOrder(t *testing.T) {
-	for _, workers := range []int{1, 2, 8} {
+	for _, limit := range []int{1, 2, 8} {
 		const n = 100
 		var produced []int // produce is serial: no locking needed
 		consumed := make([]int32, n)
-		err := Pipeline(n, workers, func(i int) (int, error) {
+		err := pipeline(limit, n, func(i int) (int, error) {
 			produced = append(produced, i)
 			return i * i, nil
 		}, func(i, item int) error {
@@ -154,12 +229,12 @@ func TestPipelineVisitsAllInOrder(t *testing.T) {
 		}
 		for i, p := range produced {
 			if p != i {
-				t.Fatalf("workers=%d: produce order %v", workers, produced)
+				t.Fatalf("limit=%d: produce order %v", limit, produced)
 			}
 		}
 		for i, c := range consumed {
 			if c != 1 {
-				t.Fatalf("workers=%d: index %d consumed %d times", workers, i, c)
+				t.Fatalf("limit=%d: index %d consumed %d times", limit, i, c)
 			}
 		}
 	}
@@ -167,9 +242,9 @@ func TestPipelineVisitsAllInOrder(t *testing.T) {
 
 func TestPipelineProduceError(t *testing.T) {
 	boom := errors.New("boom")
-	for _, workers := range []int{1, 4} {
+	for _, limit := range []int{1, 4} {
 		var produced int32
-		err := Pipeline(50, workers, func(i int) (int, error) {
+		err := pipeline(limit, 50, func(i int) (int, error) {
 			atomic.AddInt32(&produced, 1)
 			if i == 17 {
 				return 0, boom
@@ -177,62 +252,63 @@ func TestPipelineProduceError(t *testing.T) {
 			return i, nil
 		}, func(i, item int) error { return nil })
 		if !errors.Is(err, boom) {
-			t.Fatalf("workers=%d: err = %v, want boom", workers, err)
+			t.Fatalf("limit=%d: err = %v, want boom", limit, err)
 		}
 		if produced != 18 {
-			t.Fatalf("workers=%d: produce ran %d times after failing at 17", workers, produced)
+			t.Fatalf("limit=%d: produce ran %d times after failing at 17", limit, produced)
 		}
 	}
 }
 
 func TestPipelineConsumeErrorStopsProduction(t *testing.T) {
 	boom := errors.New("boom")
-	for _, workers := range []int{1, 4} {
+	for _, limit := range []int{1, 4} {
 		var produced int32
-		err := Pipeline(1000, workers, func(i int) (int, error) {
+		failed := make(chan struct{})
+		err := pipeline(limit, 1000, func(i int) (int, error) {
 			atomic.AddInt32(&produced, 1)
 			return i, nil
 		}, func(i, item int) error {
 			if i == 3 {
+				close(failed)
 				return boom
+			}
+			// Concurrent: hold the slot until item 3 fails, so production
+			// cannot race ahead of a failing task never yet scheduled.
+			if limit > 1 {
+				<-failed
 			}
 			return nil
 		})
 		if !errors.Is(err, boom) {
-			t.Fatalf("workers=%d: err = %v, want boom", workers, err)
+			t.Fatalf("limit=%d: err = %v, want boom", limit, err)
 		}
-		// Serial stops right after item 3; parallel may overrun by the
+		// Inline stops right after item 3; concurrent may overrun by the
 		// in-flight window but must not drain the whole range.
 		if produced >= 1000 {
-			t.Fatalf("workers=%d: produced all %d items after consume error", workers, produced)
+			t.Fatalf("limit=%d: produced all %d items after consume error", limit, produced)
 		}
 	}
 }
 
+// TestPipelineBoundedInFlight: Go blocks while every slot is taken, so at
+// most limit items are being consumed plus the one the caller just
+// produced.
 func TestPipelineBoundedInFlight(t *testing.T) {
-	const workers = 3
-	var cur, peak int64
-	err := Pipeline(40, workers, func(i int) (int, error) {
-		atomic.AddInt64(&cur, 1)
+	const limit = 3
+	var pt peakTracker
+	err := pipeline(limit, 40, func(i int) (int, error) {
+		pt.enter()
 		return i, nil
 	}, func(i, item int) error {
-		c := atomic.LoadInt64(&cur)
-		for {
-			p := atomic.LoadInt64(&peak)
-			if c <= p || atomic.CompareAndSwapInt64(&peak, p, c) {
-				break
-			}
-		}
 		runtime.Gosched()
-		atomic.AddInt64(&cur, -1)
+		pt.leave()
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// In-flight bound: workers consuming + (workers-1) queued + 1 being
-	// handed off.
-	if limit := int64(2 * workers); peak > limit {
-		t.Fatalf("observed %d in-flight items, bound %d", peak, limit)
+	if bound := int64(limit + 1); pt.peak > bound {
+		t.Fatalf("observed %d in-flight items, bound %d", pt.peak, bound)
 	}
 }

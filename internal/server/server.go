@@ -40,6 +40,7 @@ import (
 	"runtime/debug"
 	"strconv"
 	"sync"
+	"syscall"
 	"time"
 
 	"mistique"
@@ -333,6 +334,8 @@ func errorStatus(err error) int {
 		return http.StatusConflict
 	case errors.Is(err, mistique.ErrBadQuery):
 		return http.StatusBadRequest
+	case errors.Is(err, syscall.ENOSPC):
+		return http.StatusInsufficientStorage
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout
 	case errors.Is(err, context.Canceled):

@@ -9,6 +9,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -16,6 +18,7 @@ import (
 	"mistique/client"
 	"mistique/internal/colstore"
 	"mistique/internal/data"
+	"mistique/internal/faultfs"
 	"mistique/internal/nn"
 	"mistique/internal/pipeline"
 	"mistique/internal/zillow"
@@ -563,6 +566,51 @@ func TestClientRetries5xx(t *testing.T) {
 	c3, _ := client.New(down.URL, client.WithMaxRetries(2), client.WithBackoff(time.Millisecond))
 	if _, err := c3.Models(context.Background()); !errors.As(err, &ae) || ae.Status != 503 || calls != 3 {
 		t.Fatalf("err = %v after %d calls", err, calls)
+	}
+}
+
+// TestENOSPCIs507: a full disk under compaction or ingest answers 507
+// Insufficient Storage, not a 500, and the client does not retry it — a
+// full disk does not heal within a backoff window.
+func TestENOSPCIs507(t *testing.T) {
+	inj := faultfs.NewInjector(nil)
+	sys := newSys(t, mistique.Config{RowBlockRows: 64, Store: colstore.Config{FS: inj}})
+	var calls atomic.Int32
+	h := New(sys, Config{}).Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		h.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+	c, err := client.New(ts.URL, client.WithMaxRetries(3), client.WithBackoff(time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	cases := []struct {
+		name, path string
+		call       func() error
+	}{
+		{"compact", "MANIFEST", func() error { _, err := c.Compact(ctx); return err }},
+		{"ingest", ".wal", func() error {
+			_, err := c.IngestRows(ctx, "live", "acts", []string{"v"}, [][]float32{{1}, {2}})
+			return err
+		}},
+	}
+	for _, tc := range cases {
+		calls.Store(0)
+		inj.Arm(faultfs.Fault{Op: faultfs.OpWrite, PathContains: tc.path, Err: syscall.ENOSPC})
+		err := tc.call()
+		if !inj.Fired() {
+			t.Fatalf("%s: fault on %q never fired", tc.name, tc.path)
+		}
+		var ae *client.APIError
+		if !errors.As(err, &ae) || ae.Status != http.StatusInsufficientStorage {
+			t.Fatalf("%s: err = %v, want 507", tc.name, err)
+		}
+		if n := calls.Load(); n != 1 {
+			t.Fatalf("%s: %d attempts, want exactly 1", tc.name, n)
+		}
 	}
 }
 

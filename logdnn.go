@@ -148,7 +148,7 @@ func (s *System) LogDNN(name string, net *nn.Network, input *tensor.T4, opts DNN
 	// handed to the worker pool to summarize, encode and store while the
 	// next batch computes. Layer outputs are freshly allocated and never
 	// mutated, so workers read them without copies.
-	g := parallel.NewGroup(s.workers())
+	g := parallel.NewGroup(0)
 	storedBytes := make([]int64, net.NumLayers())
 	for block := 0; block*opts.BatchRows < input.N; block++ {
 		if g.Err() != nil {

@@ -128,7 +128,7 @@ func (s *System) readMatrix(ctx context.Context, model, interm string, cols []st
 			tasks = append(tasks, task{j: j, b: b})
 		}
 	}
-	err := parallel.ForEach(len(tasks), s.workers(), func(i int) error {
+	err := parallel.ForEach(len(tasks), func(i int) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -369,7 +369,7 @@ func (s *System) GetRowsCtx(ctx context.Context, model, interm string, cols []st
 // by OpRows, range-restricted OpTopK and the KNN block scanner.
 func (s *System) readRowRange(ctx context.Context, model, interm string, cols []string, from, to int) (*tensor.Dense, error) {
 	out := tensor.NewDense(to-from, len(cols))
-	err := parallel.ForEach(len(cols), s.workers(), func(j int) error {
+	err := parallel.ForEach(len(cols), func(j int) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
