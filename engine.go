@@ -109,9 +109,6 @@ type Config struct {
 	// the cap (a sample that would hold every row adds nothing over the
 	// store) and always for streaming ingest.
 	Sample sample.Config
-	// Index controls the lazily built neuron-centric diagnostic indexes
-	// (internal/nindex) behind TopK, FilterRows and KNN; see IndexConfig.
-	Index IndexConfig
 }
 
 // System is a MISTIQUE instance rooted at a directory.
@@ -124,8 +121,8 @@ type System struct {
 	dir   string
 	store *colstore.Store
 	meta  *metadata.DB
-	// nidx manages the lazy per-column diagnostic indexes (nil when
-	// Config.Index.Disable is set; every query path then full-scans).
+	// nidx caches the lazy per-column diagnostic indexes in memory. Tests
+	// set it to nil to get the full-scan twin of every indexed path.
 	nidx *nindex.Manager
 	// weights is the content-addressed object store holding one weight
 	// snapshot per logged DNN version; fine-tuned checkpoints dedup at
@@ -193,8 +190,8 @@ func Open(dir string, cfg Config) (*System, error) {
 		cfg.RowBlockRows = 1024
 	}
 	cfg.Store.RowBlockRows = cfg.RowBlockRows
-	// Every artifact (partitions, catalog, indexes, weight snapshots,
-	// samples, WALs) writes through one fault-injectable FS.
+	// Every artifact (partitions, catalog, weight snapshots, samples,
+	// WALs) writes through one fault-injectable FS.
 	if cfg.Store.FS == nil {
 		cfg.Store.FS = faultfs.OS()
 	}
@@ -231,20 +228,8 @@ func Open(dir string, cfg Config) (*System, error) {
 	}
 	meta.SetFS(cfg.Store.FS)
 	meta.SetObs(metrics.reg)
-	var nidx *nindex.Manager
-	if !cfg.Index.Disable {
-		// Index files live in a subdirectory of the store's data dir (the
-		// store's recovery sweep skips subdirectories, so it never mistakes
-		// them for partitions) and share the store's fault-injectable FS.
-		nidx, err = nindex.NewManager(nindex.ManagerConfig{
-			Dir: filepath.Join(dir, "data", "nindex"),
-			FS:  cfg.Store.FS,
-			Obs: metrics.reg,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("mistique: %w", err)
-		}
-	}
+	// NewManager cannot fail: the index cache holds no files.
+	nidx, _ := nindex.NewManager(nindex.ManagerConfig{Obs: metrics.reg})
 	// Weight snapshots live in a content-addressed store next to the
 	// partition files (a subdirectory, so the colstore recovery sweep
 	// never mistakes its files for partitions).
@@ -253,7 +238,7 @@ func Open(dir string, cfg Config) (*System, error) {
 		return nil, fmt.Errorf("mistique: open weight store: %w", err)
 	}
 	// Reservoir samples live next to the partitions (a subdirectory, so
-	// the colstore recovery sweep skips them), like nindex and cas.
+	// the colstore recovery sweep skips them), like cas.
 	samples, err := sample.NewManager(sample.ManagerConfig{
 		Dir: filepath.Join(dir, "data", "sample"),
 		FS:  cfg.Store.FS,

@@ -238,7 +238,7 @@ func (s *System) rematerialize(m *metadata.Model, it *metadata.Interm) error {
 	}
 	// Re-materialization moved the columns to fresh chunks; drop any
 	// diagnostic indexes built over the old ones (their stale signatures
-	// would be rejected anyway — this just skips the wasted load).
+	// would be rejected anyway — this just frees their memory now).
 	if s.nidx != nil {
 		s.nidx.InvalidateModel(m.Name)
 	}

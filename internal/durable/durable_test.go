@@ -182,11 +182,11 @@ func TestPublishCrashMatrix(t *testing.T) {
 func TestSweepTempsMatchesEveryTempName(t *testing.T) {
 	dir := t.TempDir()
 	temps := []string{
-		"metadata.json.tmp123", "strm_00ab.wal.tmp9", "nidx_00ab.mqni.tmp77",
+		"metadata.json.tmp123", "strm_00ab.wal.tmp9", "smpl_00ab.mqsm.tmp77",
 		// Names written by binaries that predate this package.
 		"seg-12345.tmp", "index-9.tmp", "objects-1.tmp",
 	}
-	keep := []string{"metadata.json", "partition_00000001.bin.gz", "nidx_00ab.mqni.corrupt"}
+	keep := []string{"metadata.json", "partition_00000001.bin.gz", "smpl_00ab.mqsm.corrupt"}
 	for _, name := range append(append([]string(nil), temps...), keep...) {
 		if err := os.WriteFile(filepath.Join(dir, name), []byte("x"), 0o644); err != nil {
 			t.Fatal(err)

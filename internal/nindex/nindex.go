@@ -1,22 +1,17 @@
 // Package nindex implements a neuron-centric diagnostic index in the style
 // of DeepEverest's Neural Partition Index: one small secondary index per
 // stored column (neuron) that answers TOPK and threshold (FilterRows)
-// queries by touching only the blocks that can contribute, instead of
+// queries by touching only the segments that can contribute, instead of
 // scanning every row.
 //
-// An Index holds three summaries of one column:
-//
-//   - an equi-depth value histogram (quantile boundaries over the non-NaN
-//     values), the column's distribution at a glance;
-//   - a priority-ordered row list: row ids sorted by activation under the
-//     pinned total order of internal/diag (value descending, NaN last, row
-//     id ascending on ties), cut into fixed-size segments whose row ids
-//     are delta-varint encoded — a top-k probe decodes only the prefix
-//     segments that can hold the first k positions, a threshold probe only
-//     the segments whose [min, max] straddles or clears the bound;
-//   - per-RowBlock min/max zones, mirroring the store's zone maps, which
-//     the engine's KNN uses to lower-bound the distance of whole blocks
-//     and skip them (PlanKNN).
+// An Index is a priority-ordered row list: row ids sorted by activation
+// under the pinned total order of internal/diag (value descending, NaN
+// last, row id ascending on ties), cut into fixed-size segments whose row
+// ids are delta-varint encoded and whose max/min are kept beside them — a
+// top-k probe decodes only the prefix segments that can hold the first k
+// positions, a threshold probe only the segments whose [min, max]
+// straddles or clears the bound. PlanKNN orders RowBlocks for the engine's
+// KNN from the store's per-block zone maps.
 //
 // Ordering is the load-bearing invariant: every probe answer is defined by
 // diag.RankLess, the same comparator the naive full-scan oracles use, so
@@ -25,10 +20,10 @@
 // assert equality across randomized inputs including NaN/±Inf, constant
 // columns, duplicates and all-equal ties.
 //
-// Indexes are built lazily on first use (see Manager), persisted with
-// CRC32-C footers under the store's temp→fsync→rename discipline, and
+// Indexes live in memory only (see Manager): built lazily on first use,
 // stamped with the column's physical signature so a stale index is
-// detected and rebuilt, never trusted.
+// detected and rebuilt, never trusted, and rebuilt from the column after
+// an eviction or a restart.
 package nindex
 
 import (
@@ -47,16 +42,11 @@ type Config struct {
 	// matching the default RowBlock height): a TOPK(k) probe decodes
 	// ceil(k/SegmentEntries) segments.
 	SegmentEntries int
-	// HistogramBins is the equi-depth histogram resolution (default 64).
-	HistogramBins int
 }
 
 func (c Config) withDefaults() Config {
 	if c.SegmentEntries <= 0 {
 		c.SegmentEntries = 1024
-	}
-	if c.HistogramBins <= 0 {
-		c.HistogramBins = 64
 	}
 	return c
 }
@@ -75,23 +65,12 @@ type Zone struct {
 	Count    int
 }
 
-// Histogram is the equi-depth value distribution of a column: Bounds has
-// len(Counts)+1 quantile boundaries over the non-NaN values, Counts the
-// (near-equal) per-bin row counts, NaNs the rows excluded.
-type Histogram struct {
-	Bounds []float32
-	Counts []int
-	NaNs   int
-}
-
 // segment is one run of the priority-ordered row list. Row ids are stored
 // delta-varint encoded in ascending order; values are stored as raw
 // little-endian float32 in the same (row-ascending) order, in a separate
 // buffer so a full-match threshold probe can decode rows without values.
-// max/min are the first/last values of the run in priority order; nan
-// marks the NaN tail (such segments match no predicate).
+// max/min are the first/last values of the run in priority order.
 type segment struct {
-	nan     bool
 	count   int
 	max     float32
 	min     float32
@@ -102,28 +81,21 @@ type segment struct {
 // Index is the per-column Neural Partition Index. Immutable once built;
 // safe for concurrent probes.
 type Index struct {
-	sig       uint32
-	rows      int
-	blockRows int
-	hist      Histogram
-	zones     []Zone
-	segs      []segment
+	sig  uint32
+	rows int
+	segs []segment
 	// nonNaN is the number of leading segments holding non-NaN entries.
 	nonNaN int
 	bytes  int64
 }
 
-// Build constructs the index over one column's values. blockRows is the
-// RowBlock height (for the per-block zones); sig is the column's physical
-// signature (see colstore.ColumnSignature) stamped into the index for
-// staleness detection.
-func Build(values []float32, blockRows int, sig uint32, cfg Config) *Index {
+// Build constructs the index over one column's values. sig is the column's
+// physical signature (see colstore.ColumnSignature) stamped into the index
+// for staleness detection.
+func Build(values []float32, sig uint32, cfg Config) *Index {
 	cfg = cfg.withDefaults()
-	if blockRows <= 0 {
-		blockRows = 1024
-	}
 	n := len(values)
-	x := &Index{sig: sig, rows: n, blockRows: blockRows}
+	x := &Index{sig: sig, rows: n}
 
 	// Priority order under the pinned comparator; NaNs land at the tail.
 	// The comparator is diag.RankLess, but packed into sortable uint64
@@ -147,22 +119,24 @@ func Build(values []float32, blockRows int, sig uint32, cfg Config) *Index {
 		}
 	}
 
-	cut := func(lo, hi int, nan bool) {
+	// The NaN tail gets segments of its own, which match no predicate.
+	cut := func(lo, hi int) {
 		for s := lo; s < hi; s += cfg.SegmentEntries {
 			e := s + cfg.SegmentEntries
 			if e > hi {
 				e = hi
 			}
-			x.segs = append(x.segs, buildSegment(values, order[s:e], nan))
+			x.segs = append(x.segs, buildSegment(values, order[s:e]))
 		}
 	}
-	cut(0, nanStart, false)
+	cut(0, nanStart)
 	x.nonNaN = len(x.segs)
-	cut(nanStart, n, true)
+	cut(nanStart, n)
 
-	x.hist = buildHistogram(values, cfg.HistogramBins)
-	x.zones = buildZones(values, blockRows)
-	x.bytes = x.footprint()
+	x.bytes = 64
+	for i := range x.segs {
+		x.bytes += 24 + int64(len(x.segs[i].rowsEnc)+len(x.segs[i].valsEnc))
+	}
 	return x
 }
 
@@ -194,8 +168,8 @@ func rankKey(v float32, row int) uint64 {
 // buildSegment encodes one priority-order run: entries re-sorted by
 // ascending row id, rows delta-varint encoded, values raw in the same
 // order. max/min come from the priority order (first/last of the run).
-func buildSegment(values []float32, run []int, nan bool) segment {
-	seg := segment{nan: nan, count: len(run)}
+func buildSegment(values []float32, run []int) segment {
+	seg := segment{count: len(run)}
 	if len(run) > 0 {
 		seg.max = values[run[0]]
 		seg.min = values[run[len(run)-1]]
@@ -221,65 +195,6 @@ func buildSegment(values []float32, run []int, nan bool) segment {
 	return seg
 }
 
-func buildHistogram(values []float32, bins int) Histogram {
-	sorted := make([]float32, 0, len(values))
-	nans := 0
-	for _, v := range values {
-		if math.IsNaN(float64(v)) {
-			nans++
-			continue
-		}
-		sorted = append(sorted, v)
-	}
-	h := Histogram{NaNs: nans}
-	n := len(sorted)
-	if n == 0 {
-		return h
-	}
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	if bins > n {
-		bins = n
-	}
-	h.Bounds = make([]float32, bins+1)
-	h.Counts = make([]int, bins)
-	for b := 0; b < bins; b++ {
-		h.Bounds[b] = sorted[b*n/bins]
-		h.Counts[b] = (b+1)*n/bins - b*n/bins
-	}
-	h.Bounds[bins] = sorted[n-1]
-	return h
-}
-
-func buildZones(values []float32, blockRows int) []Zone {
-	var zones []Zone
-	for lo := 0; lo < len(values); lo += blockRows {
-		hi := lo + blockRows
-		if hi > len(values) {
-			hi = len(values)
-		}
-		z := Zone{Min: float32(math.Inf(1)), Max: float32(math.Inf(-1)), Count: hi - lo}
-		for _, v := range values[lo:hi] {
-			if v < z.Min {
-				z.Min = v
-			}
-			if v > z.Max {
-				z.Max = v
-			}
-		}
-		zones = append(zones, z)
-	}
-	return zones
-}
-
-func (x *Index) footprint() int64 {
-	b := int64(64)
-	b += int64(4*(len(x.hist.Bounds)+2*len(x.hist.Counts)) + 12*len(x.zones))
-	for i := range x.segs {
-		b += 24 + int64(len(x.segs[i].rowsEnc)+len(x.segs[i].valsEnc))
-	}
-	return b
-}
-
 // Sig returns the column signature the index was built against.
 func (x *Index) Sig() uint32 { return x.sig }
 
@@ -292,15 +207,9 @@ func (x *Index) Bytes() int64 { return x.bytes }
 // Segments returns the number of priority-list segments.
 func (x *Index) Segments() int { return len(x.segs) }
 
-// Hist returns the equi-depth value histogram.
-func (x *Index) Hist() Histogram { return x.hist }
-
-// BlockZones returns the per-RowBlock min/max summaries.
-func (x *Index) BlockZones() []Zone { return x.zones }
-
 // decodeRows decodes a segment's delta-varint row list, validating
-// monotonicity and range so a corrupted (but checksum-passing) payload
-// surfaces as an error instead of nonsense rows.
+// monotonicity and range so a damaged payload surfaces as an error (and
+// the engine's scan fallback) instead of nonsense rows.
 func (s *segment) decodeRows(maxRows int) ([]int, error) {
 	rows := make([]int, 0, s.count)
 	buf := s.rowsEnc

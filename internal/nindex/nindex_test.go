@@ -8,78 +8,32 @@ import (
 
 func TestBuildShapes(t *testing.T) {
 	vals := []float32{5, 1, float32(math.NaN()), 3, 3, -2, float32(math.Inf(1)), 0}
-	x := Build(vals, 4, 42, Config{SegmentEntries: 3, HistogramBins: 4})
+	x := Build(vals, 42, Config{SegmentEntries: 3})
 	if x.Rows() != 8 || x.Sig() != 42 {
 		t.Fatalf("rows=%d sig=%d", x.Rows(), x.Sig())
-	}
-	if len(x.BlockZones()) != 2 {
-		t.Fatalf("%d zones for 8 rows of 4", len(x.BlockZones()))
 	}
 	// 7 non-NaN entries in 3-entry segments (3+3+1) plus one NaN segment.
 	if x.Segments() != 4 || x.nonNaN != 3 {
 		t.Fatalf("segments=%d nonNaN=%d", x.Segments(), x.nonNaN)
 	}
 	for i, seg := range x.segs {
-		if seg.nan != (i >= x.nonNaN) {
-			t.Fatalf("segment %d nan=%v", i, seg.nan)
+		vals, err := seg.decodeVals()
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	h := x.Hist()
-	if h.NaNs != 1 {
-		t.Fatalf("histogram NaNs=%d", h.NaNs)
-	}
-	total := 0
-	for _, c := range h.Counts {
-		total += c
-	}
-	if total != 7 {
-		t.Fatalf("histogram counts sum %d, want 7", total)
+		for _, v := range vals {
+			if math.IsNaN(float64(v)) != (i >= x.nonNaN) {
+				t.Fatalf("segment %d (nonNaN %d) holds %v", i, x.nonNaN, v)
+			}
+		}
 	}
 	if x.Bytes() <= 0 {
 		t.Fatal("zero footprint")
 	}
 }
 
-func TestHistogramEquiDepth(t *testing.T) {
-	vals := make([]float32, 1000)
-	for i := range vals {
-		vals[i] = float32(i)
-	}
-	h := buildHistogram(vals, 10)
-	if len(h.Counts) != 10 || len(h.Bounds) != 11 {
-		t.Fatalf("bins=%d bounds=%d", len(h.Counts), len(h.Bounds))
-	}
-	for b, c := range h.Counts {
-		if c != 100 {
-			t.Fatalf("bin %d count %d, want 100", b, c)
-		}
-	}
-	if h.Bounds[0] != 0 || h.Bounds[10] != 999 {
-		t.Fatalf("bounds [%v, %v]", h.Bounds[0], h.Bounds[10])
-	}
-	// More bins than values collapses to one bin per value.
-	h = buildHistogram([]float32{2, 1}, 64)
-	if len(h.Counts) != 2 {
-		t.Fatalf("tiny column got %d bins", len(h.Counts))
-	}
-}
-
-func TestZonesIgnoreNaNAndMarkAllNaNInverted(t *testing.T) {
-	nan := float32(math.NaN())
-	zones := buildZones([]float32{1, nan, 3, nan, nan, nan}, 3)
-	if len(zones) != 2 {
-		t.Fatalf("%d zones", len(zones))
-	}
-	if zones[0].Min != 1 || zones[0].Max != 3 {
-		t.Fatalf("zone 0 [%v, %v]", zones[0].Min, zones[0].Max)
-	}
-	if zones[1].Min <= zones[1].Max {
-		t.Fatalf("all-NaN zone not inverted: [%v, %v]", zones[1].Min, zones[1].Max)
-	}
-}
-
 func TestDecodeRowsRejectsCorruptPayloads(t *testing.T) {
-	seg := buildSegment([]float32{9, 8, 7}, []int{0, 1, 2}, false)
+	seg := buildSegment([]float32{9, 8, 7}, []int{0, 1, 2})
 	if rows, err := seg.decodeRows(3); err != nil || len(rows) != 3 {
 		t.Fatalf("clean decode: rows=%v err=%v", rows, err)
 	}
@@ -100,7 +54,7 @@ func TestDecodeRowsRejectsCorruptPayloads(t *testing.T) {
 		t.Fatal("trailing bytes accepted")
 	}
 	// Non-monotone deltas (a zero delta re-encodes the same row).
-	dup := buildSegment([]float32{9, 8}, []int{1, 1}, false)
+	dup := buildSegment([]float32{9, 8}, []int{1, 1})
 	if _, err := dup.decodeRows(3); err == nil {
 		t.Fatal("duplicate row accepted")
 	}
@@ -181,14 +135,8 @@ func TestBuildDefaults(t *testing.T) {
 	for i := range vals {
 		vals[i] = rng.Float32()
 	}
-	x := Build(vals, 0, 0, Config{})
+	x := Build(vals, 0, Config{})
 	if got := x.Segments(); got != 3 { // 3000 rows / default 1024-entry segments
 		t.Fatalf("%d segments with default config", got)
-	}
-	if len(x.Hist().Counts) != 64 {
-		t.Fatalf("%d histogram bins with default config", len(x.Hist().Counts))
-	}
-	if len(x.BlockZones()) != 3 {
-		t.Fatalf("%d zones with default blockRows", len(x.BlockZones()))
 	}
 }

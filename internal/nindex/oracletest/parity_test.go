@@ -48,57 +48,48 @@ func sameRows(t *testing.T, label string, got, want []int) bool {
 
 // TestIndexScanParity is the differential harness's core sweep: every
 // (column shape × size × seed × index layout) instance is probed with
-// every TOPK and FilterRows query shape, against both the freshly built
-// index and its decode(encode(·)) round-trip, and each answer must equal
-// the naive full-scan oracle exactly. Well over 1000 randomized probes
-// run per invocation; any count mismatch, row mismatch, or value-bit
-// mismatch fails.
+// every TOPK and FilterRows query shape, and each answer must equal the
+// naive full-scan oracle exactly. Well over 1000 randomized probes run per
+// invocation; any count mismatch, row mismatch, or value-bit mismatch
+// fails.
 func TestIndexScanParity(t *testing.T) {
 	sizes := []int{0, 1, 5, 33, 100, 257}
 	configs := []nindex.Config{
-		{SegmentEntries: 7, HistogramBins: 8}, // many segments: every walk boundary exercised
-		{SegmentEntries: 64, HistogramBins: 16},
+		{SegmentEntries: 7}, // many segments: every walk boundary exercised
+		{SegmentEntries: 64},
 	}
-	blockRows := []int{16, 64}
 	probes := 0
 	for _, kind := range Kinds {
 		for _, n := range sizes {
 			for seed := int64(1); seed <= 3; seed++ {
 				rng := rand.New(rand.NewSource(seed*1000 + int64(n)))
 				col := Column(rng, kind, n)
-				for ci, cfg := range configs {
-					x := nindex.Build(col, blockRows[ci%len(blockRows)], uint32(seed), cfg)
-					// Probe the persisted form too: parity must survive the codec.
-					_, rx, err := nindex.Decode(nindex.Encode("k", x))
-					if err != nil {
-						t.Fatalf("%s n=%d seed=%d: round-trip decode: %v", kind, n, seed, err)
-					}
-					for _, idx := range []*nindex.Index{x, rx} {
-						ks := []int{0, 1, 2, n - 1, n, n + 1, rng.Intn(n + 2)}
-						for _, k := range ks {
-							got, _, err := idx.TopK(k)
-							if err != nil {
-								t.Fatalf("%s n=%d seed=%d k=%d: %v", kind, n, seed, k, err)
-							}
-							want := TopK(col, k)
-							if got == nil {
-								got = []nindex.Entry{}
-							}
-							sameEntries(t, probeLabel(kind, n, seed, "topk", k), got, want)
-							probes++
+				for _, cfg := range configs {
+					idx := nindex.Build(col, uint32(seed), cfg)
+					ks := []int{0, 1, 2, n - 1, n, n + 1, rng.Intn(n + 2)}
+					for _, k := range ks {
+						got, _, err := idx.TopK(k)
+						if err != nil {
+							t.Fatalf("%s n=%d seed=%d k=%d: %v", kind, n, seed, k, err)
 						}
-						for _, op := range []nindex.Op{nindex.Gt, nindex.Ge, nindex.Lt, nindex.Le} {
-							for _, bound := range Bounds(rng, col) {
-								got, _, err := idx.FilterRows(op, bound)
-								if err != nil {
-									t.Fatalf("%s n=%d seed=%d %v %v: %v", kind, n, seed, op, bound, err)
-								}
-								if got == nil {
-									got = []int{}
-								}
-								sameRows(t, probeLabel(kind, n, seed, op.String(), int(math.Float32bits(bound))), got, FilterRows(col, op, bound))
-								probes++
+						want := TopK(col, k)
+						if got == nil {
+							got = []nindex.Entry{}
+						}
+						sameEntries(t, probeLabel(kind, n, seed, "topk", k), got, want)
+						probes++
+					}
+					for _, op := range []nindex.Op{nindex.Gt, nindex.Ge, nindex.Lt, nindex.Le} {
+						for _, bound := range Bounds(rng, col) {
+							got, _, err := idx.FilterRows(op, bound)
+							if err != nil {
+								t.Fatalf("%s n=%d seed=%d %v %v: %v", kind, n, seed, op, bound, err)
 							}
+							if got == nil {
+								got = []int{}
+							}
+							sameRows(t, probeLabel(kind, n, seed, op.String(), int(math.Float32bits(bound))), got, FilterRows(col, op, bound))
+							probes++
 						}
 					}
 				}
@@ -181,7 +172,7 @@ func TestKNNPruningParity(t *testing.T) {
 func TestTopKDecodesPrefixOnly(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	col := Column(rng, Uniform, 10_000)
-	x := nindex.Build(col, 64, 0, nindex.Config{SegmentEntries: 64})
+	x := nindex.Build(col, 0, nindex.Config{SegmentEntries: 64})
 	_, decoded, err := x.TopK(10)
 	if err != nil {
 		t.Fatal(err)

@@ -233,10 +233,11 @@ func slowQueryOps(t *testing.T, dir string) map[Op][]slowQueryRecord {
 // epilogue writes one record per executed query whatever its op.
 func TestSlowQueryLogCoversEveryOp(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Config{SlowQueryThreshold: time.Nanosecond, Index: IndexConfig{Disable: true}})
+	s, err := Open(dir, Config{SlowQueryThreshold: time.Nanosecond})
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.nidx = nil
 	logDemo(t, s)
 	queries := demoQueries("demo", "joined")
 	for op, q := range queries {

@@ -119,14 +119,15 @@ func TestQueryRecoversFromCorruptPartitions(t *testing.T) {
 // their own, so a scan over lost chunks re-materializes the intermediate
 // and retries once. The neuron index is disabled so the zone-scan heal
 // machinery is what answers — with the index on, a FilterRows over lost
-// chunks can be served from the index's own checksummed copy instead
+// chunks can be served from the cached index instead
 // (TestFilterRowsIndexHealsAfterLoss covers the index-side heal).
 func TestFilterRowsHealsAfterLoss(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Config{Index: IndexConfig{Disable: true}})
+	s, err := Open(dir, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.nidx = nil
 	logDemo(t, s)
 	want, err := s.FilterRows("demo", "joined", "yearbuilt", colstore.Ge, 2015)
 	if err != nil {
@@ -304,7 +305,6 @@ func TestReopenSweepsOrphanTemps(t *testing.T) {
 		target string // substring of the publish's rename target
 		subdir string // where its temp file is stranded
 	}{
-		{"nindex", ".mqni", "data/nindex"},
 		{"sample", ".mqsm", "data/sample"},
 		{"wal-rewrite", ".wal", "data/wal"},
 		{"catalog", "metadata.json", ""},
@@ -325,10 +325,9 @@ func TestReopenSweepsOrphanTemps(t *testing.T) {
 			ingestStream(t, s, "live", "acts", cols, 200, 30, 30)
 
 			// Die at the rename of the next publish of this artifact kind:
-			// the index probe publishes an index, the flush publishes the
-			// catalog, then each stream's sample and WAL checkpoint.
+			// the flush publishes the catalog, then each stream's sample and
+			// WAL checkpoint.
 			inj.Arm(faultfs.Fault{Op: faultfs.OpRename, PathContains: tc.target, Crash: true})
-			s.TopK("live", "acts", "v", 3)
 			s.Flush()
 			if !inj.Crashed() {
 				t.Fatal("fault never fired")

@@ -12,21 +12,14 @@ import (
 )
 
 // This file is the engine's neuron-centric query surface: TOPK ("which
-// examples activate neuron j the most"), index-accelerated FilterRows, and
-// block-pruned KNN, all backed by the lazily built per-column indexes of
-// internal/nindex. Every path has a full-scan twin in internal/diag ranked
+// examples activate neuron j the most") and index-accelerated FilterRows,
+// backed by the lazily built per-column indexes of internal/nindex, and
+// KNN pruned by the store's zone maps. Every path has a full-scan twin in internal/diag ranked
 // by the same pinned comparators (diag.RankLess / diag.DistLess), and the
 // differential harness in internal/nindex/oracletest plus the root
-// TestIndexScanParity* tests hold the two byte-identical.
-
-// IndexConfig controls the neuron-centric diagnostic indexes, which are on
-// unless Disable is set. Their sizing (64 MiB resident, 1024-entry
-// segments, 64 histogram bins) is internal/nindex's defaults.
-type IndexConfig struct {
-	// Disable turns the index layer off entirely: TOPK, FilterRows and
-	// KNN answer by full scans (the differential baseline).
-	Disable bool
-}
+// TestIndexScanParity* tests hold the two byte-identical. The indexes are
+// a memory-only cache sized by internal/nindex's defaults (64 MiB
+// resident, 1024-entry segments).
 
 // TopKEntry is one row of a TOPK answer, in rank order (value descending,
 // NaN last, ascending row id on ties).
@@ -73,8 +66,8 @@ func (s *System) TopKRangeCtx(ctx context.Context, model, interm, column string,
 }
 
 // topK is OpTopK's operator: an index probe over the full range, the
-// full-scan twin (same comparator) when the index is off, failed or the
-// range is partial.
+// full-scan twin (same comparator) when the probe failed or the range is
+// partial.
 func (s *System) topK(ctx context.Context, p *Plan) ([]TopKEntry, error) {
 	if s.nidx != nil && p.From == 0 && p.To == p.it.Rows {
 		if sig, serr := s.store.ColumnSignature(p.Model, p.Intermediate, p.Columns[0]); serr == nil {
@@ -125,7 +118,7 @@ func (s *System) KNNCtx(ctx context.Context, model, interm string, queryRow, k i
 }
 
 // knn is OpKNN's operator: the block-pruned scan, or its full-scan twin
-// when the index layer is off or the pruned scan fails.
+// when the pruned scan fails.
 func (s *System) knn(ctx context.Context, p *Plan) ([]Neighbor, error) {
 	qm, err := s.readRowRange(ctx, p.Model, p.Intermediate, p.Columns, p.Row, p.Row+1)
 	if err != nil {
@@ -233,9 +226,9 @@ func (s *System) columnFetcher(ctx context.Context, p *Plan) nindex.Fetch {
 }
 
 // filterViaIndex answers OpFilter's predicate from the column's index.
-// nil rows send the caller to the zone-map scan (index disabled, signature
-// unavailable, or probe failed) — falling back is always safe because both
-// paths rank identically.
+// nil rows send the caller to the zone-map scan (signature unavailable or
+// probe failed) — falling back is always safe because both paths rank
+// identically.
 func (s *System) filterViaIndex(ctx context.Context, p *Plan) ([]int, error) {
 	nop, ok := indexOp(p.Pred)
 	if s.nidx == nil || !ok {

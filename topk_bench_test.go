@@ -16,9 +16,12 @@ const topkBenchRows = 100_000
 
 func benchIndexSystem(b *testing.B, disable bool) *System {
 	b.Helper()
-	s, err := Open(b.TempDir(), Config{Index: IndexConfig{Disable: disable}})
+	s, err := Open(b.TempDir(), Config{})
 	if err != nil {
 		b.Fatal(err)
+	}
+	if disable {
+		s.nidx = nil
 	}
 	spec, err := pipeline.SpecFromYAML(demoSpec)
 	if err != nil {
@@ -76,7 +79,7 @@ func BenchmarkTOPKScan(b *testing.B) {
 }
 
 // BenchmarkTOPKColdBuild: invalidate-then-probe, i.e. column fetch + index
-// build + publish + probe. The lazy-build bet is that this stays under two
+// build + probe. The lazy-build bet is that this stays under two
 // full scans, so the build amortizes by the second query.
 func BenchmarkTOPKColdBuild(b *testing.B) {
 	s := benchIndexSystem(b, false)

@@ -1,6 +1,7 @@
 package mistique
 
 import (
+	"bytes"
 	"math"
 	"os"
 	"path/filepath"
@@ -134,8 +135,8 @@ func TestFilterRowsIndexHealsAfterLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	corruptDataFiles(t, dir)
-	// Drop the index too (memory + files): the rebuild's column fetch now
-	// has nothing valid to read and must go through the heal path.
+	// Drop the cached index too: the rebuild's column fetch now has
+	// nothing valid to read and must go through the heal path.
 	s.nidx.InvalidateModel("demo")
 
 	got, err := s.FilterRows("demo", "joined", "yearbuilt", colstore.Ge, 2015)
@@ -155,10 +156,9 @@ func TestFilterRowsIndexHealsAfterLoss(t *testing.T) {
 	}
 }
 
-// TestIndexServesOverLostChunks pins the index-as-replica property: a
-// published, signature-valid index answers TOPK correctly even when every
-// partition file is corrupt, because it carries its own checksummed copy
-// of the column.
+// TestIndexServesOverLostChunks: a cached, signature-valid index answers
+// TOPK correctly even when every partition file is corrupt, because the
+// cached index holds its own copy of the column and survives DropCache.
 func TestIndexServesOverLostChunks(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Config{})
@@ -184,11 +184,130 @@ func TestIndexServesOverLostChunks(t *testing.T) {
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("replica answer diverges at %d", i)
+			t.Fatalf("cached index answer diverges at %d", i)
 		}
 	}
 	if s.Store().Stats().RecoveredReads != 0 {
-		t.Fatal("index replica answer should not have touched the corrupt chunks")
+		t.Fatal("cached index answer should not have touched the corrupt chunks")
+	}
+}
+
+// TestIndexRebuildsThroughHealAfterReopen: the index is a cache, not a
+// cross-restart replica. After a reopen over corrupt partitions, TOPK and
+// FilterRows rebuild the column's index through Execute's heal — the model
+// is the backup — and answer exactly what they answered before.
+func TestIndexRebuildsThroughHealAfterReopen(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	logDemo(t, s)
+	wantTop, err := s.TopK("demo", "joined", "yearbuilt", 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRows, err := s.FilterRows("demo", "joined", "yearbuilt", colstore.Ge, 2015)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := Open(dir, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	logDemo(t, s2) // re-attach the pipeline the heal re-runs
+	if err := s2.Store().DropCache(); err != nil {
+		t.Fatal(err)
+	}
+	corruptDataFiles(t, dir)
+
+	gotTop, err := s2.TopK("demo", "joined", "yearbuilt", 10)
+	if err != nil {
+		t.Fatalf("topk after reopen over corrupt store: %v", err)
+	}
+	if len(gotTop) != len(wantTop) {
+		t.Fatalf("topk after reopen: %d entries, want %d", len(gotTop), len(wantTop))
+	}
+	for i := range wantTop {
+		if gotTop[i] != wantTop[i] {
+			t.Fatalf("topk after reopen diverges at %d: %+v, want %+v", i, gotTop[i], wantTop[i])
+		}
+	}
+	gotRows, err := s2.FilterRows("demo", "joined", "yearbuilt", colstore.Ge, 2015)
+	if err != nil {
+		t.Fatalf("filter after reopen over corrupt store: %v", err)
+	}
+	if len(gotRows) != len(wantRows) {
+		t.Fatalf("filter after reopen: %d rows, want %d", len(gotRows), len(wantRows))
+	}
+	for i := range wantRows {
+		if gotRows[i] != wantRows[i] {
+			t.Fatalf("filter after reopen row %d = %d, want %d", i, gotRows[i], wantRows[i])
+		}
+	}
+	if s2.Store().Stats().RecoveredReads == 0 {
+		t.Fatal("answers after reopen did not come through the heal")
+	}
+}
+
+// TestIndexLeavesNoArtifact: the index cache writes nothing under the
+// store, and a data/nindex/ directory an older binary left behind — here
+// holding the golden MQNI image that binary wrote — is never read, moved
+// or rewritten, not even by DropModel.
+func TestIndexLeavesNoArtifact(t *testing.T) {
+	dir := t.TempDir()
+	idxDir := filepath.Join(dir, "data", "nindex")
+	queryAndDrop := func(drop bool) {
+		t.Helper()
+		s, err := Open(dir, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		logDemo(t, s)
+		if _, err := s.TopK("demo", "joined", "yearbuilt", 5); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.FilterRows("demo", "joined", "yearbuilt", colstore.Ge, 2015); err != nil {
+			t.Fatal(err)
+		}
+		if drop {
+			if err := s.DropModel("demo"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	queryAndDrop(false)
+	if _, err := os.Stat(idxDir); !os.IsNotExist(err) {
+		t.Fatalf("index queries left %s behind (stat: %v)", idxDir, err)
+	}
+
+	golden, err := os.ReadFile(filepath.Join("testdata", "parent.mqni"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(idxDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(idxDir, "parent.mqni"), golden, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	queryAndDrop(true)
+	entries, err := os.ReadDir(idxDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "parent.mqni" {
+		t.Fatalf("old index directory holds %v, want only parent.mqni", entries)
+	}
+	if kept, err := os.ReadFile(filepath.Join(idxDir, "parent.mqni")); err != nil || !bytes.Equal(kept, golden) {
+		t.Fatalf("old index file disturbed: %v", err)
 	}
 }
 
@@ -215,29 +334,20 @@ func TestTopKIndexCountersAndInvalidation(t *testing.T) {
 	if snap.Gauges["mistique_index_bytes"] <= 0 {
 		t.Fatal("resident index bytes not reported")
 	}
-
-	idxDir := filepath.Join(dir, "data", "nindex")
-	entries, err := os.ReadDir(idxDir)
-	if err != nil || len(entries) == 0 {
-		t.Fatalf("index not persisted: %v (%d files)", err, len(entries))
-	}
 	if err := s.DropModel("demo"); err != nil {
 		t.Fatal(err)
 	}
-	entries, err = os.ReadDir(idxDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		t.Fatalf("DropModel left index file %q", e.Name())
+	if got := s.Metrics().Gauges["mistique_index_bytes"]; got != 0 {
+		t.Fatalf("DropModel left %d resident index bytes", got)
 	}
 }
 
 func TestTopKDisabledIndexStillAnswers(t *testing.T) {
-	s, err := Open(t.TempDir(), Config{Index: IndexConfig{Disable: true}})
+	s, err := Open(t.TempDir(), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.nidx = nil
 	logDemo(t, s)
 	got, err := s.TopK("demo", "joined", "yearbuilt", 5)
 	if err != nil {
