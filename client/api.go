@@ -127,12 +127,6 @@ type LineageEntry struct {
 	// MaxDeltaDepth is the deepest delta chain any of this version's
 	// columns sits on; cold reads page in depth+1 generations.
 	MaxDeltaDepth int `json:"max_delta_depth"`
-	// WeightBytes is the logical size of this version's weight snapshot
-	// (0 when none); WeightNewBytes is how much of it was new to the
-	// content-addressed chunk table; WeightDepth its delta-chain depth.
-	WeightBytes    int64 `json:"weight_bytes,omitempty"`
-	WeightNewBytes int64 `json:"weight_new_bytes,omitempty"`
-	WeightDepth    int   `json:"weight_depth,omitempty"`
 }
 
 // LineageResponse is the version chain of one model, newest first: the

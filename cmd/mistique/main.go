@@ -462,12 +462,8 @@ func runLineage(dir string, args []string) error {
 		if parent == "" {
 			parent = "(root)"
 		}
-		fmt.Printf("%s %-20s kind=%-4s parent=%-20s interms=%3d stored=%10d B max_delta_depth=%d",
+		fmt.Printf("%s %-20s kind=%-4s parent=%-20s interms=%3d stored=%10d B max_delta_depth=%d\n",
 			arrow, e.Model, e.Kind, parent, e.Intermediates, e.StoredBytes, e.MaxDeltaDepth)
-		if e.WeightBytes > 0 {
-			fmt.Printf(" weights=%d B (new %d B, depth %d)", e.WeightBytes, e.WeightNewBytes, e.WeightDepth)
-		}
-		fmt.Println()
 	}
 	return nil
 }

@@ -39,7 +39,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"mistique/internal/cas"
 	"mistique/internal/colstore"
 	"mistique/internal/cost"
 	"mistique/internal/durable"
@@ -124,10 +123,6 @@ type System struct {
 	// nidx caches the lazy per-column diagnostic indexes in memory. Tests
 	// set it to nil to get the full-scan twin of every indexed path.
 	nidx *nindex.Manager
-	// weights is the content-addressed object store holding one weight
-	// snapshot per logged DNN version; fine-tuned checkpoints dedup at
-	// CDC-chunk granularity and store as deltas along Parent links.
-	weights *cas.Store
 
 	// metrics is the system-wide observability registry (never nil); the
 	// store and catalog register their instruments in the same registry at
@@ -190,8 +185,8 @@ func Open(dir string, cfg Config) (*System, error) {
 		cfg.RowBlockRows = 1024
 	}
 	cfg.Store.RowBlockRows = cfg.RowBlockRows
-	// Every artifact (partitions, catalog, weight snapshots, samples,
-	// WALs) writes through one fault-injectable FS.
+	// Every artifact (partitions, catalog, samples, WALs) writes through
+	// one fault-injectable FS.
 	if cfg.Store.FS == nil {
 		cfg.Store.FS = faultfs.OS()
 	}
@@ -230,15 +225,8 @@ func Open(dir string, cfg Config) (*System, error) {
 	meta.SetObs(metrics.reg)
 	// NewManager cannot fail: the index cache holds no files.
 	nidx, _ := nindex.NewManager(nindex.ManagerConfig{Obs: metrics.reg})
-	// Weight snapshots live in a content-addressed store next to the
-	// partition files (a subdirectory, so the colstore recovery sweep
-	// never mistakes its files for partitions).
-	weights, err := cas.OpenStore(filepath.Join(dir, "data", "cas"), cas.Config{FS: cfg.Store.FS})
-	if err != nil {
-		return nil, fmt.Errorf("mistique: open weight store: %w", err)
-	}
 	// Reservoir samples live next to the partitions (a subdirectory, so
-	// the colstore recovery sweep skips them), like cas.
+	// the colstore recovery sweep skips them).
 	samples, err := sample.NewManager(sample.ManagerConfig{
 		Dir: filepath.Join(dir, "data", "sample"),
 		FS:  cfg.Store.FS,
@@ -253,7 +241,6 @@ func Open(dir string, cfg Config) (*System, error) {
 		store:       st,
 		meta:        meta,
 		nidx:        nidx,
-		weights:     weights,
 		metrics:     metrics,
 		samples:     samples,
 		sampleCache: make(map[string]*sample.Sample),
@@ -296,9 +283,6 @@ func (s *System) Flush() error {
 		}
 	}
 	if err := s.store.Flush(); err != nil {
-		return err
-	}
-	if err := s.weights.Flush(); err != nil {
 		return err
 	}
 	if err := s.meta.Save(filepath.Join(s.dir, "metadata.json")); err != nil {
@@ -394,11 +378,6 @@ type LogReport struct {
 	ColumnsDelta int64
 	StoredBytes  int64
 	LogicalBytes int64
-	// WeightBytes is the logical size of this version's weight snapshot;
-	// WeightNewBytes is how much of it was new to the content-addressed
-	// chunk table (the cross-version dedup win is the difference).
-	WeightBytes    int64
-	WeightNewBytes int64
 	// Skipped counts intermediates deferred by adaptive materialization.
 	Skipped int
 }
@@ -533,13 +512,6 @@ func (s *System) DropModel(name string) error {
 	delete(s.pipelines, name)
 	delete(s.networks, name)
 	s.store.DeleteModel(name)
-	// Pipelines have no weight snapshot; dependents of a deleted version
-	// are collapsed a level shallower by the store, never orphaned.
-	if _, ok := s.weights.Info(name); ok {
-		if err := s.weights.Delete(name); err != nil {
-			return err
-		}
-	}
 	if s.nidx != nil {
 		s.nidx.InvalidateModel(name)
 	}
@@ -552,20 +524,12 @@ func (s *System) DropModel(name string) error {
 }
 
 // CompactStore rewrites partitions to drop chunks no longer referenced by
-// any model, returning the reclaimed encoded bytes. The weight snapshot
-// store compacts alongside: over-deep delta chains collapse and its chunk
-// table garbage-collects.
+// any model and collapses over-deep delta chains, returning the reclaimed
+// encoded bytes.
 func (s *System) CompactStore() (int64, error) {
 	_, reclaimed, err := s.store.Compact()
-	if err != nil {
-		return reclaimed, err
-	}
-	return reclaimed, s.weights.Compact(0)
+	return reclaimed, err
 }
-
-// WeightStore exposes the content-addressed weight snapshot store (one
-// object per logged DNN version; used by tools and tests).
-func (s *System) WeightStore() *cas.Store { return s.weights }
 
 // Calibrate measures the store's effective read rate (rho_d in Eq. 4) by
 // timing cold reads of materialized intermediates, and updates the cost

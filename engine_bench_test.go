@@ -94,17 +94,3 @@ func BenchmarkFilterRowsZoneScan(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkSessionCachedGet(b *testing.B) {
-	s := benchSystem(b)
-	sess := NewSession(s, 0)
-	if _, err := sess.Get("demo", "joined", nil, 0); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sess.Get("demo", "joined", nil, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

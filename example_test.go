@@ -115,29 +115,3 @@ stages:
 	fmt.Println("read equals rerun:", same)
 	// Output: read equals rerun: true
 }
-
-// ExampleNewSession shows the diagnosis-session result cache.
-func ExampleNewSession() {
-	dir, _ := os.MkdirTemp("", "mq-example-*")
-	defer os.RemoveAll(dir)
-
-	sys, _ := mistique.Open(dir, mistique.Config{})
-	spec, _ := pipeline.SpecFromYAML(`
-name: demo
-stages:
-  - name: sales
-    op: read_table
-    params: {table: train}
-`)
-	p, _ := pipeline.New(spec)
-	if _, err := sys.LogPipeline(p, zillow.Env(100, 400, 1)); err != nil {
-		log.Fatal(err)
-	}
-
-	sess := mistique.NewSession(sys, 0)
-	sess.Get("demo", "sales", nil, 0)
-	sess.Get("demo", "sales", nil, 0)
-	hits, misses := sess.Stats()
-	fmt.Println("hits:", hits, "misses:", misses)
-	// Output: hits: 1 misses: 1
-}

@@ -27,7 +27,7 @@ func main() {
 	defer os.RemoveAll(dir)
 
 	// Default config: similarity-partitioned store, exact dedup and delta
-	// generations on, weight snapshots in the content-addressed store.
+	// generations on.
 	sys, err := mistique.Open(dir, mistique.Config{})
 	if err != nil {
 		log.Fatal(err)
@@ -39,7 +39,7 @@ func main() {
 	// chained to the previous via Parent.
 	layers := append([]int{9}, oracletest.FCLayers...)
 
-	fmt.Println("epoch  stored(act)  dedup  delta  weights(new)  depth")
+	fmt.Println("epoch  stored(act)  dedup  delta")
 	for e := 0; e < epochs; e++ {
 		sc.Advance(e)
 		rep, err := oracletest.LogEpoch(sys, sc.Snapshot(), sc.Input, "cnn", e,
@@ -47,10 +47,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		name := oracletest.VersionName("cnn", e)
-		wi, _ := sys.WeightStore().Info(name)
-		fmt.Printf("%5d  %8d B  %5d  %5d  %9d B  %5d\n",
-			e, rep.StoredBytes, rep.ColumnsDedup, rep.ColumnsDelta, rep.WeightNewBytes, wi.Depth)
+		fmt.Printf("%5d  %8d B  %5d  %5d\n", e, rep.StoredBytes, rep.ColumnsDedup, rep.ColumnsDelta)
 	}
 	if err := sys.Flush(); err != nil {
 		log.Fatal(err)
@@ -67,8 +64,8 @@ func main() {
 		if parent == "" {
 			parent = "(root)"
 		}
-		fmt.Printf("  %s <- %s  interms=%d stored=%d B chain-depth=%d weights=%d B (new %d B)\n",
-			e.Model, parent, e.Intermediates, e.StoredBytes, e.MaxDeltaDepth, e.WeightBytes, e.WeightNewBytes)
+		fmt.Printf("  %s <- %s  interms=%d stored=%d B chain-depth=%d\n",
+			e.Model, parent, e.Intermediates, e.StoredBytes, e.MaxDeltaDepth)
 	}
 
 	// Read an early version back: the store pages in its delta chain and

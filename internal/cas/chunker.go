@@ -1,10 +1,13 @@
 // Package cas implements a content-addressed chunk store with
 // content-defined chunking and delta-encoded objects. It deduplicates
-// large blobs — model weight snapshots above all — across model
+// large blobs — serialized model weights, for instance — across model
 // versions: unchanged regions hash to chunks already in the table, and
 // a fine-tuned checkpoint can be stored as an XOR residual against its
 // parent, whose mostly-zero chunks collapse onto a handful of shared
 // entries.
+//
+// mistique.System does not use it and neither writes nor opens a
+// data/cas/ directory; the benchmark harness (bench/) drives it directly.
 //
 // Durability follows the colstore manifest discipline: immutable
 // segment files and a CRC-enveloped index are published with

@@ -14,7 +14,7 @@ import (
 
 // The differential oracle: the same fine-tuning run is logged into a
 // plain store (full copies, every dedup path disabled) and a versioned
-// store (exact dedup + delta generations + CAS weight snapshots), and
+// store (exact dedup + delta generations), and
 // every diagnostic query must answer bit-exactly on both — per version,
 // per scheme, after Compact chain-collapse, and after healing a destroyed
 // partition by re-logging.
@@ -222,9 +222,6 @@ func TestOracleDifferential(t *testing.T) {
 				if chain[0].MaxDeltaDepth == 0 {
 					t.Fatalf("lineage head has no delta chain: %+v", chain[0])
 				}
-				if chain[0].WeightBytes == 0 || chain[0].WeightDepth == 0 {
-					t.Fatalf("lineage head has no delta-stored weight snapshot: %+v", chain[0])
-				}
 			}
 
 			// Leg 2: flush, reopen under a tighter chain bound, Compact —
@@ -274,9 +271,9 @@ func TestOracleDifferential(t *testing.T) {
 }
 
 // TestVersionedStoreDedupRatio pins the acceptance bar: a 10-epoch
-// fine-tune (frozen conv stack, drifting fc head) must store at least 3x
-// smaller under exact dedup + delta generations + CAS weight snapshots
-// than as full per-epoch copies, measured in on-disk bytes.
+// fine-tune (frozen conv stack, drifting fc head) must store at least 5x
+// smaller under exact dedup + delta generations than as full per-epoch
+// copies, measured in on-disk bytes.
 func TestVersionedStoreDedupRatio(t *testing.T) {
 	const epochs = 10
 	sc := NewScenario(11, 64)
@@ -313,8 +310,8 @@ func TestVersionedStoreDedupRatio(t *testing.T) {
 	}
 	ratio := float64(pb) / float64(vb)
 	t.Logf("plain=%d B versioned=%d B ratio=%.2fx", pb, vb, ratio)
-	if ratio < 3 {
-		t.Fatalf("dedup ratio %.2fx < 3x (plain=%d B, versioned=%d B)", ratio, pb, vb)
+	if ratio < 5 {
+		t.Fatalf("dedup ratio %.2fx < 5x (plain=%d B, versioned=%d B)", ratio, pb, vb)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package oracletest holds the differential lineage-testing harness for
 // cross-version storage: a simulated fine-tuning run whose epochs are
 // logged twice — into a plain full-copy store and into a versioned
-// CAS+delta store — so tests (and examples/epochs) can assert that every
+// dedup+delta store — so tests (and examples/epochs) can assert that every
 // read over the delta-encoded store is bit-exact against the baseline.
 //
 // The scenario is deterministic: a SimpleCNN whose convolutional stack is

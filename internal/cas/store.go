@@ -46,8 +46,8 @@ type Config struct {
 // amplification bound as much as a durability one.
 const DefaultMaxDepth = 4
 
-// ObjectInfo describes one stored object (typically one model
-// version's weight snapshot).
+// ObjectInfo describes one stored object (for instance one model
+// version's serialized weights).
 type ObjectInfo struct {
 	Name     string
 	Size     int64  // logical payload size

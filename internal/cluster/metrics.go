@@ -20,11 +20,11 @@ type routerMetrics struct {
 	shed        *obs.Counter
 	degraded    *obs.Counter
 
-	probes       *obs.Counter
-	probeFails   *obs.Counter
-	toHealthy    *obs.Counter
-	toSuspect    *obs.Counter
-	toDown       *obs.Counter
+	probes     *obs.Counter
+	probeFails *obs.Counter
+	toHealthy  *obs.Counter
+	toSuspect  *obs.Counter
+	toDown     *obs.Counter
 }
 
 func newRouterMetrics(reg *obs.Registry) *routerMetrics {

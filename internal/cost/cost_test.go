@@ -175,9 +175,9 @@ func TestCostEdgeCases(t *testing.T) {
 		// estimate endpoint, the engine's fetch path) assume equal
 		// estimates pin to READ, per the paper's t_rerun >= t_read rule.
 		cases := []struct {
-			name         string
+			name          string
 			tRerun, tRead float64
-			want         Strategy
+			want          Strategy
 		}{
 			{"exact tie pins to read", 5, 5, Read},
 			{"zero-zero tie pins to read", 0, 0, Read},

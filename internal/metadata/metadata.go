@@ -58,8 +58,8 @@ type Model struct {
 	// against (LogDNN's Parent option): the previous checkpoint of the
 	// same training run. Empty for root versions. The catalog's lineage
 	// view walks this chain.
-	Parent        string `json:"parent,omitempty"`
-	TotalExamples int    `json:"total_examples"`
+	Parent        string    `json:"parent,omitempty"`
+	TotalExamples int       `json:"total_examples"`
 	ModelLoadSecs float64   `json:"model_load_secs"`
 	Stages        []Stage   `json:"stages"`
 	Intermediates []*Interm `json:"intermediates"`

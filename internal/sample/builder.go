@@ -29,8 +29,8 @@ type Builder struct {
 	mu       sync.Mutex
 	s        *Sample
 	rng      splitmix
-	stratIdx int             // index of StratifyColumn in Cols, -1 when off
-	strata   map[uint32]int  // float32 bits of label → index into s.Strata
+	stratIdx int            // index of StratifyColumn in Cols, -1 when off
+	strata   map[uint32]int // float32 bits of label → index into s.Strata
 }
 
 // NewBuilder starts an empty sample over the named columns.

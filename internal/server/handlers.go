@@ -114,15 +114,12 @@ func (s *Server) handleLineage(r *http.Request) (any, error) {
 	resp := client.LineageResponse{Model: name, Versions: []client.LineageEntry{}}
 	for _, e := range chain {
 		resp.Versions = append(resp.Versions, client.LineageEntry{
-			Model:          e.Model,
-			Parent:         e.Parent,
-			Kind:           e.Kind,
-			Intermediates:  e.Intermediates,
-			StoredBytes:    e.StoredBytes,
-			MaxDeltaDepth:  e.MaxDeltaDepth,
-			WeightBytes:    e.WeightBytes,
-			WeightNewBytes: e.WeightNewBytes,
-			WeightDepth:    e.WeightDepth,
+			Model:         e.Model,
+			Parent:        e.Parent,
+			Kind:          e.Kind,
+			Intermediates: e.Intermediates,
+			StoredBytes:   e.StoredBytes,
+			MaxDeltaDepth: e.MaxDeltaDepth,
 		})
 	}
 	return resp, nil

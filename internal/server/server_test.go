@@ -657,8 +657,8 @@ func TestClientRetries429(t *testing.T) {
 }
 
 // TestLineageEndpoint walks a two-version DNN chain over the wire: the
-// response must list newest-first with Parent links and surface the
-// weight-snapshot accounting; an unknown model must 404.
+// response must list newest-first with Parent links and the stored-bytes
+// accounting; an unknown model must 404.
 func TestLineageEndpoint(t *testing.T) {
 	sys, c := newService(t, mistique.Config{}, Config{})
 	ctx := context.Background()
@@ -692,9 +692,6 @@ func TestLineageEndpoint(t *testing.T) {
 	// and its post-dedup footprint is legitimately zero; the root paid.
 	if head.Intermediates != 2 || root.StoredBytes <= 0 {
 		t.Fatalf("accounting: head=%+v root=%+v", head, root)
-	}
-	if head.WeightBytes <= 0 || root.WeightBytes <= 0 {
-		t.Fatalf("weight snapshots missing: head=%+v root=%+v", head, root)
 	}
 
 	if _, err := c.Lineage(ctx, "nope"); !client.IsNotFound(err) {

@@ -22,13 +22,6 @@ type LineageEntry struct {
 	// reads page in depth+1 generations; the cost model charges exactly
 	// that amplification (cost.ChainReadSeconds).
 	MaxDeltaDepth int
-	// WeightBytes is the logical size of this version's weight snapshot
-	// in the content-addressed store (0 when none — e.g. pipelines);
-	// WeightNewBytes is how much of it was new to the chunk table;
-	// WeightDepth is its delta-chain depth there.
-	WeightBytes    int64
-	WeightNewBytes int64
-	WeightDepth    int
 }
 
 // Lineage walks the version chain of a model, newest first, following
@@ -56,11 +49,6 @@ func (s *System) Lineage(model string) ([]LineageEntry, error) {
 			if d := s.store.MaxDeltaDepth(name, it.Name); d > e.MaxDeltaDepth {
 				e.MaxDeltaDepth = d
 			}
-		}
-		if wi, ok := s.weights.Info(name); ok {
-			e.WeightBytes = wi.Size
-			e.WeightNewBytes = wi.NewBytes
-			e.WeightDepth = wi.Depth
 		}
 		out = append(out, e)
 		name = m.Parent

@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"mistique/internal/cas"
 	"mistique/internal/colstore"
 	"mistique/internal/metadata"
 	"mistique/internal/nn"
@@ -247,23 +246,6 @@ func (s *System) LogDNN(name string, net *nn.Network, input *tensor.T4, opts DNN
 	if err := s.meta.RegisterModel(model); err != nil {
 		return nil, err
 	}
-	// Snapshot the weights into the content-addressed store: identical
-	// pages across versions dedup at CDC-chunk granularity, and a Parent
-	// link stores this version as an XOR delta against the previous
-	// checkpoint (falling back to full when the parent has no snapshot).
-	wblob := net.SaveWeights()
-	var winfo cas.ObjectInfo
-	var werr error
-	if opts.Parent != "" {
-		winfo, werr = s.weights.PutDelta(name, opts.Parent, wblob)
-	} else {
-		winfo, werr = s.weights.Put(name, wblob)
-	}
-	if werr != nil {
-		return nil, fmt.Errorf("mistique: snapshot weights for %s: %w", name, werr)
-	}
-	report.WeightBytes = winfo.Size
-	report.WeightNewBytes = winfo.NewBytes
 	done = dm // install in s.networks via the deferred endLogging
 
 	report.Seconds = time.Since(start).Seconds()

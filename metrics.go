@@ -67,11 +67,6 @@ type systemMetrics struct {
 	rerunFallbacks *obs.Counter
 	heals          *obs.Counter
 	healSeconds    *obs.Histogram
-
-	// Session caches over this system.
-	sessionHits      *obs.Counter
-	sessionMisses    *obs.Counter
-	sessionEvictions *obs.Counter
 }
 
 func newSystemMetrics() *systemMetrics {
@@ -117,10 +112,6 @@ func newSystemMetrics() *systemMetrics {
 		rerunFallbacks: reg.Counter("mistique_query_rerun_fallbacks_total", "READ queries transparently recovered by re-running the model"),
 		heals:          reg.Counter("mistique_heals_total", "heal-and-retry re-materializations on scan/row-range paths"),
 		healSeconds:    reg.Histogram("mistique_heal_seconds", "re-materialization time of one healed intermediate"),
-
-		sessionHits:      reg.Counter("mistique_session_hits_total", "session result-cache hits across all Sessions"),
-		sessionMisses:    reg.Counter("mistique_session_misses_total", "session result-cache misses across all Sessions"),
-		sessionEvictions: reg.Counter("mistique_session_evictions_total", "session result-cache evictions across all Sessions"),
 	}
 }
 

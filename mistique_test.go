@@ -566,82 +566,6 @@ func TestLogRNNIntermediates(t *testing.T) {
 	}
 }
 
-func TestSessionCache(t *testing.T) {
-	s := openSys(t, Config{})
-	logDemo(t, s)
-	sess := NewSession(s, 1<<20)
-
-	r1, err := sess.Get("demo", "model", []string{"pred"}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := sess.Get("demo", "model", []string{"pred"}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hits, misses := sess.Stats(); hits != 1 || misses != 1 {
-		t.Fatalf("hits=%d misses=%d", hits, misses)
-	}
-	if r1 != r2 {
-		t.Fatal("cache did not return the same result object")
-	}
-	// Query counter only bumped once (the cached query never hit the engine).
-	if n := s.Metadata().Intermediate("demo", "model").QueryCount; n != 1 {
-		t.Fatalf("query count %d", n)
-	}
-	// Different column sets are distinct entries.
-	if _, err := sess.Get("demo", "model", []string{"logerror"}, 0); err != nil {
-		t.Fatal(err)
-	}
-	if sess.Len() != 2 {
-		t.Fatalf("cache len %d", sess.Len())
-	}
-	// Invalidate drops the model's entries.
-	sess.Invalidate("demo")
-	if sess.Len() != 0 {
-		t.Fatalf("after invalidate len %d", sess.Len())
-	}
-}
-
-func TestSessionCacheEviction(t *testing.T) {
-	s := openSys(t, Config{})
-	logDemo(t, s)
-	// Tiny cache: a full "joined" result (600 rows x 14 cols x 4B = 33.6KB)
-	// cannot coexist with another copy.
-	sess := NewSession(s, 40<<10)
-	if _, err := sess.Get("demo", "joined", nil, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sess.Get("demo", "filled", nil, 0); err != nil {
-		t.Fatal(err)
-	}
-	if sess.Len() != 1 {
-		t.Fatalf("eviction failed: len %d", sess.Len())
-	}
-}
-
-func TestPrefetch(t *testing.T) {
-	s := openSys(t, Config{})
-	logDemo(t, s)
-	if err := s.Store().DropCache(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Prefetch("demo", "model"); err != nil {
-		t.Fatal(err)
-	}
-	// After prefetch the read hits warm partitions: no new disk reads.
-	before := s.Store().Stats().DiskReads
-	if _, err := s.Fetch("demo", "model", nil, 0, cost.Read); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Store().Stats().DiskReads; got != before {
-		t.Fatalf("read after prefetch hit disk (%d -> %d)", before, got)
-	}
-	if err := s.Prefetch("demo", "ghost"); err == nil {
-		t.Fatal("prefetch of unknown intermediate accepted")
-	}
-}
-
 func TestDropModelAndCompact(t *testing.T) {
 	s := openSys(t, Config{})
 	logDemo(t, s)
@@ -973,43 +897,5 @@ func TestConcurrentEngine(t *testing.T) {
 		if res.Data.Data[j] != want.Data.Data[j] {
 			t.Fatalf("base data corrupted at %d", j)
 		}
-	}
-}
-
-// TestConcurrentSessions drives one shared Session cache from several
-// goroutines: the cache index must stay consistent and every answer must
-// match the single-threaded result.
-func TestConcurrentSessions(t *testing.T) {
-	s := openSys(t, Config{})
-	logDemo(t, s)
-	want, err := s.GetIntermediate("demo", "model", []string{"pred"}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess := NewSession(s, 1<<20)
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 8; i++ {
-				res, err := sess.Get("demo", "model", []string{"pred"}, 0)
-				if err != nil {
-					t.Errorf("session get: %v", err)
-					return
-				}
-				for j := range want.Data.Data {
-					if res.Data.Data[j] != want.Data.Data[j] {
-						t.Errorf("session result differs at %d", j)
-						return
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	hits, misses := sess.Stats()
-	if hits+misses != 32 || sess.Len() != 1 {
-		t.Fatalf("hits=%d misses=%d len=%d", hits, misses, sess.Len())
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"compress/gzip"
 	"errors"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,8 +13,10 @@ import (
 
 	"mistique/internal/colstore"
 	"mistique/internal/cost"
+	"mistique/internal/data"
 	"mistique/internal/durable"
 	"mistique/internal/faultfs"
+	"mistique/internal/nn"
 )
 
 // Engine-level recovery tests: the store loses data (corrupted or deleted
@@ -476,4 +479,109 @@ func TestOpenRefusesNewerArtifactsAndLeavesThem(t *testing.T) {
 		t.Fatalf("open after restoring every file: %v", err)
 	}
 	checkStreamRead(t, s2, "live", "acts", []string{"v"}, 100)
+}
+
+// TestOldWeightStoreLeftUntouched: the engine keeps no weight snapshots,
+// so it never creates data/cas/, and a data/cas/ an older binary left —
+// here the golden chunk index and object manifest that binary wrote, or
+// the same index beside a garbage manifest — neither fails Open nor
+// changes by one byte while a parent-linked DNN is logged, flushed,
+// dropped, compacted, closed, reopened and queried.
+func TestOldWeightStoreLeftUntouched(t *testing.T) {
+	net := nn.SimpleCNN("cnn", 4, 1)
+	imgs, _ := data.Images(32, 4, 2)
+	opts := DNNLogOptions{Scheme: SchemeFull, Layers: []int{11, 13}}
+	lifecycle := func(t *testing.T, dir string) {
+		t.Helper()
+		s, err := Open(dir, Config{})
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		if _, err := s.LogDNN("cnn@e0", net, imgs, opts); err != nil {
+			t.Fatal(err)
+		}
+		child := opts
+		child.Parent = "cnn@e0"
+		if _, err := s.LogDNN("cnn@e1", net, imgs, child); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.DropModel("cnn@e0"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.CompactStore(); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		s, err = Open(dir, Config{})
+		if err != nil {
+			t.Fatalf("reopen: %v", err)
+		}
+		res, err := s.Fetch("cnn@e1", "logits", nil, 0, cost.Read)
+		if err != nil {
+			t.Fatalf("read after reopen: %v", err)
+		}
+		if res.Data.Rows != imgs.N || res.Data.Cols != 4 {
+			t.Fatalf("logits %dx%d, want %dx4", res.Data.Rows, res.Data.Cols, imgs.N)
+		}
+		if chain, err := s.Lineage("cnn@e1"); err != nil || len(chain) != 1 || chain[0].Parent != "cnn@e0" {
+			t.Fatalf("lineage after dropping the parent: %+v, %v", chain, err)
+		}
+	}
+	// readTree maps every file under root to its contents.
+	readTree := func(t *testing.T, root string) map[string]string {
+		t.Helper()
+		files := make(map[string]string)
+		err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+			if err != nil || d.IsDir() {
+				return err
+			}
+			b, err := os.ReadFile(path)
+			files[path] = string(b)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return files
+	}
+
+	fresh := t.TempDir()
+	lifecycle(t, fresh)
+	if _, err := os.Stat(filepath.Join(fresh, "data", "cas")); !os.IsNotExist(err) {
+		t.Fatalf("a fresh directory gained data/cas (stat: %v)", err)
+	}
+
+	index, err := os.ReadFile(filepath.Join("internal", "cas", "testdata", "parent.mqci"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	objects, err := os.ReadFile(filepath.Join("internal", "cas", "testdata", "parent.mqco"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, objs := range map[string][]byte{"golden": objects, "garbage manifest": []byte("not an object manifest")} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			casDir := filepath.Join(dir, "data", "cas")
+			if err := os.MkdirAll(casDir, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(casDir, "INDEX.bin"), index, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(casDir, "OBJECTS.bin"), objs, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			before := readTree(t, casDir)
+			lifecycle(t, dir)
+			if after := readTree(t, casDir); !maps.Equal(after, before) {
+				t.Fatalf("data/cas changed: %d files before, %d after", len(before), len(after))
+			}
+		})
+	}
 }
