@@ -117,7 +117,7 @@ func sampleAnswer(p *Plan, limit int, sm *sample.Sample) (*Answer, int64) {
 		if err != nil || (p.MaxError > 0 && est.MaxBound > p.MaxError) {
 			return nil, 0
 		}
-		c := &ConfusionMatrix{Cells: est.Cells, Rows: sm.Seen, Stratified: est.Stratified, MaxBound: est.MaxBound, SampleRows: est.SampledRows}
+		c := &ConfusionMatrix{Cells: est.Cells, Rows: sm.Seen, MaxBound: est.MaxBound, SampleRows: est.SampledRows}
 		return &Answer{Confusion: c}, c.SampleRows
 	}
 	// OpSampleRows: a uniform row sample, in ascending row-id order for
@@ -300,8 +300,6 @@ type ConfusionMatrix struct {
 	// per-cell absolute bound (0 on the exact path).
 	Cells []sample.Cell
 	Rows  int64
-	// Stratified reports whether per-label sub-reservoirs answered.
-	Stratified bool
 	// MaxBound is the largest cell bound as a fraction of Rows.
 	MaxBound     float64
 	SampleRows   int64
@@ -316,10 +314,8 @@ func (s *System) ConfusionMatrixApprox(model, interm, labelCol, predCol string, 
 }
 
 // ConfusionMatrixCtx estimates the (label, pred) contingency table from
-// the sample — using the stratified per-label sub-reservoirs when the
-// sample is stratified on labelCol — when the largest cell bound (as a
-// fraction of the row count) is within maxError, and from an exact
-// two-column read otherwise.
+// the sample when the largest cell bound (as a fraction of the row count)
+// is within maxError, and from an exact two-column read otherwise.
 func (s *System) ConfusionMatrixCtx(ctx context.Context, model, interm, labelCol, predCol string, maxError float64) (*ConfusionMatrix, error) {
 	a, err := s.Execute(ctx, Query{Op: OpConfusion, Model: model, Intermediate: interm, Columns: []string{labelCol, predCol}, MaxError: maxError})
 	if err != nil {
@@ -390,24 +386,13 @@ func (s *System) GetIntermediateApproxCtx(ctx context.Context, model, interm str
 }
 
 // sampleFor returns the freshest sample for (model, interm): the live
-// stream sampler's snapshot for streams, the cached or persisted MQSM
-// snapshot otherwise. nil means no sample exists (callers fall back to
-// the exact path).
+// stream sampler's snapshot for streams, the sample manager's resident or
+// persisted snapshot otherwise. nil means no sample exists (callers fall
+// back to the exact path).
 func (s *System) sampleFor(model, interm string) *sample.Sample {
 	if st := s.streamFor(model, interm); st != nil {
 		return st.sampleSnapshot()
 	}
-	key := model + "\x00" + interm
-	s.sampleMu.Lock()
-	if sm, ok := s.sampleCache[key]; ok {
-		s.sampleMu.Unlock()
-		return sm
-	}
-	s.sampleMu.Unlock()
-	sm, err := s.samples.Load(model, interm)
-	if err != nil || sm == nil {
-		return nil
-	}
-	s.cacheSample(model, interm, sm)
+	sm, _ := s.samples.Load(model, interm) // an unreadable file reads as absent
 	return sm
 }

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"mistique/internal/cost"
-	"mistique/internal/sample"
 )
 
 // ingestValues streams one column into model/interm in modest batches.
@@ -84,7 +83,8 @@ func TestColDistDifferentialBounds(t *testing.T) {
 	for _, name := range names {
 		vals := dists[name]
 		t.Run(name, func(t *testing.T) {
-			s := openSys(t, Config{RowBlockRows: 256, Sample: sample.Config{Cap: 512}})
+			s := openSys(t, Config{RowBlockRows: 256})
+			s.sampleCap = 512
 			ingestValues(t, s, "live", "d", "v", vals)
 
 			d, err := s.ColDist("live", "d", "v", 0)
@@ -150,7 +150,8 @@ func TestColDistDifferentialBounds(t *testing.T) {
 func TestColDistTightBoundFallsBack(t *testing.T) {
 	_, dists := approxDists()
 	vals := dists["uniform"]
-	s := openSys(t, Config{RowBlockRows: 256, Sample: sample.Config{Cap: 512}})
+	s := openSys(t, Config{RowBlockRows: 256})
+	s.sampleCap = 512
 	ingestValues(t, s, "live", "d", "v", vals)
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
@@ -179,7 +180,8 @@ func TestColDistTightBoundFallsBack(t *testing.T) {
 func TestApproxTopKDifferential(t *testing.T) {
 	_, dists := approxDists()
 	vals := dists["uniform"]
-	s := openSys(t, Config{RowBlockRows: 256, Sample: sample.Config{Cap: 512}})
+	s := openSys(t, Config{RowBlockRows: 256})
+	s.sampleCap = 512
 	ingestValues(t, s, "live", "d", "v", vals)
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
@@ -273,13 +275,10 @@ func TestConfusionMatrixDifferential(t *testing.T) {
 			}
 		}
 	}
-	check := func(cm *ConfusionMatrix, wantStratified bool) {
+	check := func(cm *ConfusionMatrix) {
 		t.Helper()
 		if cm.Strategy != cost.Sample {
 			t.Fatalf("strategy %v, want SAMPLE", cm.Strategy)
-		}
-		if cm.Stratified != wantStratified {
-			t.Fatalf("stratified = %v, want %v", cm.Stratified, wantStratified)
 		}
 		if cm.Rows != n {
 			t.Fatalf("rows %d, want %d", cm.Rows, n)
@@ -297,23 +296,14 @@ func TestConfusionMatrixDifferential(t *testing.T) {
 		}
 	}
 
-	// Stratified: the ingest labels key per-class sub-reservoirs.
-	s := openSys(t, Config{RowBlockRows: 256, Sample: sample.Config{Cap: 256, StratifyColumn: "label", StratumCap: 64}})
+	s := openSys(t, Config{RowBlockRows: 256})
+	s.sampleCap = 256
 	ingest(s)
 	cm, err := s.ConfusionMatrixApprox("live", "d", "label", "pred", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	check(cm, true)
-
-	// Uniform reservoir only.
-	s2 := openSys(t, Config{RowBlockRows: 256, Sample: sample.Config{Cap: 256}})
-	ingest(s2)
-	cm2, err := s2.ConfusionMatrixApprox("live", "d", "label", "pred", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check(cm2, false)
+	check(cm)
 
 	// A bound tighter than deliverable forces the exact count.
 	if err := s.Flush(); err != nil {
@@ -339,7 +329,8 @@ func TestConfusionMatrixDifferential(t *testing.T) {
 // TestGetIntermediateApproxRowsAreReal verifies every sampled row carries
 // its true population values under its true row id.
 func TestGetIntermediateApproxRowsAreReal(t *testing.T) {
-	s := openSys(t, Config{RowBlockRows: 128, Sample: sample.Config{Cap: 200}})
+	s := openSys(t, Config{RowBlockRows: 128})
+	s.sampleCap = 200
 	cols := []string{"a", "b"}
 	ingestStream(t, s, "live", "acts", cols, 0, 3000, 250)
 
@@ -369,11 +360,11 @@ func TestGetIntermediateApproxRowsAreReal(t *testing.T) {
 // built by LogPipeline's storeMatrix, persisted, and reloaded on reopen.
 func TestApproxOnLoggedModel(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{Sample: sample.Config{Cap: 256}}
-	s, err := Open(dir, cfg)
+	s, err := Open(dir, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.sampleCap = 256
 	logDemo(t, s)
 	if got := s.Metrics().Counters["mistique_sample_builds_total"]; got < 1 {
 		t.Fatalf("sample builds = %v", got)
@@ -407,7 +398,7 @@ func TestApproxOnLoggedModel(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := Open(dir, cfg)
+	s2, err := Open(dir, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -434,7 +434,6 @@ type ConfusionResponse struct {
 	PredCol      string          `json:"pred_col"`
 	Cells        []ConfusionCell `json:"cells"`
 	Rows         int64           `json:"rows"`
-	Stratified   bool            `json:"stratified"`
 	MaxBound     float64         `json:"max_bound"`
 	SampleRows   int64           `json:"sample_rows"`
 	Strategy     string          `json:"strategy"`

@@ -17,7 +17,6 @@ import (
 
 	"mistique"
 	"mistique/client"
-	"mistique/internal/sample"
 	"mistique/internal/server"
 )
 
@@ -227,7 +226,7 @@ func TestLineageCommand(t *testing.T) {
 // the server drains.
 func TestIngestAndColDistCommands(t *testing.T) {
 	dir := t.TempDir()
-	sys, err := mistique.Open(dir, mistique.Config{Sample: sample.Config{Cap: 64}})
+	sys, err := mistique.Open(dir, mistique.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +261,8 @@ func TestIngestAndColDistCommands(t *testing.T) {
 	out = captureStdout(t, func() error {
 		return runColDist("", []string{"-addr", ts.URL, "-model", "live", "-interm", "acts", "-col", "a"})
 	})
-	if !strings.Contains(out, "strategy=SAMPLE") || !strings.Contains(out, "rows=500") {
+	// 500 rows fit the reservoir: the sample holds every row.
+	if !strings.Contains(out, "strategy=SAMPLE rows=500 sample_rows=500") {
 		t.Fatalf("remote coldist output: %q", out)
 	}
 
@@ -273,7 +273,7 @@ func TestIngestAndColDistCommands(t *testing.T) {
 	out = captureStdout(t, func() error {
 		return runColDist(dir, []string{"-model", "live", "-interm", "acts", "-col", "a"})
 	})
-	if !strings.Contains(out, "strategy=SAMPLE") || !strings.Contains(out, "rows=500") {
+	if !strings.Contains(out, "strategy=SAMPLE rows=500 sample_rows=500") {
 		t.Fatalf("local coldist output: %q", out)
 	}
 }

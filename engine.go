@@ -95,19 +95,9 @@ type Config struct {
 	// SlowQueryThreshold, when positive, enables the slow-query log:
 	// queries whose fetch wall time meets or exceeds the threshold append
 	// a JSON line (model, intermediate, strategy, cost estimates, measured
-	// seconds) to <dir>/slow_queries.jsonl. Zero disables logging.
+	// seconds) to <dir>/slow_queries.jsonl, which rotates to
+	// slow_queries.jsonl.1 past 4 MiB. Zero disables logging.
 	SlowQueryThreshold time.Duration
-	// SlowQueryLogMaxBytes bounds slow_queries.jsonl: when the log grows
-	// past this size it is rotated to slow_queries.jsonl.1 (one generation
-	// kept, the previous .1 replaced). Zero selects 4 MiB.
-	SlowQueryLogMaxBytes int64
-	// Sample sizes the per-intermediate reservoir samples behind the
-	// approximate query path (ColDist, ApproxTopK, ConfusionMatrix,
-	// GetIntermediateApprox). Zero values select sample.DefaultCap etc.
-	// Samples are built at ingest for intermediates with more rows than
-	// the cap (a sample that would hold every row adds nothing over the
-	// store) and always for streaming ingest.
-	Sample sample.Config
 }
 
 // System is a MISTIQUE instance rooted at a directory.
@@ -133,12 +123,19 @@ type System struct {
 	slowMu   sync.Mutex
 	slowLog  *os.File
 	slowSize int64
+	// slowMax is the size past which the slow-query log rotates to
+	// slow_queries.jsonl.1 (one generation kept): 4 MiB, which tests lower
+	// after Open.
+	slowMax int64
 
-	// samples persists per-intermediate reservoir samples (data/sample);
-	// sampleMu guards the in-memory cache of loaded snapshots.
-	samples     *sample.Manager
-	sampleMu    sync.Mutex
-	sampleCache map[string]*sample.Sample
+	// samples holds the per-intermediate reservoir samples behind the
+	// approximate query path, resident and persisted (data/sample).
+	// Samples are built at ingest for intermediates with more rows than
+	// sampleCap (a sample that would hold every row adds nothing over the
+	// store) and always for streaming ingest, capped at sampleCap rows:
+	// sample.DefaultCap, which tests lower after Open.
+	samples   *sample.Manager
+	sampleCap int
 	// streamMu guards the map of live streaming-ingest states; each state
 	// has its own mutex for the ingest hot path.
 	streamMu sync.Mutex
@@ -184,6 +181,14 @@ func Open(dir string, cfg Config) (*System, error) {
 	if cfg.RowBlockRows <= 0 {
 		cfg.RowBlockRows = 1024
 	}
+	// Open owns these two store settings; refuse a value it would replace.
+	if cfg.Store.RowBlockRows != 0 && cfg.Store.RowBlockRows != cfg.RowBlockRows {
+		return nil, fmt.Errorf("mistique: Config.Store.RowBlockRows %d differs from Config.RowBlockRows %d (set only the latter)",
+			cfg.Store.RowBlockRows, cfg.RowBlockRows)
+	}
+	if cfg.Store.Obs != nil {
+		return nil, errors.New("mistique: Config.Store.Obs must be nil: the store reports into System.Obs")
+	}
 	cfg.Store.RowBlockRows = cfg.RowBlockRows
 	// Every artifact (partitions, catalog, samples, WALs) writes through
 	// one fault-injectable FS.
@@ -192,9 +197,6 @@ func Open(dir string, cfg Config) (*System, error) {
 	}
 	if cfg.Cost == (cost.Params{}) {
 		cfg.Cost = cost.DefaultParams()
-	}
-	if cfg.SlowQueryLogMaxBytes <= 0 {
-		cfg.SlowQueryLogMaxBytes = 4 << 20
 	}
 	metrics := newSystemMetrics()
 	cfg.Store.Obs = metrics.reg
@@ -236,18 +238,19 @@ func Open(dir string, cfg Config) (*System, error) {
 		return nil, fmt.Errorf("mistique: open sample store: %w", err)
 	}
 	sys := &System{
-		cfg:         cfg,
-		dir:         dir,
-		store:       st,
-		meta:        meta,
-		nidx:        nidx,
-		metrics:     metrics,
-		samples:     samples,
-		sampleCache: make(map[string]*sample.Sample),
-		streams:     make(map[string]*streamState),
-		pipelines:   make(map[string]*pipelineModel),
-		networks:    make(map[string]*dnnModel),
-		logging:     make(map[string]struct{}),
+		cfg:       cfg,
+		dir:       dir,
+		store:     st,
+		meta:      meta,
+		nidx:      nidx,
+		metrics:   metrics,
+		slowMax:   4 << 20,
+		samples:   samples,
+		sampleCap: sample.DefaultCap,
+		streams:   make(map[string]*streamState),
+		pipelines: make(map[string]*pipelineModel),
+		networks:  make(map[string]*dnnModel),
+		logging:   make(map[string]struct{}),
 	}
 	// Replay streaming-ingest WALs (data/wal): every batch acknowledged
 	// before a crash is re-offered to the store and the sampler.
@@ -408,29 +411,16 @@ func releaseColBuf(b []float32) {
 // encoded and dedup-hashed concurrently across the worker pool. Returns
 // encoded bytes actually stored (after de-duplication).
 //
-// When the matrix has more rows than the configured reservoir cap, a
-// sample is built alongside — over the *reconstructed* values (the codec
+// When the matrix has more rows than the reservoir cap, a sample is built
+// alongside — over the *reconstructed* values (the codec
 // applied and inverted), so approximate answers agree with what an exact
 // READ of the stored chunks would return — and persisted for the
 // approximate query path.
 func (s *System) storeMatrix(model, interm string, m *tensor.Dense, cols []string, mkQuant func(col []float32) (*quant.Quantizer, error)) (int64, error) {
 	blockRows := s.cfg.RowBlockRows
-	capRows := s.cfg.Sample.Cap
-	if capRows <= 0 {
-		capRows = sample.DefaultCap
-	}
 	var mb *sample.MatrixBuilder
-	if m.Rows > capRows {
-		var labels []float32
-		if sc := s.cfg.Sample.StratifyColumn; sc != "" {
-			for j, c := range cols {
-				if c == sc {
-					labels = m.ColInto(nil, j)
-					break
-				}
-			}
-		}
-		mb = sample.NewMatrixBuilder(cols, m.Rows, labels, s.cfg.Sample)
+	if m.Rows > s.sampleCap {
+		mb = sample.NewMatrixBuilder(cols, m.Rows, sample.Config{Cap: s.sampleCap})
 	}
 	var stored int64
 	err := parallel.ForEach(len(cols), func(j int) error {
@@ -472,30 +462,10 @@ func (s *System) storeMatrix(model, interm string, m *tensor.Dense, cols []strin
 		smp := mb.Finish()
 		s.metrics.sampleBuilds.Inc()
 		// Best effort: a failed persist only costs later sessions the
-		// sample (they fall back to exact reads); this one keeps it cached.
+		// sample (they fall back to exact reads); this one keeps it resident.
 		s.samples.Save(model, interm, smp)
-		s.cacheSample(model, interm, smp)
 	}
 	return atomic.LoadInt64(&stored), err
-}
-
-// cacheSample installs a sample snapshot in the in-memory cache.
-func (s *System) cacheSample(model, interm string, smp *sample.Sample) {
-	s.sampleMu.Lock()
-	s.sampleCache[model+"\x00"+interm] = smp
-	s.sampleMu.Unlock()
-}
-
-// invalidateSamples drops all cached samples of a model.
-func (s *System) invalidateSamples(model string) {
-	prefix := model + "\x00"
-	s.sampleMu.Lock()
-	for k := range s.sampleCache {
-		if len(k) >= len(prefix) && k[:len(prefix)] == prefix {
-			delete(s.sampleCache, k)
-		}
-	}
-	s.sampleMu.Unlock()
 }
 
 // DropModel removes a model from the system: its catalog entries, its
@@ -518,7 +488,6 @@ func (s *System) DropModel(name string) error {
 	for _, it := range interms {
 		s.samples.Remove(name, it.Name)
 	}
-	s.invalidateSamples(name)
 	s.dropStreams(name)
 	return nil
 }

@@ -21,8 +21,6 @@ type Config struct {
 	// to the shard count). 1 trades availability for capacity: losing a
 	// shard degrades queries over its blocks instead of failing over.
 	Replication int
-	// VirtualNodes is the ring vnode count per shard (default 64).
-	VirtualNodes int
 	// BlockRows is the placement grain in rows (default 512). It need not
 	// match the store's RowBlock size — the HTTP API takes arbitrary row
 	// ranges — but aligning them keeps shard-local reads block-local.
@@ -39,10 +37,8 @@ type Config struct {
 	// RetryBackoff is the first round's backoff cap, doubled per round
 	// (default 25ms). The actual sleep is uniform in [0, cap].
 	RetryBackoff time.Duration
-	// HedgeDelay is the hedge trigger used until a shard has enough
-	// latency samples for a p95 (default 50ms).
-	HedgeDelay time.Duration
-	// MinHedgeDelay / MaxHedgeDelay clamp the p95-derived hedge trigger
+	// MinHedgeDelay / MaxHedgeDelay clamp the hedge trigger — a shard's
+	// p95, or coldHedgeDelay until it has enough latency samples for one
 	// (defaults 5ms / 2s). Setting both equal pins the delay — the fault
 	// tests do this for determinism.
 	MinHedgeDelay time.Duration
@@ -68,9 +64,6 @@ func (c Config) withDefaults(shards int) Config {
 	if c.Replication > shards {
 		c.Replication = shards
 	}
-	if c.VirtualNodes <= 0 {
-		c.VirtualNodes = 64
-	}
 	if c.BlockRows <= 0 {
 		c.BlockRows = 512
 	}
@@ -84,9 +77,6 @@ func (c Config) withDefaults(shards int) Config {
 	}
 	if c.RetryBackoff <= 0 {
 		c.RetryBackoff = 25 * time.Millisecond
-	}
-	if c.HedgeDelay <= 0 {
-		c.HedgeDelay = 50 * time.Millisecond
 	}
 	if c.MinHedgeDelay <= 0 {
 		c.MinHedgeDelay = 5 * time.Millisecond
@@ -102,6 +92,13 @@ func (c Config) withDefaults(shards int) Config {
 	}
 	return c
 }
+
+// virtualNodes is the ring vnode count per shard.
+const virtualNodes = 64
+
+// coldHedgeDelay is the hedge trigger before a shard has enough latency
+// samples for a p95.
+const coldHedgeDelay = 50 * time.Millisecond
 
 // BlockRange identifies one row-block and the global rows it covers.
 type BlockRange struct {
@@ -211,7 +208,7 @@ func New(shards []Shard, cfg Config) (*Router, error) {
 		}
 		r.order = append(r.order, s.ID)
 	}
-	r.ring = NewRing(r.order, cfg.VirtualNodes, cfg.Replication)
+	r.ring = NewRing(r.order, virtualNodes, cfg.Replication)
 	r.mem = newMembership(shards, cfg.Member, met)
 	if !cfg.DisableProbes {
 		r.mem.Start()
@@ -254,12 +251,12 @@ func (r *Router) call(ctx context.Context, h *shardHandle, fn func(ctx context.C
 }
 
 // hedgeDelay is how long to let a shard run before racing the next
-// replica: its own observed p95, clamped, or the configured default
-// until enough samples exist.
+// replica: its own observed p95, or coldHedgeDelay until enough samples
+// exist, clamped.
 func (r *Router) hedgeDelay(h *shardHandle) time.Duration {
 	d := h.lat.p95()
 	if d <= 0 {
-		d = r.cfg.HedgeDelay
+		d = coldHedgeDelay
 	}
 	if d < r.cfg.MinHedgeDelay {
 		d = r.cfg.MinHedgeDelay

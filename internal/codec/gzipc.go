@@ -20,8 +20,6 @@ func (gzipCodec) Name() string { return "gzip" }
 func (gzipCodec) ID() byte     { return IDGzip }
 
 // GzipLevelValid reports whether level is accepted by gzip.NewWriterLevel.
-// The column store validates Config.CompressionLevel against this before
-// the first flush so a bad level surfaces at Open, not mid-flush.
 func GzipLevelValid(level int) bool {
 	return level >= gzip.HuffmanOnly && level <= gzip.BestCompression
 }

@@ -43,7 +43,6 @@
 package colstore
 
 import (
-	"compress/gzip"
 	"crypto/sha256"
 	"errors"
 	"fmt"
@@ -111,23 +110,12 @@ type Config struct {
 	// ScatterWays is the number of round-robin partitions for ModeScatter
 	// (default 8).
 	ScatterWays int
-	// MinHashBucket is the discretization width for similarity hashing
-	// (default 0.01).
-	MinHashBucket float64
 	// DeltaMaxDepth bounds the delta-generation chain length accepted by
 	// PutColumnDelta: a chunk at this depth becomes the base of no further
 	// deltas (the next generation restarts full), so a cold read never
 	// chases more than DeltaMaxDepth bases. Default 4; negative disables
 	// delta storage entirely (every versioned put stores full).
 	DeltaMaxDepth int
-	// CompressionLevel is the gzip level for partition files, in
-	// [gzip.HuffmanOnly, gzip.BestCompression] = [-2, 9]. 0 selects the
-	// measured default (gzip.BestSpeed: BenchmarkPartitionWriteLevels
-	// showed it compresses LP-encoded partition images ~2.2x faster than
-	// gzip.DefaultCompression for under 1% of file size — see DESIGN.md
-	// "Performance"). Note that 0 therefore cannot select
-	// gzip.NoCompression. Only the gzip codec uses it.
-	CompressionLevel int
 	// Codec names the partition-file compressor: "gzip" (default; files
 	// byte-compatible with pre-codec stores), "store" (raw bytes, for
 	// incompressible data), or "actz" (the activation-tuned
@@ -139,11 +127,6 @@ type Config struct {
 	// Fault-injection tests substitute a faultfs.Injector to tear writes,
 	// fail fsyncs and simulate crashes at arbitrary points.
 	FS faultfs.FS
-	// SkipRecoveryScan disables the checksum verification of every
-	// partition file during Open. Orphan sweeping and manifest
-	// reconciliation still run; corrupt files are then caught (and
-	// quarantined) lazily on first read instead.
-	SkipRecoveryScan bool
 	// Obs receives the store's operational metrics: per-phase put timings
 	// (encode/hash/append), chunk-read and partition page-in latencies,
 	// per-partition flush/compaction write timings, and quarantine counts.
@@ -168,17 +151,11 @@ func (c Config) withDefaults() Config {
 	if c.ScatterWays <= 0 {
 		c.ScatterWays = 8
 	}
-	if c.MinHashBucket <= 0 {
-		c.MinHashBucket = 0.01
-	}
 	if c.DeltaMaxDepth == 0 {
 		c.DeltaMaxDepth = 4
 	}
 	if c.DeltaMaxDepth < 0 {
 		c.DeltaMaxDepth = 0 // disabled: PutColumnDelta always stores full
-	}
-	if c.CompressionLevel == 0 {
-		c.CompressionLevel = defaultCompressionLevel
 	}
 	if c.Codec == "" {
 		c.Codec = "gzip"
@@ -186,9 +163,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// defaultCompressionLevel is the measured flush-throughput winner for
-// partition-sized images (see Config.CompressionLevel).
-const defaultCompressionLevel = gzip.BestSpeed
+// minHashBucket is the discretization width of similarity hashing.
+const minHashBucket = 0.01
 
 // ChunkID names a stored chunk: partition plus position within it.
 type ChunkID struct {
@@ -432,10 +408,6 @@ type Store struct {
 // ErrUnavailable and the engine recovers them by re-running the model.
 func Open(dir string, cfg Config) (*Store, error) {
 	cfg = cfg.withDefaults()
-	if cfg.CompressionLevel < gzip.HuffmanOnly || cfg.CompressionLevel > gzip.BestCompression {
-		return nil, fmt.Errorf("colstore: compression level %d out of range [%d, %d]",
-			cfg.CompressionLevel, gzip.HuffmanOnly, gzip.BestCompression)
-	}
 	cdc, err := codec.ByName(cfg.Codec)
 	if err != nil {
 		return nil, fmt.Errorf("colstore: %w", err)
@@ -560,7 +532,7 @@ func (s *Store) putColumn(key ColumnKey, vals []float32, q *quant.Quantizer, par
 	}
 	var sig []uint64
 	if s.cfg.Mode == ModeSimilarity && !s.cfg.DisableApproxDedup {
-		sig = s.hasher.SignFloats(vals, s.cfg.MinHashBucket)
+		sig = s.hasher.SignFloats(vals, minHashBucket)
 	}
 	s.om.putHashSeconds.ObserveSince(t0)
 
@@ -718,10 +690,10 @@ func (s *Store) prepareDelta(parent ColumnKey, vals []float32, enc []byte, sig [
 	if err != nil {
 		return nil
 	}
-	baseSig := s.hasher.SignFloats(baseVals, s.cfg.MinHashBucket)
+	baseSig := s.hasher.SignFloats(baseVals, minHashBucket)
 	releaseF32(baseVals)
 	if sig == nil {
-		sig = s.hasher.SignFloats(vals, s.cfg.MinHashBucket)
+		sig = s.hasher.SignFloats(vals, minHashBucket)
 	}
 	if minhash.EstimateJaccard(sig, baseSig) < s.cfg.SimilarityThreshold {
 		return nil
@@ -1227,7 +1199,7 @@ func (s *Store) writeSnapshots(tasks []flushTask) error {
 // image, then updates the partition's state under mu.
 func (s *Store) writeSnapshotImage(t flushTask, img []byte) error {
 	t0 := time.Now()
-	size, fsyncs, err := writeImageFileAt(s.fs, t.path, img, s.codec, s.cfg.CompressionLevel)
+	size, fsyncs, err := writeImageFileAt(s.fs, t.path, img, s.codec)
 	s.om.flushWriteSeconds.ObserveSince(t0)
 	s.om.codecRawBytes.Add(int64(len(img)))
 	s.om.codecFileBytes.Add(size)

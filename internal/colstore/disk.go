@@ -1,6 +1,7 @@
 package colstore
 
 import (
+	"compress/gzip"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -189,16 +190,22 @@ func writePartitionTo(w io.Writer, chunks []*chunk) (int64, error) {
 	return int64(n), err
 }
 
+// gzipLevel is the gzip level of partition files. BestSpeed measured
+// ~2.2x faster than gzip.DefaultCompression on LP-encoded partition images
+// for under 1% more file size (BenchmarkPartitionWriteLevels, DESIGN.md
+// "Performance"). Only the gzip codec reads it.
+const gzipLevel = gzip.BestSpeed
+
 // encodePartitionImage appends the on-disk form of a serialized partition
 // image to dst: the bare stream for gzip (legacy framing, byte-identical
 // to pre-codec files), the v3 container for everything else.
-func encodePartitionImage(dst, img []byte, c codec.Codec, level int) ([]byte, error) {
+func encodePartitionImage(dst, img []byte, c codec.Codec) ([]byte, error) {
 	if c.ID() != codec.IDGzip {
 		dst = append(dst, contMagic...)
 		dst = binary.LittleEndian.AppendUint16(dst, contVersion)
 		dst = append(dst, c.ID())
 	}
-	return c.Compress(dst, img, level)
+	return c.Compress(dst, img, gzipLevel)
 }
 
 // decodePartitionImage decodes one on-disk partition blob (either
@@ -243,8 +250,8 @@ func decodePartitionImage(comp []byte, rawHint int) ([]byte, error) {
 // directory. Treating it as a write failure left the partition dirty
 // forever — re-flushed on every Flush with DiskWrites/FsyncCount
 // double-counting the same bytes.
-func writeImageFileAt(fs faultfs.FS, path string, img []byte, c codec.Codec, level int) (size, fsyncs int64, err error) {
-	comp, err := encodePartitionImage(grabBuf(), img, c, level)
+func writeImageFileAt(fs faultfs.FS, path string, img []byte, c codec.Codec) (size, fsyncs int64, err error) {
+	comp, err := encodePartitionImage(grabBuf(), img, c)
 	if err != nil {
 		releaseBuf(comp)
 		return 0, 0, fmt.Errorf("colstore: compress partition %s: %w", path, err)
@@ -266,9 +273,9 @@ func writeImageFileAt(fs faultfs.FS, path string, img []byte, c codec.Codec, lev
 // size its decode arena exactly. Holds no Store locks: chunks are
 // immutable, so the snapshot can be serialized concurrently with puts
 // appending to the live partition.
-func writePartitionFileAt(fs faultfs.FS, path string, chunks []*chunk, c codec.Codec, level int) (size, raw, fsyncs int64, err error) {
+func writePartitionFileAt(fs faultfs.FS, path string, chunks []*chunk, c codec.Codec) (size, raw, fsyncs int64, err error) {
 	img := serializePartition(grabBuf(), chunks)
-	size, fsyncs, err = writeImageFileAt(fs, path, img, c, level)
+	size, fsyncs, err = writeImageFileAt(fs, path, img, c)
 	raw = int64(len(img))
 	releaseBuf(img)
 	return size, raw, fsyncs, err
@@ -279,7 +286,7 @@ func writePartitionFileAt(fs faultfs.FS, path string, chunks []*chunk, c codec.C
 // Compact use writeSnapshots instead).
 func (s *Store) writePartitionLocked(p *partition) error {
 	t0 := time.Now()
-	size, raw, fsyncs, err := writePartitionFileAt(s.fs, s.partPathGen(p.id, p.gen), p.chunks, s.codec, s.cfg.CompressionLevel)
+	size, raw, fsyncs, err := writePartitionFileAt(s.fs, s.partPathGen(p.id, p.gen), p.chunks, s.codec)
 	s.om.flushWriteSeconds.ObserveSince(t0)
 	s.stats.FsyncCount += fsyncs
 	if err != nil {

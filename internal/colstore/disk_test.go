@@ -2,7 +2,6 @@ package colstore
 
 import (
 	"bytes"
-	"compress/gzip"
 	"errors"
 	"os"
 	"path/filepath"
@@ -65,7 +64,7 @@ func TestPartitionFileRoundTripCodecs(t *testing.T) {
 				t.Fatal(err)
 			}
 			path := filepath.Join(t.TempDir(), partFileName(0, 0))
-			size, raw, _, err := writePartitionFileAt(faultfs.OS(), path, chunks, c, gzip.BestSpeed)
+			size, raw, _, err := writePartitionFileAt(faultfs.OS(), path, chunks, c)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -143,7 +142,7 @@ func TestLegacyFilesReadableUnderAnyCodecConfig(t *testing.T) {
 func TestUnknownCodecIDUnsupported(t *testing.T) {
 	chunks := testChunks(t, 2)
 	path := filepath.Join(t.TempDir(), partFileName(0, 0))
-	if _, _, _, err := writePartitionFileAt(faultfs.OS(), path, chunks, codec.MustByID(codec.IDActz), 0); err != nil {
+	if _, _, _, err := writePartitionFileAt(faultfs.OS(), path, chunks, codec.MustByID(codec.IDActz)); err != nil {
 		t.Fatal(err)
 	}
 	blob, err := os.ReadFile(path)
@@ -165,7 +164,7 @@ func TestUnknownCodecIDUnsupported(t *testing.T) {
 func TestFutureContainerVersionUnsupported(t *testing.T) {
 	chunks := testChunks(t, 2)
 	path := filepath.Join(t.TempDir(), partFileName(0, 0))
-	if _, _, _, err := writePartitionFileAt(faultfs.OS(), path, chunks, codec.MustByID(codec.IDStore), 0); err != nil {
+	if _, _, _, err := writePartitionFileAt(faultfs.OS(), path, chunks, codec.MustByID(codec.IDStore)); err != nil {
 		t.Fatal(err)
 	}
 	blob, err := os.ReadFile(path)
@@ -221,7 +220,7 @@ func TestWrongCodecRoundTripCaughtByCRC(t *testing.T) {
 	codec.Register(evilCodec{})
 	chunks := testChunks(t, 4)
 	path := filepath.Join(t.TempDir(), partFileName(0, 0))
-	if _, _, _, err := writePartitionFileAt(faultfs.OS(), path, chunks, evilCodec{}, 0); err != nil {
+	if _, _, _, err := writePartitionFileAt(faultfs.OS(), path, chunks, evilCodec{}); err != nil {
 		t.Fatal(err)
 	}
 	got, _, _, err := readPartitionFile(path, 0)

@@ -53,7 +53,7 @@ func validPartitionImage(t testing.TB) []byte {
 // codecs).
 func containerFramed(t testing.TB, c codec.Codec, raw []byte) []byte {
 	t.Helper()
-	framed, err := encodePartitionImage(nil, raw, c, gzip.BestSpeed)
+	framed, err := encodePartitionImage(nil, raw, c)
 	if err != nil {
 		t.Fatal(err)
 	}

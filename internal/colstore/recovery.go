@@ -20,8 +20,8 @@ import (
 //     manifest does not reference (stale compaction generations, flushes
 //     that never reached a manifest write, or the leftovers of a corrupt
 //     manifest) are quarantined into corrupt/.
-//  3. Verify the checksum of every referenced partition file (unless
-//     Config.SkipRecoveryScan). Missing files mark the partition lost;
+//  3. Verify the checksum of every referenced partition file. Missing
+//     files mark the partition lost;
 //     corrupt files are quarantined and marked lost; a file holding fewer
 //     chunks than the manifest promised marks just the tail chunks lost.
 //
@@ -169,52 +169,50 @@ func (s *Store) recoverOnOpen(manifestCorrupt bool) error {
 		chunks      int
 	}
 	verdicts := make([]verdict, len(pids))
-	if !s.cfg.SkipRecoveryScan {
-		parallel.ForEach(len(pids), func(i int) error {
-			p := s.parts[pids[i]]
-			path := s.partPathGen(p.id, p.gen)
-			if _, err := os.Stat(path); os.IsNotExist(err) {
-				verdicts[i].missing = true
-				return nil
-			}
-			chunks, _, _, err := readPartitionFile(path, p.raw)
-			switch {
-			case errors.Is(err, durable.ErrUnsupported):
-				verdicts[i].unsupported = true
-			case err != nil:
-				verdicts[i].corrupt = true
-			default:
-				verdicts[i].chunks = len(chunks)
-			}
+	parallel.ForEach(len(pids), func(i int) error {
+		p := s.parts[pids[i]]
+		path := s.partPathGen(p.id, p.gen)
+		if _, err := os.Stat(path); os.IsNotExist(err) {
+			verdicts[i].missing = true
 			return nil
-		})
-		for i, pid := range pids {
-			p := s.parts[pid]
-			v := verdicts[i]
-			switch {
-			case v.missing:
-				p.lost = true
-				p.onDisk = false
-				rep.MissingPartitions = append(rep.MissingPartitions, pid)
-				s.stats.CorruptPartitions++
-				s.om.quarantines.Inc()
-			case v.corrupt:
-				p.lost = true
-				s.stats.CorruptPartitions++
-				s.om.quarantines.Inc()
-				s.moveToCorrupt(partFileName(pid, p.gen))
-				rep.CorruptPartitions = append(rep.CorruptPartitions, pid)
-			case v.unsupported:
-				// Forward-compat: the file is from a newer binary. Mark the
-				// partition lost (reads answer ErrUnavailable, the engine
-				// reruns) but leave the file untouched for a binary that can
-				// read it.
-				p.lost = true
-				s.stats.UnsupportedPartitions++
-				rep.UnsupportedPartitions = append(rep.UnsupportedPartitions, pid)
-			default:
-				p.diskChunks = v.chunks
-			}
+		}
+		chunks, _, _, err := readPartitionFile(path, p.raw)
+		switch {
+		case errors.Is(err, durable.ErrUnsupported):
+			verdicts[i].unsupported = true
+		case err != nil:
+			verdicts[i].corrupt = true
+		default:
+			verdicts[i].chunks = len(chunks)
+		}
+		return nil
+	})
+	for i, pid := range pids {
+		p := s.parts[pid]
+		v := verdicts[i]
+		switch {
+		case v.missing:
+			p.lost = true
+			p.onDisk = false
+			rep.MissingPartitions = append(rep.MissingPartitions, pid)
+			s.stats.CorruptPartitions++
+			s.om.quarantines.Inc()
+		case v.corrupt:
+			p.lost = true
+			s.stats.CorruptPartitions++
+			s.om.quarantines.Inc()
+			s.moveToCorrupt(partFileName(pid, p.gen))
+			rep.CorruptPartitions = append(rep.CorruptPartitions, pid)
+		case v.unsupported:
+			// Forward-compat: the file is from a newer binary. Mark the
+			// partition lost (reads answer ErrUnavailable, the engine
+			// reruns) but leave the file untouched for a binary that can
+			// read it.
+			p.lost = true
+			s.stats.UnsupportedPartitions++
+			rep.UnsupportedPartitions = append(rep.UnsupportedPartitions, pid)
+		default:
+			p.diskChunks = v.chunks
 		}
 	}
 

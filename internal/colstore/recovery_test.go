@@ -427,9 +427,9 @@ func TestCorruptPartitionQuarantinedOnOpen(t *testing.T) {
 	mustReadExact(t, s3, data)
 }
 
-// TestCorruptPartitionQuarantinedOnColdRead corrupts the file after Open
-// (SkipRecoveryScan defers verification), so the checksum failure surfaces
-// on the first cold read — which must quarantine, not panic or mis-read.
+// TestCorruptPartitionQuarantinedOnColdRead corrupts the file after a
+// clean Open has verified it, so the checksum failure surfaces on the
+// first cold read — which must quarantine, not panic or mis-read.
 func TestCorruptPartitionQuarantinedOnColdRead(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Config{})
@@ -440,12 +440,14 @@ func TestCorruptPartitionQuarantinedOnColdRead(t *testing.T) {
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	corruptOneByte(t, filepath.Join(dir, partFileName(0, 0)))
-
-	s2, err := Open(dir, Config{SkipRecoveryScan: true})
+	s2, err := Open(dir, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if rep := s2.LastRecovery(); !rep.Clean() {
+		t.Fatalf("recovery before the corruption: %+v", rep)
+	}
+	corruptOneByte(t, filepath.Join(dir, partFileName(0, 0)))
 	var k0 ColumnKey
 	for k := range data {
 		k0 = k
@@ -527,7 +529,7 @@ func TestTornTailPartition(t *testing.T) {
 	if err != nil || len(chunks) != 2 {
 		t.Fatalf("expected 2 chunks in one partition, got %d (%v)", len(chunks), err)
 	}
-	if _, _, _, err := writePartitionFileAt(faultfs.OS(), path, chunks[:1], codec.MustByID(codec.IDGzip), gzip.BestSpeed); err != nil {
+	if _, _, _, err := writePartitionFileAt(faultfs.OS(), path, chunks[:1], codec.MustByID(codec.IDGzip)); err != nil {
 		t.Fatal(err)
 	}
 

@@ -1,7 +1,6 @@
 package sample
 
 import (
-	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -14,16 +13,16 @@ func TestStreamMatchesBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	const n, c = 7000, 3
 	rows := make([][]float32, n)
+	colL := make([]float32, n)
 	colA := make([]float32, n)
 	colB := make([]float32, n)
-	labels := make([]float32, n)
 	for i := range rows {
-		labels[i] = float32(rng.Intn(4))
+		colL[i] = float32(rng.Intn(4))
 		colA[i] = rng.Float32()
 		colB[i] = float32(rng.NormFloat64())
-		rows[i] = []float32{labels[i], colA[i], colB[i]}
+		rows[i] = []float32{colL[i], colA[i], colB[i]}
 	}
-	cfg := Config{Cap: 512, StratumCap: 96, Seed: 42, StratifyColumn: "label"}
+	cfg := Config{Cap: 512}
 
 	b := NewBuilder([]string{"label", "a", "b"}, cfg)
 	for _, r := range rows {
@@ -33,16 +32,16 @@ func TestStreamMatchesBatch(t *testing.T) {
 	}
 	stream := b.Snapshot()
 
-	mb := NewMatrixBuilder([]string{"label", "a", "b"}, n, labels, cfg)
-	mb.SetColumn(0, labels)
+	mb := NewMatrixBuilder([]string{"label", "a", "b"}, n, cfg)
+	mb.SetColumn(0, colL)
 	mb.SetColumn(1, colA)
 	mb.SetColumn(2, colB)
 	batch := mb.Finish()
 
 	if !reflect.DeepEqual(stream, batch) {
-		t.Fatalf("stream and batch samples diverge:\nstream: seen=%d k=%d strata=%d rng=%x\nbatch:  seen=%d k=%d strata=%d rng=%x",
-			stream.Seen, stream.Rows(), len(stream.Strata), stream.RNGState,
-			batch.Seen, batch.Rows(), len(batch.Strata), batch.RNGState)
+		t.Fatalf("stream and batch samples diverge:\nstream: seen=%d k=%d rng=%x\nbatch:  seen=%d k=%d rng=%x",
+			stream.Seen, stream.Rows(), stream.RNGState,
+			batch.Seen, batch.Rows(), batch.RNGState)
 	}
 }
 
@@ -53,7 +52,7 @@ func TestResumeContinuesSequence(t *testing.T) {
 	for i := range rows {
 		rows[i] = []float32{float32(rng.Intn(3)), rng.Float32()}
 	}
-	cfg := Config{Cap: 256, StratumCap: 64, Seed: 7, StratifyColumn: "y"}
+	cfg := Config{Cap: 256}
 	cols := []string{"y", "x"}
 
 	whole := NewBuilder(cols, cfg)
@@ -66,7 +65,8 @@ func TestResumeContinuesSequence(t *testing.T) {
 	for _, r := range rows[:n/3] {
 		first.Add(r)
 	}
-	resumed := Resume(first.Snapshot())
+	snap := first.Snapshot()
+	resumed := Resume(snap)
 	if resumed.Seen() != int64(n/3) {
 		t.Fatalf("resumed Seen = %d", resumed.Seen())
 	}
@@ -75,6 +75,10 @@ func TestResumeContinuesSequence(t *testing.T) {
 	}
 	if !reflect.DeepEqual(whole.Snapshot(), resumed.Snapshot()) {
 		t.Fatal("resumed builder diverged from uninterrupted one")
+	}
+	// The snapshot Resume started from is left as it was.
+	if snap.Seen != int64(n/3) || !reflect.DeepEqual(snap, first.Snapshot()) {
+		t.Fatalf("Resume mutated its input: seen %d", snap.Seen)
 	}
 }
 
@@ -91,89 +95,25 @@ func TestBuilderRejectsBadRow(t *testing.T) {
 	}
 }
 
-func TestStrataOverflowFallsBack(t *testing.T) {
-	cfg := Config{Cap: 128, StratumCap: 8, MaxStrata: 4, StratifyColumn: "y"}
-	b := NewBuilder([]string{"y"}, cfg)
-	for i := 0; i < 100; i++ {
-		b.Add([]float32{float32(i % 10)}) // 10 classes > MaxStrata 4
-	}
-	s := b.Snapshot()
-	if !s.StrataOverflow || len(s.Strata) != 0 {
-		t.Fatalf("overflow=%v strata=%d, want overflow with no strata", s.StrataOverflow, len(s.Strata))
-	}
-	// Confusion still answers from the uniform reservoir.
-	est, err := s.Confusion(0, 0)
-	if err != nil || est.Stratified {
-		t.Fatalf("overflowed confusion: %+v, %v", est, err)
-	}
-
-	// MatrixBuilder takes the same fallback.
-	labels := make([]float32, 100)
-	for i := range labels {
-		labels[i] = float32(i % 10)
-	}
-	mb := NewMatrixBuilder([]string{"y"}, 100, labels, cfg)
-	mb.SetColumn(0, labels)
-	s2 := mb.Finish()
-	if !reflect.DeepEqual(s, s2) {
-		t.Fatal("overflow behavior differs between stream and batch")
-	}
-}
-
-func TestNaNLabelSkipsStrata(t *testing.T) {
-	cfg := Config{Cap: 32, StratumCap: 8, StratifyColumn: "y"}
-	b := NewBuilder([]string{"y"}, cfg)
-	nan := float32(math.NaN())
-	b.Add([]float32{1})
-	b.Add([]float32{nan})
-	b.Add([]float32{1})
-	s := b.Snapshot()
-	if len(s.Strata) != 1 || s.Strata[0].Count != 2 {
-		t.Fatalf("strata = %+v", s.Strata)
-	}
-}
-
-func TestStratumReservoirStaysUniformish(t *testing.T) {
-	// Sanity: per-stratum exact counts match the population and the
-	// reservoirs respect StratumCap.
-	rng := rand.New(rand.NewSource(3))
-	cfg := Config{Cap: 64, StratumCap: 16, StratifyColumn: "y"}
-	b := NewBuilder([]string{"y"}, cfg)
-	want := map[float32]int64{}
-	for i := 0; i < 3000; i++ {
-		lab := float32(rng.Intn(3))
-		want[lab]++
-		b.Add([]float32{lab})
-	}
-	s := b.Snapshot()
-	if len(s.Strata) != 3 {
-		t.Fatalf("strata = %d", len(s.Strata))
-	}
-	for _, str := range s.Strata {
-		if str.Count != want[str.Key] {
-			t.Fatalf("stratum %g count %d, want %d", str.Key, str.Count, want[str.Key])
-		}
-		if len(str.RowIDs) != 16 {
-			t.Fatalf("stratum %g sampled %d rows, want cap 16", str.Key, len(str.RowIDs))
-		}
-		// Sampled values really belong to the stratum.
-		for r := range str.RowIDs {
-			if str.Data[r] != str.Key {
-				t.Fatalf("stratum %g holds foreign value %g", str.Key, str.Data[r])
-			}
-		}
-	}
+// seededBuilder starts an empty reservoir whose row selection runs from
+// rngState instead of the package seed.
+func seededBuilder(cols []string, cap int, rngState uint64) *Builder {
+	s := newSample(cols, Config{Cap: cap})
+	s.RNGState = rngState
+	return Resume(s)
 }
 
 func TestReservoirIsUnbiased(t *testing.T) {
-	// Over many seeds, each row's inclusion frequency should be close to
-	// cap/n — a loose sanity check that Algorithm R is wired right.
+	// Over many RNG states, each row's inclusion frequency should be close
+	// to cap/n — a loose sanity check that Algorithm R is wired right.
 	const n, cap, trials = 200, 50, 400
 	hits := make([]int, n)
-	for seed := uint64(1); seed <= trials; seed++ {
-		vals := make([]float32, n)
-		s := buildFromColumn(vals, Config{Cap: cap, Seed: seed})
-		for _, id := range s.RowIDs {
+	for trial := uint64(1); trial <= trials; trial++ {
+		b := seededBuilder([]string{"c0"}, cap, trial)
+		for i := 0; i < n; i++ {
+			b.Add([]float32{0})
+		}
+		for _, id := range b.Snapshot().RowIDs {
 			hits[id]++
 		}
 	}
@@ -186,7 +126,7 @@ func TestReservoirIsUnbiased(t *testing.T) {
 }
 
 func TestSnapshotIsDeepCopy(t *testing.T) {
-	b := NewBuilder([]string{"y", "x"}, Config{Cap: 8, StratumCap: 4, StratifyColumn: "y"})
+	b := NewBuilder([]string{"y", "x"}, Config{Cap: 8})
 	for i := 0; i < 20; i++ {
 		b.Add([]float32{float32(i % 2), float32(i)})
 	}

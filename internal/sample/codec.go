@@ -21,9 +21,18 @@ import (
 //	StratifyCol string; overflow byte
 //	numStrata; each { Key f32 bits; Count; kS; kS × RowID; kS·C × f32 }
 //	CRC32-C  u32 LE over everything above
+//
+// StratumCap through the strata belong to a stratified variant this
+// package no longer builds. Encode writes them as every unstratified
+// sample always had them (stratumCap, maxStrata, "", 0, no strata); Decode
+// parses and drops them, so an older stratified file still serves its
+// uniform reservoir.
 const (
 	magicMQSM   = "MQSM"
 	versionMQSM = 1
+
+	stratumCap = 1024
+	maxStrata  = 64
 )
 
 // Ceilings on the fields nothing else bounds. Element counts need none:
@@ -43,8 +52,8 @@ func Encode(model, interm string, s *Sample) []byte {
 	buf = append(buf, versionMQSM)
 	buf = appendString(buf, model+"\x00"+interm)
 	buf = binary.AppendUvarint(buf, uint64(s.Cap))
-	buf = binary.AppendUvarint(buf, uint64(s.StratumCap))
-	buf = binary.AppendUvarint(buf, uint64(s.MaxStrata))
+	buf = binary.AppendUvarint(buf, stratumCap)
+	buf = binary.AppendUvarint(buf, maxStrata)
 	buf = binary.LittleEndian.AppendUint64(buf, s.Seed)
 	buf = binary.LittleEndian.AppendUint64(buf, s.RNGState)
 	buf = binary.AppendUvarint(buf, uint64(s.Seen))
@@ -65,22 +74,7 @@ func Encode(model, interm string, s *Sample) []byte {
 		buf = binary.AppendUvarint(buf, uint64(id))
 	}
 	buf = appendFloats(buf, s.Data)
-	buf = appendString(buf, s.StratifyCol)
-	if s.StrataOverflow {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(s.Strata)))
-	for _, str := range s.Strata {
-		buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(str.Key))
-		buf = binary.AppendUvarint(buf, uint64(str.Count))
-		buf = binary.AppendUvarint(buf, uint64(len(str.RowIDs)))
-		for _, id := range str.RowIDs {
-			buf = binary.AppendUvarint(buf, uint64(id))
-		}
-		buf = appendFloats(buf, str.Data)
-	}
+	buf = append(buf, 0, 0, 0) // no stratify column, no overflow, no strata
 	return durable.Seal(buf)
 }
 
@@ -95,8 +89,8 @@ func Decode(data []byte) (model, interm string, s *Sample, err error) {
 	fileKey := r.String(maxKeyLen)
 	s = &Sample{}
 	s.Cap = int(r.Uvarint(maxSampleCap))
-	s.StratumCap = int(r.Uvarint(maxSampleCap))
-	s.MaxStrata = int(r.Uvarint(maxStrataCap))
+	r.Uvarint(maxSampleCap) // StratumCap
+	r.Uvarint(maxStrataCap) // MaxStrata
 	s.Seed = r.U64()
 	s.RNGState = r.U64()
 	s.Seen = int64(r.Uvarint(math.MaxInt64))
@@ -117,14 +111,12 @@ func Decode(data []byte) (model, interm string, s *Sample, err error) {
 		}
 	}
 	s.RowIDs, s.Data = decodeRows(r, c)
-	s.StratifyCol = r.String(maxNameLen)
-	s.StrataOverflow = r.U8() != 0
-	s.Strata = make([]Stratum, r.Count(6))
-	for i := range s.Strata {
-		str := &s.Strata[i]
-		str.Key = r.F32()
-		str.Count = int64(r.Uvarint(math.MaxInt64))
-		str.RowIDs, str.Data = decodeRows(r, c)
+	r.String(maxNameLen) // StratifyCol
+	r.U8()               // overflow
+	for n := r.Count(6); n > 0; n-- {
+		r.F32()                  // Key
+		r.Uvarint(math.MaxInt64) // Count
+		decodeRows(r, c)
 	}
 	if len(s.RowIDs) > s.Cap || int64(len(s.RowIDs)) > s.Seen {
 		r.Failf("sample of %d rows larger than population %d or cap %d", len(s.RowIDs), s.Seen, s.Cap)

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -27,8 +29,7 @@ func sampleForCodec(t *testing.T) *Sample {
 			vals[i] = rng.Float32() * 100
 		}
 	}
-	mb := NewMatrixBuilder([]string{"label", "act"}, n, labels,
-		Config{Cap: 200, StratumCap: 32, Seed: 5, StratifyColumn: "label"})
+	mb := NewMatrixBuilder([]string{"label", "act"}, n, Config{Cap: 200})
 	mb.SetColumn(0, labels)
 	mb.SetColumn(1, vals)
 	return mb.Finish()
@@ -78,10 +79,10 @@ func reencode(data []byte) ([]byte, error) {
 	return Encode(model, interm, s), nil
 }
 
-// goldenSample is the sample behind testdata/parent.mqsm: stratified, with
-// NaN and -Inf cells, small enough for the contract's every-bit sweep.
+// goldenSample is the sample behind testdata/parent_uniform.mqsm: NaN and
+// -Inf cells, small enough for the contract's every-bit sweep.
 func goldenSample() []byte {
-	b := NewBuilder([]string{"label", "act"}, Config{Cap: 8, StratumCap: 3, Seed: 5, StratifyColumn: "label"})
+	b := NewBuilder([]string{"label", "act"}, Config{Cap: 8})
 	for i := 0; i < 40; i++ {
 		v := float32(i) * 1.5
 		switch i % 10 {
@@ -110,8 +111,57 @@ func TestDecoderContract(t *testing.T) {
 	})
 }
 
-// TestGoldenParentImage: testdata/parent.mqsm was written by the commit
-// before the decoders moved onto durable.Reader (goldenSample, run there).
+// TestGoldenParentImage: testdata/parent_uniform.mqsm was written by the
+// code before the stratified variant was deleted (goldenSample, run
+// there). Every sample a program wrote then was unstratified, so it must
+// decode and re-encode to the same bytes.
 func TestGoldenParentImage(t *testing.T) {
-	durabletest.Golden(t, "parent.mqsm", goldenSample(), reencode)
+	durabletest.Golden(t, "parent_uniform.mqsm", goldenSample(), reencode)
+}
+
+// TestGoldenStratifiedParentImage: testdata/parent.mqsm is a stratified
+// sample an older binary wrote (label column, three strata). Its strata
+// are dropped; its uniform reservoir decodes to exactly what that binary
+// decoded, and a resumed builder keeps sampling from it.
+func TestGoldenStratifiedParentImage(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "parent.mqsm"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, interm, s, err := Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if model != "m1" || interm != "conv/act" {
+		t.Fatalf("identity = %q/%q", model, interm)
+	}
+	if !reflect.DeepEqual(s.Cols, []string{"label", "act"}) || s.Seen != 40 || s.Cap != 8 ||
+		s.Seed != 5 || s.RNGState != 0xefa6f4a653548930 {
+		t.Fatalf("header = cols %q seen %d cap %d seed %d rng %#x", s.Cols, s.Seen, s.Cap, s.Seed, s.RNGState)
+	}
+	ninf := float32(math.Inf(-1))
+	wantStats := []ColStats{
+		{Finite: 40, Min: 0, Max: 2},
+		{Finite: 32, NaN: 4, NegInf: 4, Min: 0, Max: 58.5},
+	}
+	if !reflect.DeepEqual(s.Stats, wantStats) {
+		t.Fatalf("stats = %+v, want %+v", s.Stats, wantStats)
+	}
+	if want := []int64{10, 1, 2, 39, 14, 21, 6, 27}; !reflect.DeepEqual(s.RowIDs, want) {
+		t.Fatalf("row ids = %v, want %v", s.RowIDs, want)
+	}
+	wantData := []float32{1, 15, 1, 1.5, 2, 3, 0, 58.5, 2, 21, 0, 31.5, 0, 9, 0, ninf}
+	if !reflect.DeepEqual(s.Data, wantData) {
+		t.Fatalf("data = %v, want %v", s.Data, wantData)
+	}
+	again, err := reencode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, s2, err := Decode(again); err != nil || !reflect.DeepEqual(s2, s) {
+		t.Fatalf("re-encoded image decodes to %+v, %v", s2, err)
+	}
+	if err := Resume(s).Add([]float32{1, 2}); err != nil {
+		t.Fatal(err)
+	}
 }

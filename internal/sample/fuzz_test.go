@@ -1,6 +1,8 @@
 package sample
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 
 	"mistique/internal/durable/durabletest"
@@ -11,12 +13,18 @@ import (
 func FuzzSampleDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte(magicMQSM))
-	b := NewBuilder([]string{"a", "b"}, Config{Cap: 8, StratumCap: 4, StratifyColumn: "a"})
+	b := NewBuilder([]string{"a", "b"}, Config{Cap: 8})
 	for i := 0; i < 30; i++ {
 		b.Add([]float32{float32(i % 3), float32(i)})
 	}
 	f.Add(Encode("m", "i", b.Snapshot()))
 	f.Add(Encode("", "", b.Snapshot()))
+	// A stratified image an older binary wrote: its strata must parse.
+	stratified, err := os.ReadFile(filepath.Join("testdata", "parent.mqsm"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(stratified)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		durabletest.Input(t, data, func(data []byte) error {
@@ -31,7 +39,7 @@ func FuzzSampleDecode(f *testing.F) {
 			if m2 != model || i2 != interm {
 				t.Fatalf("identity changed: %q/%q vs %q/%q", m2, i2, model, interm)
 			}
-			if s2.Seen != s.Seen || s2.Rows() != s.Rows() || len(s2.Strata) != len(s.Strata) {
+			if s2.Seen != s.Seen || s2.Rows() != s.Rows() {
 				t.Fatal("shape changed across re-encode")
 			}
 			// Accepted samples must also be safe to query.

@@ -25,13 +25,20 @@ type ManagerConfig struct {
 	Obs *obs.Registry
 }
 
-// Manager persists samples as checksummed MQSM files (durable.Publish),
-// one file per (model, intermediate), hash-named with the real identity
-// stored — and verified — inside the file.
+// Manager owns the sample snapshots of every (model, intermediate): the
+// resident copy queries read, and its checksummed MQSM file
+// (durable.Publish), hash-named with the real identity stored — and
+// verified — inside the file.
 type Manager struct {
 	dir string
 	fs  faultfs.FS
-	mu  sync.Mutex // serializes writes per manager; reads are lock-free
+	// mu serializes file writes and the misses that read a file in, so a
+	// Remove cannot race a Load into re-installing what it dropped.
+	mu sync.Mutex
+	// memMu guards resident, the snapshots in memory keyed model "\x00"
+	// interm; a hit takes only this lock.
+	memMu    sync.Mutex
+	resident map[string]*Sample
 
 	saves       *obs.Counter
 	loads       *obs.Counter
@@ -54,6 +61,7 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 	return &Manager{
 		dir:         cfg.Dir,
 		fs:          fs,
+		resident:    make(map[string]*Sample),
 		saves:       r.Counter("mistique_sample_saves_total", "Sample snapshots persisted to disk."),
 		loads:       r.Counter("mistique_sample_loads_total", "Sample snapshots loaded from disk."),
 		quarantines: r.Counter("mistique_sample_quarantined_total", "Corrupt sample files quarantined."),
@@ -71,12 +79,21 @@ func (m *Manager) path(model, interm string) string {
 	return filepath.Join(m.dir, fmt.Sprintf("smpl_%016x.mqsm", b))
 }
 
-// Save persists a sample snapshot. An error means the previous on-disk
+func (m *Manager) install(model, interm string, s *Sample) {
+	m.memMu.Lock()
+	m.resident[model+"\x00"+interm] = s
+	m.memMu.Unlock()
+}
+
+// Save persists a sample snapshot and installs it as the resident one.
+// The snapshot is installed even when the publish fails: this process
+// keeps answering from it, and an error means the previous on-disk
 // snapshot (if any) is still intact — the publish is atomic.
 func (m *Manager) Save(model, interm string, s *Sample) error {
 	img := Encode(model, interm, s)
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.install(model, interm, s)
 	_, err := durable.Publish(m.fs, m.path(model, interm), func(w io.Writer) error {
 		_, err := w.Write(img)
 		return err
@@ -89,12 +106,28 @@ func (m *Manager) Save(model, interm string, s *Sample) error {
 	return nil
 }
 
-// Load returns the persisted sample for (model, interm), or (nil, nil)
-// when none exists. A corrupt or mismatched file is quarantined and one
-// from a newer binary is left in place; both read as absent: the sample is
-// an accelerator, not a source of truth, and the caller falls back to
-// exact reads.
+// Load returns the resident sample for (model, interm), reading and
+// installing the persisted one on a miss, or (nil, nil) when none exists.
+// A corrupt or mismatched file is quarantined and one from a newer binary
+// is left in place; both read as absent: the sample is an accelerator,
+// not a source of truth, and the caller falls back to exact reads.
+// Callers must treat the returned sample as read-only.
 func (m *Manager) Load(model, interm string) (*Sample, error) {
+	key := model + "\x00" + interm
+	m.memMu.Lock()
+	s := m.resident[key]
+	m.memMu.Unlock()
+	if s != nil {
+		return s, nil
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.memMu.Lock()
+	s = m.resident[key]
+	m.memMu.Unlock()
+	if s != nil {
+		return s, nil
+	}
 	path := m.path(model, interm)
 	data, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
@@ -109,20 +142,23 @@ func (m *Manager) Load(model, interm string) (*Sample, error) {
 	}
 	if err != nil || gotModel != model || gotInterm != interm {
 		m.quarantines.Inc()
-		m.mu.Lock()
 		if durable.Quarantine(m.fs, path) != nil {
 			m.fs.Remove(path)
 		}
-		m.mu.Unlock()
 		return nil, nil
 	}
 	m.loads.Inc()
+	m.install(model, interm, s)
 	return s, nil
 }
 
-// Remove deletes the persisted sample for (model, interm), if any.
+// Remove drops the sample for (model, interm), resident and persisted, if
+// any.
 func (m *Manager) Remove(model, interm string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.memMu.Lock()
+	delete(m.resident, model+"\x00"+interm)
+	m.memMu.Unlock()
 	m.fs.Remove(m.path(model, interm))
 }

@@ -3,9 +3,11 @@ package sample
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 
 	"mistique/internal/durable"
@@ -38,6 +40,89 @@ func TestManagerSaveLoadRemove(t *testing.T) {
 	}
 }
 
+// TestManagerRemoveDropsResident: Save installs the snapshot, Load answers
+// from memory without reading the file, and Remove drops both copies, so
+// Load returns nil although a snapshot was resident.
+func TestManagerRemoveDropsResident(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "sample")
+	reg := obs.New()
+	m, err := NewManager(ManagerConfig{Dir: dir, Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := sampleForCodec(t)
+	if err := m.Save("m1", "i1", s); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := m.Load("m1", "i1"); err != nil || got != s {
+		t.Fatalf("Load after Save = %p, %v; want the saved snapshot %p", got, err, s)
+	}
+	if n := reg.Snapshot().Counters["mistique_sample_loads_total"]; n != 0 {
+		t.Fatalf("resident hit read the file: loads = %d", n)
+	}
+	m.Remove("m1", "i1")
+	if got, err := m.Load("m1", "i1"); err != nil || got != nil {
+		t.Fatalf("Load after Remove = %v, %v; want nil", got, err)
+	}
+	if _, err := os.Stat(m.path("m1", "i1")); !os.IsNotExist(err) {
+		t.Fatalf("file survived Remove: %v", err)
+	}
+
+	// A fresh manager over a saved file reads it once, then stays resident.
+	if err := m.Save("m1", "i2", s); err != nil {
+		t.Fatal(err)
+	}
+	m2, err := NewManager(ManagerConfig{Dir: dir, Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := m2.Load("m1", "i2")
+	if err != nil || first == nil {
+		t.Fatalf("Load from disk = %v, %v", first, err)
+	}
+	if again, _ := m2.Load("m1", "i2"); again != first {
+		t.Fatal("second Load did not return the resident snapshot")
+	}
+	if n := reg.Snapshot().Counters["mistique_sample_loads_total"]; n != 1 {
+		t.Fatalf("loads = %d, want 1", n)
+	}
+}
+
+// TestManagerConcurrentUse: saves, loads and removes of shared and
+// separate keys from several goroutines (run under -race). Every Load sees
+// either nothing or a complete snapshot of the key it asked for.
+func TestManagerConcurrentUse(t *testing.T) {
+	m, err := NewManager(ManagerConfig{Dir: filepath.Join(t.TempDir(), "sample")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := sampleForCodec(t)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			own := fmt.Sprintf("i%d", g)
+			for i := 0; i < 20; i++ {
+				for _, interm := range []string{own, "shared"} {
+					if err := m.Save("m", interm, s); err != nil {
+						t.Error(err)
+						return
+					}
+					if got, err := m.Load("m", interm); err != nil || (got != nil && got.Seen != s.Seen) {
+						t.Errorf("Load %s: %v, %v", interm, got, err)
+						return
+					}
+					if i%3 == 0 {
+						m.Remove("m", interm)
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
 // TestManagerQuarantinesCorruptFile: a corrupt sample is set aside the way
 // every derived artifact is — renamed to *.corrupt, kept as evidence — and
 // reads as absent.
@@ -59,6 +144,12 @@ func TestManagerQuarantinesCorruptFile(t *testing.T) {
 	}
 	data[len(data)/3] ^= 0x10
 	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// A fresh manager (the next process) has nothing resident to answer
+	// from, so it reads the file.
+	m, err = NewManager(ManagerConfig{Dir: dir, Obs: reg})
+	if err != nil {
 		t.Fatal(err)
 	}
 	got, err := m.Load("m1", "i1")

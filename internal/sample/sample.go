@@ -1,7 +1,6 @@
 // Package sample maintains per-intermediate row samples — a uniform
-// reservoir plus an optional stratified variant keyed on a label column —
-// and answers approximate aggregates from them with distribution-free
-// error bounds.
+// reservoir — and answers approximate aggregates from them with
+// distribution-free error bounds.
 //
 // The contract the approximate query path builds on:
 //
@@ -37,37 +36,19 @@ import (
 // over 100k rows carries a bound under 1% of the column's value range.
 const DefaultCap = 32768
 
+// seed drives the deterministic row selection of every new sample.
+const seed = 1
+
 // Config sizes a sample.
 type Config struct {
 	// Cap is the reservoir size in rows (default DefaultCap). Larger caps
 	// give tighter bounds.
 	Cap int
-	// Seed drives the deterministic row selection (default 1).
-	Seed uint64
-	// StratifyColumn, when non-empty and present in the intermediate,
-	// additionally maintains one sub-reservoir per distinct value of that
-	// column — the stratified variant used by confusion-matrix estimates.
-	StratifyColumn string
-	// StratumCap is the per-stratum reservoir size (default 1024).
-	StratumCap int
-	// MaxStrata bounds the number of distinct strata tracked (default
-	// 64). Exceeding it abandons stratification for the intermediate
-	// (the uniform reservoir keeps working).
-	MaxStrata int
 }
 
 func (c Config) withDefaults() Config {
 	if c.Cap <= 0 {
 		c.Cap = DefaultCap
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.StratumCap <= 0 {
-		c.StratumCap = 1024
-	}
-	if c.MaxStrata <= 0 {
-		c.MaxStrata = 64
 	}
 	return c
 }
@@ -110,16 +91,6 @@ func (st *ColStats) observe(v float32) {
 // Rows reports how many rows the column has seen in total.
 func (st ColStats) Rows() int64 { return st.Finite + st.NaN + st.PosInf + st.NegInf }
 
-// Stratum is one sub-reservoir of the stratified variant: all rows whose
-// stratify-column value equals Key, with an exact Count and a uniform
-// sample of the full rows.
-type Stratum struct {
-	Key    float32
-	Count  int64   // exact population of the stratum
-	RowIDs []int64 // sampled row ids, len ≤ StratumCap
-	Data   []float32
-}
-
 // Sample is a point-in-time snapshot of one intermediate's reservoir. The
 // exported fields are what the MQSM codec persists; treat them as
 // read-only outside this package.
@@ -135,12 +106,6 @@ type Sample struct {
 	Stats  []ColStats
 	RowIDs []int64   // len k ≤ Cap: which rows are sampled
 	Data   []float32 // k×C row-major sampled values
-
-	StratifyCol    string
-	StratumCap     int
-	MaxStrata      int
-	StrataOverflow bool
-	Strata         []Stratum
 
 	// Rank memoization: snapshots are logically immutable, so the first
 	// quantile/top-k probe per column pays one sort and every later call
@@ -440,9 +405,6 @@ type Cell struct {
 // ConfusionEstimate is an approximate confusion matrix.
 type ConfusionEstimate struct {
 	Cells []Cell
-	// Stratified reports whether the per-label sub-reservoirs answered
-	// (tighter per-class bounds) or the uniform reservoir did.
-	Stratified bool
 	// SampledRows is the total sample size behind the estimate.
 	SampledRows int64
 	// MaxBound is the largest cell bound as a fraction of the total row
@@ -450,11 +412,10 @@ type ConfusionEstimate struct {
 	MaxBound float64
 }
 
-// Confusion estimates the (label, pred) contingency table. When the
-// sample is stratified on the label column, each label's cells are
-// estimated from that stratum's sub-reservoir against its exact count;
-// otherwise the uniform reservoir answers. Rows with NaN label or pred
-// are excluded from cells (their mass is never attributed elsewhere).
+// Confusion estimates the (label, pred) contingency table from the
+// reservoir: cell proportions over the sampled rows, scaled to the rows
+// seen. Rows with NaN label or pred are excluded from cells (their mass is
+// never attributed elsewhere).
 func (s *Sample) Confusion(labelCol, predCol int) (*ConfusionEstimate, error) {
 	if labelCol < 0 || labelCol >= len(s.Cols) || predCol < 0 || predCol >= len(s.Cols) {
 		return nil, fmt.Errorf("sample: confusion columns out of range")
@@ -463,39 +424,6 @@ func (s *Sample) Confusion(labelCol, predCol int) (*ConfusionEstimate, error) {
 		return &ConfusionEstimate{}, nil
 	}
 	c := len(s.Cols)
-	if s.StratifyCol != "" && s.StratifyCol == s.Cols[labelCol] && !s.StrataOverflow && len(s.Strata) > 0 && !s.Complete() {
-		est := &ConfusionEstimate{Stratified: true}
-		for _, str := range s.Strata {
-			kS := int64(len(str.RowIDs))
-			est.SampledRows += kS
-			counts := map[float32]int64{}
-			for r := int64(0); r < kS; r++ {
-				p := str.Data[r*int64(c)+int64(predCol)]
-				if p != p {
-					continue
-				}
-				counts[p]++
-			}
-			pb := ProportionBound(kS, str.Count)
-			for p, cnt := range counts {
-				est.Cells = append(est.Cells, Cell{
-					Label: str.Key,
-					Pred:  p,
-					Count: float64(str.Count) * float64(cnt) / float64(kS),
-					Bound: float64(str.Count) * pb,
-				})
-			}
-		}
-		sortCells(est.Cells)
-		for _, cell := range est.Cells {
-			if b := cell.Bound / float64(s.Seen); b > est.MaxBound {
-				est.MaxBound = b
-			}
-		}
-		return est, nil
-	}
-
-	// Uniform path: cell proportions over the whole reservoir.
 	k := int64(len(s.RowIDs))
 	est := &ConfusionEstimate{SampledRows: k}
 	if k == 0 {

@@ -80,7 +80,7 @@ func exactMoments(vals []float32) (mean float64, finite int64, min, max float32)
 }
 
 func buildFromColumn(vals []float32, cfg Config) *Sample {
-	mb := NewMatrixBuilder([]string{"c0"}, len(vals), nil, cfg)
+	mb := NewMatrixBuilder([]string{"c0"}, len(vals), cfg)
 	mb.SetColumn(0, vals)
 	return mb.Finish()
 }
@@ -94,7 +94,7 @@ func TestMeanBoundsHold(t *testing.T) {
 		for seed := uint64(1); seed <= 20; seed++ {
 			rng := rand.New(rand.NewSource(int64(seed) * 7919))
 			vals := population(t, dist, 20000, rng)
-			s := buildFromColumn(vals, Config{Cap: 2048, Seed: seed})
+			s := buildFromColumn(vals, Config{Cap: 2048})
 			est := s.MeanEstimate(0)
 			exact, finite, _, _ := exactMoments(vals)
 			if est.N != finite {
@@ -171,7 +171,7 @@ func TestTopKRankBound(t *testing.T) {
 		for seed := uint64(1); seed <= 10; seed++ {
 			rng := rand.New(rand.NewSource(int64(seed)))
 			vals := population(t, dist, 20000, rng)
-			s := buildFromColumn(vals, Config{Cap: 4096, Seed: seed})
+			s := buildFromColumn(vals, Config{Cap: 4096})
 			const kTop = 20
 			got, bound := s.TopK(0, kTop, true)
 			if len(got) == 0 {
@@ -211,7 +211,7 @@ func TestQuantileBound(t *testing.T) {
 	for seed := uint64(1); seed <= 10; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed) * 31))
 		vals := population(t, "heavytail", 20000, rng)
-		s := buildFromColumn(vals, Config{Cap: 4096, Seed: seed})
+		s := buildFromColumn(vals, Config{Cap: 4096})
 		for _, q := range []float64{0, 0.25, 0.5, 0.9, 1} {
 			v, bound := s.Quantile(0, q)
 			// The returned value's true CDF position must be within bound of q.
@@ -236,57 +236,43 @@ func TestQuantileBound(t *testing.T) {
 }
 
 // TestConfusionBoundsHold checks every estimated cell against the exact
-// contingency table, for both the stratified and uniform paths.
+// contingency table.
 func TestConfusionBoundsHold(t *testing.T) {
-	for _, stratified := range []bool{true, false} {
-		for seed := uint64(1); seed <= 10; seed++ {
-			rng := rand.New(rand.NewSource(int64(seed) * 131))
-			n := 20000
-			labels := make([]float32, n)
-			preds := make([]float32, n)
-			for i := range labels {
-				labels[i] = float32(rng.Intn(5))
-				if rng.Float64() < 0.8 {
-					preds[i] = labels[i] // mostly correct classifier
-				} else {
-					preds[i] = float32(rng.Intn(5))
-				}
+	for seed := uint64(1); seed <= 10; seed++ {
+		rng := rand.New(rand.NewSource(int64(seed) * 131))
+		n := 20000
+		labels := make([]float32, n)
+		preds := make([]float32, n)
+		for i := range labels {
+			labels[i] = float32(rng.Intn(5))
+			if rng.Float64() < 0.8 {
+				preds[i] = labels[i] // mostly correct classifier
+			} else {
+				preds[i] = float32(rng.Intn(5))
 			}
-			cfg := Config{Cap: 2048, StratumCap: 512, Seed: seed}
-			if stratified {
-				cfg.StratifyColumn = "label"
-			}
-			mb := NewMatrixBuilder([]string{"label", "pred"}, n, labels, cfg)
-			mb.SetColumn(0, labels)
-			mb.SetColumn(1, preds)
-			s := mb.Finish()
+		}
+		mb := NewMatrixBuilder([]string{"label", "pred"}, n, Config{Cap: 2048})
+		mb.SetColumn(0, labels)
+		mb.SetColumn(1, preds)
+		s := mb.Finish()
 
-			est, err := s.Confusion(0, 1)
-			if err != nil {
-				t.Fatal(err)
+		est, err := s.Confusion(0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exact := map[[2]float32]int64{}
+		for i := range labels {
+			exact[[2]float32{labels[i], preds[i]}]++
+		}
+		for _, cell := range est.Cells {
+			want := float64(exact[[2]float32{cell.Label, cell.Pred}])
+			if d := math.Abs(cell.Count - want); d > cell.Bound {
+				t.Errorf("seed=%d cell (%g,%g): |%g-%g|=%g > bound %g",
+					seed, cell.Label, cell.Pred, cell.Count, want, d, cell.Bound)
 			}
-			if est.Stratified != stratified {
-				t.Fatalf("stratified=%v, want %v", est.Stratified, stratified)
-			}
-			exact := map[[2]float32]int64{}
-			for i := range labels {
-				exact[[2]float32{labels[i], preds[i]}]++
-			}
-			for _, cell := range est.Cells {
-				want := float64(exact[[2]float32{cell.Label, cell.Pred}])
-				if d := math.Abs(cell.Count - want); d > cell.Bound {
-					t.Errorf("strat=%v seed=%d cell (%g,%g): |%g-%g|=%g > bound %g",
-						stratified, seed, cell.Label, cell.Pred, cell.Count, want, d, cell.Bound)
-				}
-			}
-			if est.MaxBound <= 0 || est.MaxBound > 1 {
-				t.Fatalf("MaxBound = %g out of (0,1]", est.MaxBound)
-			}
-			// Stratified bounds should beat uniform for the same budget on
-			// the dominant diagonal cells — spot-check tightness ordering.
-			if stratified && est.MaxBound >= 1 {
-				t.Fatalf("stratified MaxBound = %g, useless", est.MaxBound)
-			}
+		}
+		if est.MaxBound <= 0 || est.MaxBound > 1 {
+			t.Fatalf("MaxBound = %g out of (0,1]", est.MaxBound)
 		}
 	}
 }
@@ -301,7 +287,7 @@ func TestConfusionEdgeCases(t *testing.T) {
 		t.Fatalf("empty sample confusion: %+v, %v", est, err)
 	}
 	// NaN labels/preds are excluded from cells.
-	mb := NewMatrixBuilder([]string{"label", "pred"}, 4, nil, Config{Cap: 8})
+	mb := NewMatrixBuilder([]string{"label", "pred"}, 4, Config{Cap: 8})
 	nan := float32(math.NaN())
 	mb.SetColumn(0, []float32{1, nan, 1, 1})
 	mb.SetColumn(1, []float32{1, 1, nan, 1})

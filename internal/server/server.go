@@ -56,8 +56,6 @@ type Config struct {
 	MaxInFlight int
 	// RequestTimeout is the per-request context deadline. Default 30s.
 	RequestTimeout time.Duration
-	// RetryAfter is the hint sent with 429 rejections. Default 1s.
-	RetryAfter time.Duration
 	// ShardName labels this node in /readyz responses when it serves as
 	// one shard of a cluster (mistique serve -shard). Empty is fine for a
 	// single-node service.
@@ -87,14 +85,16 @@ func (c Config) withDefaults() Config {
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 30 * time.Second
 	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
-	}
 	if c.TenantMaxInFlight <= 0 {
 		c.TenantMaxInFlight = 8
 	}
 	return c
 }
+
+// retryAfterHint is the Retry-After sent with 429 rejections (a tenant
+// over its row rate is told how long its deficit takes to refill, if that
+// is longer).
+const retryAfterHint = time.Second
 
 // Server serves MISTIQUE queries over HTTP. Create with New, expose with
 // Handler (tests) or Serve (production), stop with Shutdown.
@@ -243,7 +243,7 @@ func (s *Server) admitted(method string, fn handlerFunc) http.HandlerFunc {
 			// request, so overload degrades into fast 429s, not a convoy
 			// of goroutines queued on the chunk reader.
 			s.rejected.Inc()
-			w.Header().Set("Retry-After", strconv.Itoa(int((s.cfg.RetryAfter+time.Second-1)/time.Second)))
+			w.Header().Set("Retry-After", strconv.Itoa(int(retryAfterHint/time.Second)))
 			writeError(w, http.StatusTooManyRequests, "over capacity: %d queries in flight", s.cfg.MaxInFlight)
 			return
 		}

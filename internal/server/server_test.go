@@ -439,7 +439,6 @@ func TestAdmissionControl(t *testing.T) {
 	entered := make(chan struct{}, 8)
 	srv := New(sys, Config{
 		MaxInFlight: 1,
-		RetryAfter:  2 * time.Second,
 		queryGate: func() {
 			entered <- struct{}{}
 			<-gate
@@ -470,8 +469,8 @@ func TestAdmissionControl(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := resp.Header.Get("Retry-After"); got != "2" {
-		t.Errorf("Retry-After = %q, want \"2\"", got)
+	if got := resp.Header.Get("Retry-After"); got != "1" {
+		t.Errorf("Retry-After = %q, want \"1\"", got)
 	}
 	errorShape(t, resp, 429)
 

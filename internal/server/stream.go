@@ -40,7 +40,7 @@ func (s *Server) admitTenant(tenant string, n int) (release func(), err error) {
 	}
 	if ts.inFlight >= s.cfg.TenantMaxInFlight {
 		s.tenantShed.Inc()
-		return nil, &apiError{status: http.StatusTooManyRequests, retryAfter: s.cfg.RetryAfter,
+		return nil, &apiError{status: http.StatusTooManyRequests, retryAfter: retryAfterHint,
 			msg: fmt.Sprintf("tenant %q over capacity: %d ingests in flight", tenant, ts.inFlight)}
 	}
 	if rate := float64(s.cfg.TenantRowsPerSec); rate > 0 {
@@ -63,16 +63,10 @@ func (s *Server) admitTenant(tenant string, n int) (release func(), err error) {
 }
 
 // tenantRetryAfter estimates how long the tenant should wait before the
-// bucket can admit n rows again.
+// bucket (TenantRowsPerSec > 0) can admit n rows again.
 func (s *Server) tenantRetryAfter(n int) time.Duration {
-	if s.cfg.TenantRowsPerSec <= 0 {
-		return s.cfg.RetryAfter
-	}
 	d := time.Duration(float64(n) / float64(s.cfg.TenantRowsPerSec) * float64(time.Second))
-	if d < s.cfg.RetryAfter {
-		return s.cfg.RetryAfter
-	}
-	return d
+	return max(d, retryAfterHint)
 }
 
 func (s *Server) handleIngest(r *http.Request) (any, error) {
@@ -169,7 +163,7 @@ func (s *Server) handleConfusion(r *http.Request) (any, error) {
 	return client.ConfusionResponse{
 		Model: cm.Model, Intermediate: cm.Intermediate,
 		LabelCol: cm.LabelCol, PredCol: cm.PredCol,
-		Cells: cells, Rows: cm.Rows, Stratified: cm.Stratified,
+		Cells: cells, Rows: cm.Rows,
 		MaxBound: cm.MaxBound, SampleRows: cm.SampleRows,
 		Strategy: cm.Strategy.String(), FetchSeconds: cm.FetchSeconds,
 	}, nil

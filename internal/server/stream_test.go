@@ -11,7 +11,6 @@ import (
 
 	"mistique"
 	"mistique/client"
-	"mistique/internal/sample"
 )
 
 func streamCell(row int64, col int) float32 { return float32(row%353) + float32(col)*0.5 }
@@ -19,10 +18,7 @@ func streamCell(row int64, col int) float32 { return float32(row%353) + float32(
 // newStreamService stands up a service tuned for streaming tests.
 func newStreamService(t *testing.T, scfg Config) (*mistique.System, *Server, *httptest.Server) {
 	t.Helper()
-	sys, err := mistique.Open(t.TempDir(), mistique.Config{
-		RowBlockRows: 128,
-		Sample:       sample.Config{Cap: 128},
-	})
+	sys, err := mistique.Open(t.TempDir(), mistique.Config{RowBlockRows: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,12 +53,13 @@ func TestIngestAndApproxEndpoints(t *testing.T) {
 		t.Fatalf("ingest ack %+v", last)
 	}
 
-	// ColDist: sampled, bound holds against the exact mean.
+	// ColDist: sampled from a reservoir that holds every row, so the
+	// answer is exact and its bound 0.
 	d, err := c.ColDist(ctx, "live", "acts", "v", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Strategy != "SAMPLE" || d.Rows != n || d.SampleRows != 128 {
+	if d.Strategy != "SAMPLE" || d.Rows != n || d.SampleRows != n || d.MeanBound != 0 {
 		t.Fatalf("coldist %+v", d)
 	}
 	var exactMean float64
@@ -87,7 +84,7 @@ func TestIngestAndApproxEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tk.Strategy != "SAMPLE" || len(tk.Entries) != 5 || tk.RankBound <= 0 {
+	if tk.Strategy != "SAMPLE" || len(tk.Entries) != 5 || tk.RankBound != 0 {
 		t.Fatalf("approx topk %+v", tk)
 	}
 	for _, e := range tk.Entries {
@@ -134,7 +131,7 @@ func TestIngestAndApproxEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cm.Strategy != "SAMPLE" || cm.Rows != n {
+	if cm.Strategy != "SAMPLE" || cm.Rows != n || cm.MaxBound != 0 {
 		t.Fatalf("confusion %+v", cm)
 	}
 	for _, cell := range cm.Cells {
@@ -183,7 +180,7 @@ func TestIngestValidation(t *testing.T) {
 // a tenant that exhausts its rows/sec gets 429 + Retry-After while other
 // tenants keep flowing.
 func TestTenantRateQuota(t *testing.T) {
-	_, srv, ts := newStreamService(t, Config{TenantRowsPerSec: 100, RetryAfter: time.Second})
+	_, srv, ts := newStreamService(t, Config{TenantRowsPerSec: 100})
 
 	post := func(tenant string, nRows int) *http.Response {
 		t.Helper()

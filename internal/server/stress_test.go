@@ -52,7 +52,6 @@ func TestStressConcurrentClients(t *testing.T) {
 	sys := newSys(t, mistique.Config{})
 	srv := New(sys, Config{
 		MaxInFlight: 4,
-		RetryAfter:  0, // default 1s; clients floor a 0-hint at 100ms anyway
 		// Widen each request's in-flight window so 64 clients reliably
 		// overrun a 4-slot semaphore.
 		queryGate: func() { time.Sleep(500 * time.Microsecond) },

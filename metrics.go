@@ -229,7 +229,7 @@ const slowQueryLogName = "slow_queries.jsonl"
 // noteSlowQuery appends a record to the slow-query log when the answer's
 // wall time crossed Config.SlowQueryThreshold. Best effort: a failed
 // append drops the record (the counter still moves), never the query.
-// The log is size-bounded: past Config.SlowQueryLogMaxBytes it rotates to
+// The log is size-bounded: past s.slowMax (4 MiB) it rotates to
 // slow_queries.jsonl.1, replacing the previous generation, so the log's
 // footprint stays under two generations no matter how long the server runs.
 func (s *System) noteSlowQuery(a *Answer) {
@@ -264,7 +264,7 @@ func (s *System) noteSlowQuery(a *Answer) {
 	if n, err := fmt.Fprintf(s.slowLog, "%s\n", line); err == nil {
 		s.slowSize += int64(n)
 	}
-	if s.slowSize < s.cfg.SlowQueryLogMaxBytes {
+	if s.slowSize < s.slowMax {
 		return
 	}
 	// Rotate: the current log becomes the single kept generation.

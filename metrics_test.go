@@ -240,10 +240,11 @@ func TestMetricsDisabledSlowLog(t *testing.T) {
 // slow_queries.jsonl.1 and both stay valid JSON-lines.
 func TestSlowQueryLogRotation(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Config{SlowQueryThreshold: time.Nanosecond, SlowQueryLogMaxBytes: 512})
+	s, err := Open(dir, Config{SlowQueryThreshold: time.Nanosecond})
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.slowMax = 512
 	logDemo(t, s)
 	for i := 0; i < 12; i++ {
 		if _, err := s.GetIntermediate("demo", "model", []string{"pred"}, 0); err != nil {

@@ -306,7 +306,7 @@ func (s *System) openStream(model, interm string, cols []string) (*streamState, 
 	if smp != nil && equalCols(smp.Cols, cols) {
 		st.sampler = sample.Resume(smp)
 	} else {
-		st.sampler = sample.NewBuilder(cols, s.cfg.Sample)
+		st.sampler = sample.NewBuilder(cols, sample.Config{Cap: s.sampleCap})
 	}
 	// Resume behind the catalog's durable rows: reload the partial tail
 	// block (if any) from the store so it can be re-put whole when it

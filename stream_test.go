@@ -14,7 +14,6 @@ import (
 	"mistique/internal/cost"
 	"mistique/internal/faultfs"
 	"mistique/internal/metadata"
-	"mistique/internal/sample"
 )
 
 // streamVal is the deterministic cell value used throughout the streaming
@@ -137,11 +136,12 @@ func TestStreamIngestAndExactRead(t *testing.T) {
 
 func TestStreamReplayOnReopen(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{RowBlockRows: 64, Sample: sample.Config{Cap: 128}}
+	cfg := Config{RowBlockRows: 64}
 	s1, err := Open(dir, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s1.sampleCap = 128
 	cols := []string{"x", "y"}
 	ingestStream(t, s1, "live", "acts", cols, 0, 300, 7)
 	// No Flush: the cut blocks live only in s1's dirty partitions and the
@@ -252,7 +252,8 @@ func TestStreamConcurrentStress(t *testing.T) {
 		rowsPer  = 1500
 		batch    = 21
 	)
-	s := openSys(t, Config{RowBlockRows: 128, Sample: sample.Config{Cap: 256}})
+	s := openSys(t, Config{RowBlockRows: 128})
+	s.sampleCap = 256
 	cols := []string{"v", "w"}
 
 	// prefixMean[n] is the exact mean of streamVal(row, 0) over rows [0,n).
