@@ -1,7 +1,7 @@
 // Package client is the typed Go client for the MISTIQUE query service
 // (internal/server): a JSON-over-HTTP surface for the diagnostic query
 // classes of Sec. 5 — intermediate fetches under the read-vs-rerun cost
-// model, cost estimates, zone-map predicate scans and row-range reads —
+// model, cost estimates, predicate scans and row-range reads —
 // plus catalog listing, stats and compaction.
 //
 // This file defines the wire types. The server imports them too, so the
@@ -187,7 +187,7 @@ type EstimateResponse struct {
 	Chosen       string  `json:"chosen"`
 }
 
-// FilterRequest is a zone-map predicate scan (POST /api/v1/filter):
+// FilterRequest is a predicate scan (POST /api/v1/filter):
 // matching row offsets of `column op bound`. Op is one of "gt", "ge",
 // "lt", "le". From/To restrict the scan to global rows [From, To) — the
 // shard-local sub-queries of the cluster router use this; both zero (the

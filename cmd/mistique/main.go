@@ -29,6 +29,7 @@ import (
 	"mistique/internal/colstore"
 	"mistique/internal/cost"
 	"mistique/internal/metadata"
+	"mistique/internal/nindex"
 	"mistique/internal/server"
 	"mistique/internal/zillow"
 )
@@ -91,7 +92,7 @@ func usage() {
 commands:
   log      -pipelines N [-props N] [-rows N] [-dedup]   log Zillow pipelines
   query    -model M -interm I [-col C] [-n N]           fetch an intermediate
-  scan     -model M -interm I -col C -op OP -bound V    zone-map predicate scan
+  scan     -model M -interm I -col C -op OP -bound V    predicate scan
   stats    [-format text|json|prom]                     metrics snapshot
   serve    -addr HOST:PORT [-pipelines N] [-shard NAME]  HTTP query service
            [-max-in-flight N] [-request-timeout D] [-drain-timeout D]
@@ -232,18 +233,9 @@ func runScan(dir string, args []string) error {
 	if *model == "" || *interm == "" || *col == "" {
 		return fmt.Errorf("scan needs -model, -interm and -col")
 	}
-	var op colstore.Op
-	switch *opStr {
-	case "gt":
-		op = colstore.Gt
-	case "ge":
-		op = colstore.Ge
-	case "lt":
-		op = colstore.Lt
-	case "le":
-		op = colstore.Le
-	default:
-		return fmt.Errorf("unknown op %q", *opStr)
+	op, err := nindex.ParseOp(*opStr)
+	if err != nil {
+		return err
 	}
 	sys, err := open(dir, true, 0, "")
 	if err != nil {

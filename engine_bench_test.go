@@ -2,9 +2,10 @@ package mistique
 
 // Engine-level microbenchmarks: the hot paths under each experiment —
 // logging a pipeline, reading an intermediate (warm and cold), re-running,
-// and zone-map scans.
+// and the predicate scan FilterRows falls back to.
 
 import (
+	"context"
 	"testing"
 
 	"mistique/internal/colstore"
@@ -85,11 +86,16 @@ func BenchmarkRerunIntermediate(b *testing.B) {
 	}
 }
 
-func BenchmarkFilterRowsZoneScan(b *testing.B) {
+// BenchmarkFilterRowsRangeScan: FilterRows over a row window with the
+// index disabled, i.e. the full-scan twin — read [from, to) through the
+// primary index and test every value.
+func BenchmarkFilterRowsRangeScan(b *testing.B) {
 	s := benchSystem(b)
+	s.nidx = nil
+	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.FilterRows("demo", "joined", "yearbuilt", colstore.Ge, 2018); err != nil {
+		if _, err := s.FilterRowsRangeCtx(ctx, "demo", "joined", "yearbuilt", colstore.Ge, 2018, 512, 1536); err != nil {
 			b.Fatal(err)
 		}
 	}

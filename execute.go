@@ -204,7 +204,7 @@ func (s *System) recoverRead(ctx context.Context, p *Plan, readErr error) (*Answ
 
 // healIntermediate re-materializes an intermediate whose stored chunks
 // were lost, for the ops that have no rerun representation of their own
-// (zone-map scans, row-range reads, index builds). A model that cannot be
+// (predicate scans, row-range reads, index builds). A model that cannot be
 // re-run gets the read error back with nothing touched.
 func (s *System) healIntermediate(p *Plan, readErr error) error {
 	stop := s.metrics.healSeconds.Time()

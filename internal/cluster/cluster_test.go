@@ -221,7 +221,7 @@ func TestScatterGatherParity(t *testing.T) {
 	if fr.Degraded {
 		t.Fatal("healthy cluster reported degraded")
 	}
-	direct, err := sys.FilterRows("demo", "joined", "logerror", mustOp(t, "gt"), 0)
+	direct, err := sys.FilterRows("demo", "joined", "logerror", colstore.Gt, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +340,7 @@ func TestFailoverReplicated(t *testing.T) {
 	if fr.Degraded {
 		t.Fatal("replicated failover reported degraded")
 	}
-	direct, err := sys.FilterRows("demo", "joined", "logerror", mustOp(t, "gt"), 0)
+	direct, err := sys.FilterRows("demo", "joined", "logerror", colstore.Gt, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,7 +417,7 @@ func TestUnreplicatedShardDownDegraded(t *testing.T) {
 	}
 
 	// Served rows are exact: the single-node answer minus missing ranges.
-	direct, err := sys.FilterRows("demo", "joined", "logerror", mustOp(t, "gt"), 0)
+	direct, err := sys.FilterRows("demo", "joined", "logerror", colstore.Gt, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -653,20 +653,4 @@ func assertTopKEqual(t *testing.T, got []mistique.TopKEntry, want []mistique.Top
 			t.Fatalf("topk mismatch at %d: %+v vs %+v", i, got[i], want[i])
 		}
 	}
-}
-
-func mustOp(t *testing.T, op string) colstore.Op {
-	t.Helper()
-	switch op {
-	case "gt":
-		return colstore.Gt
-	case "ge":
-		return colstore.Ge
-	case "lt":
-		return colstore.Lt
-	case "le":
-		return colstore.Le
-	}
-	t.Fatalf("bad op %q", op)
-	return 0
 }

@@ -385,8 +385,6 @@ type Store struct {
 
 	// columns maps logical keys to physical chunks.
 	columns map[ColumnKey]ChunkID
-	// zones holds per-chunk min/max summaries for predicate scans.
-	zones map[ChunkID]zone
 	// deltas registers every delta-generation chunk (id -> base + depth).
 	// Always resident — manifest-persisted — so chain depth is known for
 	// cost estimates and lost-base propagation without paging anything in.
@@ -432,7 +430,6 @@ func Open(dir string, cfg Config) (*Store, error) {
 		lsh:        minhash.NewIndex(16, 4),                // candidate threshold ~(1/16)^(1/4) = 0.5
 		sigPart:    make(map[int]int64),
 		columns:    make(map[ColumnKey]ChunkID),
-		zones:      make(map[ChunkID]zone),
 		deltas:     make(map[ChunkID]deltaRef),
 		lostChunks: make(map[ChunkID]struct{}),
 		om:         newStoreObs(cfg.Obs, cfg.Codec),
@@ -508,22 +505,6 @@ func (s *Store) putColumn(key ColumnKey, vals []float32, q *quant.Quantizer, par
 	// overlap them.
 	t0 := time.Now()
 	enc := q.Encode(nil, vals)
-	// Zone maps describe the values a reader observes, i.e. the
-	// reconstruction. Full reconstructs to the input itself; for lossy
-	// codecs decode enc (already in hand — no re-encode) into a pooled
-	// scratch buffer.
-	var zn zone
-	if q.Kind == quant.Full {
-		zn = zoneOf(vals)
-	} else {
-		scratch := grabF32(len(vals))
-		dec, derr := q.Decode(scratch[:0], enc, len(vals))
-		if derr != nil {
-			panic(derr) // cannot happen: we just produced enc
-		}
-		zn = zoneOf(dec)
-		releaseF32(dec)
-	}
 	s.om.putEncodeSeconds.ObserveSince(t0)
 	t0 = time.Now()
 	var h [32]byte
@@ -633,7 +614,6 @@ func (s *Store) putColumn(key ColumnKey, vals []float32, q *quant.Quantizer, par
 	}
 	id := ChunkID{Partition: p.id, Index: len(p.chunks) - 1}
 	s.columns[key] = id
-	s.zones[id] = zn
 	if !s.cfg.DisableExactDedup {
 		s.hashes[h] = id
 	}
@@ -921,9 +901,9 @@ func (s *Store) newPartition() *partition {
 	return p
 }
 
-// f32Pool recycles float32 scratch slices (zone reconstruction, callers of
-// the *Into read APIs). Same ownership rule as the byte pools: hold only
-// for the duration of one call.
+// f32Pool recycles float32 scratch slices (delta base reconstruction,
+// callers of the *Into read APIs). Same ownership rule as the byte pools:
+// hold only for the duration of one call.
 var f32Pool sync.Pool
 
 func grabF32(n int) []float32 {

@@ -141,11 +141,6 @@ func (s *Store) deleteWhere(match func(ColumnKey) bool) int {
 				delete(s.hashes, h)
 			}
 		}
-		for id := range s.zones {
-			if refs[id] == 0 {
-				delete(s.zones, id)
-			}
-		}
 		for id := range s.lostChunks {
 			if refs[id] == 0 {
 				delete(s.lostChunks, id)
@@ -262,11 +257,6 @@ func (s *Store) Compact() (droppedChunks int, reclaimed int64, err error) {
 						delete(s.lostChunks, id)
 					}
 				}
-				for id := range s.zones {
-					if id.Partition == pid {
-						delete(s.zones, id)
-					}
-				}
 				for id := range s.deltas {
 					if id.Partition == pid {
 						delete(s.deltas, id)
@@ -335,21 +325,6 @@ func (s *Store) Compact() (droppedChunks int, reclaimed int64, err error) {
 			old := s.columns[k]
 			s.columns[k] = ChunkID{Partition: pid, Index: remap[old.Index]}
 		}
-		remapIDs := func(m map[ChunkID]zone) map[ChunkID]zone {
-			out := make(map[ChunkID]zone, len(m))
-			for id, z := range m {
-				if id.Partition == pid {
-					ni, ok := remap[id.Index]
-					if !ok {
-						continue
-					}
-					id = ChunkID{Partition: pid, Index: ni}
-				}
-				out[id] = z
-			}
-			return out
-		}
-		s.zones = remapIDs(s.zones)
 		for h, id := range s.hashes {
 			if id.Partition == pid {
 				ni, ok := remap[id.Index]
@@ -464,7 +439,7 @@ type VerifyReport struct {
 }
 
 // Verify walks every partition, decodes every chunk, and cross-checks the
-// column map and zone maps — the fsck of the store. It reads all data, so
+// column map — the fsck of the store. It reads all data, so
 // it is O(store size).
 func (s *Store) Verify() (*VerifyReport, error) {
 	s.mu.Lock()
@@ -519,13 +494,6 @@ func (s *Store) Verify() (*VerifyReport, error) {
 			}
 			if refs[id] == 0 {
 				rep.GarbageChunks++
-			}
-			if z, ok := s.zones[id]; ok {
-				got := zoneOf(vals)
-				if got.count > 0 && (got.min < z.min || got.max > z.max) {
-					rep.Problems = append(rep.Problems,
-						fmt.Sprintf("chunk %v zone [%g,%g] does not cover data [%g,%g]", id, z.min, z.max, got.min, got.max))
-				}
 			}
 		}
 	}

@@ -21,126 +21,6 @@ func putBlocks(t *testing.T, s *Store, model, interm, col string, vals []float32
 	}
 }
 
-func TestScanColumnFindsMatches(t *testing.T) {
-	s := openTest(t, Config{RowBlockRows: 100})
-	vals := make([]float32, 350)
-	for i := range vals {
-		vals[i] = float32(i)
-	}
-	putBlocks(t, s, "m", "i", "c", vals, nil)
-
-	matches, skipped, err := s.ScanColumn("m", "i", "c", Gt, 340)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(matches) != 9 {
-		t.Fatalf("matches %d, want 9 (341..349)", len(matches))
-	}
-	if matches[0].Row != 341 || matches[0].Value != 341 {
-		t.Fatalf("first match %+v", matches[0])
-	}
-	// Blocks 0..2 (max 99, 199, 299) cannot match > 340: all skipped.
-	if skipped != 3 {
-		t.Fatalf("skipped %d blocks, want 3", skipped)
-	}
-}
-
-func TestScanColumnOps(t *testing.T) {
-	s := openTest(t, Config{RowBlockRows: 10})
-	vals := []float32{5, 10, 15, 20}
-	putBlocks(t, s, "m", "i", "c", vals, nil)
-	cases := []struct {
-		op    Op
-		bound float32
-		want  int
-	}{
-		{Gt, 10, 2},
-		{Ge, 10, 3},
-		{Lt, 10, 1},
-		{Le, 10, 2},
-	}
-	for _, c := range cases {
-		m, _, err := s.ScanColumn("m", "i", "c", c.op, c.bound)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(m) != c.want {
-			t.Errorf("%v %v: %d matches, want %d", c.op, c.bound, len(m), c.want)
-		}
-	}
-	if Gt.String() != ">" || Le.String() != "<=" {
-		t.Error("Op strings")
-	}
-}
-
-func TestScanColumnZoneSoundUnderQuantization(t *testing.T) {
-	// Zone maps must describe reconstructed values: a KBIT chunk whose raw
-	// max is above the bound but whose reconstruction is below must still
-	// be scanned consistently with what GetColumn returns.
-	s := openTest(t, Config{RowBlockRows: 64})
-	vals := make([]float32, 64)
-	for i := range vals {
-		vals[i] = float32(i)
-	}
-	q, err := quant.FitKBit(vals, 3) // coarse: 8 bins
-	if err != nil {
-		t.Fatal(err)
-	}
-	putBlocks(t, s, "m", "i", "c", vals, q)
-	recon, err := s.GetColumn(key("m", "i", "c", 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	bound := float32(30)
-	want := 0
-	for _, v := range recon {
-		if v > bound {
-			want++
-		}
-	}
-	matches, _, err := s.ScanColumn("m", "i", "c", Gt, bound)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(matches) != want {
-		t.Fatalf("scan found %d, reconstruction has %d above %v", len(matches), want, bound)
-	}
-}
-
-func TestScanColumnMissing(t *testing.T) {
-	s := openTest(t, Config{})
-	if _, _, err := s.ScanColumn("m", "i", "nope", Gt, 0); err == nil {
-		t.Fatal("missing column scan accepted")
-	}
-}
-
-func TestScanSurvivesReopen(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, Config{RowBlockRows: 50})
-	if err != nil {
-		t.Fatal(err)
-	}
-	vals := make([]float32, 200)
-	for i := range vals {
-		vals[i] = float32(i)
-	}
-	putBlocks(t, s, "m", "i", "c", vals, nil)
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := Open(dir, Config{RowBlockRows: 50})
-	if err != nil {
-		t.Fatal(err)
-	}
-	matches, skipped, err := s2.ScanColumn("m", "i", "c", Ge, 150)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(matches) != 50 || skipped != 3 {
-		t.Fatalf("reopened scan: %d matches, %d skipped", len(matches), skipped)
-	}
-}
-
 func TestGetColumnRange(t *testing.T) {
 	s := openTest(t, Config{RowBlockRows: 100})
 	vals := make([]float32, 250)
@@ -185,43 +65,96 @@ func TestGetColumnRange(t *testing.T) {
 	}
 }
 
-func TestZoneMapsDedupShareZones(t *testing.T) {
-	s := openTest(t, Config{RowBlockRows: 100})
-	vals := randCol(100, 1)
-	putBlocks(t, s, "m1", "i", "c", vals, nil)
-	putBlocks(t, s, "m2", "i", "c", vals, nil) // dedups to the same chunk
-	// Scans on the deduped logical column still work.
-	m1, _, err := s.ScanColumn("m1", "i", "c", Ge, 0)
+// TestScanColumnOps: the threshold predicates the store re-exports, applied
+// to a column read back across block boundaries, count the same rows as the
+// predicates' definitions.
+func TestScanColumnOps(t *testing.T) {
+	s := openTest(t, Config{RowBlockRows: 3})
+	vals := []float32{5, 10, 15, 20}
+	putBlocks(t, s, "m", "i", "c", vals, nil)
+	got, err := s.GetColumnRange("m", "i", "c", 0, len(vals))
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, _, err := s.ScanColumn("m2", "i", "c", Ge, 0)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		op    Op
+		bound float32
+		want  int
+	}{
+		{Gt, 10, 2},
+		{Ge, 10, 3},
+		{Lt, 10, 1},
+		{Le, 10, 2},
 	}
-	if len(m1) != len(m2) || len(m1) != 100 {
-		t.Fatalf("dedup scan: %d vs %d", len(m1), len(m2))
+	for _, c := range cases {
+		n := 0
+		for _, v := range got {
+			if c.op.Match(v, c.bound) {
+				n++
+			}
+		}
+		if n != c.want {
+			t.Errorf("%v %v: %d matches, want %d", c.op, c.bound, n, c.want)
+		}
+	}
+	if Gt.String() != ">" || Le.String() != "<=" {
+		t.Error("Op strings")
 	}
 }
 
-func BenchmarkScanColumnWithZoneSkips(b *testing.B) {
-	s, err := Open(b.TempDir(), Config{RowBlockRows: 1024})
-	if err != nil {
-		b.Fatal(err)
+// TestColumnSignatureTracksPhysicalIdentity: the signature an index is
+// stamped with holds no summary of the values, so every change of a
+// column's content must reach it through a block's partition, chunk index
+// or partition generation.
+func TestColumnSignatureTracksPhysicalIdentity(t *testing.T) {
+	s := openTest(t, Config{RowBlockRows: 100})
+	sig := func() uint32 {
+		t.Helper()
+		v, err := s.ColumnSignature("m", "i", "c")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
 	}
-	for blk := 0; blk < 32; blk++ {
-		vals := make([]float32, 1024)
-		for i := range vals {
-			vals[i] = float32(blk*1024 + i)
-		}
-		if _, err := s.PutColumn(key("m", "i", "c", blk), vals, nil); err != nil {
-			b.Fatal(err)
-		}
+	vals := make([]float32, 150)
+	for i := range vals {
+		vals[i] = float32(i)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := s.ScanColumn("m", "i", "c", Gt, 31*1024); err != nil {
-			b.Fatal(err)
-		}
+	putBlocks(t, s, "m", "i", "c", vals, nil)
+	putBlocks(t, s, "m", "gone", "c", randCol(100, 7), nil)
+	before := sig()
+
+	// A grown open block replaces its chunk under the same key.
+	grown := append(append([]float32(nil), vals[100:]...), 1e6)
+	if _, err := s.PutColumnReplace(key("m", "i", "c", 1), grown, nil); err != nil {
+		t.Fatal(err)
+	}
+	afterReplace := sig()
+	if afterReplace == before {
+		t.Fatal("signature unchanged by PutColumnReplace")
+	}
+
+	// Compaction rewrites the shared partition under a new generation.
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if s.DeleteColumns("m", "gone") == 0 {
+		t.Fatal("nothing deleted")
+	}
+	if dropped, _, err := s.Compact(); err != nil || dropped == 0 {
+		t.Fatalf("compact dropped %d chunks, err %v", dropped, err)
+	}
+	afterCompact := sig()
+	if afterCompact == afterReplace {
+		t.Fatal("signature unchanged by Compact")
+	}
+
+	// Deleting the column and storing it again maps it to fresh chunks.
+	if s.DeleteColumns("m", "i") == 0 {
+		t.Fatal("nothing deleted")
+	}
+	putBlocks(t, s, "m", "i", "c", append(vals[:100:100], grown...), nil)
+	if sig() == afterCompact {
+		t.Fatal("signature unchanged by DeleteColumns and a re-put")
 	}
 }

@@ -36,13 +36,6 @@ type manifestColumn struct {
 	Chunk ChunkID   `json:"chunk"`
 }
 
-type manifestZone struct {
-	Chunk ChunkID `json:"chunk"`
-	Min   float32 `json:"min"`
-	Max   float32 `json:"max"`
-	Count int     `json:"count"`
-}
-
 type manifestPartition struct {
 	ID     int64 `json:"id"`
 	Chunks int   `json:"chunks"`
@@ -74,7 +67,6 @@ type manifest struct {
 	NextPart   int64               `json:"next_partition"`
 	Columns    []manifestColumn    `json:"columns"`
 	Partitions []manifestPartition `json:"partitions"`
-	Zones      []manifestZone      `json:"zones,omitempty"`
 	Deltas     []manifestDelta     `json:"deltas,omitempty"`
 	Stats      Stats               `json:"stats"`
 }
@@ -87,9 +79,6 @@ func (s *Store) writeManifestLocked() error {
 	m := manifest{Version: manifestVersion, Generation: s.generation, NextPart: s.nextPart, Stats: s.stats}
 	for k, id := range s.columns {
 		m.Columns = append(m.Columns, manifestColumn{Key: k, Chunk: id})
-	}
-	for id, z := range s.zones {
-		m.Zones = append(m.Zones, manifestZone{Chunk: id, Min: z.min, Max: z.max, Count: z.count})
 	}
 	for id, d := range s.deltas {
 		m.Deltas = append(m.Deltas, manifestDelta{Chunk: id, Base: d.Base, Depth: d.Depth})
@@ -182,9 +171,6 @@ func (s *Store) loadManifest() error {
 	s.stats = m.Stats
 	for _, mc := range m.Columns {
 		s.columns[mc.Key] = mc.Chunk
-	}
-	for _, mz := range m.Zones {
-		s.zones[mz.Chunk] = zone{min: mz.Min, max: mz.Max, count: mz.Count}
 	}
 	for _, md := range m.Deltas {
 		s.deltas[md.Chunk] = deltaRef{Base: md.Base, Depth: md.Depth}

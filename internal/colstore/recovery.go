@@ -89,9 +89,8 @@ func (s *Store) moveToCorrupt(name string) {
 
 // quarantineLocked marks a partition lost after a failed read: its file
 // moves to corrupt/, and the dedup hash entries pointing into it are
-// dropped so no future put maps a fresh column to dead data. Zone maps
-// stay — they still describe the (rerun-recoverable) values, which keeps
-// predicate skipping sound. Caller holds s.mu.
+// dropped so no future put maps a fresh column to dead data. Caller holds
+// s.mu.
 //
 // A cause of durable.ErrUnsupported is the exception: the file is intact,
 // just written by a newer binary, so it stays where it is (deleting or

@@ -47,7 +47,7 @@ func RankLess(va, vb float32, ra, rb int) bool {
 
 // DistLess is the pinned total order for nearest-neighbor ranking:
 // distance ascending, NaN after every number, ties broken by ascending
-// row id. Shared with the engine's index-pruned KNN for exact parity.
+// row id. KNN ranks by it; any accelerated KNN must too, for exact parity.
 func DistLess(da, db float64, ra, rb int) bool {
 	an, bn := math.IsNaN(da), math.IsNaN(db)
 	switch {

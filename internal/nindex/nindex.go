@@ -10,8 +10,7 @@
 // ids are delta-varint encoded and whose max/min are kept beside them — a
 // top-k probe decodes only the prefix segments that can hold the first k
 // positions, a threshold probe only the segments whose [min, max]
-// straddles or clears the bound. PlanKNN orders RowBlocks for the engine's
-// KNN from the store's per-block zone maps.
+// straddles or clears the bound.
 //
 // Ordering is the load-bearing invariant: every probe answer is defined by
 // diag.RankLess, the same comparator the naive full-scan oracles use, so
@@ -55,14 +54,6 @@ func (c Config) withDefaults() Config {
 type Entry struct {
 	Row   int
 	Value float32
-}
-
-// Zone is a per-RowBlock min/max summary over the block's non-NaN values.
-// An inverted range (Min > Max) marks a block with no usable bounds (all
-// NaN, or unknown); it can never be pruned.
-type Zone struct {
-	Min, Max float32
-	Count    int
 }
 
 // segment is one run of the priority-ordered row list. Row ids are stored
@@ -283,8 +274,8 @@ func (x *Index) TopK(k int) (entries []Entry, decoded int, err error) {
 	return entries[:k], decoded, nil
 }
 
-// Op is a comparison predicate for threshold probes, mirroring the store's
-// zone-map ops.
+// Op is the comparison predicate of a threshold query — the one predicate
+// type of the engine, the store and the wire.
 type Op int
 
 const (
@@ -310,7 +301,25 @@ func (o Op) String() string {
 	return "<="
 }
 
-func (o Op) matches(v, bound float32) bool {
+// ParseOp parses the wire and CLI spelling of a predicate: "gt", "ge",
+// "lt" or "le".
+func ParseOp(s string) (Op, error) {
+	switch s {
+	case "gt":
+		return Gt, nil
+	case "ge":
+		return Ge, nil
+	case "lt":
+		return Lt, nil
+	case "le":
+		return Le, nil
+	}
+	return 0, fmt.Errorf("unknown op %q (want gt, ge, lt or le)", s)
+}
+
+// Match reports whether v satisfies `v op bound`. A NaN on either side
+// matches nothing.
+func (o Op) Match(v, bound float32) bool {
 	switch o {
 	case Gt:
 		return v > bound
@@ -374,7 +383,7 @@ func (x *Index) FilterRows(op Op, bound float32) (rows []int, decoded int, err e
 			return verr
 		}
 		for i, r := range segRows {
-			if op.matches(vals[i], bound) {
+			if op.Match(vals[i], bound) {
 				rows = append(rows, r)
 			}
 		}
@@ -404,64 +413,4 @@ func (x *Index) FilterRows(op Op, bound float32) (rows []int, decoded int, err e
 	}
 	sort.Ints(rows)
 	return rows, decoded, nil
-}
-
-// BlockBound is one RowBlock's lower-bound distance to a KNN query point.
-type BlockBound struct {
-	Block int
-	LB    float64
-}
-
-// PlanKNN orders RowBlocks by a lower bound on the Euclidean distance any
-// row inside the block can have to query, computed from per-column
-// per-block zones (colZones is indexed [column][block]; short or missing
-// zone lists contribute nothing for the absent blocks).
-//
-// The bound is exact with respect to tensor.L2Dist's arithmetic: each
-// column's gap g_j = fl(min_jb − q_j) (or fl(q_j − max_jb)) satisfies
-// g_j ≤ |fl(v_j − q_j)| for every in-bounds value v_j by IEEE rounding
-// monotonicity, and the squares are accumulated in the same column order
-// with the same float64 operations — so LB ≤ computed distance holds
-// exactly, and pruning a block whose LB exceeds the current k-th distance
-// can never drop a row the full scan would rank (ties at the k-th distance
-// included, since pruning requires strict excess). Columns whose zone is
-// inverted (all-NaN or unknown) and NaN query coordinates contribute zero,
-// keeping the bound conservative.
-func PlanKNN(query []float32, colZones [][]Zone) []BlockBound {
-	nBlocks := 0
-	for _, zs := range colZones {
-		if len(zs) > nBlocks {
-			nBlocks = len(zs)
-		}
-	}
-	out := make([]BlockBound, nBlocks)
-	for b := range out {
-		sum := 0.0
-		for j, zs := range colZones {
-			if b >= len(zs) || j >= len(query) {
-				continue
-			}
-			z := zs[b]
-			if z.Min > z.Max {
-				continue // no usable bounds: cannot prune on this column
-			}
-			q := float64(query[j])
-			var g float64
-			switch {
-			case q < float64(z.Min):
-				g = float64(z.Min) - q
-			case q > float64(z.Max):
-				g = q - float64(z.Max)
-			}
-			sum += g * g
-		}
-		out[b] = BlockBound{Block: b, LB: math.Sqrt(sum)}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].LB != out[j].LB {
-			return out[i].LB < out[j].LB
-		}
-		return out[i].Block < out[j].Block
-	})
-	return out
 }

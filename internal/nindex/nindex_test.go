@@ -66,54 +66,32 @@ func TestDecodeRowsRejectsCorruptPayloads(t *testing.T) {
 	}
 }
 
-func TestPlanKNNOrdersAndBounds(t *testing.T) {
-	// Two columns, three blocks; the query sits inside block 1's ranges.
-	colZones := [][]Zone{
-		{{Min: 10, Max: 20, Count: 4}, {Min: 0, Max: 1, Count: 4}, {Min: -5, Max: -4, Count: 4}},
-		{{Min: 10, Max: 20, Count: 4}, {Min: 0, Max: 1, Count: 4}, {Min: -5, Max: -4, Count: 4}},
-	}
-	plan := PlanKNN([]float32{0.5, 0.5}, colZones)
-	if len(plan) != 3 {
-		t.Fatalf("%d blocks", len(plan))
-	}
-	if plan[0].Block != 1 || plan[0].LB != 0 {
-		t.Fatalf("nearest block %d lb %v", plan[0].Block, plan[0].LB)
-	}
-	for i := 1; i < len(plan); i++ {
-		if plan[i].LB < plan[i-1].LB {
-			t.Fatalf("plan not LB-ascending at %d", i)
-		}
-	}
-	// Inverted (all-NaN) zones and NaN query coords contribute nothing.
-	inverted := [][]Zone{{{Min: float32(math.Inf(1)), Max: float32(math.Inf(-1))}}}
-	p := PlanKNN([]float32{float32(math.NaN())}, inverted)
-	if len(p) != 1 || p[0].LB != 0 {
-		t.Fatalf("inverted zone plan %+v", p)
-	}
-}
-
 func TestOpPredicates(t *testing.T) {
 	cases := []struct {
 		op       Op
 		v, bound float32
 		match    bool
 		str      string
+		wire     string
 		skipMin  float32 // a [min,max] that must be skippable
 		skipMax  float32
 		fullMin  float32 // a [min,max] that must full-match
 		fullMax  float32
 	}{
-		{Gt, 2, 1, true, ">", -3, 1, 1.5, 9},
-		{Ge, 1, 1, true, ">=", -3, 0.5, 1, 9},
-		{Lt, 0, 1, true, "<", 1, 9, -3, 0.5},
-		{Le, 1, 1, true, "<=", 1.5, 9, -3, 1},
+		{Gt, 2, 1, true, ">", "gt", -3, 1, 1.5, 9},
+		{Ge, 1, 1, true, ">=", "ge", -3, 0.5, 1, 9},
+		{Lt, 0, 1, true, "<", "lt", 1, 9, -3, 0.5},
+		{Le, 1, 1, true, "<=", "le", 1.5, 9, -3, 1},
 	}
 	for _, c := range cases {
 		if c.op.String() != c.str {
 			t.Errorf("%v String %q", c.op, c.op.String())
 		}
-		if c.op.matches(c.v, c.bound) != c.match {
-			t.Errorf("%v matches(%v, %v)", c.op, c.v, c.bound)
+		if op, err := ParseOp(c.wire); err != nil || op != c.op {
+			t.Errorf("ParseOp(%q) = %v, %v", c.wire, op, err)
+		}
+		if c.op.Match(c.v, c.bound) != c.match {
+			t.Errorf("%v Match(%v, %v)", c.op, c.v, c.bound)
 		}
 		if !c.op.canSkip(c.skipMin, c.skipMax, c.bound) {
 			t.Errorf("%v canSkip [%v,%v] vs %v", c.op, c.skipMin, c.skipMax, c.bound)
@@ -123,8 +101,16 @@ func TestOpPredicates(t *testing.T) {
 		}
 		// NaN bound: nothing matches, nothing full-matches.
 		nan := float32(math.NaN())
-		if c.op.matches(c.v, nan) || c.op.fullMatch(-1, 1, nan) {
+		if c.op.Match(c.v, nan) || c.op.Match(nan, c.bound) || c.op.fullMatch(-1, 1, nan) {
 			t.Errorf("%v accepted a NaN bound", c.op)
+		}
+	}
+}
+
+func TestParseOpRejectsOtherSpellings(t *testing.T) {
+	for _, s := range []string{"", ">", "GT", "eq", "gte", " gt"} {
+		if _, err := ParseOp(s); err == nil {
+			t.Errorf("ParseOp(%q) accepted", s)
 		}
 	}
 }

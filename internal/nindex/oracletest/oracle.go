@@ -1,8 +1,8 @@
 // Package oracletest is the differential-testing harness for the
-// neuron-centric indexes: every indexed query shape (TOPK, FilterRows,
-// block-pruned KNN) is replayed against a naive full-scan oracle built on
-// internal/diag's pinned comparators, over randomized columns that include
-// the adversarial shapes — NaN and ±Inf, constant columns, duplicate
+// neuron-centric indexes: every indexed query shape (TOPK, FilterRows) is
+// replayed against a naive full-scan oracle built on internal/diag's
+// pinned comparators, over randomized columns that include the
+// adversarial shapes — NaN and ±Inf, constant columns, duplicate
 // values, all-equal ties, signed zeros — and the results are asserted
 // byte-identical, not approximately equal. Tie-breaking is pinned to
 // ascending row id on both sides, so any divergence is a real bug, never
@@ -12,11 +12,9 @@ package oracletest
 import (
 	"math"
 	"math/rand"
-	"sort"
 
 	"mistique/internal/diag"
 	"mistique/internal/nindex"
-	"mistique/internal/tensor"
 )
 
 // ColumnKind names one generator shape.
@@ -142,86 +140,4 @@ func FilterRows(col []float32, op nindex.Op, bound float32) []int {
 		}
 	}
 	return out
-}
-
-// KNN is the naive oracle: diag.KNN over the full matrix.
-func KNN(x *tensor.Dense, query []float32, k, selfIdx int) []int {
-	return diag.KNN(x, query, k, selfIdx)
-}
-
-// PrunedKNN answers KNN the way the engine does: blocks ordered by
-// nindex.PlanKNN's lower bound, scanned until the k-th candidate distance
-// strictly beats every remaining bound, candidates ranked by
-// diag.DistLess. blockRows is the RowBlock height. The parity suite holds
-// this equal to the naive KNN oracle on every input, which is exactly the
-// claim that the lower bound never prunes a contributing block.
-func PrunedKNN(x *tensor.Dense, query []float32, k, selfIdx, blockRows int) (rows []int, blocksRead int) {
-	colZones := make([][]nindex.Zone, x.Cols)
-	for j := 0; j < x.Cols; j++ {
-		colZones[j] = zonesOf(x.Col(j), blockRows)
-	}
-	plan := nindex.PlanKNN(query, colZones)
-	if k < 0 {
-		k = 0
-	}
-	type cand struct {
-		row  int
-		dist float64
-	}
-	var cands []cand
-	kth := math.NaN()
-	for _, bb := range plan {
-		if len(cands) >= k && k > 0 && bb.LB > kth {
-			break
-		}
-		lo := bb.Block * blockRows
-		hi := lo + blockRows
-		if hi > x.Rows {
-			hi = x.Rows
-		}
-		blocksRead++
-		for r := lo; r < hi; r++ {
-			if r == selfIdx {
-				continue
-			}
-			cands = append(cands, cand{row: r, dist: tensor.L2Dist(x.Row(r), query)})
-		}
-		sort.Slice(cands, func(a, b int) bool {
-			return diag.DistLess(cands[a].dist, cands[b].dist, cands[a].row, cands[b].row)
-		})
-		if len(cands) > k {
-			cands = cands[:k]
-		}
-		if len(cands) >= k && k > 0 {
-			kth = cands[k-1].dist
-		}
-	}
-	rows = make([]int, 0, len(cands))
-	for _, c := range cands {
-		rows = append(rows, c.row)
-	}
-	return rows, blocksRead
-}
-
-// zonesOf mirrors the store's zone maps (min/max over a block; NaN
-// excluded by comparison semantics, all-NaN blocks stay inverted).
-func zonesOf(col []float32, blockRows int) []nindex.Zone {
-	var zs []nindex.Zone
-	for lo := 0; lo < len(col); lo += blockRows {
-		hi := lo + blockRows
-		if hi > len(col) {
-			hi = len(col)
-		}
-		z := nindex.Zone{Min: float32(math.Inf(1)), Max: float32(math.Inf(-1)), Count: hi - lo}
-		for _, v := range col[lo:hi] {
-			if v < z.Min {
-				z.Min = v
-			}
-			if v > z.Max {
-				z.Max = v
-			}
-		}
-		zs = append(zs, z)
-	}
-	return zs
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"mistique/internal/nindex"
-	"mistique/internal/tensor"
 )
 
 // f32eq compares values bit-wise so NaN == NaN and -0 != +0 distinctions
@@ -114,57 +113,6 @@ func itoa(v int) string {
 		return string(rune('0' + v))
 	}
 	return itoa(v/10) + string(rune('0'+v%10))
-}
-
-// TestKNNPruningParity holds the engine's block-pruned KNN equal to the
-// naive full scan: for random matrices (special values included), random
-// query rows and synthetic query points, PrunedKNN must return exactly
-// diag.KNN's ranking — i.e. the zone lower bound never prunes a block
-// holding a true neighbor, ties at the k-th distance included.
-func TestKNNPruningParity(t *testing.T) {
-	probes := 0
-	pruned := 0
-	for seed := int64(1); seed <= 12; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		rows := 8 + rng.Intn(120)
-		cols := 1 + rng.Intn(5)
-		blockRows := []int{8, 16, 64}[rng.Intn(3)]
-		x := tensor.NewDense(rows, cols)
-		for j := 0; j < cols; j++ {
-			kind := Kinds[rng.Intn(len(Kinds))]
-			x.SetCol(j, Column(rng, kind, rows))
-		}
-		for probe := 0; probe < 8; probe++ {
-			self := rng.Intn(rows)
-			query := x.Row(self)
-			if probe%3 == 2 {
-				// A query point that is not a stored row.
-				q := make([]float32, cols)
-				for j := range q {
-					q[j] = float32(rng.NormFloat64() * 10)
-				}
-				query, self = q, -1
-			}
-			for _, k := range []int{0, 1, 3, rows - 1, rows, rows + 1} {
-				got, blocksRead := PrunedKNN(x, query, k, self, blockRows)
-				want := KNN(x, query, k, self)
-				if !sameRows(t, "knn", got, want) {
-					t.Fatalf("seed=%d rows=%d cols=%d blockRows=%d self=%d k=%d", seed, rows, cols, blockRows, self, k)
-				}
-				if total := (rows + blockRows - 1) / blockRows; blocksRead < total {
-					pruned++
-				}
-				probes++
-			}
-		}
-	}
-	if probes < 500 {
-		t.Fatalf("knn sweep ran only %d probes", probes)
-	}
-	if pruned == 0 {
-		t.Error("pruning never skipped a block across the whole sweep; bound too loose or plan ignored")
-	}
-	t.Logf("knn sweep: %d probes, %d with real pruning, zero divergences", probes, pruned)
 }
 
 // TestTopKDecodesPrefixOnly pins the index's point: a small-k probe must

@@ -9,8 +9,8 @@ import (
 
 	"mistique"
 	"mistique/client"
-	"mistique/internal/colstore"
 	"mistique/internal/metadata"
+	"mistique/internal/nindex"
 	"mistique/internal/tensor"
 )
 
@@ -204,9 +204,9 @@ func (s *Server) handleFilter(r *http.Request) (any, error) {
 	if err := decodeBody(r, &req); err != nil {
 		return nil, err
 	}
-	op, err := parseOp(req.Op)
+	op, err := nindex.ParseOp(req.Op)
 	if err != nil {
-		return nil, err
+		return nil, badRequest("%v", err)
 	}
 	a, err := s.sys.Execute(r.Context(), mistique.Query{Op: mistique.OpFilter, Model: req.Model, Intermediate: req.Intermediate,
 		Columns: []string{req.Column}, Pred: op, Bound: float32(req.Bound), From: req.From, To: req.To})
@@ -236,20 +236,6 @@ func (s *Server) handleTopK(r *http.Request) (any, error) {
 		Column:       req.Column,
 		Entries:      out,
 	}, nil
-}
-
-func parseOp(op string) (colstore.Op, error) {
-	switch op {
-	case "gt":
-		return colstore.Gt, nil
-	case "ge":
-		return colstore.Ge, nil
-	case "lt":
-		return colstore.Lt, nil
-	case "le":
-		return colstore.Le, nil
-	}
-	return 0, badRequest("unknown op %q (want gt, ge, lt or le)", op)
 }
 
 func (s *Server) handleRows(r *http.Request) (any, error) {

@@ -1,7 +1,7 @@
 // Package server turns a *mistique.System into a network query service:
 // a JSON-over-HTTP surface for the diagnostic query classes of Sec. 5
 // (intermediate fetches under the read-vs-rerun cost model, cost
-// estimates, zone-map predicate scans, row-range reads), the metadata
+// estimates, predicate scans, row-range reads), the metadata
 // catalog, stats and compaction. mistique/client is the typed Go client;
 // the wire types live there and are shared by both sides.
 //

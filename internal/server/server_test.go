@@ -228,7 +228,7 @@ func TestQueryParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	drows, err := sys.FilterRows("demo", "joined", "logerror", parseOpMust(t, "gt"), 0)
+	drows, err := sys.FilterRows("demo", "joined", "logerror", colstore.Gt, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,15 +260,6 @@ func TestQueryParity(t *testing.T) {
 			}
 		}
 	}
-}
-
-func parseOpMust(t *testing.T, op string) colstore.Op {
-	t.Helper()
-	o, err := parseOp(op)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return o
 }
 
 func TestOpsEndpoints(t *testing.T) {

@@ -13,6 +13,7 @@ import (
 
 	"mistique"
 	"mistique/client"
+	"mistique/internal/colstore"
 )
 
 // auxSpec is a second pipeline a logger ingests while the query storm
@@ -70,7 +71,7 @@ func TestStressConcurrentClients(t *testing.T) {
 	ctx := context.Background()
 
 	// Ground truth from direct System calls before the storm.
-	wantFilter, err := sys.FilterRows("demo", "joined", "logerror", parseOpMust(t, "gt"), 0)
+	wantFilter, err := sys.FilterRows("demo", "joined", "logerror", colstore.Gt, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

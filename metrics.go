@@ -84,11 +84,11 @@ func newSystemMetrics() *systemMetrics {
 		queryReadSeconds:  reg.Histogram("mistique_query_read_seconds", "fetch wall time of queries answered by READ"),
 		queryRerunSeconds: reg.Histogram("mistique_query_rerun_seconds", "fetch wall time of queries answered by RERUN"),
 		storedOpSeconds: map[Op]*obs.Histogram{
-			OpFilter:     reg.Histogram("mistique_query_filter_rows_seconds", "FilterRows (zone-map predicate scan) wall time"),
+			OpFilter:     reg.Histogram("mistique_query_filter_rows_seconds", "FilterRows (index probe or predicate scan) wall time"),
 			OpRows:       reg.Histogram("mistique_query_get_rows_seconds", "GetRows (row-range read) wall time"),
 			OpTopK:       topK,
 			OpApproxTopK: topK,
-			OpKNN:        reg.Histogram("mistique_query_knn_seconds", "KNN (block-pruned nearest neighbors) wall time"),
+			OpKNN:        reg.Histogram("mistique_query_knn_seconds", "KNN (full-scan nearest neighbors) wall time"),
 		},
 		costReadRelErr:   reg.Histogram("mistique_cost_read_rel_error", "cost-model relative error |est-actual|/actual for READ queries"),
 		costRerunRelErr:  reg.Histogram("mistique_cost_rerun_rel_error", "cost-model relative error |est-actual|/actual for RERUN queries"),

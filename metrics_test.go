@@ -58,7 +58,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 		t.Fatal("query against corrupt store did not recover")
 	}
 
-	// Corrupt again so the zone-map scan path exercises heal-and-retry.
+	// Corrupt again so the predicate scan exercises heal-and-retry.
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}

@@ -187,9 +187,21 @@ func TestErrors(t *testing.T) {
 	}
 }
 
+// dnnSetupConfig is the configuration dnnSetup opens its System with.
+var dnnSetupConfig = Config{RowBlockRows: 64, Store: colstore.Config{Mode: colstore.ModeArrival}}
+
 func dnnSetup(t *testing.T, scheme Scheme, n int) (*System, *nn.Network) {
 	t.Helper()
-	s := openSys(t, Config{RowBlockRows: 64, Store: colstore.Config{Mode: colstore.ModeArrival}})
+	return dnnSetupIn(t, t.TempDir(), scheme, n)
+}
+
+// dnnSetupIn is dnnSetup over a caller-chosen directory.
+func dnnSetupIn(t *testing.T, dir string, scheme Scheme, n int) (*System, *nn.Network) {
+	t.Helper()
+	s, err := Open(dir, dnnSetupConfig)
+	if err != nil {
+		t.Fatal(err)
+	}
 	net := nn.SimpleCNN("cnn", 4, 1)
 	imgs, _ := data.Images(n, 4, 2)
 	if _, err := s.LogDNN("cnn@e0", net, imgs, DNNLogOptions{Scheme: scheme}); err != nil {
@@ -475,7 +487,7 @@ func TestFilterRowsAndGetRows(t *testing.T) {
 	s := openSys(t, Config{RowBlockRows: 64})
 	logDemo(t, s)
 
-	// Zone-map predicate scan over the stored yearbuilt column.
+	// Predicate scan over the stored yearbuilt column.
 	rows, err := s.FilterRows("demo", "joined", "yearbuilt", colstore.Ge, 2015)
 	if err != nil {
 		t.Fatal(err)

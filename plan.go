@@ -5,9 +5,9 @@ import (
 	"fmt"
 	"slices"
 
-	"mistique/internal/colstore"
 	"mistique/internal/cost"
 	"mistique/internal/metadata"
+	"mistique/internal/nindex"
 )
 
 // Typed query errors. Plan wraps these with %w — identically for every op,
@@ -45,7 +45,7 @@ const (
 	// OpRows reads rows [From, To) through the primary (RowBlock) index.
 	OpRows Op = "get_rows"
 	// OpFilter returns the rows of [From, To) where `column Pred Bound`
-	// holds, by index probe or zone-map scan.
+	// holds, by index probe or a scan of the window.
 	OpFilter Op = "filter_rows"
 	// OpTopK ranks the K largest values of a column within [From, To).
 	OpTopK Op = "topk"
@@ -97,7 +97,7 @@ type Query struct {
 	// prefix (From must be 0); OpKNN and the distribution ops take none.
 	From, To int
 	// Pred and Bound are OpFilter's predicate `column Pred Bound`.
-	Pred  colstore.Op
+	Pred  nindex.Op
 	Bound float32
 	// K is the result size of the top-k and KNN ops.
 	K int

@@ -8,6 +8,7 @@ import (
 	"mistique/internal/colstore"
 	"mistique/internal/cost"
 	"mistique/internal/metadata"
+	"mistique/internal/nindex"
 	"mistique/internal/parallel"
 	"mistique/internal/quant"
 	"mistique/internal/tensor"
@@ -294,17 +295,16 @@ func (s *System) materialize(m *metadata.Model, it *metadata.Interm) error {
 }
 
 // FilterRows evaluates `column op bound` over a materialized intermediate
-// using the store's zone maps to skip non-matching chunks — the "find
-// predictions for examples with neuron-50 activation > 0.5" query class of
-// Sec. 8.3. Returns matching global row offsets in order.
-func (s *System) FilterRows(model, interm, column string, op colstore.Op, bound float32) ([]int, error) {
+// — the "find predictions for examples with neuron-50 activation > 0.5"
+// query class of Sec. 8.3. Returns matching global row offsets in order.
+func (s *System) FilterRows(model, interm, column string, op nindex.Op, bound float32) ([]int, error) {
 	return s.FilterRowsCtx(context.Background(), model, interm, column, op, bound)
 }
 
-// FilterRowsCtx is FilterRows under a context. The scan itself is a
-// single store call, so cancellation is honored at entry and between the
-// scan and its heal-and-retry.
-func (s *System) FilterRowsCtx(ctx context.Context, model, interm, column string, op colstore.Op, bound float32) ([]int, error) {
+// FilterRowsCtx is FilterRows under a context, honored at entry, inside
+// the column fetch behind an index build or the range scan, and between
+// a failed read and its heal-and-retry.
+func (s *System) FilterRowsCtx(ctx context.Context, model, interm, column string, op nindex.Op, bound float32) ([]int, error) {
 	return s.FilterRowsRangeCtx(ctx, model, interm, column, op, bound, 0, 0)
 }
 
@@ -316,7 +316,7 @@ func (s *System) FilterRowsCtx(ctx context.Context, model, interm, column string
 // Offsets stay global and the scan path is the same, so a concatenation of
 // per-block answers in block order is byte-identical to the single-node
 // scan.
-func (s *System) FilterRowsRangeCtx(ctx context.Context, model, interm, column string, op colstore.Op, bound float32, from, to int) ([]int, error) {
+func (s *System) FilterRowsRangeCtx(ctx context.Context, model, interm, column string, op nindex.Op, bound float32, from, to int) ([]int, error) {
 	a, err := s.Execute(ctx, Query{Op: OpFilter, Model: model, Intermediate: interm, Columns: []string{column}, Pred: op, Bound: bound, From: from, To: to})
 	if err != nil {
 		return nil, err
@@ -326,25 +326,28 @@ func (s *System) FilterRowsRangeCtx(ctx context.Context, model, interm, column s
 
 // filterRows is OpFilter's operator. It prefers the neuron-centric index,
 // which decodes only the priority-list segments straddling the bound; any
-// index-side trouble falls back to the zone-map scan — both paths return
-// identical rows.
+// index-side trouble falls back to the twin, which reads rows [From, To)
+// and tests each value — both paths return identical rows.
 func (s *System) filterRows(ctx context.Context, p *Plan) ([]int, error) {
 	rows, err := s.filterViaIndex(ctx, p)
 	if err != nil {
 		return nil, err
 	}
-	if rows == nil {
-		matches, _, err := s.store.ScanColumn(p.Model, p.Intermediate, p.Columns[0], p.Pred, p.Bound)
-		if err != nil {
-			return nil, err
-		}
-		rows = make([]int, len(matches))
-		for i, m := range matches {
-			rows[i] = m.Row
+	if rows != nil {
+		// rows is ascending, so the range restriction is two binary searches.
+		return rows[sort.SearchInts(rows, p.From):sort.SearchInts(rows, p.To)], nil
+	}
+	m, err := s.readRowRange(ctx, p.Model, p.Intermediate, p.Columns, p.From, p.To)
+	if err != nil {
+		return nil, err
+	}
+	rows = []int{}
+	for i, v := range m.Col(0) {
+		if p.Pred.Match(v, p.Bound) {
+			rows = append(rows, p.From+i)
 		}
 	}
-	// rows is ascending, so the range restriction is two binary searches.
-	return rows[sort.SearchInts(rows, p.From):sort.SearchInts(rows, p.To)], nil
+	return rows, nil
 }
 
 // GetRows reads rows [from, to) of the given columns from a materialized
@@ -366,7 +369,7 @@ func (s *System) GetRowsCtx(ctx context.Context, model, interm string, cols []st
 
 // readRowRange assembles rows [from, to) of the given columns via the
 // primary (row-aligned block) index, fetching columns concurrently. Shared
-// by OpRows, range-restricted OpTopK and the KNN block scanner.
+// by OpRows and the TOPK and KNN full scans.
 func (s *System) readRowRange(ctx context.Context, model, interm string, cols []string, from, to int) (*tensor.Dense, error) {
 	out := tensor.NewDense(to-from, len(cols))
 	err := parallel.ForEach(len(cols), func(j int) error {

@@ -118,10 +118,10 @@ func TestQueryRecoversFromCorruptPartitions(t *testing.T) {
 	}
 }
 
-// TestFilterRowsHealsAfterLoss: zone-map scans have no rerun equivalent of
-// their own, so a scan over lost chunks re-materializes the intermediate
-// and retries once. The neuron index is disabled so the zone-scan heal
-// machinery is what answers — with the index on, a FilterRows over lost
+// TestFilterRowsHealsAfterLoss: predicate scans have no rerun equivalent
+// of their own, so a scan over lost chunks re-materializes the
+// intermediate and retries once. The neuron index is disabled so the
+// range-scan twin's heal machinery is what answers — with the index on, a FilterRows over lost
 // chunks can be served from the cached index instead
 // (TestFilterRowsIndexHealsAfterLoss covers the index-side heal).
 func TestFilterRowsHealsAfterLoss(t *testing.T) {

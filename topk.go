@@ -2,10 +2,7 @@ package mistique
 
 import (
 	"context"
-	"math"
-	"sort"
 
-	"mistique/internal/colstore"
 	"mistique/internal/diag"
 	"mistique/internal/nindex"
 	"mistique/internal/tensor"
@@ -14,12 +11,13 @@ import (
 // This file is the engine's neuron-centric query surface: TOPK ("which
 // examples activate neuron j the most") and index-accelerated FilterRows,
 // backed by the lazily built per-column indexes of internal/nindex, and
-// KNN pruned by the store's zone maps. Every path has a full-scan twin in internal/diag ranked
-// by the same pinned comparators (diag.RankLess / diag.DistLess), and the
-// differential harness in internal/nindex/oracletest plus the root
-// TestIndexScanParity* tests hold the two byte-identical. The indexes are
-// a memory-only cache sized by internal/nindex's defaults (64 MiB
-// resident, 1024-entry segments).
+// KNN. Every op has at most one accelerated path, the index, and one
+// full-scan twin over readRowRange ranked by the same pinned comparators
+// (diag.RankLess / diag.DistLess); KNN has only the twin. The differential
+// harness in internal/nindex/oracletest plus the root TestIndexScanParity*
+// tests hold index and twin byte-identical. The indexes are a memory-only
+// cache sized by internal/nindex's defaults (64 MiB resident, 1024-entry
+// segments).
 
 // TopKEntry is one row of a TOPK answer, in rank order (value descending,
 // NaN last, ascending row id on ties).
@@ -101,14 +99,12 @@ func (s *System) topK(ctx context.Context, p *Plan) ([]TopKEntry, error) {
 
 // KNN returns the k rows of a materialized intermediate nearest to row
 // queryRow by Euclidean distance over all columns, excluding the query row
-// itself. Per-block zone bounds order the blocks by a sound lower bound on
-// any member row's distance, so blocks that cannot contribute are never
-// read; every returned distance is exact (re-verified on real values).
+// itself. It reads every row: no index accelerates KNN.
 func (s *System) KNN(model, interm string, queryRow, k int) ([]Neighbor, error) {
 	return s.KNNCtx(context.Background(), model, interm, queryRow, k)
 }
 
-// KNNCtx is KNN under a context; per-block reads check ctx.
+// KNNCtx is KNN under a context; each column read checks ctx.
 func (s *System) KNNCtx(ctx context.Context, model, interm string, queryRow, k int) ([]Neighbor, error) {
 	a, err := s.Execute(ctx, Query{Op: OpKNN, Model: model, Intermediate: interm, Row: queryRow, K: k})
 	if err != nil {
@@ -117,95 +113,19 @@ func (s *System) KNNCtx(ctx context.Context, model, interm string, queryRow, k i
 	return a.Neighbors, nil
 }
 
-// knn is OpKNN's operator: the block-pruned scan, or its full-scan twin
-// when the pruned scan fails.
+// knn is OpKNN's operator: a full scan ranked by diag.KNN.
 func (s *System) knn(ctx context.Context, p *Plan) ([]Neighbor, error) {
-	qm, err := s.readRowRange(ctx, p.Model, p.Intermediate, p.Columns, p.Row, p.Row+1)
-	if err != nil {
-		return nil, err
-	}
-	query := qm.Row(0)
-	if s.nidx != nil {
-		if out, kerr := s.knnPruned(ctx, p, query); kerr == nil {
-			return out, nil
-		} else if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
 	x, err := s.readRowRange(ctx, p.Model, p.Intermediate, p.Columns, 0, p.it.Rows)
 	if err != nil {
 		return nil, err
 	}
+	query := x.Row(p.Row)
 	ranked := diag.KNN(x, query, p.K, p.Row)
 	out := make([]Neighbor, len(ranked))
 	for i, r := range ranked {
 		out[i] = Neighbor{Row: r, Dist: tensor.L2Dist(x.Row(r), query)}
 	}
 	return out, nil
-}
-
-// knnPruned answers KNN by scanning RowBlocks in ascending order of their
-// zone-derived distance lower bound and stopping once the k-th candidate
-// distance strictly beats every remaining block's bound. The bound obeys
-// lb ≤ tensor.L2Dist for every row in the block (see nindex.PlanKNN), and
-// pruning requires strict excess, so boundary ties survive and the result
-// equals the full scan under diag.DistLess exactly.
-func (s *System) knnPruned(ctx context.Context, p *Plan, query []float32) ([]Neighbor, error) {
-	model, interm, cols, queryRow, rows := p.Model, p.Intermediate, p.Columns, p.Row, p.it.Rows
-	k := min(p.K, rows-1)
-	if k <= 0 {
-		return []Neighbor{}, nil
-	}
-	colZones := make([][]nindex.Zone, len(cols))
-	for j, c := range cols {
-		zs, err := s.store.ColumnZones(model, interm, c)
-		if err != nil {
-			return nil, err
-		}
-		nz := make([]nindex.Zone, len(zs))
-		for i, z := range zs {
-			nz[i] = nindex.Zone{Min: z.Min, Max: z.Max, Count: z.Count}
-		}
-		colZones[j] = nz
-	}
-	plan := nindex.PlanKNN(query, colZones)
-	blockRows := s.cfg.RowBlockRows
-	cands := make([]Neighbor, 0, k+blockRows)
-	kth := math.NaN()
-	for _, bb := range plan {
-		if len(cands) >= k && bb.LB > kth {
-			break // plan is LB-ascending: every later block prunes too
-		}
-		lo := bb.Block * blockRows
-		if lo >= rows {
-			continue
-		}
-		hi := lo + blockRows
-		if hi > rows {
-			hi = rows
-		}
-		m, err := s.readRowRange(ctx, model, interm, cols, lo, hi)
-		if err != nil {
-			return nil, err
-		}
-		for r := 0; r < m.Rows; r++ {
-			row := lo + r
-			if row == queryRow {
-				continue
-			}
-			cands = append(cands, Neighbor{Row: row, Dist: tensor.L2Dist(m.Row(r), query)})
-		}
-		sort.Slice(cands, func(a, b int) bool {
-			return diag.DistLess(cands[a].Dist, cands[b].Dist, cands[a].Row, cands[b].Row)
-		})
-		if len(cands) > k {
-			cands = cands[:k]
-		}
-		if len(cands) >= k {
-			kth = cands[k-1].Dist
-		}
-	}
-	return cands, nil
 }
 
 // indexKey names the index of a single-column plan's column.
@@ -226,19 +146,18 @@ func (s *System) columnFetcher(ctx context.Context, p *Plan) nindex.Fetch {
 }
 
 // filterViaIndex answers OpFilter's predicate from the column's index.
-// nil rows send the caller to the zone-map scan (signature unavailable or
-// probe failed) — falling back is always safe because both paths rank
+// nil rows send the caller to the range-scan twin (signature unavailable
+// or probe failed) — falling back is always safe because both paths match
 // identically.
 func (s *System) filterViaIndex(ctx context.Context, p *Plan) ([]int, error) {
-	nop, ok := indexOp(p.Pred)
-	if s.nidx == nil || !ok {
+	if s.nidx == nil {
 		return nil, nil
 	}
 	sig, err := s.store.ColumnSignature(p.Model, p.Intermediate, p.Columns[0])
 	if err != nil {
 		return nil, nil
 	}
-	out, err := s.nidx.FilterRows(indexKey(p), sig, nop, p.Bound, s.columnFetcher(ctx, p))
+	out, err := s.nidx.FilterRows(indexKey(p), sig, p.Pred, p.Bound, s.columnFetcher(ctx, p))
 	if err != nil {
 		return nil, ctx.Err()
 	}
@@ -246,19 +165,4 @@ func (s *System) filterViaIndex(ctx context.Context, p *Plan) ([]int, error) {
 		out = []int{}
 	}
 	return out, nil
-}
-
-// indexOp maps the store's zone-map predicate to the index's.
-func indexOp(op colstore.Op) (nindex.Op, bool) {
-	switch op {
-	case colstore.Gt:
-		return nindex.Gt, true
-	case colstore.Ge:
-		return nindex.Ge, true
-	case colstore.Lt:
-		return nindex.Lt, true
-	case colstore.Le:
-		return nindex.Le, true
-	}
-	return 0, false
 }

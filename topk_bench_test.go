@@ -111,8 +111,8 @@ func BenchmarkFilterRowsIndexed(b *testing.B) {
 }
 
 // BenchmarkFilterRowsScanBaseline: the same selective predicate through
-// the zone-map chunk scan (index disabled). Random row order leaves the
-// zone maps unable to prune, so this is an honest full scan.
+// the full-scan twin (index disabled): every row of the column is read and
+// tested.
 func BenchmarkFilterRowsScanBaseline(b *testing.B) {
 	s := benchIndexSystem(b, true)
 	bound := selectiveBound(b, s)

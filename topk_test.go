@@ -2,6 +2,8 @@ package mistique
 
 import (
 	"bytes"
+	"context"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -9,85 +11,146 @@ import (
 
 	"mistique/internal/colstore"
 	"mistique/internal/diag"
+	"mistique/internal/tensor"
 )
 
 // TestIndexScanParitySchemes is the engine-level arm of the differential
-// harness: the indexed TOPK / FilterRows / KNN paths must agree exactly
-// with internal/diag full scans over the same reconstructed data, on every
+// harness: the TOPK / FilterRows / KNN answers must agree exactly with
+// internal/diag full scans over the same reconstructed data, on every
 // storage scheme (exact floats, LP-quantized, 8-bit) — the index sees
 // whatever the dequantizer hands back, so parity must hold per scheme, not
-// just on exact data.
+// just on exact data. Each scheme runs twice: through the neuron index,
+// then with the index disabled, which leaves every op on its full-scan
+// twin, both in the logging process and on the reopened store.
 func TestIndexScanParitySchemes(t *testing.T) {
 	for _, scheme := range []Scheme{SchemeFull, SchemeLP, Scheme8Bit} {
 		t.Run(string(scheme), func(t *testing.T) {
-			s, _ := dnnSetup(t, scheme, 96)
-			const model, interm = "cnn@e0", "logits"
-			it := s.Metadata().Intermediate(model, interm)
-			if it == nil || !it.Materialized {
-				t.Fatal("logits not materialized")
+			dir := t.TempDir()
+			s, _ := dnnSetupIn(t, dir, scheme, 96)
+			t.Run("index", func(t *testing.T) { assertScanParity(t, s) })
+			t.Run("scan", func(t *testing.T) {
+				nidx := s.nidx
+				s.nidx = nil
+				defer func() { s.nidx = nidx }()
+				assertScanParity(t, s)
+			})
+			if err := s.Flush(); err != nil {
+				t.Fatal(err)
 			}
-			n := it.Rows
-			for _, column := range it.Columns {
-				col, err := s.GetColumn(model, interm, column, 0)
+			t.Run("scan-reopened", func(t *testing.T) {
+				s2, err := Open(dir, dnnSetupConfig)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, k := range []int{0, 1, n, n + 1} {
-					got, err := s.TopK(model, interm, column, k)
-					if err != nil {
-						t.Fatalf("%s k=%d: %v", column, k, err)
-					}
-					want := diag.TopK(col, k)
-					if len(got) != len(want) {
-						t.Fatalf("%s k=%d: %d entries, oracle %d", column, k, len(got), len(want))
-					}
-					for i, r := range want {
-						if got[i].Row != r || math.Float32bits(got[i].Value) != math.Float32bits(col[r]) {
-							t.Fatalf("%s k=%d entry %d: {%d %v}, oracle {%d %v}",
-								column, k, i, got[i].Row, got[i].Value, r, col[r])
-						}
-					}
-				}
-				for _, op := range []colstore.Op{colstore.Gt, colstore.Ge, colstore.Lt, colstore.Le} {
-					bound := col[n/2]
-					got, err := s.FilterRows(model, interm, column, op, bound)
-					if err != nil {
-						t.Fatalf("%s %v: %v", column, op, err)
-					}
-					want := naiveFilter(col, op, bound)
-					if len(got) != len(want) {
-						t.Fatalf("%s %v %v: %d rows, oracle %d", column, op, bound, len(got), len(want))
-					}
-					for i := range want {
-						if got[i] != want[i] {
-							t.Fatalf("%s %v: row %d = %d, oracle %d", column, op, i, got[i], want[i])
-						}
-					}
-				}
-			}
-			// KNN through the zone-pruned path vs the naive scan.
-			x, err := s.GetRows(model, interm, nil, 0, n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, q := range []int{0, n / 2, n - 1} {
-				for _, k := range []int{0, 1, 5, n, n + 1} {
-					got, err := s.KNN(model, interm, q, k)
-					if err != nil {
-						t.Fatalf("knn q=%d k=%d: %v", q, k, err)
-					}
-					want := diag.KNN(x, x.Row(q), k, q)
-					if len(got) != len(want) {
-						t.Fatalf("knn q=%d k=%d: %d rows, oracle %d", q, k, len(got), len(want))
-					}
-					for i, r := range want {
-						if got[i].Row != r {
-							t.Fatalf("knn q=%d k=%d: rank %d = row %d, oracle %d", q, k, i, got[i].Row, r)
-						}
-					}
-				}
-			}
+				s2.nidx = nil
+				assertScanParity(t, s2)
+			})
 		})
+	}
+}
+
+// assertScanParity checks every column of cnn@e0.logits: TOPK and
+// FilterRows (all four predicates, a stored value and a NaN bound) over
+// the whole intermediate and over a window crossing a RowBlock boundary,
+// and KNN from three query rows, each against the diag oracle.
+func assertScanParity(t *testing.T, s *System) {
+	t.Helper()
+	const model, interm = "cnn@e0", "logits"
+	it := s.Metadata().Intermediate(model, interm)
+	if it == nil || !it.Materialized {
+		t.Fatal("logits not materialized")
+	}
+	n := it.Rows
+	from, to := 20, n-6 // crosses the 64-row block boundary
+	if from >= 64 || to <= 64 {
+		t.Fatalf("window [%d, %d) does not cross a block boundary", from, to)
+	}
+	ctx := context.Background()
+	for _, column := range it.Columns {
+		col, err := s.GetColumn(model, interm, column, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []int{0, 1, n, n + 1} {
+			got, err := s.TopK(model, interm, column, k)
+			if err != nil {
+				t.Fatalf("%s k=%d: %v", column, k, err)
+			}
+			sameTopK(t, fmt.Sprintf("%s k=%d", column, k), got, col, 0, k)
+			got, err = s.TopKRangeCtx(ctx, model, interm, column, k, from, to)
+			if err != nil {
+				t.Fatalf("%s k=%d [%d,%d): %v", column, k, from, to, err)
+			}
+			sameTopK(t, fmt.Sprintf("%s k=%d [%d,%d)", column, k, from, to), got, col[from:to], from, k)
+		}
+		for _, op := range []colstore.Op{colstore.Gt, colstore.Ge, colstore.Lt, colstore.Le} {
+			for _, bound := range []float32{col[n/2], float32(math.NaN())} {
+				got, err := s.FilterRows(model, interm, column, op, bound)
+				if err != nil {
+					t.Fatalf("%s %v %v: %v", column, op, bound, err)
+				}
+				sameFilter(t, fmt.Sprintf("%s %v %v", column, op, bound), got, naiveFilter(col, op, bound))
+				got, err = s.FilterRowsRangeCtx(ctx, model, interm, column, op, bound, from, to)
+				if err != nil {
+					t.Fatalf("%s %v %v [%d,%d): %v", column, op, bound, from, to, err)
+				}
+				var want []int
+				for _, r := range naiveFilter(col, op, bound) {
+					if r >= from && r < to {
+						want = append(want, r)
+					}
+				}
+				sameFilter(t, fmt.Sprintf("%s %v %v [%d,%d)", column, op, bound, from, to), got, want)
+			}
+		}
+	}
+	x, err := s.GetRows(model, interm, nil, 0, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []int{0, n / 2, n - 1} {
+		for _, k := range []int{0, 1, 5, n, n + 1} {
+			got, err := s.KNN(model, interm, q, k)
+			if err != nil {
+				t.Fatalf("knn q=%d k=%d: %v", q, k, err)
+			}
+			want := diag.KNN(x, x.Row(q), k, q)
+			if len(got) != len(want) {
+				t.Fatalf("knn q=%d k=%d: %d rows, oracle %d", q, k, len(got), len(want))
+			}
+			for i, r := range want {
+				if got[i].Row != r || got[i].Dist != tensor.L2Dist(x.Row(r), x.Row(q)) {
+					t.Fatalf("knn q=%d k=%d: rank %d = {%d %v}, oracle row %d", q, k, i, got[i].Row, got[i].Dist, r)
+				}
+			}
+		}
+	}
+}
+
+// sameTopK compares a TOPK answer with diag.TopK over col, whose first
+// value is global row base.
+func sameTopK(t *testing.T, label string, got []TopKEntry, col []float32, base, k int) {
+	t.Helper()
+	want := diag.TopK(col, k)
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d entries, oracle %d", label, len(got), len(want))
+	}
+	for i, r := range want {
+		if got[i].Row != base+r || math.Float32bits(got[i].Value) != math.Float32bits(col[r]) {
+			t.Fatalf("%s entry %d: {%d %v}, oracle {%d %v}", label, i, got[i].Row, got[i].Value, base+r, col[r])
+		}
+	}
+}
+
+func sameFilter(t *testing.T, label string, got, want []int) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d rows, oracle %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: row %d = %d, oracle %d", label, i, got[i], want[i])
+		}
 	}
 }
 
@@ -365,5 +428,51 @@ func TestTopKDisabledIndexStillAnswers(t *testing.T) {
 	}
 	if s.Metrics().Counters["mistique_index_builds_total"] != 0 {
 		t.Fatal("disabled index still built")
+	}
+}
+
+// TestIndexSeesGrowthOfOpenBlock: a stream's open RowBlock grows in place —
+// each flush re-puts a longer prefix under the same key. The index's
+// signature holds no row count or value summary, so the new chunk id alone
+// must retire the index built over the shorter block: rows that become the
+// new maximum show up in the next TOPK and FilterRows.
+func TestIndexSeesGrowthOfOpenBlock(t *testing.T) {
+	s := openSys(t, Config{RowBlockRows: 64})
+	ingest := func(lo, hi int) {
+		t.Helper()
+		rows := make([][]float32, 0, hi-lo)
+		for i := lo; i < hi; i++ {
+			rows = append(rows, []float32{float32(i)})
+		}
+		if _, err := s.IngestRows("live", "acts", []string{"v"}, rows); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	probe := func(wantTop []int, wantRows []int) {
+		t.Helper()
+		top, err := s.TopK("live", "acts", "v", len(wantTop))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range wantTop {
+			if top[i].Row != r {
+				t.Fatalf("topk rank %d = row %d, want %d (answer %+v)", i, top[i].Row, r, top)
+			}
+		}
+		rows, err := s.FilterRows("live", "acts", "v", colstore.Ge, 38)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameFilter(t, "filter >= 38", rows, wantRows)
+	}
+	ingest(0, 40)
+	probe([]int{39, 38}, []int{38, 39})
+	ingest(40, 50) // same open block: rows 40..49 are the new maximum
+	probe([]int{49, 48}, []int{38, 39, 40, 41, 42, 43, 44, 45, 46, 47, 48, 49})
+	if got := s.Metrics().Counters["mistique_index_builds_total"]; got < 2 {
+		t.Fatalf("index builds = %d, want a rebuild after the block grew", got)
 	}
 }
