@@ -41,9 +41,9 @@ type Scenario struct {
 	// PerturbRows is how many fc1 output rows drift per epoch (their
 	// columns delta-encode; the rest dedup exactly).
 	PerturbRows int
-	// Eps scales the drift. Small enough that drifted activation values
-	// land in the same MinHash bucket, so the similarity gate accepts
-	// the delta; large enough that columns are not byte-identical.
+	// Eps scales the drift. Small enough that drifted activations keep
+	// most of their encoded bytes, so the residual gate keeps the delta;
+	// large enough that columns are not byte-identical.
 	Eps float32
 }
 

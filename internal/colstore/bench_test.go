@@ -189,3 +189,61 @@ func BenchmarkPartitionRead(b *testing.B) {
 		}
 	}
 }
+
+// storePuts is how many puts BenchmarkPutColumnDelta makes per store.
+const storePuts = 4096
+
+// stamp makes vals distinct for each of storePuts puts by writing i into
+// its first two values, exactly in LP's float16 (integers up to 2048).
+func stamp(vals []float32, i int) []float32 {
+	i %= storePuts
+	vals[0], vals[1] = float32(i%1024), float32(i/1024)
+	return vals
+}
+
+// BenchmarkPutColumnDelta measures a versioned put of one 1024-value LP
+// column against a resident parent, for the three outcomes the put path
+// can reach: an exact duplicate (dedup, no similarity work), a drifted
+// generation (delta residual kept) and a dissimilar one (residual gated
+// out, stored full). The store is configured like a DNN log (no similarity
+// placement), so only the delta path is timed; a fresh store every storePuts
+// puts bounds its memory.
+func BenchmarkPutColumnDelta(b *testing.B) {
+	q := quant.NewLP()
+	base := randCol(1024, 1)
+	drift := perturbCol(base, 3, 0.1)
+	other := randCol(1024, 999)
+	for _, c := range []struct {
+		name         string
+		vals         func(i int) []float32
+		deduped, dlt bool
+	}{
+		{"duplicate", func(int) []float32 { return base }, true, false},
+		{"drift", func(i int) []float32 { return stamp(drift, i) }, false, true},
+		{"dissimilar", func(i int) []float32 { return stamp(other, i) }, false, false},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			var s *Store
+			for i := 0; i < b.N; i++ {
+				if i%storePuts == 0 {
+					b.StopTimer()
+					var err error
+					if s, err = Open(b.TempDir(), Config{DisableApproxDedup: true}); err != nil {
+						b.Fatal(err)
+					}
+					if _, err := s.PutColumn(vkey("v0"), base, q); err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+				}
+				r, err := s.PutColumnDelta(vkey(fmt.Sprintf("v%d", i+1)), c.vals(i), q, vkey("v0"))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if r.Deduped != c.deduped || r.Delta != c.dlt {
+					b.Fatalf("put %d: %+v, want deduped=%v delta=%v", i, r, c.deduped, c.dlt)
+				}
+			}
+		})
+	}
+}

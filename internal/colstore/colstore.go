@@ -13,10 +13,10 @@
 // De-duplication (Sec. 4.2):
 //   - exact: a content hash over the encoded chunk; an identical chunk is
 //     never stored twice, the new column simply references the old chunk.
-//   - approximate: a MinHash signature per chunk and an LSH index over
-//     partitions; a new chunk joins the partition holding its most similar
-//     existing chunk (Jaccard >= tau), so the partition compressor can
-//     exploit cross-chunk redundancy.
+//   - approximate: a MinHash signature per chunk exact dedup did not drop
+//     and an LSH index over partitions; a new chunk joins the partition
+//     holding its most similar existing chunk (Jaccard >= tau), so the
+//     partition compressor can exploit cross-chunk redundancy.
 //
 // Concurrency model. The store is safe for fully concurrent PutColumn,
 // GetColumn, Flush, Compact, DeleteModel and scan calls. Three locks with a
@@ -43,6 +43,7 @@
 package colstore
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"errors"
 	"fmt"
@@ -100,7 +101,8 @@ type Config struct {
 	PartitionTargetBytes int64
 	// Mode is the chunk-to-partition assignment policy.
 	Mode Mode
-	// SimilarityThreshold tau for approximate dedup (default 0.6).
+	// SimilarityThreshold tau for approximate dedup's partition placement
+	// (default 0.6). The delta gate does not read it.
 	SimilarityThreshold float64
 	// DisableExactDedup turns off content hashing (STORE_ALL baseline).
 	DisableExactDedup bool
@@ -277,6 +279,9 @@ type Stats struct {
 	DiskWrites     int64
 	DiskReadBytes  int64
 	DiskWriteBytes int64
+	// ChunksSigned counts MinHash signatures the put path computed for
+	// similarity placement; an exact duplicate is never signed.
+	ChunksSigned int64
 	// RecoveredReads counts queries that hit a missing/corrupt chunk and
 	// were transparently answered by re-running the model.
 	RecoveredReads int64
@@ -472,14 +477,15 @@ func (s *Store) PutColumnReplace(key ColumnKey, vals []float32, q *quant.Quantiz
 	return s.putColumn(key, vals, q, nil, true)
 }
 
-// PutColumnDelta stores one ColumnChunk of a new model version, trying to
-// encode it as a delta generation against the parent version's chunk: if
-// the parent column exists, its chain is shorter than DeltaMaxDepth, and
-// the two columns' MinHash signatures estimate Jaccard similarity at or
-// above SimilarityThreshold, only the XOR residual is kept (sparse for
+// PutColumnDelta stores one ColumnChunk of a new model version. An exact
+// duplicate dedups before any other work. Otherwise it tries to encode the
+// chunk as a delta generation against the parent version's chunk: if the
+// parent column exists, its chain is shorter than DeltaMaxDepth, and the
+// XOR residual of the two encoded payloads has at least len/4 more zero
+// bytes than the payload, only the residual is kept (sparse for
 // fine-tune-style updates, so the partition compressor collapses it).
-// Every fallback condition — missing or lost parent, depth bound, low
-// similarity, a parent stored after this chunk's partition — degrades to a
+// Every fallback condition — missing or lost parent, depth bound, a dense
+// residual, a parent stored after this chunk's partition — degrades to a
 // plain full store, never to an error: delta encoding is an optimization,
 // not a correctness requirement.
 func (s *Store) PutColumnDelta(key ColumnKey, vals []float32, q *quant.Quantizer, parent ColumnKey) (PutResult, error) {
@@ -508,21 +514,29 @@ func (s *Store) putColumn(key ColumnKey, vals []float32, q *quant.Quantizer, par
 	s.om.putEncodeSeconds.ObserveSince(t0)
 	t0 = time.Now()
 	var h [32]byte
+	stored := false
 	if !s.cfg.DisableExactDedup {
 		h = contentHash(enc, q)
+		s.mu.Lock()
+		_, stored = s.hashes[h]
+		s.mu.Unlock()
 	}
+	// An exact duplicate needs no similarity work: no signature to place it
+	// and no delta against its parent. The locked section below re-checks
+	// the hash; if a racing Compact dropped it meanwhile, the put stores a
+	// full chunk in the arrival partition.
 	var sig []uint64
-	if s.cfg.Mode == ModeSimilarity && !s.cfg.DisableApproxDedup {
+	if !stored && s.cfg.Mode == ModeSimilarity && !s.cfg.DisableApproxDedup {
 		sig = s.hasher.SignFloats(vals, minHashBucket)
 	}
 	s.om.putHashSeconds.ObserveSince(t0)
 
-	// Delta preparation — base lookup, similarity probe, residual XOR —
-	// also runs outside mu; the spec is re-validated under the lock (a
-	// concurrent Compact may have remapped the base chunk's id meanwhile).
+	// Delta preparation — base page-in and residual XOR — also runs outside
+	// mu; the spec is re-validated under the lock (a concurrent Compact may
+	// have remapped the base chunk's id meanwhile).
 	var spec *deltaSpec
-	if parent != nil && *parent != key {
-		spec = s.prepareDelta(*parent, vals, enc, sig)
+	if !stored && parent != nil && *parent != key {
+		spec = s.prepareDelta(*parent, enc)
 	}
 
 	appendDone := s.om.putAppendSeconds.Time()
@@ -532,6 +546,9 @@ func (s *Store) putColumn(key ColumnKey, vals []float32, q *quant.Quantizer, par
 
 	s.stats.ChunksPut++
 	s.stats.LogicalBytes += int64(len(enc))
+	if sig != nil {
+		s.stats.ChunksSigned++
+	}
 
 	if existing, dup := s.columns[key]; dup {
 		// Idempotent re-put: logging the same model into a reopened store
@@ -642,47 +659,33 @@ func (s *Store) putColumn(key ColumnKey, vals []float32, q *quant.Quantizer, par
 // prepareDelta builds a deltaSpec for storing key's chunk as a residual
 // against the parent column's chunk, or nil when any precondition fails
 // (the caller then stores full). Runs without locks held: the base chunk
-// is paged in via the concurrent read path, decoded, and similarity-probed
-// here so the index lock only pays for a map re-check. sig is the new
-// chunk's MinHash signature when the put path already computed one.
-func (s *Store) prepareDelta(parent ColumnKey, vals []float32, enc []byte, sig []uint64) *deltaSpec {
+// is paged in via the concurrent read path and XORed here so the index
+// lock only pays for a map re-check.
+func (s *Store) prepareDelta(parent ColumnKey, enc []byte) *deltaSpec {
 	if s.cfg.DeltaMaxDepth <= 0 {
 		return nil
 	}
-	s.mu.Lock()
-	baseID, ok := s.columns[parent]
-	s.mu.Unlock()
-	if !ok {
-		return nil
-	}
-	bc, err := s.chunkRef(baseID)
+	bc, baseID, err := s.columnChunk(parent)
 	if err != nil || len(bc.enc) == 0 {
 		return nil
 	}
 	if bc.depth+1 > s.cfg.DeltaMaxDepth {
 		return nil // chain bound: this generation restarts full
 	}
-	// Similarity gate: delta-encode only when the two generations' value
-	// distributions actually overlap (MinHash estimate of Jaccard >= tau),
-	// otherwise the residual is as large and as incompressible as the
-	// payload itself and the chain read amplification buys nothing.
-	baseVals, err := bc.q.Decode(grabF32(bc.count), bc.enc, bc.count)
-	if err != nil {
-		return nil
-	}
-	baseSig := s.hasher.SignFloats(baseVals, minHashBucket)
-	releaseF32(baseVals)
-	if sig == nil {
-		sig = s.hasher.SignFloats(vals, minHashBucket)
-	}
-	if minhash.EstimateJaccard(sig, baseSig) < s.cfg.SimilarityThreshold {
+	// Residual gate: keep the residual only when it is clearly sparser than
+	// the payload — at least len/4 more zero bytes — otherwise it is as
+	// large and as incompressible as the payload itself and the chain's
+	// read amplification buys nothing. Its size depends on which positions
+	// changed, so the gate reads the residual, not the value sets.
+	residual := xorEnc(enc, bc.enc)
+	if bytes.Count(residual, []byte{0}) < bytes.Count(enc, []byte{0})+len(enc)/4 {
 		return nil
 	}
 	return &deltaSpec{
 		parent:   parent,
 		base:     baseID,
 		depth:    bc.depth + 1,
-		residual: xorEnc(enc, bc.enc),
+		residual: residual,
 		fullCRC:  crc32.Checksum(enc, durable.Castagnoli),
 	}
 }
@@ -818,19 +821,7 @@ func (s *Store) chunkMatchesLocked(id ChunkID, enc []byte) (bool, error) {
 	if id.Index < 0 || id.Index >= len(p.chunks) {
 		return false, fmt.Errorf("colstore: chunk %d/%d out of range", id.Partition, id.Index)
 	}
-	return bytesEqual(p.chunks[id.Index].enc, enc), nil
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return bytes.Equal(p.chunks[id.Index].enc, enc), nil
 }
 
 func contentHash(enc []byte, q *quant.Quantizer) [32]byte {
@@ -901,26 +892,6 @@ func (s *Store) newPartition() *partition {
 	return p
 }
 
-// f32Pool recycles float32 scratch slices (delta base reconstruction,
-// callers of the *Into read APIs). Same ownership rule as the byte pools:
-// hold only for the duration of one call.
-var f32Pool sync.Pool
-
-func grabF32(n int) []float32 {
-	if p, ok := f32Pool.Get().(*[]float32); ok && cap(*p) >= n {
-		return (*p)[:0]
-	}
-	return make([]float32, 0, n)
-}
-
-func releaseF32(b []float32) {
-	if cap(b) == 0 {
-		return
-	}
-	b = b[:0]
-	f32Pool.Put(&b)
-}
-
 // GetColumn reads back the reconstructed values of a stored column chunk.
 func (s *Store) GetColumn(key ColumnKey) ([]float32, error) {
 	return s.GetColumnInto(nil, key)
@@ -929,13 +900,12 @@ func (s *Store) GetColumn(key ColumnKey) ([]float32, error) {
 // GetColumnInto is GetColumn appending into dst — the allocation-free form
 // for callers that reuse a decode buffer across chunks.
 func (s *Store) GetColumnInto(dst []float32, key ColumnKey) ([]float32, error) {
-	s.mu.Lock()
-	id, ok := s.columns[key]
-	s.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("colstore: column %s: %w", key, ErrNotStored)
+	t0 := time.Now()
+	c, id, err := s.columnChunk(key)
+	if err != nil {
+		return nil, err
 	}
-	return s.readChunkInto(dst, id)
+	return s.decodeChunk(dst, c, id, t0)
 }
 
 // Has reports whether the column chunk is stored.
@@ -956,25 +926,18 @@ func (s *Store) Lookup(key ColumnKey) (ChunkID, bool) {
 
 // GetChunk reads a chunk by physical id.
 func (s *Store) GetChunk(id ChunkID) ([]float32, error) {
-	return s.readChunkInto(nil, id)
-}
-
-// GetChunkInto is GetChunk appending into dst (see GetColumnInto).
-func (s *Store) GetChunkInto(dst []float32, id ChunkID) ([]float32, error) {
-	return s.readChunkInto(dst, id)
-}
-
-// readChunkInto fetches the (immutable) chunk for id — paging its
-// partition in from disk if evicted — and decodes it into dst outside the
-// index lock, so concurrent readers of different chunks decode in
-// parallel. Decode presizes dst from the chunk's value count, so a fresh
-// or pooled dst costs at most one allocation.
-func (s *Store) readChunkInto(dst []float32, id ChunkID) ([]float32, error) {
 	t0 := time.Now()
 	c, err := s.chunkRef(id)
 	if err != nil {
 		return nil, err
 	}
+	return s.decodeChunk(nil, c, id, t0)
+}
+
+// decodeChunk decodes c into dst outside the index lock, so concurrent
+// readers of different chunks decode in parallel. Decode presizes dst from
+// the chunk's value count, so a fresh dst costs at most one allocation.
+func (s *Store) decodeChunk(dst []float32, c *chunk, id ChunkID, t0 time.Time) ([]float32, error) {
 	out, err := c.q.Decode(dst, c.enc, c.count)
 	if err != nil {
 		return nil, fmt.Errorf("colstore: decode chunk %d/%d: %w", id.Partition, id.Index, err)
@@ -984,51 +947,86 @@ func (s *Store) readChunkInto(dst []float32, id ChunkID) ([]float32, error) {
 }
 
 // chunkRef resolves id to its in-memory chunk, loading the partition from
-// disk if needed. The returned chunk is immutable.
+// disk if needed. The returned chunk is immutable. A Compact may remap ids,
+// so only ids no Compact moves belong here (delta bases, whose partitions
+// Compact pins, and GetChunk's caller-held ids); reads by column key go
+// through columnChunk.
 func (s *Store) chunkRef(id ChunkID) (*chunk, error) {
-	s.mu.Lock()
+	c, _, err := s.lookupChunk(func() (ChunkID, error) { return id, nil })
+	return c, err
+}
+
+// columnChunk resolves key to its chunk and current id. The key is looked
+// up inside every critical section that reads a partition's chunk slice —
+// again after a page-in — so no ChunkID crosses an unlock: a concurrent
+// Compact that remaps chunk indices can never hand back another column's
+// chunk.
+func (s *Store) columnChunk(key ColumnKey) (*chunk, ChunkID, error) {
+	return s.lookupChunk(func() (ChunkID, error) {
+		if id, ok := s.columns[key]; ok {
+			return id, nil
+		}
+		return ChunkID{}, fmt.Errorf("colstore: column %s: %w", key, ErrNotStored)
+	})
+}
+
+// lookupChunk returns the chunk resolve names, paging its partition in if
+// needed. resolve runs with mu held, once per critical section.
+func (s *Store) lookupChunk(resolve func() (ChunkID, error)) (*chunk, ChunkID, error) {
+	for {
+		s.mu.Lock()
+		c, id, p, err := s.residentChunkLocked(resolve)
+		s.mu.Unlock()
+		if c != nil || err != nil {
+			return c, id, err
+		}
+		if c, id, err = s.pageIn(p, resolve); c != nil || err != nil {
+			return c, id, err
+		}
+		// What resolve names moved to another partition during the page-in.
+	}
+}
+
+// residentChunkLocked resolves the chunk and returns it when its partition
+// is resident. A nil chunk and nil error mean partition p must be paged in
+// first. Caller holds mu.
+func (s *Store) residentChunkLocked(resolve func() (ChunkID, error)) (*chunk, ChunkID, *partition, error) {
+	id, err := resolve()
+	if err != nil {
+		return nil, id, nil, err
+	}
 	p, ok := s.parts[id.Partition]
 	if !ok {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("colstore: unknown partition %d: %w", id.Partition, ErrUnavailable)
+		return nil, id, nil, fmt.Errorf("colstore: unknown partition %d: %w", id.Partition, ErrUnavailable)
 	}
 	if p.lost {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("colstore: partition %d: %w", id.Partition, ErrUnavailable)
+		return nil, id, nil, fmt.Errorf("colstore: partition %d: %w", id.Partition, ErrUnavailable)
 	}
 	if _, bad := s.lostChunks[id]; bad {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("colstore: chunk %d/%d: %w", id.Partition, id.Index, ErrUnavailable)
+		return nil, id, nil, fmt.Errorf("colstore: chunk %d/%d: %w", id.Partition, id.Index, ErrUnavailable)
 	}
-	if p.chunks != nil {
-		c, err := chunkAtLocked(p, id)
-		s.touchLocked(id.Partition)
-		s.mu.Unlock()
-		return c, err
+	if p.chunks == nil {
+		return nil, id, p, nil
 	}
-	s.mu.Unlock()
+	s.touchLocked(id.Partition)
+	c, err := chunkAtLocked(p, id)
+	return c, id, p, err
+}
 
-	// Cold partition: page it in under its load lock so N concurrent
-	// readers decompress it once. mu is re-acquired underneath loadMu
-	// (the allowed order); the state is re-checked after each acquisition.
+// pageIn loads cold partition p under its load lock, so N concurrent
+// readers decompress it once, then resolves again under mu. mu is taken
+// underneath loadMu (the allowed order) and the state is re-checked after
+// each acquisition. A nil chunk and nil error mean resolve now names a
+// chunk outside p.
+func (s *Store) pageIn(p *partition, resolve func() (ChunkID, error)) (*chunk, ChunkID, error) {
 	p.loadMu.Lock()
 	defer p.loadMu.Unlock()
 	s.mu.Lock()
-	if _, still := s.parts[id.Partition]; !still {
+	if c, id, cur, err := s.residentChunkLocked(resolve); c != nil || err != nil || cur != p {
 		s.mu.Unlock()
-		return nil, fmt.Errorf("colstore: unknown partition %d: %w", id.Partition, ErrUnavailable)
+		return c, id, err
 	}
-	if p.lost {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("colstore: partition %d: %w", id.Partition, ErrUnavailable)
-	}
-	if p.chunks != nil {
-		c, err := chunkAtLocked(p, id)
-		s.touchLocked(id.Partition)
-		s.mu.Unlock()
-		return c, err
-	}
-	path := s.partPathGen(id.Partition, p.gen)
+	path := s.partPathGen(p.id, p.gen)
 	rawHint := p.raw
 	s.mu.Unlock()
 
@@ -1042,23 +1040,21 @@ func (s *Store) chunkRef(id ChunkID) (*chunk, error) {
 		s.mu.Lock()
 		s.quarantineLocked(p, err)
 		s.mu.Unlock()
-		return nil, fmt.Errorf("colstore: read partition %d: %v: %w", id.Partition, err, ErrUnavailable)
+		return nil, ChunkID{}, fmt.Errorf("colstore: read partition %d: %v: %w", p.id, err, ErrUnavailable)
 	}
 
 	// Reconstruct delta generations before the partition becomes visible.
 	// Bases live strictly earlier in partition order, so the recursive
 	// page-in acquires loadMu locks in strictly decreasing id order — no
 	// deadlock, no cycle — while this partition's loadMu is held.
-	added, deltaLost, derr := resolveDeltaChunks(id.Partition, chunks, func(bid ChunkID) (*chunk, error) {
-		return s.chunkRef(bid)
-	})
+	added, deltaLost, derr := resolveDeltaChunks(p.id, chunks, s.chunkRef)
 	if derr != nil {
 		// A failed reconstruction (wrong base generation, corrupt residual)
 		// is indistinguishable from file corruption: quarantine.
 		s.mu.Lock()
 		s.quarantineLocked(p, derr)
 		s.mu.Unlock()
-		return nil, fmt.Errorf("colstore: read partition %d: %v: %w", id.Partition, derr, ErrUnavailable)
+		return nil, ChunkID{}, fmt.Errorf("colstore: read partition %d: %v: %w", p.id, derr, ErrUnavailable)
 	}
 	payload += added
 
@@ -1068,17 +1064,15 @@ func (s *Store) chunkRef(id ChunkID) (*chunk, error) {
 		// One or more bases are gone but this partition's file is intact:
 		// keep it, install the resolved chunks, and mark the unresolved
 		// ones lost-but-healable (re-logging the version repairs them).
-		s.markUnresolvedLostLocked(id.Partition, chunks)
+		s.markUnresolvedLostLocked(p.id, chunks)
 	}
-	if p.chunks == nil {
+	if p.chunks == nil && s.parts[p.id] == p {
 		if err := s.installLocked(p, chunks, payload, fileBytes); err != nil {
-			return nil, err
+			return nil, ChunkID{}, err
 		}
 	}
-	if _, bad := s.lostChunks[id]; bad {
-		return nil, fmt.Errorf("colstore: chunk %d/%d: %w", id.Partition, id.Index, ErrUnavailable)
-	}
-	return chunkAtLocked(p, id)
+	c, id, _, err := s.residentChunkLocked(resolve)
+	return c, id, err
 }
 
 func chunkAtLocked(p *partition, id ChunkID) (*chunk, error) {

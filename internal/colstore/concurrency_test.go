@@ -229,3 +229,81 @@ func TestConcurrentFlushCompact(t *testing.T) {
 		t.Fatalf("verify: %v", rep.Problems)
 	}
 }
+
+// TestCompactRemapNeverMisroutesReads has one writer re-put 8 one-block
+// columns (reversing their order every other round, so each Compact moves
+// every live chunk to a different index) and compact after every round,
+// while readers read the columns back by key. A read that resolved its key
+// to a chunk id and then read by that id after the lock was released would
+// get another column's values, or an out-of-range chunk, here.
+func TestCompactRemapNeverMisroutesReads(t *testing.T) {
+	const (
+		cols   = 8
+		rows   = 16
+		rounds = 200
+	)
+	pinProcs(t, 4)
+	s := openTest(t, Config{RowBlockRows: rows, Mode: ModeArrival})
+	colName := func(c int) string { return fmt.Sprintf("c%d", c) }
+	// Every value names its column: v/rows%cols == c.
+	colVals := func(c, round int) []float32 {
+		out := make([]float32, rows)
+		for i := range out {
+			out[i] = float32((round*cols+c)*rows + i)
+		}
+		return out
+	}
+	put := func(round int) {
+		for j := 0; j < cols; j++ {
+			c := j
+			if round%2 == 1 {
+				c = cols - 1 - j
+			}
+			if _, err := s.PutColumnReplace(key("m", "x", colName(c), 0), colVals(c, round), nil); err != nil {
+				t.Errorf("put: %v", err)
+			}
+		}
+	}
+	put(0)
+
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	var reads, wrong int
+	var mu sync.Mutex
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				c := (r + i) % cols
+				got, err := s.GetColumnRange("m", "x", colName(c), 0, rows)
+				mu.Lock()
+				reads++
+				if err != nil || int(got[0])/rows%cols != c {
+					wrong++
+					if wrong == 1 {
+						t.Errorf("read of %s: err %v, values %v", colName(c), err, got)
+					}
+				}
+				mu.Unlock()
+			}
+		}(r)
+	}
+	for round := 1; round <= rounds; round++ {
+		put(round)
+		if _, _, err := s.Compact(); err != nil {
+			t.Errorf("compact: %v", err)
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if wrong > 0 {
+		t.Fatalf("%d of %d reads returned another column or failed", wrong, reads)
+	}
+}

@@ -210,6 +210,46 @@ func TestDeltaFallbacksStoreFull(t *testing.T) {
 	})
 }
 
+// TestDeltaDuplicateSkipsSimilarityWork: an exact duplicate of a parent
+// whose partition was evicted is deduped by its content hash alone — no
+// page-in of the parent, no MinHash signature — while a drifted generation
+// through the same path pays for both. Counters, not timing, show it.
+func TestDeltaDuplicateSkipsSimilarityWork(t *testing.T) {
+	s := openTest(t, Config{Mode: ModeSimilarity})
+	base := randCol(512, 1)
+	r0, err := s.PutColumn(vkey("v0"), base, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.DropCache(); err != nil {
+		t.Fatal(err)
+	}
+	before := s.Stats()
+	r, err := s.PutColumnDelta(vkey("v1"), base, nil, vkey("v0"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := s.Stats()
+	if !r.Deduped || r.ID != r0.ID {
+		t.Fatalf("duplicate generation not deduped: %+v", r)
+	}
+	if after.DiskReads != before.DiskReads || after.ChunksSigned != before.ChunksSigned {
+		t.Fatalf("duplicate put did similarity work: disk reads %d -> %d, signed %d -> %d",
+			before.DiskReads, after.DiskReads, before.ChunksSigned, after.ChunksSigned)
+	}
+
+	// The counters see the work when it is due.
+	r, err = s.PutColumnDelta(vkey("v2"), perturbCol(base, 3, 0.1), nil, vkey("v0"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	drifted := s.Stats()
+	if !r.Delta || drifted.DiskReads != after.DiskReads+1 || drifted.ChunksSigned != after.ChunksSigned+1 {
+		t.Fatalf("drifted put: %+v, disk reads %d -> %d, signed %d -> %d",
+			r, after.DiskReads, drifted.DiskReads, after.ChunksSigned, drifted.ChunksSigned)
+	}
+}
+
 // TestDeltaChainDepthBound: with DeltaMaxDepth 2 the chain restarts full
 // every third generation — depths 0,1,2,0,1 — bounding read amplification.
 func TestDeltaChainDepthBound(t *testing.T) {

@@ -92,7 +92,7 @@ func TestPartitionFileRoundTripCodecs(t *testing.T) {
 				t.Fatalf("read back %d chunks / %d bytes, want %d / %d", len(got), fileBytes, len(chunks), size)
 			}
 			for i := range chunks {
-				if got[i].count != chunks[i].count || !bytesEqual(got[i].enc, chunks[i].enc) {
+				if got[i].count != chunks[i].count || !bytes.Equal(got[i].enc, chunks[i].enc) {
 					t.Fatalf("chunk %d changed across the disk round trip", i)
 				}
 			}

@@ -194,8 +194,8 @@ func reparse(t testing.TB) func([]byte) error {
 				len(again), len(chunks), payload2, payload)
 		}
 		for i := range again {
-			if again[i].count != chunks[i].count || !bytesEqual(again[i].enc, chunks[i].enc) ||
-				!bytesEqual(again[i].delta, chunks[i].delta) {
+			if again[i].count != chunks[i].count || !bytes.Equal(again[i].enc, chunks[i].enc) ||
+				!bytes.Equal(again[i].delta, chunks[i].delta) {
 				t.Fatalf("round trip changed chunk %d", i)
 			}
 		}

@@ -66,24 +66,20 @@ func (s *Store) GetColumnRange(model, interm, column string, from, to int) ([]fl
 	}
 	blockRows := s.cfg.RowBlockRows
 	firstBlock := from / blockRows
-	// Resolve the covering block ids under the index lock, then decode
-	// outside it.
-	var ids []ChunkID
 	s.mu.Lock()
 	for b := firstBlock; b*blockRows < to; b++ {
 		key := ColumnKey{Model: model, Intermediate: interm, Column: column, Block: b}
-		id, ok := s.columns[key]
-		if !ok {
+		if _, ok := s.columns[key]; !ok {
 			s.mu.Unlock()
 			return nil, fmt.Errorf("colstore: column %s (range [%d,%d)): %w", key, from, to, ErrNotStored)
 		}
-		ids = append(ids, id)
 	}
 	s.mu.Unlock()
+	// Each block is read by key, never by an id resolved above: a Compact
+	// in between may remap chunk ids (see columnChunk).
 	out := make([]float32, 0, to-from)
-	for bi, id := range ids {
-		b := firstBlock + bi
-		vals, err := s.readChunkInto(nil, id)
+	for b := firstBlock; b*blockRows < to; b++ {
+		vals, err := s.GetColumnInto(nil, ColumnKey{Model: model, Intermediate: interm, Column: column, Block: b})
 		if err != nil {
 			return nil, err
 		}

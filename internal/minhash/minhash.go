@@ -8,6 +8,7 @@ package minhash
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 )
 
@@ -39,11 +40,9 @@ func NewHasher(k int, seed int64) *Hasher {
 // K returns the signature length.
 func (h *Hasher) K() int { return len(h.a) }
 
-// hash61 computes (a*x + b) mod 2^61-1 without overflow using 128-bit
-// intermediate arithmetic via math/bits-free splitting.
+// hash61 computes (a*x + b) mod 2^61-1 from the full 128-bit product.
 func hash61(a, b, x uint64) uint64 {
-	// Split a*x into high and low 64-bit halves manually.
-	hi, lo := mul64(a, x)
+	hi, lo := bits.Mul64(a, x)
 	// Reduce modulo 2^61-1: (hi*2^64 + lo) mod p. 2^64 mod p = 8, so
 	// value ≡ hi*8 + lo (mod p) after folding lo's top bits.
 	r := (lo & mersenne61) + (lo >> 61) + hi*8 + b
@@ -51,22 +50,6 @@ func hash61(a, b, x uint64) uint64 {
 		r -= mersenne61
 	}
 	return r
-}
-
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask = 1<<32 - 1
-	aLo, aHi := a&mask, a>>32
-	bLo, bHi := b&mask, b>>32
-	t := aLo * bLo
-	lo = t & mask
-	carry := t >> 32
-	t = aHi*bLo + carry
-	mid1 := t & mask
-	carry = t >> 32
-	t = aLo*bHi + mid1
-	lo |= (t & mask) << 32
-	hi = aHi*bHi + carry + (t >> 32)
-	return hi, lo
 }
 
 // Sign computes the MinHash signature of a set of uint64 elements.

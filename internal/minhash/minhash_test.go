@@ -155,17 +155,29 @@ func TestThreshold(t *testing.T) {
 	}
 }
 
-func TestMul64(t *testing.T) {
-	cases := []struct{ a, b, hi, lo uint64 }{
-		{0, 0, 0, 0},
-		{1, 1, 0, 1},
-		{math.MaxUint64, 2, 1, math.MaxUint64 - 1},
-		{1 << 32, 1 << 32, 1, 0},
+// TestSignFloatsGolden pins signatures computed when hash61 still did its
+// 64x64 multiply by hand instead of with bits.Mul64: any change to the hash
+// family, the sampling stride or the discretization shows up here.
+func TestSignFloatsGolden(t *testing.T) {
+	h := NewHasher(8, 0x5155454e)
+	rng := rand.New(rand.NewSource(1))
+	vals := make([]float32, 1000)
+	for i := range vals {
+		vals[i] = rng.Float32()*100 - 50
 	}
-	for _, c := range cases {
-		hi, lo := mul64(c.a, c.b)
-		if hi != c.hi || lo != c.lo {
-			t.Errorf("mul64(%d,%d) = (%d,%d), want (%d,%d)", c.a, c.b, hi, lo, c.hi, c.lo)
+	vals[7] = float32(math.NaN()) // a sampled position (stride 7)
+	for _, c := range []struct {
+		bucket float64
+		want   Signature
+	}{
+		{0.01, Signature{0x115c2556ba5ba1, 0x3b75aa495e7373, 0x1689defce02247, 0x2f1f16ce8b84bf, 0xedcc10a87abb0, 0x404fc062bb4c66, 0xd998d1379b7d3, 0x2ff1e53e39c706}},
+		{0, Signature{0x87b51ade4835d, 0x4f701afc179fc2, 0x4d5b900db09aa5, 0x39ea476bdb2c2, 0x9b44676cd97fa, 0x97711e0f757dc8, 0x35f0160698fdee, 0xf57a09ed26c61}},
+	} {
+		got := h.SignFloats(vals, c.bucket)
+		for i := range c.want {
+			if got[i] != c.want[i] {
+				t.Fatalf("bucket %g: signature %#v, want %#v", c.bucket, got, c.want)
+			}
 		}
 	}
 }

@@ -27,10 +27,11 @@ type DNNLogOptions struct {
 	// Parent names a previously logged model version (e.g. the prior
 	// training epoch). Each stored column is then offered to the store as
 	// a delta generation against the parent's column of the same layer,
-	// name and block: byte-identical chunks dedup exactly, similar chunks
-	// (MinHash-gated) store as XOR residuals against the parent, and
-	// dissimilar ones fall back to full storage. The catalog records the
-	// link, so Lineage can walk the version chain.
+	// name and block: byte-identical chunks dedup exactly (no similarity
+	// work), chunks whose XOR residual against the parent is mostly zero
+	// bytes store as that residual, and the rest fall back to full
+	// storage. The catalog records the link, so Lineage can walk the
+	// version chain.
 	Parent string
 	// Layers restricts logging to these layer indices (nil = all layers).
 	Layers []int

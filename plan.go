@@ -194,8 +194,10 @@ func (s *System) Plan(q Query) (*Plan, error) {
 	if tr.sample {
 		// A sample that has seen fewer rows than the catalog holds (e.g. one
 		// restarted empty after its file was quarantined on a drained
-		// stream) does not describe the intermediate; plan the exact path.
-		if sm := s.sampleFor(q.Model, q.Intermediate); sm != nil && sm.Seen >= int64(it.Rows) {
+		// stream) does not describe the intermediate, and an empty one
+		// describes nothing even while the catalog still shows 0 rows; plan
+		// the exact path.
+		if sm := s.sampleFor(q.Model, q.Intermediate); sm != nil && sm.Seen > 0 && sm.Seen >= int64(it.Rows) {
 			// The sample is as fresh as the last acknowledged row, so it is
 			// asked with the caller's row limit, not the catalog's.
 			if a, rows := sampleAnswer(p, q.To, sm); a != nil {
