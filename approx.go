@@ -260,12 +260,6 @@ type TopKApprox struct {
 	FetchSeconds float64
 }
 
-// ApproxTopK returns the k (approximately) largest values of a column.
-// See ApproxTopKCtx.
-func (s *System) ApproxTopK(model, interm, column string, k int, maxError float64) (*TopKApprox, error) {
-	return s.ApproxTopKCtx(context.Background(), model, interm, column, k, maxError)
-}
-
 // ApproxTopKCtx answers TOPK from the reservoir sample when the rank bound
 // is within maxError (a rank fraction), and from the exact index-backed
 // TopK otherwise.
@@ -307,23 +301,6 @@ type ConfusionMatrix struct {
 	FetchSeconds float64
 }
 
-// ConfusionMatrixApprox estimates the confusion matrix of a label and a
-// prediction column. See ConfusionMatrixCtx.
-func (s *System) ConfusionMatrixApprox(model, interm, labelCol, predCol string, maxError float64) (*ConfusionMatrix, error) {
-	return s.ConfusionMatrixCtx(context.Background(), model, interm, labelCol, predCol, maxError)
-}
-
-// ConfusionMatrixCtx estimates the (label, pred) contingency table from
-// the sample when the largest cell bound (as a fraction of the row count)
-// is within maxError, and from an exact two-column read otherwise.
-func (s *System) ConfusionMatrixCtx(ctx context.Context, model, interm, labelCol, predCol string, maxError float64) (*ConfusionMatrix, error) {
-	a, err := s.Execute(ctx, Query{Op: OpConfusion, Model: model, Intermediate: interm, Columns: []string{labelCol, predCol}, MaxError: maxError})
-	if err != nil {
-		return nil, err
-	}
-	return a.Confusion, nil
-}
-
 // confusion is OpConfusion's exact operator: count the (label, pred)
 // pairs of a two-column fetch.
 func (s *System) confusion(ctx context.Context, p *Plan) (*ConfusionMatrix, error) {
@@ -346,43 +323,6 @@ func (s *System) confusion(ctx context.Context, p *Plan) (*ConfusionMatrix, erro
 	}
 	sample.SortCells(out.Cells)
 	return out, nil
-}
-
-// ApproxRows is a uniform row sample of an intermediate with real row ids
-// — the approximate variant of GetIntermediate for "show me what this
-// layer looks like" diagnosis at interactive latency.
-type ApproxRows struct {
-	Model        string
-	Intermediate string
-	Cols         []string
-	// RowIDs are the sampled population row ids, ascending; Data is the
-	// len(RowIDs) x len(Cols) matrix of their true stored values.
-	RowIDs []int64
-	Data   *tensor.Dense
-	// Rows is the population the sample stands for.
-	Rows         int64
-	Strategy     cost.Strategy
-	FetchSeconds float64
-}
-
-// GetIntermediateApprox returns up to maxRows uniformly sampled rows of an
-// intermediate. See GetIntermediateApproxCtx.
-func (s *System) GetIntermediateApprox(model, interm string, cols []string, maxRows int) (*ApproxRows, error) {
-	return s.GetIntermediateApproxCtx(context.Background(), model, interm, cols, maxRows)
-}
-
-// GetIntermediateApproxCtx serves a uniform row sample from the reservoir
-// (maxRows <= 0 returns the whole reservoir). Without a sample it falls
-// back to an exact read of the first maxRows rows.
-func (s *System) GetIntermediateApproxCtx(ctx context.Context, model, interm string, cols []string, maxRows int) (*ApproxRows, error) {
-	a, err := s.Execute(ctx, Query{Op: OpSampleRows, Model: model, Intermediate: interm, Columns: cols, To: max(maxRows, 0)})
-	if err != nil {
-		return nil, err
-	}
-	return &ApproxRows{
-		Model: model, Intermediate: interm, Cols: a.Columns, RowIDs: a.RowIDs, Data: a.Data,
-		Rows: a.Population, Strategy: a.Strategy, FetchSeconds: a.Seconds,
-	}, nil
 }
 
 // sampleFor returns the freshest sample for (model, interm): the live

@@ -1,6 +1,7 @@
 package mistique
 
 import (
+	"context"
 	"math"
 	"testing"
 	"time"
@@ -109,12 +110,12 @@ func TestApproxInteractiveSpeedup(t *testing.T) {
 	}
 
 	approxTopK := bestOf(t, 9, func() {
-		if _, err := s.ApproxTopK("live", "acts", "v", 10, 0.01); err != nil {
+		if _, err := s.ApproxTopKCtx(context.Background(), "live", "acts", "v", 10, 0.01); err != nil {
 			t.Fatal(err)
 		}
 	})
 	exactTopK := bestOf(t, 9, func() {
-		if _, err := s.ApproxTopK("live", "acts", "v", 10, 1e-12); err != nil {
+		if _, err := s.ApproxTopKCtx(context.Background(), "live", "acts", "v", 10, 1e-12); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -154,7 +155,7 @@ func BenchmarkApproxTopK(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := s.ApproxTopK("live", "acts", "v", 10, bc.maxError); err != nil {
+				if _, err := s.ApproxTopKCtx(context.Background(), "live", "acts", "v", 10, bc.maxError); err != nil {
 					b.Fatal(err)
 				}
 			}

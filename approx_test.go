@@ -1,6 +1,7 @@
 package mistique
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"os"
@@ -10,6 +11,15 @@ import (
 
 	"mistique/internal/cost"
 )
+
+// confusion answers OpConfusion for a (label, pred) column pair.
+func confusion(s *System, model, interm, labelCol, predCol string, maxError float64) (*ConfusionMatrix, error) {
+	a, err := s.Execute(context.Background(), Query{Op: OpConfusion, Model: model, Intermediate: interm, Columns: []string{labelCol, predCol}, MaxError: maxError})
+	if err != nil {
+		return nil, err
+	}
+	return a.Confusion, nil
+}
 
 // ingestValues streams one column into model/interm in modest batches.
 func ingestValues(t *testing.T, s *System, model, interm, col string, vals []float32) {
@@ -188,7 +198,7 @@ func TestApproxTopKDifferential(t *testing.T) {
 	}
 
 	const k = 20
-	a, err := s.ApproxTopK("live", "d", "v", k, 0)
+	a, err := s.ApproxTopKCtx(context.Background(), "live", "d", "v", k, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +228,7 @@ func TestApproxTopKDifferential(t *testing.T) {
 	}
 
 	// A tight bound forces the exact top-k.
-	b, err := s.ApproxTopK("live", "d", "v", k, 1e-9)
+	b, err := s.ApproxTopKCtx(context.Background(), "live", "d", "v", k, 1e-9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +309,7 @@ func TestConfusionMatrixDifferential(t *testing.T) {
 	s := openSys(t, Config{RowBlockRows: 256})
 	s.sampleCap = 256
 	ingest(s)
-	cm, err := s.ConfusionMatrixApprox("live", "d", "label", "pred", 0)
+	cm, err := confusion(s, "live", "d", "label", "pred", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +319,7 @@ func TestConfusionMatrixDifferential(t *testing.T) {
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	cm3, err := s.ConfusionMatrixApprox("live", "d", "label", "pred", 1e-12)
+	cm3, err := confusion(s, "live", "d", "label", "pred", 1e-12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,15 +344,15 @@ func TestGetIntermediateApproxRowsAreReal(t *testing.T) {
 	cols := []string{"a", "b"}
 	ingestStream(t, s, "live", "acts", cols, 0, 3000, 250)
 
-	res, err := s.GetIntermediateApprox("live", "acts", nil, 100)
+	res, err := s.Execute(context.Background(), Query{Op: OpSampleRows, Model: "live", Intermediate: "acts", To: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Strategy != cost.Sample {
 		t.Fatalf("strategy %v, want SAMPLE", res.Strategy)
 	}
-	if res.Rows != 3000 || len(res.RowIDs) != 100 || res.Data.Rows != 100 {
-		t.Fatalf("rows=%d ids=%d data=%d", res.Rows, len(res.RowIDs), res.Data.Rows)
+	if res.Population != 3000 || len(res.RowIDs) != 100 || res.Data.Rows != 100 {
+		t.Fatalf("rows=%d ids=%d data=%d", res.Population, len(res.RowIDs), res.Data.Rows)
 	}
 	for i, id := range res.RowIDs {
 		if i > 0 && id <= res.RowIDs[i-1] {
@@ -370,7 +380,7 @@ func TestApproxOnLoggedModel(t *testing.T) {
 		t.Fatalf("sample builds = %v", got)
 	}
 
-	exactVals, err := s.GetColumn("demo", "model", "pred", 0)
+	exactVals, err := readColumn(s, "demo", "model", "pred", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -458,7 +468,7 @@ func TestStaleSampleAfterQuarantinePlansExact(t *testing.T) {
 		t.Fatalf("ColDist = strategy %v rows %d [%v, %v] mean %v; want READ %d [0, 976] mean %v",
 			d.Strategy, d.Rows, d.Min, d.Max, d.Mean, rows, sum/rows)
 	}
-	top, err := s2.ApproxTopK("live", "acts", "v", 3, 1)
+	top, err := s2.ApproxTopKCtx(context.Background(), "live", "acts", "v", 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,20 +29,6 @@ func (e *APIError) Error() string {
 	return fmt.Sprintf("mistique server: %d %s: %s", e.Status, http.StatusText(e.Status), e.Message)
 }
 
-// IsNotFound reports whether err is a 404 from the server (unknown model,
-// intermediate or column).
-func IsNotFound(err error) bool {
-	var ae *APIError
-	return errors.As(err, &ae) && ae.Status == http.StatusNotFound
-}
-
-// IsOverCapacity reports whether err is a 429 — the server's admission
-// semaphore was full and every retry was exhausted.
-func IsOverCapacity(err error) bool {
-	var ae *APIError
-	return errors.As(err, &ae) && ae.Status == http.StatusTooManyRequests
-}
-
 // Client is a typed HTTP client for the MISTIQUE query service. A Client
 // is safe for concurrent use.
 //
@@ -71,10 +57,6 @@ func WithHTTPClient(hc *http.Client) Option { return func(c *Client) { c.hc = hc
 // WithMaxRetries bounds retries of connection errors and 5xx responses
 // (default 3; 0 disables retries).
 func WithMaxRetries(n int) Option { return func(c *Client) { c.maxRetries = n } }
-
-// WithBackoff sets the initial retry backoff cap, doubled per attempt;
-// each sleep is drawn uniformly from [0, cap] (default cap 50ms).
-func WithBackoff(d time.Duration) Option { return func(c *Client) { c.backoff = d } }
 
 // WithTimeout sets the per-request deadline applied to every attempt's
 // context (default 30s; 0 leaves only the caller's context bound).
@@ -245,8 +227,8 @@ func decodeError(resp *http.Response) error {
 
 func (e *overCapacityError) Error() string { return e.APIError.Error() }
 
-// As exposes the embedded APIError to errors.As so IsOverCapacity works
-// on deadline-wrapped failures too.
+// As exposes the embedded APIError to errors.As, so a caller finds the
+// 429 on deadline-wrapped failures too.
 func (e *overCapacityError) As(target any) bool {
 	if p, ok := target.(**APIError); ok {
 		*p = &e.APIError
@@ -335,17 +317,6 @@ func (c *Client) query(ctx context.Context, req QueryRequest) (*QueryResponse, e
 	return &out, nil
 }
 
-// GetColumn fetches the first nEx values of one column.
-func (c *Client) GetColumn(ctx context.Context, model, interm, column string, nEx int) ([]float32, error) {
-	var out ColumnResponse
-	path := "/api/v1/models/" + url.PathEscape(model) + "/intermediates/" + url.PathEscape(interm) +
-		"/columns/" + url.PathEscape(column) + "?n=" + strconv.Itoa(nEx)
-	if err := c.do(ctx, http.MethodGet, path, nil, &out); err != nil {
-		return nil, err
-	}
-	return Floats(out.Values), nil
-}
-
 // Estimate returns the cost model's read/rerun predictions and the
 // strategy the engine would choose, without executing anything.
 func (c *Client) Estimate(ctx context.Context, model, interm string, nEx int) (*EstimateResponse, error) {
@@ -426,16 +397,6 @@ func (c *Client) Compact(ctx context.Context) (int64, error) {
 		return 0, err
 	}
 	return out.ReclaimedBytes, nil
-}
-
-// Health probes liveness ("is the process up"). Readiness — "should this
-// node take traffic" — is Ready.
-func (c *Client) Health(ctx context.Context) (*HealthResponse, error) {
-	var out HealthResponse
-	if err := c.do(ctx, http.MethodGet, "/healthz", nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
 }
 
 // Ready probes readiness. Unlike every other call, a 503 here is data,

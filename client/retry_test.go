@@ -62,10 +62,11 @@ func TestRetriesStayWithinDeadline(t *testing.T) {
 		w.WriteHeader(503)
 	}))
 	defer down.Close()
-	c, err := New(down.URL, WithMaxRetries(100), WithBackoff(40*time.Millisecond), WithTimeout(150*time.Millisecond))
+	c, err := New(down.URL, WithMaxRetries(100), WithTimeout(150*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.backoff = 40 * time.Millisecond
 	start := time.Now()
 	_, err = c.Models(context.Background())
 	if err == nil {

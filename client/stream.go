@@ -73,19 +73,6 @@ func (c *Client) Confusion(ctx context.Context, model, interm, labelCol, predCol
 	return &resp, nil
 }
 
-// SampleRows reads up to maxRows uniformly sampled rows with their real
-// row ids (maxRows <= 0 returns the whole reservoir).
-func (c *Client) SampleRows(ctx context.Context, model, interm string, cols []string, maxRows int) (*SampleRowsResponse, error) {
-	var resp SampleRowsResponse
-	err := c.do(ctx, "POST", "/api/v1/approx/rows", SampleRowsRequest{
-		Model: model, Intermediate: interm, Cols: cols, MaxRows: maxRows,
-	}, &resp)
-	if err != nil {
-		return nil, err
-	}
-	return &resp, nil
-}
-
 func wireRowF32(src []float32) []F32 {
 	dst := make([]F32, len(src))
 	for i, v := range src {

@@ -20,6 +20,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -106,7 +107,8 @@ commands:
            [-op topk|filter] [-k N] [-pred gt|ge|lt|le] [-bound V]
            [-replication N] [-block-rows N]   (no -dir: talks to running shards)
   fsck                                                  verify store integrity
-  compact  [-codec gzip|store|actz]                     reclaim garbage chunks
+  compact  [-codec gzip|store|actz] [MODEL ...]         drop the named models,
+                                                        then reclaim garbage chunks
   catalog                                               list logged models
   lineage  -model M                                     walk a model's version chain`)
 }
@@ -296,8 +298,27 @@ func runCompact(dir string, args []string) error {
 	if err != nil {
 		return err
 	}
+	// Check every name before dropping any, so a typo drops nothing.
+	logged := sys.Metadata().Models()
+	names := slices.Clone(fs.Args())
+	slices.Sort(names)
+	names = slices.Compact(names)
+	for _, name := range names {
+		if !slices.Contains(logged, name) {
+			return fmt.Errorf("%w %q", mistique.ErrUnknownModel, name)
+		}
+	}
+	for _, name := range names {
+		if err := sys.DropModel(name); err != nil {
+			return err
+		}
+		fmt.Printf("dropped %s\n", name)
+	}
 	reclaimed, err := sys.CompactStore()
 	if err != nil {
+		return err
+	}
+	if err := sys.Close(); err != nil {
 		return err
 	}
 	fmt.Printf("reclaimed %d bytes\n", reclaimed)

@@ -4,12 +4,17 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
+	"maps"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"syscall"
 	"testing"
@@ -217,6 +222,96 @@ func TestLineageCommand(t *testing.T) {
 	}
 	if err := runLineage(dir, []string{"-model", "missing"}); err == nil {
 		t.Fatal("lineage of unknown model succeeded")
+	}
+}
+
+// TestCompactDropsNamedModels drives `mistique compact MODEL`: the named
+// model leaves the catalog for good, its space is reclaimed and the store
+// stays healthy; a list with an unknown name touches no file.
+func TestCompactDropsNamedModels(t *testing.T) {
+	dir := t.TempDir()
+	captureStdout(t, func() error {
+		return runLog(dir, []string{"-pipelines", "2"})
+	})
+	// A stream model owns a write-ahead log, which dropping it deletes.
+	sys, err := open(dir, true, 0, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.IngestRows("live", "acts", []string{"v"}, [][]float32{{1}, {2}, {3}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// state reopens the directory and reports its models and disk bytes.
+	state := func() ([]string, int64) {
+		t.Helper()
+		sys, err := open(dir, true, 0, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		disk, err := sys.DiskBytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys.Metadata().Models(), disk
+	}
+	// files lists every file under dir with its size.
+	files := func() map[string]int64 {
+		t.Helper()
+		out := map[string]int64{}
+		err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() {
+				return err
+			}
+			info, err := d.Info()
+			if err != nil {
+				return err
+			}
+			out[path] = info.Size()
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	models, before := state()
+	if len(models) != 3 || models[0] != "live" {
+		t.Fatalf("logged models %v, want live and 2 pipelines", models)
+	}
+	drop := models[2]
+	keep := models[:2]
+
+	// The unknown name sorts after the stream, so a compact that dropped
+	// as it checked would already have deleted the stream's log.
+	onDisk := files()
+	if err := runCompact(dir, []string{"live", "zz-unknown"}); !errors.Is(err, mistique.ErrUnknownModel) {
+		t.Fatalf("compact with an unknown name: err = %v, want ErrUnknownModel", err)
+	}
+	if got := files(); !maps.Equal(got, onDisk) {
+		t.Fatalf("failed compact changed the directory:\n got  %v\n want %v", got, onDisk)
+	}
+	if got, disk := state(); !slices.Equal(got, models) || disk != before {
+		t.Fatalf("failed compact changed the store: models %v, %d bytes (was %v, %d)", got, disk, models, before)
+	}
+
+	out := captureStdout(t, func() error {
+		return runCompact(dir, []string{drop})
+	})
+	if !strings.Contains(out, "dropped "+drop) {
+		t.Fatalf("compact output = %q", out)
+	}
+	got, after := state()
+	if !slices.Equal(got, keep) {
+		t.Fatalf("models after compact %v, want %v", got, keep)
+	}
+	if after >= before {
+		t.Fatalf("disk bytes %d after dropping %s, want below %d", after, drop, before)
+	}
+	if out := captureStdout(t, func() error { return runFsck(dir) }); !strings.Contains(out, "store healthy") {
+		t.Fatalf("fsck after compact: %q", out)
 	}
 }
 

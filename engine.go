@@ -13,8 +13,8 @@
 // materialized intermediate). The MetadataDB (internal/metadata) records
 // models, stage timings, intermediate locations and query counts.
 //
-// A System is safe for concurrent use: Log*, GetIntermediate, Flush,
-// Calibrate and DropModel may be called from multiple goroutines, and the
+// A System is safe for concurrent use: Log*, GetIntermediate, Flush and
+// DropModel may be called from multiple goroutines, and the
 // hot paths (per-column quantize/encode/dedup on ingest, partition
 // compression on flush, chunk reads on query) fan out across a worker pool
 // bounded by GOMAXPROCS. See DESIGN.md for the concurrency model.
@@ -30,7 +30,6 @@
 package mistique
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -500,64 +499,9 @@ func (s *System) CompactStore() (int64, error) {
 	return reclaimed, err
 }
 
-// Calibrate measures the store's effective read rate (rho_d in Eq. 4) by
-// timing cold reads of materialized intermediates, and updates the cost
-// model in place. Call it after logging representative data; the paper
-// folds read, decompression and reconstruction cost into this one
-// constant, and so do we. Returns the measured bytes/second.
-func (s *System) Calibrate() (float64, error) {
-	if err := s.store.Flush(); err != nil {
-		return 0, err
-	}
-
-	// Pick the largest materialized intermediate as the probe.
-	var probeModel string
-	var probe *metadata.Interm
-	for _, name := range s.meta.Models() {
-		for _, it := range s.meta.IntermSnapshots(name) {
-			it := it
-			if !it.Materialized || it.Rows == 0 || len(it.Columns) == 0 {
-				continue
-			}
-			if probe == nil || int64(it.Rows)*int64(len(it.Columns)) > int64(probe.Rows)*int64(len(probe.Columns)) {
-				probeModel, probe = name, &it
-			}
-		}
-	}
-	if probe == nil {
-		return 0, fmt.Errorf("mistique: nothing materialized to calibrate against")
-	}
-	if err := s.store.DropCache(); err != nil {
-		return 0, err
-	}
-	start := nowSeconds()
-	m, err := s.readMatrix(context.Background(), probeModel, probe.Name, probe.Columns, probe.Rows)
-	if err != nil {
-		return 0, err
-	}
-	elapsed := nowSeconds() - start
-	if elapsed <= 0 {
-		elapsed = 1e-9
-	}
-	rate := float64(len(m.Data)) * 4 / elapsed
-	s.mu.Lock()
-	s.cfg.Cost.ReadBytesPerSec = rate
-	s.mu.Unlock()
-	return rate, nil
-}
-
 // CostParams returns the cost-model constants currently in effect.
 func (s *System) CostParams() cost.Params {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.cfg.Cost
 }
-
-// processStart anchors nowSeconds. time.Since reads Go's monotonic clock,
-// so elapsed measurements (Calibrate's read-rate probe) cannot jump or go
-// negative across wall-clock adjustments — which the previous
-// time.Now().UnixNano() reading could.
-var processStart = time.Now()
-
-// nowSeconds returns a monotonic timestamp in seconds since process start.
-func nowSeconds() float64 { return time.Since(processStart).Seconds() }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"slices"
 
 	"mistique"
 	"mistique/internal/cost"
@@ -111,7 +112,7 @@ stages:
 
 	read, _ := sys.Fetch("demo", "filled", nil, 0, cost.Read)
 	rerun, _ := sys.Fetch("demo", "filled", nil, 0, cost.Rerun)
-	same := read.Data.Equal(rerun.Data)
+	same := read.Data.Cols == rerun.Data.Cols && slices.Equal(read.Data.Data, rerun.Data.Data)
 	fmt.Println("read equals rerun:", same)
 	// Output: read equals rerun: true
 }

@@ -196,8 +196,8 @@ func TestRingDeterministicPlacement(t *testing.T) {
 
 func TestRingReplicaClamp(t *testing.T) {
 	r := NewRing([]ShardID{"a", "b"}, 8, 5)
-	if r.Replicas() != 2 {
-		t.Fatalf("replicas = %d, want clamp to 2", r.Replicas())
+	if r.replicas != 2 {
+		t.Fatalf("replicas = %d, want clamp to 2", r.replicas)
 	}
 	if got := r.Owners(BlockRef{Model: "m", Intermediate: "i"}); len(got) != 2 {
 		t.Fatalf("owners = %v", got)

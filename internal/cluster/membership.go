@@ -130,17 +130,6 @@ func (m *Membership) State(id ShardID) State {
 	return Healthy
 }
 
-// View snapshots every shard's state.
-func (m *Membership) View() map[ShardID]State {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make(map[ShardID]State, len(m.members))
-	for id, ms := range m.members {
-		out[id] = ms.state
-	}
-	return out
-}
-
 // setState transitions ms, counting the edge. Caller holds m.mu.
 func (m *Membership) setState(ms *memberState, st State) {
 	if ms.state == st {
@@ -232,7 +221,7 @@ func jitterInterval(d time.Duration) time.Duration {
 }
 
 // fullJitter draws uniformly from [0, cap] — the retry-backoff sleep
-// (mirrors the client's policy; see client.WithBackoff).
+// (mirrors the client's retry policy; see client.Client).
 func fullJitter(cap time.Duration) time.Duration {
 	if cap <= 0 {
 		return 0

@@ -89,9 +89,6 @@ func NewRing(shards []ShardID, vnodes, replicas int) *Ring {
 	return r
 }
 
-// Replicas returns the ring's effective replication factor.
-func (r *Ring) Replicas() int { return r.replicas }
-
 // Owners returns the block's replica chain, primary first: the first
 // `replicas` distinct shards clockwise from the block's point.
 func (r *Ring) Owners(b BlockRef) []ShardID {

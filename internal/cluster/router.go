@@ -219,12 +219,6 @@ func New(shards []Shard, cfg Config) (*Router, error) {
 // Close stops the health checker.
 func (r *Router) Close() { r.mem.Close() }
 
-// Membership exposes the health view (CLI, tests).
-func (r *Router) Membership() *Membership { return r.mem }
-
-// Ring exposes the placement ring (CLI, tests).
-func (r *Router) Ring() *Ring { return r.ring }
-
 // call runs fn against one shard under its admission slot and the
 // per-attempt timeout, recording success latency (hedge triggers derive
 // from it) and errors.

@@ -772,18 +772,6 @@ func (s *Store) markUnresolvedLostLocked(pid int64, chunks []*chunk) {
 	}
 }
 
-// DeltaDepth returns the delta-chain depth of a stored column (0 = stored
-// full or not stored). Resident metadata only — no page-in.
-func (s *Store) DeltaDepth(key ColumnKey) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	id, ok := s.columns[key]
-	if !ok {
-		return 0
-	}
-	return s.deltas[id].Depth
-}
-
 // MaxDeltaDepth returns the deepest delta chain backing any column of one
 // intermediate — the read-amplification factor the cost model charges a
 // cold READ of it. Resident metadata only — no page-in.
@@ -924,16 +912,6 @@ func (s *Store) Lookup(key ColumnKey) (ChunkID, bool) {
 	return id, ok
 }
 
-// GetChunk reads a chunk by physical id.
-func (s *Store) GetChunk(id ChunkID) ([]float32, error) {
-	t0 := time.Now()
-	c, err := s.chunkRef(id)
-	if err != nil {
-		return nil, err
-	}
-	return s.decodeChunk(nil, c, id, t0)
-}
-
 // decodeChunk decodes c into dst outside the index lock, so concurrent
 // readers of different chunks decode in parallel. Decode presizes dst from
 // the chunk's value count, so a fresh dst costs at most one allocation.
@@ -949,8 +927,7 @@ func (s *Store) decodeChunk(dst []float32, c *chunk, id ChunkID, t0 time.Time) (
 // chunkRef resolves id to its in-memory chunk, loading the partition from
 // disk if needed. The returned chunk is immutable. A Compact may remap ids,
 // so only ids no Compact moves belong here (delta bases, whose partitions
-// Compact pins, and GetChunk's caller-held ids); reads by column key go
-// through columnChunk.
+// Compact pins); reads by column key go through columnChunk.
 func (s *Store) chunkRef(id ChunkID) (*chunk, error) {
 	c, _, err := s.lookupChunk(func() (ChunkID, error) { return id, nil })
 	return c, err
@@ -1080,24 +1057,6 @@ func chunkAtLocked(p *partition, id ChunkID) (*chunk, error) {
 		return nil, fmt.Errorf("colstore: chunk %d/%d out of range", id.Partition, id.Index)
 	}
 	return p.chunks[id.Index], nil
-}
-
-// readChunkLocked decodes a chunk while the caller holds mu (used by the
-// lock-held walkers: Verify, scans). Prefer readChunk on hot paths.
-func (s *Store) readChunkLocked(id ChunkID) ([]float32, error) {
-	p, err := s.loadPartitionLocked(id.Partition)
-	if err != nil {
-		return nil, err
-	}
-	c, err := chunkAtLocked(p, id)
-	if err != nil {
-		return nil, err
-	}
-	out, err := c.q.Decode(make([]float32, 0, c.count), c.enc, c.count)
-	if err != nil {
-		return nil, fmt.Errorf("colstore: decode chunk %d/%d: %w", id.Partition, id.Index, err)
-	}
-	return out, nil
 }
 
 // flushTask pairs a partition with the chunk snapshot to serialize and
@@ -1236,14 +1195,6 @@ func (s *Store) NoteRecoveredRead() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.stats.RecoveredReads++
-}
-
-// ManifestGeneration returns the generation number of the last manifest
-// written (or restored). Zero means no manifest has ever been written.
-func (s *Store) ManifestGeneration() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.generation
 }
 
 // DiskBytes returns the total size of partition files on disk. Call Flush

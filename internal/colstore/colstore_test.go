@@ -328,7 +328,7 @@ func TestGetMissingColumn(t *testing.T) {
 	if _, err := s.GetColumn(key("no", "such", "col", 0)); err == nil {
 		t.Fatal("expected error for missing column")
 	}
-	if _, err := s.GetChunk(ChunkID{Partition: 99, Index: 0}); err == nil {
+	if _, err := s.chunkRef(ChunkID{Partition: 99, Index: 0}); err == nil {
 		t.Fatal("expected error for missing partition")
 	}
 }

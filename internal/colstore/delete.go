@@ -150,30 +150,6 @@ func (s *Store) deleteWhere(match func(ColumnKey) bool) int {
 	return removed
 }
 
-// GarbageBytes reports the encoded bytes held by unreferenced chunks
-// (reclaimable by Compact).
-func (s *Store) GarbageBytes() (int64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	refs := s.refCountLocked()
-	var garbage int64
-	for pid, p := range s.parts {
-		if p.lost {
-			continue // quarantined: no readable bytes to reclaim
-		}
-		chunks, err := s.partitionChunksLocked(pid, p)
-		if err != nil {
-			return 0, err
-		}
-		for i, c := range chunks {
-			if refs[ChunkID{Partition: pid, Index: i}] == 0 {
-				garbage += int64(len(c.enc))
-			}
-		}
-	}
-	return garbage, nil
-}
-
 // partitionChunksLocked returns a partition's chunks, paging them in from
 // disk if evicted.
 func (s *Store) partitionChunksLocked(pid int64, p *partition) ([]*chunk, error) {

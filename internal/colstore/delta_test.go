@@ -41,6 +41,18 @@ func vkey(version string) ColumnKey {
 	return key(version, "act", "c0", 0)
 }
 
+// deltaDepth returns the delta-chain depth of a stored column (0 = stored
+// full or not stored), from resident metadata only.
+func deltaDepth(s *Store, k ColumnKey) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	id, ok := s.columns[k]
+	if !ok {
+		return 0
+	}
+	return s.deltas[id].Depth
+}
+
 func TestDeltaPutRoundTrip(t *testing.T) {
 	s := openTest(t, Config{})
 	base := randCol(512, 1)
@@ -61,10 +73,10 @@ func TestDeltaPutRoundTrip(t *testing.T) {
 		t.Fatalf("similar child not delta-encoded: %+v", r1)
 	}
 	mustReadExact(t, s, map[ColumnKey][]float32{vkey("v0"): base, vkey("v1"): child})
-	if d := s.DeltaDepth(vkey("v1")); d != 1 {
+	if d := deltaDepth(s, vkey("v1")); d != 1 {
 		t.Fatalf("DeltaDepth(v1) = %d, want 1", d)
 	}
-	if d := s.DeltaDepth(vkey("v0")); d != 0 {
+	if d := deltaDepth(s, vkey("v0")); d != 0 {
 		t.Fatalf("DeltaDepth(v0) = %d, want 0", d)
 	}
 	if d := s.MaxDeltaDepth("v1", "act"); d != 1 {
@@ -118,12 +130,12 @@ func TestDeltaChainColdReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s2.LastRecovery().Clean() {
+	if !clean(s2.LastRecovery()) {
 		t.Fatalf("recovery not clean: %+v", s2.LastRecovery())
 	}
 	// Chain metadata restored from the manifest, before any page-in.
 	for i := 0; i <= 4; i++ {
-		if d := s2.DeltaDepth(vkey(fmt.Sprintf("v%d", i))); d != i {
+		if d := deltaDepth(s2, vkey(fmt.Sprintf("v%d", i))); d != i {
 			t.Fatalf("reopened DeltaDepth(v%d) = %d, want %d", i, d, i)
 		}
 	}
@@ -314,7 +326,7 @@ func TestCompactCollapsesDeltaChains(t *testing.T) {
 	// v3 (depth 3) and v4 (depth 4) exceed the new bound: collapsed to
 	// full. v1 and v2 stay deltas.
 	for i, want := range []int{0, 1, 2, 0, 0} {
-		if d := s2.DeltaDepth(vkey(fmt.Sprintf("v%d", i))); d != want {
+		if d := deltaDepth(s2, vkey(fmt.Sprintf("v%d", i))); d != want {
 			t.Fatalf("post-collapse DeltaDepth(v%d) = %d, want %d", i, d, want)
 		}
 	}
@@ -332,11 +344,11 @@ func TestCompactCollapsesDeltaChains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s3.LastRecovery().Clean() {
+	if !clean(s3.LastRecovery()) {
 		t.Fatalf("recovery not clean after collapse: %+v", s3.LastRecovery())
 	}
 	for i, want := range []int{0, 1, 2, 0, 0} {
-		if d := s3.DeltaDepth(vkey(fmt.Sprintf("v%d", i))); d != want {
+		if d := deltaDepth(s3, vkey(fmt.Sprintf("v%d", i))); d != want {
 			t.Fatalf("reopened DeltaDepth(v%d) = %d, want %d", i, d, want)
 		}
 	}

@@ -181,15 +181,6 @@ func serializePartition(dst []byte, chunks []*chunk) []byte {
 	return durable.Seal(dst)
 }
 
-// writePartitionTo serializes chunks and writes the uncompressed image to
-// w, returning the byte count (test seam for the partition-file fuzzer).
-func writePartitionTo(w io.Writer, chunks []*chunk) (int64, error) {
-	img := serializePartition(grabBuf(), chunks)
-	n, err := w.Write(img)
-	releaseBuf(img)
-	return int64(n), err
-}
-
 // gzipLevel is the gzip level of partition files. BestSpeed measured
 // ~2.2x faster than gzip.DefaultCompression on LP-encoded partition images
 // for under 1% more file size (BenchmarkPartitionWriteLevels, DESIGN.md
@@ -372,55 +363,10 @@ func readPartitionFile(path string, rawHint int64) (chunks []*chunk, payload, fi
 	return chunks, payload, st.Size(), nil
 }
 
-// readAllSized reads r to EOF into a fresh buffer with initial capacity
-// hint (the arena parsePartition subslices — deliberately NOT pooled, see
-// the pool ownership comment). An exact hint means zero regrows.
-func readAllSized(r io.Reader, hint int) ([]byte, error) {
-	if hint <= 0 {
-		hint = 64 << 10
-	}
-	buf := make([]byte, 0, hint)
-	for {
-		if len(buf) == cap(buf) {
-			buf = append(buf, 0)[:len(buf)]
-		}
-		n, err := r.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+n]
-		if err == io.EOF {
-			return buf, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-}
-
-// readPartitionFrom reads a partition from r (test seam for the
-// partition-file fuzzer; the production path is readPartitionFile). A
-// stream starting with a codec framing — gzip magic or the v3 container
-// — is decompressed first; anything else is treated as a bare image, the
-// historical contract of this seam. Unknown container versions or codec
-// IDs fail with durable.ErrUnsupported, exactly like the file path.
-func readPartitionFrom(r io.Reader) ([]*chunk, int64, error) {
-	img, err := readAllSized(r, 0)
-	if err != nil {
-		return nil, 0, err
-	}
-	framed := (len(img) >= 2 && img[0] == 0x1f && img[1] == 0x8b) ||
-		(len(img) >= 4 && string(img[:4]) == contMagic)
-	if framed {
-		img, err = decodePartitionImage(img, 0)
-		if err != nil {
-			return nil, 0, err
-		}
-	}
-	return parsePartition(img)
-}
-
 // loadPartitionLocked returns the resident partition, reading it from disk
 // if its payload was evicted. The caller holds mu for the whole IO — this
-// is the slow path kept for the lock-held walkers (Verify, Compact,
-// GarbageBytes); the concurrent read path is Store.chunkRef.
+// is the slow path kept for the lock-held walkers (Verify and Compact);
+// the concurrent read path is Store.chunkRef.
 func (s *Store) loadPartitionLocked(pid int64) (*partition, error) {
 	p, ok := s.parts[pid]
 	if !ok {

@@ -119,7 +119,7 @@ func TestLegacyFilesReadableUnderAnyCodecConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s2.LastRecovery().Clean() {
+	if !clean(s2.LastRecovery()) {
 		t.Fatalf("recovery not clean: %+v", s2.LastRecovery())
 	}
 	mustReadExact(t, s2, want)
@@ -325,7 +325,7 @@ func TestCompactMigratesCodec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s3.LastRecovery().Clean() {
+	if !clean(s3.LastRecovery()) {
 		t.Fatalf("recovery not clean after migration: %+v", s3.LastRecovery())
 	}
 	mustReadExact(t, s3, want)

@@ -5,6 +5,7 @@ import (
 	"compress/gzip"
 	"errors"
 	"hash/crc32"
+	"io"
 	"testing"
 
 	"mistique/internal/codec"
@@ -12,6 +13,36 @@ import (
 	"mistique/internal/durable/durabletest"
 	"mistique/internal/quant"
 )
+
+// writePartitionTo serializes chunks and writes the uncompressed image to
+// w, returning the byte count.
+func writePartitionTo(w io.Writer, chunks []*chunk) (int64, error) {
+	img := serializePartition(grabBuf(), chunks)
+	n, err := w.Write(img)
+	releaseBuf(img)
+	return int64(n), err
+}
+
+// readPartitionFrom reads a partition from r; the program's path is
+// readPartitionFile. A stream starting with a codec framing — gzip magic
+// or the v3 container — is decompressed first; anything else is treated
+// as a bare image. Unknown container versions or codec IDs fail with
+// durable.ErrUnsupported, exactly like the file path.
+func readPartitionFrom(r io.Reader) ([]*chunk, int64, error) {
+	img, err := io.ReadAll(r)
+	if err != nil {
+		return nil, 0, err
+	}
+	framed := (len(img) >= 2 && img[0] == 0x1f && img[1] == 0x8b) ||
+		(len(img) >= 4 && string(img[:4]) == contMagic)
+	if framed {
+		img, err = decodePartitionImage(img, 0)
+		if err != nil {
+			return nil, 0, err
+		}
+	}
+	return parsePartition(img)
+}
 
 // gzipped compresses a raw partition image the way flush does.
 func gzipped(t testing.TB, raw []byte) []byte {

@@ -144,7 +144,7 @@ func TestParentZonesManifestOpens(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep := s.LastRecovery(); !rep.Clean() {
+	if rep := s.LastRecovery(); !clean(rep) {
 		t.Fatalf("recovery on open: %+v", rep)
 	}
 	cols := parentZonesColumns(t)

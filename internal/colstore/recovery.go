@@ -56,14 +56,6 @@ type RecoveryReport struct {
 	LostChunks []ChunkID
 }
 
-// Clean reports whether recovery found nothing to repair.
-func (r *RecoveryReport) Clean() bool {
-	return r != nil && !r.ManifestQuarantined &&
-		len(r.OrphanTempsRemoved) == 0 && len(r.ExtraFilesQuarantined) == 0 &&
-		len(r.MissingPartitions) == 0 && len(r.CorruptPartitions) == 0 &&
-		len(r.UnsupportedPartitions) == 0 && len(r.LostChunks) == 0
-}
-
 // LastRecovery returns the report of the Open-time recovery sweep.
 func (s *Store) LastRecovery() *RecoveryReport {
 	s.mu.Lock()

@@ -114,6 +114,14 @@ func crashPoints() []faultPoint {
 	return pts
 }
 
+// clean reports whether recovery found nothing to repair.
+func clean(r *RecoveryReport) bool {
+	return r != nil && !r.ManifestQuarantined &&
+		len(r.OrphanTempsRemoved) == 0 && len(r.ExtraFilesQuarantined) == 0 &&
+		len(r.MissingPartitions) == 0 && len(r.CorruptPartitions) == 0 &&
+		len(r.UnsupportedPartitions) == 0 && len(r.LostChunks) == 0
+}
+
 // crashCodecs are the codec configs every crash matrix runs under: the
 // recovery invariants must hold regardless of how partition bytes are
 // framed on disk.
@@ -326,7 +334,7 @@ func TestCompactGenerationOnDisk(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustReadExact(t, s2, keep)
-	if rep := s2.LastRecovery(); !rep.Clean() {
+	if rep := s2.LastRecovery(); !clean(rep) {
 		t.Fatalf("recovery not clean after committed compact: %+v", rep)
 	}
 }
@@ -444,7 +452,7 @@ func TestCorruptPartitionQuarantinedOnColdRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep := s2.LastRecovery(); !rep.Clean() {
+	if rep := s2.LastRecovery(); !clean(rep) {
 		t.Fatalf("recovery before the corruption: %+v", rep)
 	}
 	corruptOneByte(t, filepath.Join(dir, partFileName(0, 0)))
@@ -603,7 +611,7 @@ func TestManifestCorruptFailSoft(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustReadExact(t, s3, data)
-	if rep := s3.LastRecovery(); !rep.Clean() {
+	if rep := s3.LastRecovery(); !clean(rep) {
 		t.Fatalf("recovery after heal not clean: %+v", rep)
 	}
 }
@@ -636,7 +644,7 @@ func TestENOSPCFlushRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustReadExact(t, s2, data)
-	if rep := s2.LastRecovery(); !rep.Clean() {
+	if rep := s2.LastRecovery(); !clean(rep) {
 		t.Fatalf("recovery not clean: %+v", rep)
 	}
 }
@@ -654,7 +662,7 @@ func TestManifestGenerationAdvances(t *testing.T) {
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	g1 := s.ManifestGeneration()
+	g1 := s.generation
 	if g1 == 0 {
 		t.Fatal("generation not stamped")
 	}
@@ -662,7 +670,7 @@ func TestManifestGenerationAdvances(t *testing.T) {
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	g2 := s.ManifestGeneration()
+	g2 := s.generation
 	if g2 <= g1 {
 		t.Fatalf("generation did not advance: %d -> %d", g1, g2)
 	}
@@ -670,7 +678,7 @@ func TestManifestGenerationAdvances(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s2.ManifestGeneration(); got != g2 {
+	if got := s2.generation; got != g2 {
 		t.Fatalf("reopened generation %d, want %d", got, g2)
 	}
 }
@@ -810,7 +818,7 @@ func TestQuarantineTombstoneLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s3.LastRecovery().Clean() {
+	if !clean(s3.LastRecovery()) {
 		t.Fatalf("reopen after tombstone drop not clean: %+v", s3.LastRecovery())
 	}
 	mustReadExact(t, s3, data)
@@ -981,7 +989,7 @@ func TestPostPublishSyncDirReturnsSuccess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s2.LastRecovery().Clean() {
+	if !clean(s2.LastRecovery()) {
 		t.Fatalf("recovery not clean: %+v", s2.LastRecovery())
 	}
 	mustReadExact(t, s2, data)

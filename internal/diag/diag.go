@@ -386,22 +386,3 @@ func NetDissect(act *tensor.T4, concept *tensor.T4, alpha float64) ([]float64, e
 	}
 	return out, nil
 }
-
-// ConfusionMatrix tallies predicted vs true classes (FCMR: "compute the
-// confusion matrix for the training dataset").
-func ConfusionMatrix(pred, truth []int, classes int) ([][]int, error) {
-	if len(pred) != len(truth) {
-		return nil, fmt.Errorf("diag: confusion length mismatch")
-	}
-	m := make([][]int, classes)
-	for i := range m {
-		m[i] = make([]int, classes)
-	}
-	for i := range pred {
-		if pred[i] < 0 || pred[i] >= classes || truth[i] < 0 || truth[i] >= classes {
-			return nil, fmt.Errorf("diag: class out of range at %d", i)
-		}
-		m[truth[i]][pred[i]]++
-	}
-	return m, nil
-}

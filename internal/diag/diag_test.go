@@ -10,6 +10,15 @@ import (
 	"mistique/internal/tensor"
 )
 
+// fromRows builds a matrix from equal-length rows.
+func fromRows(rows [][]float32) *tensor.Dense {
+	d := tensor.NewDense(len(rows), len(rows[0]))
+	for i, r := range rows {
+		copy(d.Row(i), r)
+	}
+	return d
+}
+
 func TestPointQuery(t *testing.T) {
 	col := []float32{1, 2, 3}
 	if v, err := PointQuery(col, 1); err != nil || v != 2 {
@@ -68,7 +77,7 @@ func TestColDist(t *testing.T) {
 }
 
 func TestKNNFindsNeighbors(t *testing.T) {
-	x := tensor.FromRows([][]float32{
+	x := fromRows([][]float32{
 		{0, 0}, {1, 0}, {10, 10}, {0.5, 0}, {11, 10},
 	})
 	got := KNN(x, x.Row(0), 2, 0)
@@ -100,7 +109,7 @@ func TestRowDiffAndVIS(t *testing.T) {
 		t.Fatal("mismatch accepted")
 	}
 
-	x := tensor.FromRows([][]float32{{1, 0}, {3, 0}, {0, 10}})
+	x := fromRows([][]float32{{1, 0}, {3, 0}, {0, 10}})
 	vis, err := VIS(x, []int{0, 0, 1}, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -114,19 +123,19 @@ func TestRowDiffAndVIS(t *testing.T) {
 }
 
 func TestHeatmapDistance(t *testing.T) {
-	a := tensor.FromRows([][]float32{{1, 2, 3}})
+	a := fromRows([][]float32{{1, 2, 3}})
 	maxAbs, meanAbs, rank, err := HeatmapDistance(a, a.Clone())
 	if err != nil || maxAbs != 0 || meanAbs != 0 || math.Abs(rank-1) > 1e-12 {
 		t.Fatalf("identical heatmaps: %v %v %v %v", maxAbs, meanAbs, rank, err)
 	}
 	// A quantized version preserves ranks but shifts values.
-	b := tensor.FromRows([][]float32{{1.1, 2.1, 3.1}})
+	b := fromRows([][]float32{{1.1, 2.1, 3.1}})
 	_, meanAbs, rank, _ = HeatmapDistance(a, b)
 	if math.Abs(meanAbs-0.1) > 1e-6 || rank < 0.99 {
 		t.Fatalf("shifted heatmap: mean %v rank %v", meanAbs, rank)
 	}
 	// Scrambled ranks drop correlation.
-	c := tensor.FromRows([][]float32{{3, 1, 2}})
+	c := fromRows([][]float32{{3, 1, 2}})
 	_, _, rank, _ = HeatmapDistance(a, c)
 	if rank > 0.5 {
 		t.Fatalf("scrambled rank corr %v", rank)
@@ -243,22 +252,6 @@ func TestNetDissect(t *testing.T) {
 	}
 	if _, err := NetDissect(act, concept, 2); err == nil {
 		t.Fatal("bad alpha accepted")
-	}
-}
-
-func TestConfusionMatrix(t *testing.T) {
-	m, err := ConfusionMatrix([]int{0, 1, 1, 0}, []int{0, 1, 0, 0}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m[0][0] != 2 || m[0][1] != 1 || m[1][1] != 1 || m[1][0] != 0 {
-		t.Fatalf("confusion %v", m)
-	}
-	if _, err := ConfusionMatrix([]int{5}, []int{0}, 2); err == nil {
-		t.Fatal("bad class accepted")
-	}
-	if _, err := ConfusionMatrix([]int{0}, []int{0, 1}, 2); err == nil {
-		t.Fatal("length mismatch accepted")
 	}
 }
 

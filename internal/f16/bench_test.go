@@ -26,24 +26,25 @@ func benchValues(n int) []float32 {
 	return vals
 }
 
-func BenchmarkF16EncodeSlice(b *testing.B) {
+func BenchmarkF16AppendBytes(b *testing.B) {
 	src := benchValues(4096)
-	dst := make([]uint16, 0, len(src))
+	dst := make([]byte, 0, 2*len(src))
 	b.SetBytes(int64(4 * len(src)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dst = EncodeSlice(dst[:0], src)
+		dst = AppendBytes(dst[:0], src)
 	}
 	_ = dst
 }
 
-func BenchmarkF16DecodeSlice(b *testing.B) {
-	src := EncodeSlice(nil, benchValues(4096))
+func BenchmarkF16DecodeBytes(b *testing.B) {
+	src := benchValues(4096)
+	raw := AppendBytes(nil, src)
 	dst := make([]float32, 0, len(src))
-	b.SetBytes(int64(2 * len(src)))
+	b.SetBytes(int64(len(raw)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dst = DecodeSlice(dst[:0], src)
+		dst = DecodeBytes(dst[:0], raw, len(src))
 	}
 	_ = dst
 }
@@ -65,7 +66,7 @@ func BenchmarkF16EncodeRef(b *testing.B) {
 }
 
 func BenchmarkF16DecodeRef(b *testing.B) {
-	src := EncodeSlice(nil, benchValues(4096))
+	src := encodeHalves(benchValues(4096))
 	dst := make([]float32, 0, len(src))
 	b.SetBytes(int64(2 * len(src)))
 	b.ResetTimer()

@@ -140,37 +140,8 @@ func FromFloat32(f float32) uint16 {
 	return uint16(b>>16)&0x8000 | (encBase[e] + uint16((m+encRound[e]+(m>>s)&1)>>s))
 }
 
-// ToFloat32 converts a binary16 bit pattern to float32 exactly (every
-// float16 value is representable as a float32).
-func ToFloat32(h uint16) float32 { return decodeLUT[h] }
-
-// Round returns f rounded to the nearest representable float16, as a
-// float32. It is the value a reader of an LP_QT intermediate observes.
-func Round(f float32) float32 { return ToFloat32(FromFloat32(f)) }
-
-// EncodeSlice converts src to binary16 bit patterns, appending to dst. The
-// destination is grown once up front, so a zero-capacity dst costs exactly
-// one allocation.
-func EncodeSlice(dst []uint16, src []float32) []uint16 {
-	dst = growU16(dst, len(src))
-	for _, f := range src {
-		dst = append(dst, FromFloat32(f))
-	}
-	return dst
-}
-
-// DecodeSlice converts binary16 bit patterns to float32s, appending to dst.
-// Each value is one table load; dst is grown once up front.
-func DecodeSlice(dst []float32, src []uint16) []float32 {
-	dst = growF32(dst, len(src))
-	for _, h := range src {
-		dst = append(dst, decodeLUT[h])
-	}
-	return dst
-}
-
-// AppendBytes appends the little-endian binary16 encoding of src to dst —
-// the byte-path form of EncodeSlice used by the LP_QT column codec.
+// AppendBytes appends the little-endian binary16 encoding of src to dst,
+// as the LP_QT column codec stores it.
 func AppendBytes(dst []byte, src []float32) []byte {
 	if need := 2 * len(src); cap(dst)-len(dst) < need {
 		dst = append(make([]byte, 0, len(dst)+need), dst...)
@@ -195,13 +166,6 @@ func DecodeBytes(dst []float32, data []byte, n int) []float32 {
 func growF32(dst []float32, n int) []float32 {
 	if cap(dst)-len(dst) < n {
 		dst = append(make([]float32, 0, len(dst)+n), dst...)
-	}
-	return dst
-}
-
-func growU16(dst []uint16, n int) []uint16 {
-	if cap(dst)-len(dst) < n {
-		dst = append(make([]uint16, 0, len(dst)+n), dst...)
 	}
 	return dst
 }

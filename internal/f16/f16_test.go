@@ -29,8 +29,8 @@ func TestKnownValues(t *testing.T) {
 		if got := FromFloat32(c.f); got != c.bits {
 			t.Errorf("FromFloat32(%v) = %#04x, want %#04x", c.f, got, c.bits)
 		}
-		if back := ToFloat32(c.bits); back != c.f {
-			t.Errorf("ToFloat32(%#04x) = %v, want %v", c.bits, back, c.f)
+		if back := toFloat32(c.bits); back != c.f {
+			t.Errorf("toFloat32(%#04x) = %v, want %v", c.bits, back, c.f)
 		}
 	}
 }
@@ -40,7 +40,7 @@ func TestNaN(t *testing.T) {
 	if h&0x7c00 != 0x7c00 || h&0x3ff == 0 {
 		t.Fatalf("NaN encoded as %#04x, not a float16 NaN", h)
 	}
-	f := ToFloat32(h)
+	f := toFloat32(h)
 	if !math.IsNaN(float64(f)) {
 		t.Fatalf("round-tripped NaN is %v", f)
 	}
@@ -90,7 +90,7 @@ func TestRoundToNearestEven(t *testing.T) {
 func TestExhaustiveRoundTrip(t *testing.T) {
 	for i := 0; i < 1<<16; i++ {
 		h := uint16(i)
-		f := ToFloat32(h)
+		f := toFloat32(h)
 		back := FromFloat32(f)
 		if math.IsNaN(float64(f)) {
 			if back&0x7c00 != 0x7c00 || back&0x3ff == 0 {
@@ -105,11 +105,11 @@ func TestExhaustiveRoundTrip(t *testing.T) {
 }
 
 func TestQuickRoundedIsNearest(t *testing.T) {
-	// Property: Round(f) differs from f by at most half a ULP of the
+	// Property: round(f) differs from f by at most half a ULP of the
 	// float16 grid around f, for f within the finite float16 range.
 	prop := func(v float64) bool {
 		f := float32(math.Mod(v, 60000))
-		r := Round(f)
+		r := round(f)
 		diff := math.Abs(float64(r) - float64(f))
 		// ULP at |f|: 2^(floor(log2|f|) - 10), bounded below by the
 		// subnormal spacing.
@@ -128,14 +128,13 @@ func TestQuickRoundedIsNearest(t *testing.T) {
 
 func TestSliceCodecs(t *testing.T) {
 	src := []float32{0, 1, -2.5, 1000, 1e-5}
-	enc := EncodeSlice(nil, src)
-	dec := DecodeSlice(nil, enc)
+	dec := DecodeBytes(nil, AppendBytes(nil, src), len(src))
 	if len(dec) != len(src) {
 		t.Fatalf("len %d != %d", len(dec), len(src))
 	}
 	for i := range src {
-		if dec[i] != Round(src[i]) {
-			t.Errorf("slice codec [%d]: %v != %v", i, dec[i], Round(src[i]))
+		if dec[i] != round(src[i]) {
+			t.Errorf("slice codec [%d]: %v != %v", i, dec[i], round(src[i]))
 		}
 	}
 }

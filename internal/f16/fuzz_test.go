@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// FuzzRoundTrip checks that conversion never panics and that Round is
+// FuzzRoundTrip checks that conversion never panics and that round is
 // idempotent for every float32 bit pattern the fuzzer finds.
 func FuzzRoundTrip(f *testing.F) {
 	f.Add(uint32(0))
@@ -15,15 +15,15 @@ func FuzzRoundTrip(f *testing.F) {
 	f.Add(uint32(0x7fc00001)) // NaN payload
 	f.Fuzz(func(t *testing.T, bits uint32) {
 		v := math.Float32frombits(bits)
-		r := Round(v)
+		r := round(v)
 		if math.IsNaN(float64(v)) {
 			if !math.IsNaN(float64(r)) {
 				t.Fatalf("NaN became %v", r)
 			}
 			return
 		}
-		if Round(r) != r {
-			t.Fatalf("Round not idempotent: %v -> %v -> %v", v, r, Round(r))
+		if round(r) != r {
+			t.Fatalf("round not idempotent: %v -> %v -> %v", v, r, round(r))
 		}
 	})
 }

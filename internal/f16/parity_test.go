@@ -12,7 +12,7 @@ import (
 func TestDecodeLUTExhaustive(t *testing.T) {
 	for i := 0; i < 1<<16; i++ {
 		h := uint16(i)
-		got := math.Float32bits(ToFloat32(h))
+		got := math.Float32bits(toFloat32(h))
 		want := math.Float32bits(decodeRef(h))
 		if got != want {
 			t.Fatalf("decode %#04x: LUT %#08x, reference %#08x", h, got, want)
@@ -72,22 +72,7 @@ func TestEncodeExhaustiveAllFloat32(t *testing.T) {
 func TestSliceHelpers(t *testing.T) {
 	src := []float32{0, -0, 1.5, -2.25, 65504, 65520, 1e-8, -1e-8,
 		float32(math.Inf(1)), float32(math.Inf(-1)), SmallestSubnormal, SmallestNormal}
-	enc := EncodeSlice(nil, src)
-	if len(enc) != len(src) {
-		t.Fatalf("EncodeSlice length %d, want %d", len(enc), len(src))
-	}
-	for i, f := range src {
-		if enc[i] != FromFloat32(f) {
-			t.Fatalf("EncodeSlice[%d] = %#04x, want %#04x", i, enc[i], FromFloat32(f))
-		}
-	}
-	dec := DecodeSlice(nil, enc)
-	for i, h := range enc {
-		if math.Float32bits(dec[i]) != math.Float32bits(ToFloat32(h)) {
-			t.Fatalf("DecodeSlice[%d] = %v, want %v", i, dec[i], ToFloat32(h))
-		}
-	}
-	// Byte-path forms agree with the u16 forms.
+	enc := encodeHalves(src)
 	raw := AppendBytes(nil, src)
 	if len(raw) != 2*len(src) {
 		t.Fatalf("AppendBytes length %d, want %d", len(raw), 2*len(src))
@@ -98,16 +83,16 @@ func TestSliceHelpers(t *testing.T) {
 		}
 	}
 	back := DecodeBytes(nil, raw, len(src))
-	for i := range dec {
-		if math.Float32bits(back[i]) != math.Float32bits(dec[i]) {
-			t.Fatalf("DecodeBytes[%d] = %v, want %v", i, back[i], dec[i])
+	for i, h := range enc {
+		if math.Float32bits(back[i]) != math.Float32bits(toFloat32(h)) {
+			t.Fatalf("DecodeBytes[%d] = %v, want %v", i, back[i], toFloat32(h))
 		}
 	}
 	// Appending into an existing slice preserves the prefix.
 	pre := []float32{42}
-	out := DecodeSlice(pre, enc[:2])
+	out := DecodeBytes(pre, raw[:4], 2)
 	if out[0] != 42 || len(out) != 3 {
-		t.Fatalf("DecodeSlice clobbered prefix: %v", out)
+		t.Fatalf("DecodeBytes clobbered prefix: %v", out)
 	}
 }
 
@@ -135,7 +120,7 @@ func FuzzF16Parity(f *testing.F) {
 			t.Fatalf("encode %v (bits %#08x): LUT %#04x, reference %#04x", v, bits, got, want)
 		}
 		for _, h := range []uint16{uint16(bits), uint16(bits >> 16)} {
-			got := math.Float32bits(ToFloat32(h))
+			got := math.Float32bits(toFloat32(h))
 			want := math.Float32bits(decodeRef(h))
 			if got != want {
 				t.Fatalf("decode %#04x: LUT %#08x, reference %#08x", h, got, want)

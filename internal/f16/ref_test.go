@@ -8,6 +8,23 @@ import "math"
 // FuzzF16Parity). It is compiled into tests only and must never change
 // independently of a format decision: it *defines* the codec's semantics.
 
+// toFloat32 converts a binary16 bit pattern to float32 through the
+// production decode table.
+func toFloat32(h uint16) float32 { return decodeLUT[h] }
+
+// round returns f rounded to the nearest representable float16, as a
+// float32: the value a reader of an LP_QT intermediate observes.
+func round(f float32) float32 { return toFloat32(FromFloat32(f)) }
+
+// encodeHalves converts src to binary16 bit patterns.
+func encodeHalves(src []float32) []uint16 {
+	out := make([]uint16, len(src))
+	for i, f := range src {
+		out[i] = FromFloat32(f)
+	}
+	return out
+}
+
 // encodeRef is the pre-LUT FromFloat32: explicit per-class branches with
 // round-to-nearest-even.
 func encodeRef(f float32) uint16 {
@@ -57,7 +74,7 @@ func encodeRef(f float32) uint16 {
 	return sign | uint16(v)
 }
 
-// decodeRef is the pre-LUT ToFloat32.
+// decodeRef is the pre-LUT binary16 decoder.
 func decodeRef(h uint16) float32 {
 	sign := uint32(h&0x8000) << 16
 	exp := uint32(h>>10) & 0x1f

@@ -7,8 +7,6 @@ package frame
 
 import (
 	"fmt"
-	"math"
-	"sort"
 
 	"mistique/internal/tensor"
 )
@@ -262,17 +260,6 @@ func (f *Frame) Head(n int) *Frame {
 	return f.Gather(idx)
 }
 
-// RowByID returns the positional index of the row with the given row id, or
-// -1 if absent.
-func (f *Frame) RowByID(id int64) int {
-	for i, r := range f.rowIDs {
-		if r == id {
-			return i
-		}
-	}
-	return -1
-}
-
 // JoinInner performs an inner join with other on the named int column. Rows
 // from f keep their row ids; matching columns from other are appended with
 // their names (the join key is not duplicated). If other has multiple rows
@@ -324,51 +311,4 @@ func (f *Frame) FloatMatrix() (*tensor.Dense, []string) {
 		}
 	}
 	return d, names
-}
-
-// FromMatrix builds a frame from a float32 matrix with the given column
-// names and row ids (ids may be nil for 0..n-1).
-func FromMatrix(d *tensor.Dense, names []string, ids []int64) *Frame {
-	if len(names) != d.Cols {
-		panic("frame: FromMatrix name count mismatch")
-	}
-	var f *Frame
-	if ids == nil {
-		f = New(d.Rows)
-	} else {
-		f = WithRowIDs(ids)
-	}
-	for j, n := range names {
-		vals := make([]float64, d.Rows)
-		for i := 0; i < d.Rows; i++ {
-			vals[i] = float64(d.At(i, j))
-		}
-		f.AddFloats(n, vals)
-	}
-	return f
-}
-
-// SortByFloat returns row indices that order the named float column
-// ascending (NaNs last). It does not reorder the frame.
-func (f *Frame) SortByFloat(name string) []int {
-	c := f.Col(name)
-	vals, ok := c.AsFloats()
-	if !ok {
-		panic(fmt.Sprintf("frame: SortByFloat on non-numeric column %q", name))
-	}
-	idx := make([]int, len(vals))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		va, vb := vals[idx[a]], vals[idx[b]]
-		if math.IsNaN(va) {
-			return false
-		}
-		if math.IsNaN(vb) {
-			return true
-		}
-		return va < vb
-	})
-	return idx
 }

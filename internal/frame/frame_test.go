@@ -1,11 +1,8 @@
 package frame
 
 import (
-	"math"
 	"reflect"
 	"testing"
-
-	"mistique/internal/tensor"
 )
 
 func sample() *Frame {
@@ -76,9 +73,6 @@ func TestGatherKeepsRowIDs(t *testing.T) {
 	if g.Col("price").F[0] != 300 || g.Col("city").S[1] != "bos" {
 		t.Fatal("gather values")
 	}
-	if g.RowByID(0) != 1 || g.RowByID(99) != -1 {
-		t.Fatal("RowByID")
-	}
 	h := f.Head(2)
 	if h.NumRows() != 2 || f.Head(10).NumRows() != 3 {
 		t.Fatal("Head")
@@ -130,27 +124,6 @@ func TestFloatMatrixRoundTrip(t *testing.T) {
 	}
 	if m.Rows != 3 || m.Cols != 2 || m.At(1, 1) != 3 {
 		t.Fatalf("matrix %+v", m)
-	}
-	back := FromMatrix(m, names, f.RowIDs())
-	if back.Col("rooms").F[2] != 4 {
-		t.Fatal("FromMatrix values")
-	}
-}
-
-func TestFromMatrixDefaultIDs(t *testing.T) {
-	m := tensor.FromRows([][]float32{{1}, {2}})
-	f := FromMatrix(m, []string{"x"}, nil)
-	if !reflect.DeepEqual(f.RowIDs(), []int64{0, 1}) {
-		t.Fatalf("ids %v", f.RowIDs())
-	}
-}
-
-func TestSortByFloatNaNLast(t *testing.T) {
-	f := New(4)
-	f.AddFloats("v", []float64{3, math.NaN(), 1, 2})
-	idx := f.SortByFloat("v")
-	if !reflect.DeepEqual(idx, []int{2, 3, 0, 1}) {
-		t.Fatalf("sort idx %v", idx)
 	}
 }
 

@@ -21,21 +21,6 @@ func NewMat(r, c int) *Mat {
 	return &Mat{R: r, C: c, A: make([]float64, r*c)}
 }
 
-// FromRows builds a Mat from row slices.
-func FromRows(rows [][]float64) *Mat {
-	if len(rows) == 0 {
-		return NewMat(0, 0)
-	}
-	m := NewMat(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != m.C {
-			panic("linalg: ragged rows")
-		}
-		copy(m.Row(i), r)
-	}
-	return m
-}
-
 // At returns element (i, j).
 func (m *Mat) At(i, j int) float64 { return m.A[i*m.C+j] }
 

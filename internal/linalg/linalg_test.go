@@ -25,9 +25,18 @@ func maxAbsDiff(a, b *Mat) float64 {
 	return mx
 }
 
+// fromRows builds a matrix from equal-length rows.
+func fromRows(rows [][]float64) *Mat {
+	m := NewMat(len(rows), len(rows[0]))
+	for i, r := range rows {
+		copy(m.Row(i), r)
+	}
+	return m
+}
+
 func TestMulAndTranspose(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
-	b := FromRows([][]float64{{1, 0}, {0, 1}})
+	a := fromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
+	b := fromRows([][]float64{{1, 0}, {0, 1}})
 	if maxAbsDiff(a.Mul(b), a) != 0 {
 		t.Fatal("identity mul")
 	}
@@ -104,7 +113,7 @@ func TestSVDReconstruction(t *testing.T) {
 
 func TestSVDRankDeficient(t *testing.T) {
 	// Second column is 2x the first: rank 1.
-	m := FromRows([][]float64{{1, 2}, {2, 4}, {3, 6}})
+	m := fromRows([][]float64{{1, 2}, {2, 4}, {3, 6}})
 	_, s, _ := m.SVD()
 	if s[1] > 1e-10 {
 		t.Fatalf("expected zero second singular value, got %v", s)

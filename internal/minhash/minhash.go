@@ -37,9 +37,6 @@ func NewHasher(k int, seed int64) *Hasher {
 	return h
 }
 
-// K returns the signature length.
-func (h *Hasher) K() int { return len(h.a) }
-
 // hash61 computes (a*x + b) mod 2^61-1 from the full 128-bit product.
 func hash61(a, b, x uint64) uint64 {
 	hi, lo := bits.Mul64(a, x)
@@ -50,18 +47,6 @@ func hash61(a, b, x uint64) uint64 {
 		r -= mersenne61
 	}
 	return r
-}
-
-// Sign computes the MinHash signature of a set of uint64 elements.
-func (h *Hasher) Sign(set map[uint64]struct{}) Signature {
-	sig := make(Signature, len(h.a))
-	for i := range sig {
-		sig[i] = math.MaxUint64
-	}
-	for x := range set {
-		h.fold(sig, x)
-	}
-	return sig
 }
 
 // fold mins element x into sig under every hash function.
@@ -164,12 +149,6 @@ func NewIndex(bands, rows int) *Index {
 		t[i] = make(map[uint64][]int)
 	}
 	return &Index{bands: bands, rows: rows, tables: t, sigs: make(map[int]Signature)}
-}
-
-// Threshold returns the approximate Jaccard similarity at which the
-// probability of becoming a candidate pair is 50%.
-func (ix *Index) Threshold() float64 {
-	return math.Pow(1/float64(ix.bands), 1/float64(ix.rows))
 }
 
 // bandKey mixes the band's rows into one uint64 with an FNV-1a-style fold

@@ -15,10 +15,22 @@ func setOf(xs ...uint64) map[uint64]struct{} {
 	return s
 }
 
+// sign computes the MinHash signature of a set of uint64 elements.
+func sign(h *Hasher, set map[uint64]struct{}) Signature {
+	sig := make(Signature, len(h.a))
+	for i := range sig {
+		sig[i] = math.MaxUint64
+	}
+	for x := range set {
+		h.fold(sig, x)
+	}
+	return sig
+}
+
 func TestIdenticalSetsIdenticalSignatures(t *testing.T) {
 	h := NewHasher(64, 1)
-	a := h.Sign(setOf(1, 2, 3, 4, 5))
-	b := h.Sign(setOf(5, 4, 3, 2, 1))
+	a := sign(h, setOf(1, 2, 3, 4, 5))
+	b := sign(h, setOf(5, 4, 3, 2, 1))
 	if EstimateJaccard(a, b) != 1 {
 		t.Fatal("identical sets must produce identical signatures")
 	}
@@ -26,8 +38,8 @@ func TestIdenticalSetsIdenticalSignatures(t *testing.T) {
 
 func TestDisjointSetsLowSimilarity(t *testing.T) {
 	h := NewHasher(256, 2)
-	a := h.Sign(setOf(1, 2, 3, 4, 5, 6, 7, 8))
-	b := h.Sign(setOf(100, 200, 300, 400, 500, 600, 700, 800))
+	a := sign(h, setOf(1, 2, 3, 4, 5, 6, 7, 8))
+	b := sign(h, setOf(100, 200, 300, 400, 500, 600, 700, 800))
 	if sim := EstimateJaccard(a, b); sim > 0.1 {
 		t.Fatalf("disjoint sets estimated at %g", sim)
 	}
@@ -44,7 +56,7 @@ func TestJaccardEstimateAccuracy(t *testing.T) {
 	for i := uint64(50); i < 150; i++ {
 		b[i] = struct{}{}
 	}
-	got := EstimateJaccard(h.Sign(a), h.Sign(b))
+	got := EstimateJaccard(sign(h, a), sign(h, b))
 	if math.Abs(got-1.0/3.0) > 0.08 {
 		t.Fatalf("Jaccard estimate %g, want ~0.333", got)
 	}
@@ -65,7 +77,7 @@ func TestJaccardEstimateProperty(t *testing.T) {
 			b[uint64(i)] = struct{}{}
 		}
 		truth := float64(overlap) / float64(2*n-overlap)
-		got := EstimateJaccard(h.Sign(a), h.Sign(b))
+		got := EstimateJaccard(sign(h, a), sign(h, b))
 		return math.Abs(got-truth) < 0.15
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 25}); err != nil {
@@ -103,14 +115,14 @@ func TestIndexFindsSimilar(t *testing.T) {
 	for i := uint64(0); i < 200; i++ {
 		base[i] = struct{}{}
 	}
-	ix.Insert(1, h.Sign(base))
+	ix.Insert(1, sign(h, base))
 
 	// 90% overlapping set: must be found.
 	near := make(map[uint64]struct{})
 	for i := uint64(20); i < 220; i++ {
 		near[i] = struct{}{}
 	}
-	id, sim, ok := ix.QueryBest(h.Sign(near), 0.4)
+	id, sim, ok := ix.QueryBest(sign(h, near), 0.4)
 	if !ok || id != 1 {
 		t.Fatalf("near-duplicate not found: ok=%v id=%d sim=%g", ok, id, sim)
 	}
@@ -120,7 +132,7 @@ func TestIndexFindsSimilar(t *testing.T) {
 	for i := uint64(10000); i < 10200; i++ {
 		far[i] = struct{}{}
 	}
-	if _, _, ok := ix.QueryBest(h.Sign(far), 0.4); ok {
+	if _, _, ok := ix.QueryBest(sign(h, far), 0.4); ok {
 		t.Fatal("disjoint set matched")
 	}
 }
@@ -133,7 +145,7 @@ func TestIndexMultipleCandidatesPicksBest(t *testing.T) {
 		for i := lo; i < hi; i++ {
 			s[i] = struct{}{}
 		}
-		return h.Sign(s)
+		return sign(h, s)
 	}
 	ix.Insert(1, mk(0, 100)) // ~67% similar to query
 	ix.Insert(2, mk(0, 80))  // 80% similar to query (subset)
@@ -144,14 +156,6 @@ func TestIndexMultipleCandidatesPicksBest(t *testing.T) {
 	}
 	if ix.Len() != 2 {
 		t.Fatalf("Len=%d", ix.Len())
-	}
-}
-
-func TestThreshold(t *testing.T) {
-	ix := NewIndex(32, 4)
-	want := math.Pow(1.0/32.0, 0.25)
-	if math.Abs(ix.Threshold()-want) > 1e-12 {
-		t.Fatalf("threshold %g want %g", ix.Threshold(), want)
 	}
 }
 

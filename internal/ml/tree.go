@@ -214,6 +214,3 @@ func (t *Tree) PredictRow(row []float32) float64 {
 		}
 	}
 }
-
-// NumNodes returns the node count (for tests and model stats).
-func (t *Tree) NumNodes() int { return len(t.nodes) }

@@ -147,7 +147,7 @@ func (m *Manager) install(key Key, e *entry, idx *Index) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.entries[key] != e {
-		// An Invalidate or an eviction raced this build and detached the
+		// An InvalidateModel or an eviction raced this build and detached the
 		// slot (a heal re-materialized the column mid-fetch, say). The
 		// caller still gets idx for this probe, but caching it would leak
 		// its bytes out of the eviction loop's reach — let the next probe
@@ -189,18 +189,6 @@ func (m *Manager) dropLocked(key Key, e *entry) {
 	delete(m.entries, key)
 }
 
-// Invalidate drops a column's index. Call after any operation that
-// re-materializes the column (heal, re-log); even without it the signature
-// check would reject the stale copy.
-func (m *Manager) Invalidate(key Key) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if e, ok := m.entries[key]; ok {
-		m.dropLocked(key, e)
-		m.bytesGauge.Set(m.bytes)
-	}
-}
-
 // InvalidateModel drops every index of a model.
 func (m *Manager) InvalidateModel(model string) {
 	m.mu.Lock()
@@ -211,13 +199,6 @@ func (m *Manager) InvalidateModel(model string) {
 		}
 	}
 	m.bytesGauge.Set(m.bytes)
-}
-
-// ResidentBytes reports the bytes of in-memory indexes (for tests).
-func (m *Manager) ResidentBytes() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.bytes
 }
 
 // TopK probes the column's index for its k highest-activation rows,

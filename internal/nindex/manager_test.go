@@ -105,7 +105,7 @@ func TestManagerEvictsLRUUnderBudget(t *testing.T) {
 	if counterVal(reg, "mistique_index_evictions_total") == 0 {
 		t.Fatal("budget never evicted")
 	}
-	if got := m.ResidentBytes(); got > 2*one.Bytes()+one.Bytes()/2 {
+	if got := resident(m); got > 2*one.Bytes()+one.Bytes()/2 {
 		t.Fatalf("resident %d over budget", got)
 	}
 	// The evicted index is rebuilt from the column on its next probe.
@@ -160,6 +160,13 @@ func TestManagerEvictionDeletesSlots(t *testing.T) {
 	}
 }
 
+// resident reports the bytes of the manager's in-memory indexes.
+func resident(m *Manager) int64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.bytes
+}
+
 func TestManagerInvalidate(t *testing.T) {
 	m, reg := managerForTest(t)
 	col := testColumn(50, 5)
@@ -170,13 +177,13 @@ func TestManagerInvalidate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	both := m.ResidentBytes()
-	m.Invalidate(ka)
-	if got := m.ResidentBytes(); got <= 0 || got >= both {
-		t.Fatalf("resident %d after Invalidate, want only the other model's index of %d", got, both)
+	both := resident(m)
+	m.InvalidateModel("m1")
+	if got := resident(m); got <= 0 || got >= both {
+		t.Fatalf("resident %d after invalidating m1, want only the other model's index of %d", got, both)
 	}
 	m.InvalidateModel("m2")
-	if m.ResidentBytes() != 0 {
+	if resident(m) != 0 {
 		t.Fatal("InvalidateModel left resident bytes")
 	}
 	if got := reg.Snapshot().Gauges["mistique_index_bytes"]; got != 0 {

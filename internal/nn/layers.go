@@ -36,8 +36,6 @@ type Layer interface {
 	Backward(grad *tensor.T4) *tensor.T4
 	// Params returns trainable parameters (nil for activation layers).
 	Params() []*Param
-	// OutShape maps an input (c, h, w) to the output shape.
-	OutShape(c, h, w int) (int, int, int)
 }
 
 // ---- Conv2D ----
@@ -71,8 +69,6 @@ func (c *Conv2D) Params() []*Param {
 	}
 	return []*Param{c.Weight, c.Bias}
 }
-
-func (c *Conv2D) OutShape(_, h, w int) (int, int, int) { return c.OutC, h, w }
 
 // wAt indexes the weight tensor [outC][inC][k][k].
 func (c *Conv2D) wAt(oc, ic, ky, kx int) int {
@@ -183,10 +179,8 @@ type ReLU struct {
 // NewReLU creates a ReLU layer.
 func NewReLU(name string) *ReLU { return &ReLU{name: name} }
 
-func (r *ReLU) Name() string                         { return r.name }
-func (r *ReLU) Params() []*Param                     { return nil }
-func (r *ReLU) OutShape(c, h, w int) (int, int, int) { return c, h, w }
-
+func (r *ReLU) Name() string     { return r.name }
+func (r *ReLU) Params() []*Param { return nil }
 func (r *ReLU) Forward(x *tensor.T4) *tensor.T4 {
 	r.lastIn = x
 	out := tensor.NewT4(x.N, x.C, x.H, x.W)
@@ -220,10 +214,8 @@ type MaxPool struct {
 // NewMaxPool creates a 2x2 max pooling layer.
 func NewMaxPool(name string) *MaxPool { return &MaxPool{name: name} }
 
-func (m *MaxPool) Name() string                         { return m.name }
-func (m *MaxPool) Params() []*Param                     { return nil }
-func (m *MaxPool) OutShape(c, h, w int) (int, int, int) { return c, h / 2, w / 2 }
-
+func (m *MaxPool) Name() string     { return m.name }
+func (m *MaxPool) Params() []*Param { return nil }
 func (m *MaxPool) Forward(x *tensor.T4) *tensor.T4 {
 	oh, ow := x.H/2, x.W/2
 	out := tensor.NewT4(x.N, x.C, oh, ow)
@@ -275,10 +267,8 @@ type Flatten struct {
 // NewFlatten creates a flatten layer.
 func NewFlatten(name string) *Flatten { return &Flatten{name: name} }
 
-func (f *Flatten) Name() string                         { return f.name }
-func (f *Flatten) Params() []*Param                     { return nil }
-func (f *Flatten) OutShape(c, h, w int) (int, int, int) { return c * h * w, 1, 1 }
-
+func (f *Flatten) Name() string     { return f.name }
+func (f *Flatten) Params() []*Param { return nil }
 func (f *Flatten) Forward(x *tensor.T4) *tensor.T4 {
 	f.inShape = [4]int{x.N, x.C, x.H, x.W}
 	out := tensor.NewT4(x.N, x.C*x.H*x.W, 1, 1)
@@ -322,8 +312,6 @@ func (d *Dense) Params() []*Param {
 	}
 	return []*Param{d.Weight, d.Bias}
 }
-
-func (d *Dense) OutShape(_, _, _ int) (int, int, int) { return d.Out, 1, 1 }
 
 func (d *Dense) Forward(x *tensor.T4) *tensor.T4 {
 	if x.C != d.In || x.H != 1 || x.W != 1 {
@@ -382,62 +370,4 @@ func maxInt(a, b int) int {
 		return a
 	}
 	return b
-}
-
-// ---- Dropout ----
-
-// Dropout zeroes a random fraction of activations during training and
-// scales the survivors by 1/(1-p) (inverted dropout), acting as identity
-// at inference. The canonical VGG16 head uses p=0.5. Toggle with
-// Network.SetTraining; layers default to inference mode so logged
-// intermediates are deterministic.
-type Dropout struct {
-	name     string
-	P        float32
-	training bool
-	rng      *rand.Rand
-	mask     []bool
-}
-
-// NewDropout creates a dropout layer with drop probability p in [0, 1).
-func NewDropout(name string, p float32, seed int64) *Dropout {
-	if p < 0 || p >= 1 {
-		panic(fmt.Sprintf("nn: dropout p %v out of [0,1)", p))
-	}
-	return &Dropout{name: name, P: p, rng: rand.New(rand.NewSource(seed))}
-}
-
-func (d *Dropout) Name() string                         { return d.name }
-func (d *Dropout) Params() []*Param                     { return nil }
-func (d *Dropout) OutShape(c, h, w int) (int, int, int) { return c, h, w }
-
-func (d *Dropout) Forward(x *tensor.T4) *tensor.T4 {
-	if !d.training || d.P == 0 {
-		d.mask = nil
-		return x
-	}
-	out := tensor.NewT4(x.N, x.C, x.H, x.W)
-	d.mask = make([]bool, len(x.Data))
-	scale := 1 / (1 - d.P)
-	for i, v := range x.Data {
-		if d.rng.Float32() >= d.P {
-			d.mask[i] = true
-			out.Data[i] = v * scale
-		}
-	}
-	return out
-}
-
-func (d *Dropout) Backward(grad *tensor.T4) *tensor.T4 {
-	if d.mask == nil {
-		return grad
-	}
-	dx := tensor.NewT4(grad.N, grad.C, grad.H, grad.W)
-	scale := 1 / (1 - d.P)
-	for i, keep := range d.mask {
-		if keep {
-			dx.Data[i] = grad.Data[i] * scale
-		}
-	}
-	return dx
 }

@@ -76,15 +76,6 @@ func (n *Network) ForwardBatched(x *tensor.T4, upTo, batch int) *tensor.T4 {
 	return out
 }
 
-// OutputShape returns the (c, h, w) shape of layer i's output.
-func (n *Network) OutputShape(i int) (c, h, w int) {
-	c, h, w = n.InC, n.InH, n.InW
-	for j := 0; j <= i; j++ {
-		c, h, w = n.Layers[j].OutShape(c, h, w)
-	}
-	return c, h, w
-}
-
 // Params returns all trainable (unfrozen) parameters. Parameters shared by
 // multiple layers (e.g. the weights of unrolled RNN steps) appear exactly
 // once, so SGD applies each gradient a single time.
@@ -345,8 +336,6 @@ func (n *Network) TrainEpochs(x *tensor.T4, labels []int, epochs, batch int, lr 
 	if batch <= 0 {
 		batch = 32
 	}
-	n.SetTraining(true)
-	defer n.SetTraining(false)
 	for e := 0; e < epochs; e++ {
 		var total float64
 		steps := 0
@@ -360,17 +349,6 @@ func (n *Network) TrainEpochs(x *tensor.T4, labels []int, epochs, batch int, lr 
 		}
 		if onEpoch != nil {
 			onEpoch(e, total/float64(maxInt(steps, 1)))
-		}
-	}
-}
-
-// SetTraining switches train-time-only layers (Dropout) between training
-// and inference behaviour. TrainEpochs toggles this automatically; logging
-// and queries always see inference mode.
-func (n *Network) SetTraining(on bool) {
-	for _, l := range n.Layers {
-		if d, ok := l.(*Dropout); ok {
-			d.training = on
 		}
 	}
 }

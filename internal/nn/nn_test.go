@@ -191,9 +191,16 @@ func TestFlattenRoundTrip(t *testing.T) {
 	}
 }
 
+// outShape runs a 1-row input through layers 0..i and returns the
+// (c, h, w) shape of layer i's output.
+func outShape(n *Network, i int) (c, h, w int) {
+	y := n.Forward(randT4(1, n.InC, n.InH, n.InW, 1), i)
+	return y.C, y.H, y.W
+}
+
 func TestNetworkShapes(t *testing.T) {
 	n := SimpleCNN("cnn", 10, 1)
-	c, h, w := n.OutputShape(n.NumLayers() - 1)
+	c, h, w := outShape(n, n.NumLayers()-1)
 	if c != 10 || h != 1 || w != 1 {
 		t.Fatalf("output shape %d,%d,%d", c, h, w)
 	}
@@ -202,7 +209,7 @@ func TestNetworkShapes(t *testing.T) {
 	if v.NumLayers() != 35 {
 		t.Fatalf("vgg layers %d", v.NumLayers())
 	}
-	c, h, w = v.OutputShape(v.NumLayers() - 1)
+	c, h, w = outShape(v, v.NumLayers()-1)
 	if c != 10 || h != 1 || w != 1 {
 		t.Fatalf("vgg output %d,%d,%d", c, h, w)
 	}
@@ -346,61 +353,4 @@ func BenchmarkVGGForward8(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		n.Forward(x, n.NumLayers()-1)
 	}
-}
-
-func TestDropout(t *testing.T) {
-	d := NewDropout("drop", 0.5, 1)
-	x := randT4(4, 8, 2, 2, 40)
-
-	// Inference mode: identity.
-	if y := d.Forward(x); y != x {
-		t.Fatal("inference dropout not identity")
-	}
-
-	// Training mode: some units zeroed, survivors scaled by 2.
-	d.training = true
-	y := d.Forward(x)
-	zeros, scaled := 0, 0
-	for i, v := range y.Data {
-		switch {
-		case v == 0 && x.Data[i] != 0:
-			zeros++
-		case x.Data[i] != 0:
-			if math.Abs(float64(v-2*x.Data[i])) > 1e-6 {
-				t.Fatalf("survivor %d not scaled: %v vs %v", i, v, x.Data[i])
-			}
-			scaled++
-		}
-	}
-	if zeros == 0 || scaled == 0 {
-		t.Fatalf("dropout degenerate: %d zeroed, %d kept", zeros, scaled)
-	}
-	// Backward routes gradients through the same mask.
-	g := y.Clone()
-	for i := range g.Data {
-		g.Data[i] = 1
-	}
-	dx := d.Backward(g)
-	for i, v := range y.Data {
-		if v == 0 && dx.Data[i] != 0 {
-			t.Fatal("gradient leaked through dropped unit")
-		}
-		if v != 0 && dx.Data[i] != 2 {
-			t.Fatalf("kept-unit gradient %v, want 2", dx.Data[i])
-		}
-	}
-
-	// SetTraining toggles via the network.
-	n := &Network{Name: "d", InC: 8, InH: 2, InW: 2, Layers: []Layer{d}}
-	n.SetTraining(false)
-	if z := n.Forward(x, 0); z != x {
-		t.Fatal("SetTraining(false) did not restore identity")
-	}
-	// Invalid p panics.
-	defer func() {
-		if recover() == nil {
-			t.Fatal("p=1 accepted")
-		}
-	}()
-	NewDropout("bad", 1, 1)
 }

@@ -50,8 +50,6 @@ func (r *RNNStep) Params() []*Param {
 	return []*Param{r.Wx, r.Wh, r.B}
 }
 
-func (r *RNNStep) OutShape(c, h, w int) (int, int, int) { return c, h, w }
-
 func (r *RNNStep) width() int { return r.SeqLen*r.InputDim + r.Hidden }
 
 // Forward computes h_t = tanh(Wx x_t + Wh h_{t-1} + b) and rewrites the
@@ -144,10 +142,8 @@ func NewPadHidden(name string, hidden int) *PadHidden {
 	return &PadHidden{name: name, Hidden: hidden}
 }
 
-func (p *PadHidden) Name() string                         { return p.name }
-func (p *PadHidden) Params() []*Param                     { return nil }
-func (p *PadHidden) OutShape(c, h, w int) (int, int, int) { return c + p.Hidden, h, w }
-
+func (p *PadHidden) Name() string     { return p.name }
+func (p *PadHidden) Params() []*Param { return nil }
 func (p *PadHidden) Forward(x *tensor.T4) *tensor.T4 {
 	p.inC = x.C
 	out := tensor.NewT4(x.N, x.C+p.Hidden, 1, 1)
@@ -177,10 +173,8 @@ func NewTakeHidden(name string, hidden int) *TakeHidden {
 	return &TakeHidden{name: name, Hidden: hidden}
 }
 
-func (t *TakeHidden) Name() string                         { return t.name }
-func (t *TakeHidden) Params() []*Param                     { return nil }
-func (t *TakeHidden) OutShape(_, h, w int) (int, int, int) { return t.Hidden, h, w }
-
+func (t *TakeHidden) Name() string     { return t.name }
+func (t *TakeHidden) Params() []*Param { return nil }
 func (t *TakeHidden) Forward(x *tensor.T4) *tensor.T4 {
 	t.inC = x.C
 	out := tensor.NewT4(x.N, t.Hidden, 1, 1)

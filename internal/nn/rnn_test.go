@@ -14,12 +14,12 @@ func TestRNNShapes(t *testing.T) {
 	if n.NumLayers() != 9 {
 		t.Fatalf("layers %d", n.NumLayers())
 	}
-	c, h, w := n.OutputShape(n.NumLayers() - 1)
+	c, h, w := outShape(n, n.NumLayers()-1)
 	if c != 4 || h != 1 || w != 1 {
 		t.Fatalf("output shape %d,%d,%d", c, h, w)
 	}
 	// Step outputs carry the sequence plus hidden state.
-	c, _, _ = n.OutputShape(1)
+	c, _, _ = outShape(n, 1)
 	if c != 6*3+8 {
 		t.Fatalf("step output width %d", c)
 	}

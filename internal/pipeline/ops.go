@@ -61,16 +61,6 @@ var opRegistry = map[string]opFactory{
 	"select_k_best":        newSelectKBest,
 }
 
-// Ops returns the registered op names (sorted), for diagnostics.
-func Ops() []string {
-	out := make([]string, 0, len(opRegistry))
-	for k := range opRegistry {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // ---- param helpers ----
 
 func pStr(params map[string]any, key string) (string, error) {

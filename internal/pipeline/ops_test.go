@@ -117,12 +117,11 @@ func TestTrainLGBMOpParams(t *testing.T) {
 func TestPipelineIntrospection(t *testing.T) {
 	spec, _ := SpecFromYAML(sampleSpec)
 	p, _ := New(spec)
-	if p.NumStages() != 7 {
-		t.Fatalf("stages %d", p.NumStages())
+	if len(p.stages) != 7 {
+		t.Fatalf("stages %d", len(p.stages))
 	}
-	names := p.StageNames()
-	if names[0] != "props" || names[6] != "pred_test" {
-		t.Fatalf("names %v", names)
+	if first, last := p.stages[0].spec.Name, p.stages[6].spec.Name; first != "props" || last != "pred_test" {
+		t.Fatalf("stages run %s .. %s", first, last)
 	}
 }
 

@@ -100,18 +100,6 @@ func (p *Pipeline) resolvePredictor(stageName string) (predictor, error) {
 	return nil, fmt.Errorf("pipeline %s: no stage %q", p.Name, stageName)
 }
 
-// NumStages returns the stage count.
-func (p *Pipeline) NumStages() int { return len(p.stages) }
-
-// StageNames returns stage names in execution order.
-func (p *Pipeline) StageNames() []string {
-	out := make([]string, len(p.stages))
-	for i, s := range p.stages {
-		out[i] = s.spec.Name
-	}
-	return out
-}
-
 // Bind attaches environment tables to the pipeline's read_table stages and
 // optionally caps the rows they emit (limit <= 0 means all rows; caps are
 // how scaled re-runs model n_ex < TOTAL_EXAMPLES).
@@ -162,17 +150,6 @@ func (r *RunResult) Intermediate(name string) *frame.Frame {
 		}
 	}
 	return nil
-}
-
-// IntermediateNames lists all produced intermediates in order.
-func (r *RunResult) IntermediateNames() []string {
-	var out []string
-	for _, s := range r.Stages {
-		for _, o := range s.Outputs {
-			out = append(out, o.Name)
-		}
-	}
-	return out
 }
 
 // Run executes the full pipeline. The first Run fits transformer state;

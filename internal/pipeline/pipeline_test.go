@@ -31,6 +31,17 @@ func buildDemo(t *testing.T) *Pipeline {
 	return p
 }
 
+// intermediateNames lists every intermediate a run produced, in order.
+func intermediateNames(r *RunResult) []string {
+	var out []string
+	for _, s := range r.Stages {
+		for _, o := range s.Outputs {
+			out = append(out, o.Name)
+		}
+	}
+	return out
+}
+
 func TestPipelineEndToEnd(t *testing.T) {
 	p := buildDemo(t)
 	if err := p.Bind(env(t), 0); err != nil {
@@ -44,7 +55,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 		t.Fatalf("stages %d", len(res.Stages))
 	}
 	// Intermediates all present.
-	names := res.IntermediateNames()
+	names := intermediateNames(res)
 	want := []string{"props", "sales", "joined", "filled", "train_split", "test_split", "model", "pred_test"}
 	if len(names) != len(want) {
 		t.Fatalf("intermediates %v", names)
@@ -118,7 +129,7 @@ func TestPipelineRunToPartial(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(res.Stages) != 3 || res.Intermediate("joined") == nil {
-		t.Fatalf("partial run: %v", res.IntermediateNames())
+		t.Fatalf("partial run: %v", intermediateNames(res))
 	}
 	if _, err := p.RunTo(99); err == nil {
 		t.Fatal("out of range RunTo accepted")
@@ -255,17 +266,10 @@ stages:
 }
 
 func TestOpsRegistryList(t *testing.T) {
-	ops := Ops()
-	if len(ops) < 15 {
-		t.Fatalf("registry has only %d ops", len(ops))
+	if len(opRegistry) < 15 {
+		t.Fatalf("registry has only %d ops", len(opRegistry))
 	}
-	found := false
-	for _, o := range ops {
-		if o == "train_lgbm" {
-			found = true
-		}
-	}
-	if !found {
+	if _, ok := opRegistry["train_lgbm"]; !ok {
 		t.Fatal("train_lgbm missing from registry")
 	}
 }

@@ -34,13 +34,18 @@ func TestFullRoundTrip(t *testing.T) {
 	}
 }
 
+// f16Round returns f rounded to the nearest float16, as a float32.
+func f16Round(f float32) float32 {
+	return f16.DecodeBytes(nil, f16.AppendBytes(nil, []float32{f}), 1)[0]
+}
+
 func TestLPRoundTrip(t *testing.T) {
 	q := NewLP()
 	vals := randVals(100, 2)
 	got := q.Apply(vals)
 	for i := range vals {
-		if got[i] != f16.Round(vals[i]) {
-			t.Fatalf("LP[%d]: %v != %v", i, got[i], f16.Round(vals[i]))
+		if got[i] != f16Round(vals[i]) {
+			t.Fatalf("LP[%d]: %v != %v", i, got[i], f16Round(vals[i]))
 		}
 	}
 	if q.BitsPerValue() != 16 || q.EncodedLen(10) != 20 {

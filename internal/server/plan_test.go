@@ -141,8 +141,8 @@ func TestMalformedTargetsOverHTTP(t *testing.T) {
 // the old hand-derived choice said RERUN for a model that cannot re-run).
 func TestEstimateAgreesWithQuery(t *testing.T) {
 	ctx := context.Background()
-	_, c := newService(t, mistique.Config{}, Config{})
-	_, lazy := newService(t, mistique.Config{Gamma: 1e12}, Config{})
+	_, c, _ := newService(t, mistique.Config{}, Config{})
+	_, lazy, _ := newService(t, mistique.Config{Gamma: 1e12}, Config{})
 	ssys, _, ts := newStreamService(t, Config{})
 	ingestLive(t, ssys, 300)
 	if err := ssys.Flush(); err != nil {

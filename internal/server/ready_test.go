@@ -46,7 +46,7 @@ func TestReadinessEndpoint(t *testing.T) {
 	}
 
 	// Liveness is untouched: /healthz still answers its own shape.
-	h, err := c.Health(ctx)
+	h, err := health(ctx, ts.URL)
 	if err != nil || h.Status != "ok" {
 		t.Fatalf("health = %+v, %v", h, err)
 	}
@@ -69,7 +69,7 @@ func TestReadinessEndpoint(t *testing.T) {
 	if resp.InFlight != 1 || resp.MaxInFlight != 1 {
 		t.Fatalf("window = %d/%d", resp.InFlight, resp.MaxInFlight)
 	}
-	if h, err := c.Health(ctx); err != nil || h.Status != "ok" {
+	if h, err := health(ctx, ts.URL); err != nil || h.Status != "ok" {
 		t.Fatalf("liveness flipped with readiness: %+v, %v", h, err)
 	}
 
@@ -106,7 +106,7 @@ func TestReadinessEndpoint(t *testing.T) {
 // global row offsets that splice exactly into the full answer — the
 // property scatter-gather correctness rests on.
 func TestRangeQueries(t *testing.T) {
-	sys, c := newService(t, mistique.Config{}, Config{})
+	sys, c, _ := newService(t, mistique.Config{}, Config{})
 	ctx := context.Background()
 
 	full, err := c.FilterRows(ctx, "demo", "joined", "logerror", "gt", 0)

@@ -374,15 +374,6 @@ func (s *Server) Serve(ln net.Listener) error {
 	return nil
 }
 
-// ListenAndServe listens on addr and calls Serve.
-func (s *Server) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
-}
-
 // Shutdown drains the service: it stops accepting new connections, waits
 // for in-flight requests to complete (bounded by ctx), then closes the
 // System — flushing every dirty partition and the catalog — so no logged

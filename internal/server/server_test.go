@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -8,6 +9,8 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"syscall"
@@ -90,8 +93,9 @@ func logPipeline(t *testing.T, sys *mistique.System, spec string) {
 	}
 }
 
-// newService stands up a System + Server + httptest listener + client.
-func newService(t *testing.T, mcfg mistique.Config, scfg Config) (*mistique.System, *client.Client) {
+// newService stands up a System + Server + httptest listener + client,
+// and returns the listener's base URL for routes no client method calls.
+func newService(t *testing.T, mcfg mistique.Config, scfg Config) (*mistique.System, *client.Client, string) {
 	t.Helper()
 	sys := newSys(t, mcfg)
 	srv := New(sys, scfg)
@@ -101,11 +105,80 @@ func newService(t *testing.T, mcfg mistique.Config, scfg Config) (*mistique.Syst
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sys, c
+	return sys, c, ts.URL
+}
+
+// call sends one request to a route no client method covers: body, if
+// not nil, goes out as JSON and a 2xx answer decodes into out. A 429 is
+// retried until ctx ends, as the client does; any other status is a
+// *client.APIError.
+func call(ctx context.Context, base, method, path string, body, out any) error {
+	var payload []byte
+	if body != nil {
+		var err error
+		if payload, err = json.Marshal(body); err != nil {
+			return err
+		}
+	}
+	for {
+		req, err := http.NewRequestWithContext(ctx, method, base+path, bytes.NewReader(payload))
+		if err != nil {
+			return err
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			return err
+		}
+		b, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			return err
+		}
+		switch {
+		case resp.StatusCode == http.StatusTooManyRequests:
+			select {
+			case <-ctx.Done():
+				return ctx.Err()
+			case <-time.After(5 * time.Millisecond):
+			}
+			continue
+		case resp.StatusCode/100 != 2:
+			var env client.ErrorEnvelope
+			json.Unmarshal(b, &env)
+			return &client.APIError{Status: resp.StatusCode, Message: env.Error.Message}
+		}
+		return json.Unmarshal(b, out)
+	}
+}
+
+// getColumn reads the first n values of one column through the column route.
+func getColumn(ctx context.Context, base, model, interm, column string, n int) ([]float32, error) {
+	var out client.ColumnResponse
+	path := "/api/v1/models/" + url.PathEscape(model) + "/intermediates/" + url.PathEscape(interm) +
+		"/columns/" + url.PathEscape(column) + "?n=" + strconv.Itoa(n)
+	if err := call(ctx, base, http.MethodGet, path, nil, &out); err != nil {
+		return nil, err
+	}
+	return client.Floats(out.Values), nil
+}
+
+// health probes liveness through /healthz.
+func health(ctx context.Context, base string) (*client.HealthResponse, error) {
+	var out client.HealthResponse
+	if err := call(ctx, base, http.MethodGet, "/healthz", nil, &out); err != nil {
+		return nil, err
+	}
+	return &out, nil
+}
+
+// isNotFound reports whether err is a 404 from the server.
+func isNotFound(err error) bool {
+	var ae *client.APIError
+	return errors.As(err, &ae) && ae.Status == http.StatusNotFound
 }
 
 func TestCatalogEndpoints(t *testing.T) {
-	sys, c := newService(t, mistique.Config{}, Config{})
+	sys, c, _ := newService(t, mistique.Config{}, Config{})
 	ctx := context.Background()
 
 	models, err := c.Models(ctx)
@@ -140,7 +213,7 @@ func TestCatalogEndpoints(t *testing.T) {
 // TestQueryParity checks that every data-bearing endpoint returns exactly
 // what direct System calls on the same store return.
 func TestQueryParity(t *testing.T) {
-	sys, c := newService(t, mistique.Config{}, Config{})
+	sys, c, base := newService(t, mistique.Config{}, Config{})
 	ctx := context.Background()
 	cols := []string{"logerror", "finishedsquarefeet"}
 
@@ -190,14 +263,15 @@ func TestQueryParity(t *testing.T) {
 	}
 
 	// Column endpoint.
-	vals, err := c.GetColumn(ctx, "demo", "joined", "logerror", 64)
+	vals, err := getColumn(ctx, base, "demo", "joined", "logerror", 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dvals, err := sys.GetColumn("demo", "joined", "logerror", 64)
+	direct, err = sys.GetIntermediate("demo", "joined", []string{"logerror"}, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
+	dvals := direct.Data.Col(0)
 	if len(vals) != len(dvals) {
 		t.Fatalf("column lengths %d vs %d", len(vals), len(dvals))
 	}
@@ -263,7 +337,7 @@ func TestQueryParity(t *testing.T) {
 }
 
 func TestOpsEndpoints(t *testing.T) {
-	sys, c := newService(t, mistique.Config{}, Config{})
+	sys, c, base := newService(t, mistique.Config{}, Config{})
 	ctx := context.Background()
 
 	if _, err := c.GetIntermediate(ctx, "demo", "joined", nil, 10); err != nil {
@@ -286,7 +360,7 @@ func TestOpsEndpoints(t *testing.T) {
 		t.Fatal("request latency histogram missing")
 	}
 
-	h, err := c.Health(ctx)
+	h, err := health(ctx, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +447,7 @@ func TestErrorEnvelopes(t *testing.T) {
 	// An unknown catalog entry → 404, surfaced as APIError. (What every
 	// query route does with a malformed target is
 	// TestMalformedTargetsOverHTTP's table.)
-	if _, err := c.Model(ctx, "nope"); !client.IsNotFound(err) {
+	if _, err := c.Model(ctx, "nope"); !isNotFound(err) {
 		t.Fatalf("unknown model err = %v", err)
 	}
 
@@ -519,7 +593,7 @@ func TestClientRetries5xx(t *testing.T) {
 	}))
 	defer flaky.Close()
 
-	c, err := client.New(flaky.URL, client.WithMaxRetries(3), client.WithBackoff(time.Millisecond))
+	c, err := client.New(flaky.URL, client.WithMaxRetries(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -540,7 +614,7 @@ func TestClientRetries5xx(t *testing.T) {
 		json.NewEncoder(w).Encode(client.ErrorEnvelope{Error: client.ErrorBody{Status: 400, Message: "nope"}})
 	}))
 	defer bad.Close()
-	c2, _ := client.New(bad.URL, client.WithMaxRetries(3), client.WithBackoff(time.Millisecond))
+	c2, _ := client.New(bad.URL, client.WithMaxRetries(3))
 	var ae *client.APIError
 	if _, err := c2.Models(context.Background()); !errors.As(err, &ae) || ae.Status != 400 || calls != 1 {
 		t.Fatalf("err = %v after %d calls", err, calls)
@@ -553,7 +627,7 @@ func TestClientRetries5xx(t *testing.T) {
 		w.WriteHeader(503)
 	}))
 	defer down.Close()
-	c3, _ := client.New(down.URL, client.WithMaxRetries(2), client.WithBackoff(time.Millisecond))
+	c3, _ := client.New(down.URL, client.WithMaxRetries(2))
 	if _, err := c3.Models(context.Background()); !errors.As(err, &ae) || ae.Status != 503 || calls != 3 {
 		t.Fatalf("err = %v after %d calls", err, calls)
 	}
@@ -572,7 +646,7 @@ func TestENOSPCIs507(t *testing.T) {
 		h.ServeHTTP(w, r)
 	}))
 	defer ts.Close()
-	c, err := client.New(ts.URL, client.WithMaxRetries(3), client.WithBackoff(time.Millisecond))
+	c, err := client.New(ts.URL, client.WithMaxRetries(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -618,20 +692,20 @@ func TestClientRetries429(t *testing.T) {
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(client.HealthResponse{Status: "ok"})
+		json.NewEncoder(w).Encode(client.ModelsResponse{Models: []client.ModelInfo{{Name: "m"}}})
 	}))
 	defer srv.Close()
 
 	c, _ := client.New(srv.URL, client.WithMaxRetries(0), client.WithTimeout(5*time.Second))
-	h, err := c.Health(context.Background())
-	if err != nil || h.Status != "ok" {
-		t.Fatalf("health = %+v, %v (calls %d)", h, err, calls)
+	models, err := c.Models(context.Background())
+	if err != nil || len(models) != 1 {
+		t.Fatalf("models = %+v, %v (calls %d)", models, err, calls)
 	}
 	if calls != 4 {
 		t.Fatalf("calls = %d, want 4", calls)
 	}
 
-	// A deadline bounds the 429 loop and surfaces IsOverCapacity.
+	// A deadline bounds the 429 loop.
 	calls = 0
 	always := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		calls++
@@ -640,7 +714,7 @@ func TestClientRetries429(t *testing.T) {
 	}))
 	defer always.Close()
 	c2, _ := client.New(always.URL, client.WithTimeout(300*time.Millisecond))
-	_, err = c2.Health(context.Background())
+	_, err = c2.Models(context.Background())
 	if err == nil || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("saturated server err = %v", err)
 	}
@@ -650,7 +724,7 @@ func TestClientRetries429(t *testing.T) {
 // response must list newest-first with Parent links and the stored-bytes
 // accounting; an unknown model must 404.
 func TestLineageEndpoint(t *testing.T) {
-	sys, c := newService(t, mistique.Config{}, Config{})
+	sys, c, _ := newService(t, mistique.Config{}, Config{})
 	ctx := context.Background()
 
 	net := nn.SimpleCNN("cnn", 4, 1)
@@ -684,7 +758,7 @@ func TestLineageEndpoint(t *testing.T) {
 		t.Fatalf("accounting: head=%+v root=%+v", head, root)
 	}
 
-	if _, err := c.Lineage(ctx, "nope"); !client.IsNotFound(err) {
+	if _, err := c.Lineage(ctx, "nope"); !isNotFound(err) {
 		t.Fatalf("unknown model: %v", err)
 	}
 }

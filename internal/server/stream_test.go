@@ -94,8 +94,9 @@ func TestIngestAndApproxEndpoints(t *testing.T) {
 	}
 
 	// SampleRows: real row ids, ascending, true values.
-	sr, err := c.SampleRows(ctx, "live", "acts", nil, 50)
-	if err != nil {
+	var sr client.SampleRowsResponse
+	if err := call(ctx, ts.URL, http.MethodPost, "/api/v1/approx/rows",
+		client.SampleRowsRequest{Model: "live", Intermediate: "acts", MaxRows: 50}, &sr); err != nil {
 		t.Fatal(err)
 	}
 	if sr.Strategy != "SAMPLE" || len(sr.RowIDs) != 50 || sr.Rows != n {

@@ -64,7 +64,8 @@ func TestStressConcurrentClients(t *testing.T) {
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- srv.Serve(ln) }()
 
-	c, err := client.New("http://"+ln.Addr().String(), client.WithTimeout(2*time.Minute))
+	base := "http://" + ln.Addr().String()
+	c, err := client.New(base, client.WithTimeout(2*time.Minute))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,10 +76,11 @@ func TestStressConcurrentClients(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantCol, err := sys.GetColumn("demo", "joined", "logerror", 32)
+	wantRes, err := sys.GetIntermediate("demo", "joined", []string{"logerror"}, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
+	wantCol := wantRes.Data.Col(0)
 
 	const clients = 64
 	const iters = 5
@@ -126,7 +128,7 @@ func TestStressConcurrentClients(t *testing.T) {
 					}
 				case 4:
 					var vals []float32
-					vals, err = c.GetColumn(ctx, "demo", "joined", "logerror", 32)
+					vals, err = getColumn(ctx, base, "demo", "joined", "logerror", 32)
 					if err == nil {
 						if len(vals) != len(wantCol) {
 							err = fmt.Errorf("column returned %d values, want %d", len(vals), len(wantCol))

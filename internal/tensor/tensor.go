@@ -24,21 +24,6 @@ func NewDense(rows, cols int) *Dense {
 	return &Dense{Rows: rows, Cols: cols, Data: make([]float32, rows*cols)}
 }
 
-// FromRows builds a Dense from a slice of equal-length rows.
-func FromRows(rows [][]float32) *Dense {
-	if len(rows) == 0 {
-		return NewDense(0, 0)
-	}
-	d := NewDense(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != d.Cols {
-			panic(fmt.Sprintf("tensor: ragged row %d: %d != %d", i, len(r), d.Cols))
-		}
-		copy(d.Data[i*d.Cols:], r)
-	}
-	return d
-}
-
 // At returns the element at (i, j).
 func (d *Dense) At(i, j int) float32 { return d.Data[i*d.Cols+j] }
 
@@ -92,15 +77,6 @@ func (d *Dense) SliceRows(from, to int) *Dense {
 	return s
 }
 
-// SelectRows gathers the given row indices into a new matrix.
-func (d *Dense) SelectRows(idx []int) *Dense {
-	s := NewDense(len(idx), d.Cols)
-	for k, i := range idx {
-		copy(s.Row(k), d.Row(i))
-	}
-	return s
-}
-
 // SelectCols gathers the given column indices into a new matrix.
 func (d *Dense) SelectCols(idx []int) *Dense {
 	s := NewDense(d.Rows, len(idx))
@@ -114,92 +90,11 @@ func (d *Dense) SelectCols(idx []int) *Dense {
 	return s
 }
 
-// MatMul computes d * o and returns the product.
-func (d *Dense) MatMul(o *Dense) *Dense {
-	if d.Cols != o.Rows {
-		panic(fmt.Sprintf("tensor: matmul %dx%d * %dx%d", d.Rows, d.Cols, o.Rows, o.Cols))
-	}
-	out := NewDense(d.Rows, o.Cols)
-	// ikj loop order keeps the inner loop sequential over both operands.
-	for i := 0; i < d.Rows; i++ {
-		dRow := d.Row(i)
-		oRow := out.Row(i)
-		for k := 0; k < d.Cols; k++ {
-			a := dRow[k]
-			if a == 0 {
-				continue
-			}
-			bRow := o.Data[k*o.Cols : (k+1)*o.Cols]
-			for j, b := range bRow {
-				oRow[j] += a * b
-			}
-		}
-	}
-	return out
-}
-
-// Transpose returns a new transposed matrix.
-func (d *Dense) Transpose() *Dense {
-	t := NewDense(d.Cols, d.Rows)
-	for i := 0; i < d.Rows; i++ {
-		row := d.Row(i)
-		for j, v := range row {
-			t.Data[j*t.Cols+i] = v
-		}
-	}
-	return t
-}
-
-// AddRowVec adds vector v to every row in place (broadcast add, e.g. bias).
-func (d *Dense) AddRowVec(v []float32) {
-	if len(v) != d.Cols {
-		panic("tensor: AddRowVec length mismatch")
-	}
-	for i := 0; i < d.Rows; i++ {
-		row := d.Row(i)
-		for j := range row {
-			row[j] += v[j]
-		}
-	}
-}
-
 // Apply replaces every element x with f(x).
 func (d *Dense) Apply(f func(float32) float32) {
 	for i, v := range d.Data {
 		d.Data[i] = f(v)
 	}
-}
-
-// Equal reports whether the two matrices have identical shape and contents.
-func (d *Dense) Equal(o *Dense) bool {
-	if d.Rows != o.Rows || d.Cols != o.Cols {
-		return false
-	}
-	for i, v := range d.Data {
-		if v != o.Data[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// ColMean returns the per-column mean of the matrix.
-func (d *Dense) ColMean() []float32 {
-	mean := make([]float32, d.Cols)
-	if d.Rows == 0 {
-		return mean
-	}
-	for i := 0; i < d.Rows; i++ {
-		row := d.Row(i)
-		for j, v := range row {
-			mean[j] += v
-		}
-	}
-	inv := 1 / float32(d.Rows)
-	for j := range mean {
-		mean[j] *= inv
-	}
-	return mean
 }
 
 // T4 is a dense NCHW 4-D tensor: N examples, C channels, H x W spatial map.
@@ -246,14 +141,6 @@ func (t *T4) Clone() *T4 {
 // intermediates enter the column store: one column per (channel, y, x) cell.
 func (t *T4) Flatten() *Dense {
 	return &Dense{Rows: t.N, Cols: t.C * t.H * t.W, Data: t.Data}
-}
-
-// Reshape4 reinterprets a matrix of shape N x (C*H*W) as an NCHW tensor.
-func Reshape4(d *Dense, c, h, w int) *T4 {
-	if d.Cols != c*h*w {
-		panic(fmt.Sprintf("tensor: reshape %d cols into %dx%dx%d", d.Cols, c, h, w))
-	}
-	return &T4{N: d.Rows, C: c, H: h, W: w, Data: d.Data}
 }
 
 // SliceN returns examples [from, to) as a new tensor sharing no storage.

@@ -2,9 +2,8 @@ package tensor
 
 import (
 	"math"
-	"math/rand"
+	"slices"
 	"testing"
-	"testing/quick"
 )
 
 func TestDenseBasics(t *testing.T) {
@@ -22,87 +21,41 @@ func TestDenseBasics(t *testing.T) {
 	}
 }
 
+// fromRows builds a matrix from equal-length rows.
+func fromRows(rows [][]float32) *Dense {
+	d := NewDense(len(rows), len(rows[0]))
+	for i, r := range rows {
+		copy(d.Row(i), r)
+	}
+	return d
+}
+
+// equal reports whether two matrices have identical shape and contents.
+func equal(a, b *Dense) bool {
+	return a.Rows == b.Rows && a.Cols == b.Cols && slices.Equal(a.Data, b.Data)
+}
+
 func TestFromRowsAndClone(t *testing.T) {
-	d := FromRows([][]float32{{1, 2}, {3, 4}})
+	d := fromRows([][]float32{{1, 2}, {3, 4}})
 	c := d.Clone()
 	c.Set(0, 0, 99)
 	if d.At(0, 0) != 1 {
 		t.Fatal("Clone shares storage")
 	}
-	if !d.Equal(FromRows([][]float32{{1, 2}, {3, 4}})) {
-		t.Fatal("Equal broken")
-	}
-}
-
-func TestMatMul(t *testing.T) {
-	a := FromRows([][]float32{{1, 2}, {3, 4}})
-	b := FromRows([][]float32{{5, 6}, {7, 8}})
-	got := a.MatMul(b)
-	want := FromRows([][]float32{{19, 22}, {43, 50}})
-	if !got.Equal(want) {
-		t.Fatalf("got %v want %v", got.Data, want.Data)
-	}
-}
-
-func TestMatMulIdentityProperty(t *testing.T) {
-	prop := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(8)
-		m := 1 + rng.Intn(8)
-		a := NewDense(n, m)
-		for i := range a.Data {
-			a.Data[i] = rng.Float32()
-		}
-		id := NewDense(m, m)
-		for i := 0; i < m; i++ {
-			id.Set(i, i, 1)
-		}
-		return a.MatMul(id).Equal(a)
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestTransposeInvolution(t *testing.T) {
-	prop := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		a := NewDense(1+rng.Intn(10), 1+rng.Intn(10))
-		for i := range a.Data {
-			a.Data[i] = rng.Float32()
-		}
-		return a.Transpose().Transpose().Equal(a)
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Fatal(err)
+	if !equal(d, fromRows([][]float32{{1, 2}, {3, 4}})) {
+		t.Fatal("Clone changed the source")
 	}
 }
 
 func TestSelectRowsCols(t *testing.T) {
-	d := FromRows([][]float32{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}})
-	r := d.SelectRows([]int{2, 0})
-	if !r.Equal(FromRows([][]float32{{7, 8, 9}, {1, 2, 3}})) {
-		t.Fatalf("SelectRows: %v", r.Data)
-	}
+	d := fromRows([][]float32{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}})
 	c := d.SelectCols([]int{1})
-	if !c.Equal(FromRows([][]float32{{2}, {5}, {8}})) {
+	if !equal(c, fromRows([][]float32{{2}, {5}, {8}})) {
 		t.Fatalf("SelectCols: %v", c.Data)
 	}
 	s := d.SliceRows(1, 3)
 	if s.Rows != 2 || s.At(0, 0) != 4 {
 		t.Fatalf("SliceRows: %v", s.Data)
-	}
-}
-
-func TestColMeanAndAddRowVec(t *testing.T) {
-	d := FromRows([][]float32{{1, 2}, {3, 4}})
-	m := d.ColMean()
-	if m[0] != 2 || m[1] != 3 {
-		t.Fatalf("ColMean: %v", m)
-	}
-	d.AddRowVec([]float32{10, 20})
-	if d.At(0, 0) != 11 || d.At(1, 1) != 24 {
-		t.Fatalf("AddRowVec: %v", d.Data)
 	}
 }
 
@@ -119,10 +72,6 @@ func TestT4IndexingAndFlatten(t *testing.T) {
 	// element (1,2,3,4) lands at flat column 2*20+3*5+4 = 59
 	if f.At(1, 59) != 42 {
 		t.Fatal("Flatten layout mismatch")
-	}
-	back := Reshape4(f, 3, 4, 5)
-	if back.At(1, 2, 3, 4) != 42 {
-		t.Fatal("Reshape4 layout mismatch")
 	}
 }
 
@@ -155,23 +104,5 @@ func TestPanics(t *testing.T) {
 		f()
 	}
 	a := NewDense(2, 3)
-	b := NewDense(2, 3)
-	mustPanic("matmul shape", func() { a.MatMul(b) })
-	mustPanic("ragged FromRows", func() { FromRows([][]float32{{1}, {1, 2}}) })
 	mustPanic("SetCol len", func() { a.SetCol(0, []float32{1}) })
-	mustPanic("reshape", func() { Reshape4(a, 2, 2, 2) })
-}
-
-func BenchmarkMatMul64(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	a := NewDense(64, 64)
-	c := NewDense(64, 64)
-	for i := range a.Data {
-		a.Data[i] = rng.Float32()
-		c.Data[i] = rng.Float32()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.MatMul(c)
-	}
 }

@@ -21,8 +21,7 @@ import (
 // The cost model (Sec. 5.1, Eq. 5) is the system's central quantitative
 // claim, so the query path additionally tracks estimate-vs-actual error
 // per strategy: every non-recovered query observes
-// |estimate − actual| / actual into a per-strategy histogram, giving
-// Calibrate a live-traffic error signal to learn from.
+// |estimate − actual| / actual into a per-strategy histogram.
 
 // systemMetrics holds the engine's instruments. Everything lives in reg;
 // the typed fields are cached handles so hot paths skip the registry map.

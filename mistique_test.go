@@ -699,26 +699,6 @@ func TestConcurrentQueries(t *testing.T) {
 	}
 }
 
-func TestCalibrate(t *testing.T) {
-	s := openSys(t, Config{})
-	logDemo(t, s)
-	rate, err := s.Calibrate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rate <= 0 {
-		t.Fatalf("calibrated rate %g", rate)
-	}
-	if got := s.CostParams().ReadBytesPerSec; got != rate {
-		t.Fatalf("cost params not updated: %g vs %g", got, rate)
-	}
-	// An empty system has nothing to calibrate against.
-	empty := openSys(t, Config{})
-	if _, err := empty.Calibrate(); err == nil {
-		t.Fatal("empty calibrate succeeded")
-	}
-}
-
 func TestFilterRowsOnQuantizedDNN(t *testing.T) {
 	s, _ := dnnSetup(t, Scheme8Bit, 96)
 	rows, err := s.FilterRows("cnn@e0", "conv1_1", "u0", colstore.Gt, 0.5)
@@ -862,7 +842,7 @@ func TestConcurrentEngine(t *testing.T) {
 		}()
 	}
 
-	// Flusher + calibrator: walk every partition while puts and drops race.
+	// Flusher: walk every partition while puts and drops race.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -870,11 +850,6 @@ func TestConcurrentEngine(t *testing.T) {
 			if err := s.Flush(); err != nil {
 				t.Errorf("flush: %v", err)
 				return
-			}
-			// Calibrate may lose its probe to a concurrent DropModel; that
-			// returns an error, never a crash.
-			if _, err := s.Calibrate(); err != nil {
-				t.Logf("calibrate (benign under races): %v", err)
 			}
 		}
 	}()

@@ -272,11 +272,13 @@ func typoQueries(s *System, model, interm string) map[string]func() error {
 		"TopK":                  func() error { return one(s.TopK(model, interm, "typo", 3)) },
 		"GetIntermediate":       func() error { return one(s.GetIntermediate(model, interm, []string{"typo"}, 0)) },
 		"Fetch":                 func() error { return one(s.Fetch(model, interm, []string{"typo"}, 0, cost.Read)) },
-		"GetColumn":             func() error { return one(s.GetColumn(model, interm, "typo", 0)) },
+		"GetColumn":             func() error { return one(readColumn(s, model, interm, "typo", 0)) },
 		"ColDist":               func() error { return one(s.ColDist(model, interm, "typo", 1e-12)) },
-		"ApproxTopK":            func() error { return one(s.ApproxTopK(model, interm, "typo", 3, 1e-12)) },
-		"ConfusionMatrixApprox": func() error { return one(s.ConfusionMatrixApprox(model, interm, "typo", "typo", 1e-12)) },
-		"GetIntermediateApprox": func() error { return one(s.GetIntermediateApprox(model, interm, []string{"typo"}, 5)) },
+		"ApproxTopK":            func() error { return one(s.ApproxTopKCtx(context.Background(), model, interm, "typo", 3, 1e-12)) },
+		"ConfusionMatrixApprox": func() error { return one(confusion(s, model, interm, "typo", "typo", 1e-12)) },
+		"GetIntermediateApprox": func() error {
+			return one(s.Execute(context.Background(), Query{Op: OpSampleRows, Model: model, Intermediate: interm, Columns: []string{"typo"}, To: 5}))
+		},
 	}
 }
 

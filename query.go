@@ -97,20 +97,6 @@ func (s *System) Estimate(model, interm string, nEx int) (readSecs, rerunSecs fl
 	return p.EstReadSecs, p.EstRerunSecs, nil
 }
 
-// GetColumn fetches a single column for the first nEx rows.
-func (s *System) GetColumn(model, interm, column string, nEx int) ([]float32, error) {
-	return s.GetColumnCtx(context.Background(), model, interm, column, nEx)
-}
-
-// GetColumnCtx is GetColumn under a context.
-func (s *System) GetColumnCtx(ctx context.Context, model, interm, column string, nEx int) ([]float32, error) {
-	res, err := s.GetIntermediateCtx(ctx, model, interm, []string{column}, nEx)
-	if err != nil {
-		return nil, err
-	}
-	return res.Data.Col(0), nil
-}
-
 // readMatrix is the ChunkReader's assembly path: it fans the requested
 // intermediate's (column, block) chunks out across the worker pool, each
 // task reading, decompressing and decoding one chunk and scattering it

@@ -97,22 +97,6 @@ func (s *System) topK(ctx context.Context, p *Plan) ([]TopKEntry, error) {
 	return out, nil
 }
 
-// KNN returns the k rows of a materialized intermediate nearest to row
-// queryRow by Euclidean distance over all columns, excluding the query row
-// itself. It reads every row: no index accelerates KNN.
-func (s *System) KNN(model, interm string, queryRow, k int) ([]Neighbor, error) {
-	return s.KNNCtx(context.Background(), model, interm, queryRow, k)
-}
-
-// KNNCtx is KNN under a context; each column read checks ctx.
-func (s *System) KNNCtx(ctx context.Context, model, interm string, queryRow, k int) ([]Neighbor, error) {
-	a, err := s.Execute(ctx, Query{Op: OpKNN, Model: model, Intermediate: interm, Row: queryRow, K: k})
-	if err != nil {
-		return nil, err
-	}
-	return a.Neighbors, nil
-}
-
 // knn is OpKNN's operator: a full scan ranked by diag.KNN.
 func (s *System) knn(ctx context.Context, p *Plan) ([]Neighbor, error) {
 	x, err := s.readRowRange(ctx, p.Model, p.Intermediate, p.Columns, 0, p.it.Rows)

@@ -42,7 +42,7 @@ func benchIndexSystem(b *testing.B, disable bool) *System {
 // diagnostic shape: "which examples have extreme error?").
 func selectiveBound(b *testing.B, s *System) float32 {
 	b.Helper()
-	col, err := s.GetColumn("demo", "joined", "logerror", 0)
+	col, err := readColumn(s, "demo", "joined", "logerror", 0)
 	if err != nil {
 		b.Fatal(err)
 	}

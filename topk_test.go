@@ -14,6 +14,24 @@ import (
 	"mistique/internal/tensor"
 )
 
+// readColumn reads the first nEx values of one column (every row for 0).
+func readColumn(s *System, model, interm, column string, nEx int) ([]float32, error) {
+	res, err := s.GetIntermediateCtx(context.Background(), model, interm, []string{column}, nEx)
+	if err != nil {
+		return nil, err
+	}
+	return res.Data.Col(0), nil
+}
+
+// knn answers OpKNN: the k rows nearest to queryRow.
+func knn(s *System, model, interm string, queryRow, k int) ([]Neighbor, error) {
+	a, err := s.Execute(context.Background(), Query{Op: OpKNN, Model: model, Intermediate: interm, Row: queryRow, K: k})
+	if err != nil {
+		return nil, err
+	}
+	return a.Neighbors, nil
+}
+
 // TestIndexScanParitySchemes is the engine-level arm of the differential
 // harness: the TOPK / FilterRows / KNN answers must agree exactly with
 // internal/diag full scans over the same reconstructed data, on every
@@ -67,7 +85,7 @@ func assertScanParity(t *testing.T, s *System) {
 	}
 	ctx := context.Background()
 	for _, column := range it.Columns {
-		col, err := s.GetColumn(model, interm, column, 0)
+		col, err := readColumn(s, model, interm, column, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,7 +128,7 @@ func assertScanParity(t *testing.T, s *System) {
 	}
 	for _, q := range []int{0, n / 2, n - 1} {
 		for _, k := range []int{0, 1, 5, n, n + 1} {
-			got, err := s.KNN(model, interm, q, k)
+			got, err := knn(s, model, interm, q, k)
 			if err != nil {
 				t.Fatalf("knn q=%d k=%d: %v", q, k, err)
 			}
@@ -416,7 +434,7 @@ func TestTopKDisabledIndexStillAnswers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col, err := s.GetColumn("demo", "joined", "yearbuilt", 0)
+	col, err := readColumn(s, "demo", "joined", "yearbuilt", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
