@@ -95,7 +95,8 @@ func BenchmarkFilterRowsRangeScan(b *testing.B) {
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.FilterRowsRangeCtx(ctx, "demo", "joined", "yearbuilt", colstore.Ge, 2018, 512, 1536); err != nil {
+		q := Query{Op: OpFilter, Model: "demo", Intermediate: "joined", Columns: []string{"yearbuilt"}, Pred: colstore.Ge, Bound: 2018, From: 512, To: 1536}
+		if _, err := s.Execute(ctx, q); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,12 +1,14 @@
 // Package cluster distributes the MISTIQUE query surface across shard
 // nodes. A Router places row-blocks of every intermediate on a
 // consistent-hash ring keyed by (model, intermediate, row-block) with
-// configurable replication, and answers FilterRows / TopK / GetRows /
-// GetIntermediate by fanning shard-local sub-queries over the HTTP API
-// (mistique/client) and merging the per-block answers deterministically —
-// TOPK candidates are re-ranked with the engine's pinned diag.RankLess
-// comparator, so a scatter-gather answer is bit-identical to a
-// single-node scan.
+// configurable replication. FilterRows, TopK, GetRows and GetIntermediate
+// share one scatter-gather skeleton: it clamps the row window by the
+// engine's own range rules, fans one shard-local sub-query per row-block
+// over the HTTP API (mistique/client), and hands the served blocks to the
+// op's merge rule — concatenation by block for a filter, a k-way merge
+// under the engine's pinned diag.RankLess comparator for TOPK, row
+// stitching for a row range — so a scatter-gather answer is
+// bit-identical to a single-node one.
 //
 // Robustness is the point of the package, not an afterthought:
 //
@@ -32,7 +34,7 @@
 //     an opaque failure.
 //
 // The fault matrix in the package tests runs a real 3-node in-process
-// cluster (three Systems behind three HTTP servers) wrapped in
+// cluster (three Systems behind three HTTP servers) wrapped in a test-only
 // FaultBackend, which extends the internal/faultfs injection philosophy
 // to the network: latency, errors, hangs, flaps and partitions.
 package cluster

@@ -24,6 +24,7 @@ import (
 	"mistique/internal/obs"
 	"mistique/internal/pipeline"
 	"mistique/internal/server"
+	"mistique/internal/tensor"
 	"mistique/internal/zillow"
 )
 
@@ -255,15 +256,29 @@ func TestScatterGatherParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rr.Data) != drm.Rows {
-		t.Fatalf("rows %d vs %d", len(rr.Data), drm.Rows)
-	}
-	for i := range rr.Data {
-		for j := range rr.Data[i] {
-			if !f32eq(rr.Data[i][j], drm.Row(i)[j]) {
-				t.Fatalf("rows mismatch at (%d,%d)", i, j)
-			}
+	assertRowsEqual(t, rr, drm)
+
+	// GetRows keeps the engine's range rules: to == 0 is the last row.
+	for _, w := range [][2]int{{0, 0}, {5, 0}, {130, 1 << 20}} {
+		rr, err := r.GetRows(ctx, "demo", "joined", cols, w[0], w[1])
+		if err != nil {
+			t.Fatalf("rows %v: %v", w, err)
 		}
+		drm, err := sys.GetRows("demo", "joined", cols, w[0], w[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertRowsEqual(t, rr, drm)
+	}
+	// Malformed queries fail as on one node, with the typed sentinel.
+	if _, err := r.GetRows(ctx, "demo", "joined", cols, 1<<20, 0); !errors.Is(err, mistique.ErrBadQuery) {
+		t.Fatalf("rows past the end: err = %v, want ErrBadQuery", err)
+	}
+	if _, err := r.GetRows(ctx, "demo", "joined", cols, 9, 4); !errors.Is(err, mistique.ErrBadQuery) {
+		t.Fatalf("inverted rows: err = %v, want ErrBadQuery", err)
+	}
+	if _, err := r.TopK(ctx, "demo", "joined", "logerror", -1); !errors.Is(err, mistique.ErrBadQuery) {
+		t.Fatalf("negative k: err = %v, want ErrBadQuery", err)
 	}
 
 	// GetIntermediate caps at the row count.
@@ -403,16 +418,16 @@ func TestUnreplicatedShardDownDegraded(t *testing.T) {
 	if !ok {
 		t.Fatal("joined not in catalog")
 	}
-	for _, br := range blockRanges(info.Rows, cfg.BlockRows) {
-		owner := r.ring.Owners(BlockRef{Model: "demo", Intermediate: "joined", Block: br.Block})[0]
+	for b := 0; b*cfg.BlockRows < info.Rows; b++ {
+		owner := r.ring.Owners(BlockRef{Model: "demo", Intermediate: "joined", Block: b})[0]
 		missing := false
 		for _, m := range de.Missing {
-			if m.Block == br.Block {
+			if m.Block == b {
 				missing = true
 			}
 		}
 		if missing != (owner == dead) {
-			t.Fatalf("block %d: missing=%v but owner=%s (dead=%s)", br.Block, missing, owner, dead)
+			t.Fatalf("block %d: missing=%v but owner=%s (dead=%s)", b, missing, owner, dead)
 		}
 	}
 
@@ -639,6 +654,20 @@ func TestClusterMetricsExposition(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q", want)
+		}
+	}
+}
+
+func assertRowsEqual(t *testing.T, got *RowsResult, want *tensor.Dense) {
+	t.Helper()
+	if len(got.Data) != want.Rows {
+		t.Fatalf("rows [%d, %d): %d rows, want %d", got.From, got.To, len(got.Data), want.Rows)
+	}
+	for i := range got.Data {
+		for j := range got.Data[i] {
+			if !f32eq(got.Data[i][j], want.Row(i)[j]) {
+				t.Fatalf("rows [%d, %d): mismatch at (%d,%d)", got.From, got.To, i, j)
+			}
 		}
 	}
 }

@@ -440,62 +440,84 @@ func (r *Router) preferredOrder() []*shardHandle {
 	return append(append(healthy, suspect...), down...)
 }
 
-// blockRanges lays [0, rows) out in blockRows-sized placement blocks.
-func blockRanges(rows, blockRows int) []BlockRange {
-	if rows <= 0 {
-		return nil
-	}
-	out := make([]BlockRange, 0, (rows+blockRows-1)/blockRows)
-	for from := 0; from < rows; from += blockRows {
-		to := from + blockRows
-		if to > rows {
-			to = rows
-		}
-		out = append(out, BlockRange{Block: from / blockRows, From: from, To: to})
-	}
-	return out
+// gathered is one scatter's outcome: the target, its clamped row window,
+// the placement blocks laid over the window (each clipped to it) and
+// block i's answer in served[i] — the zero T where no replica could serve
+// the block, which Coverage then lists.
+type gathered[T any] struct {
+	info     *client.IntermInfo
+	from, to int
+	blocks   []BlockRange
+	served   []T
+	Coverage
 }
 
-// scatter runs fn once per block, concurrently, and collects per-block
-// values or errors. It keeps at most half the per-shard admission bound of
-// its own blocks in flight: a block has at most one live attempt per shard,
-// and the block that held the slot before it may still have a cancelled
-// hedge loser winding down there, so one scatter never fills a shard's
-// semaphore and call sheds only across different queries.
-func (r *Router) scatter(ctx context.Context, model, interm string, blocks []BlockRange, fn func(ctx context.Context, be Backend, br BlockRange) (any, error)) ([]any, []error) {
-	vals := make([]any, len(blocks))
-	errs := make([]error, len(blocks))
+// scatterGather is the skeleton every router query shares. It resolves
+// the target and clamps [from, to) by Plan's rules — to == 0 or past the
+// end means the last row; a negative, inverted or past-the-end window
+// wraps mistique.ErrBadQuery — then lays the window out in clipped
+// placement blocks and runs call once per block over its replica chain.
+// Each op merges the served blocks by its own rule. With unserved blocks
+// the error is the typed *DegradedError and the outcome is still
+// returned; any other error returns none.
+//
+// At most half the per-shard admission bound of one query's blocks are in
+// flight: a block has at most one live attempt per shard, and the block
+// that held the slot before it may still have a cancelled hedge loser
+// winding down there, so one scatter never fills a shard's semaphore and
+// call sheds only across different queries.
+func scatterGather[T any](ctx context.Context, r *Router, model, interm string, from, to int,
+	call func(ctx context.Context, be Backend, br BlockRange) (T, error)) (*gathered[T], error) {
+	if from < 0 || to < 0 || (to != 0 && to < from) {
+		return nil, fmt.Errorf("cluster: %w: bad row range [%d, %d)", mistique.ErrBadQuery, from, to)
+	}
+	info, err := r.intermInfo(ctx, model, interm)
+	if err != nil {
+		return nil, err
+	}
+	if from > info.Rows {
+		return nil, fmt.Errorf("cluster: %w: row %d is past the %d rows of %s.%s", mistique.ErrBadQuery, from, info.Rows, model, interm)
+	}
+	if to == 0 || to > info.Rows {
+		to = info.Rows
+	}
+	r.met.queries.Inc()
+	out := &gathered[T]{info: info, from: from, to: to}
+	for b, size := from/r.cfg.BlockRows, r.cfg.BlockRows; from < to && b*size < to; b++ {
+		out.blocks = append(out.blocks, BlockRange{Block: b, From: max(b*size, from), To: min((b+1)*size, to)})
+	}
+	out.served = make([]T, len(out.blocks))
+	errs := make([]error, len(out.blocks))
 	g := parallel.NewGroup(max(1, r.cfg.MaxPerShard/2))
-	for i, br := range blocks {
+	for i, br := range out.blocks {
 		g.Go(func() error {
 			chain := r.chainFor(BlockRef{Model: model, Intermediate: interm, Block: br.Block})
-			vals[i], errs[i] = r.executeBlock(ctx, chain, func(ctx context.Context, be Backend) (any, error) {
-				return fn(ctx, be, br)
+			v, err := r.executeBlock(ctx, chain, func(ctx context.Context, be Backend) (any, error) {
+				return call(ctx, be, br)
 			})
+			if errs[i] = err; err == nil {
+				out.served[i] = v.(T)
+			}
 			return nil // a failed block is reported per block, never stops the rest
 		})
 	}
 	g.Wait()
-	return vals, errs
-}
-
-// gather folds per-block outcomes into a Coverage, returning the typed
-// DegradedError when any block went unserved.
-func (r *Router) gather(model, interm string, blocks []BlockRange, errs []error, cov *Coverage) error {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	var cause error
 	for i, err := range errs {
-		if err == nil {
-			continue
+		if err != nil {
+			out.Degraded = true
+			out.Missing = append(out.Missing, out.blocks[i])
+			cause = err
 		}
-		cov.Degraded = true
-		cov.Missing = append(cov.Missing, blocks[i])
-		cause = err
 	}
-	if !cov.Degraded {
-		return nil
+	if !out.Degraded {
+		return out, nil
 	}
 	r.met.degraded.Inc()
-	return &DegradedError{Model: model, Intermediate: interm, Missing: cov.Missing, Cause: cause}
+	return out, &DegradedError{Model: model, Intermediate: interm, Missing: out.Missing, Cause: cause}
 }
 
 // FilterResult is a scatter-gather predicate scan answer. Rows holds the
@@ -508,29 +530,21 @@ type FilterResult struct {
 // FilterRows evaluates `column op bound` across the cluster. Op is one
 // of "gt", "ge", "lt", "le". On partial coverage the returned result
 // holds every served block's rows and err is a *DegradedError.
+//
+// Merge rule: concatenation by block. Blocks are row-disjoint and served
+// in ascending order, so the global ascending invariant holds.
 func (r *Router) FilterRows(ctx context.Context, model, interm, column, op string, bound float64) (*FilterResult, error) {
-	info, err := r.intermInfo(ctx, model, interm)
-	if err != nil {
-		return nil, err
-	}
-	r.met.queries.Inc()
-	blocks := blockRanges(info.Rows, r.cfg.BlockRows)
-	vals, errs := r.scatter(ctx, model, interm, blocks, func(ctx context.Context, be Backend, br BlockRange) (any, error) {
+	g, err := scatterGather(ctx, r, model, interm, 0, 0, func(ctx context.Context, be Backend, br BlockRange) ([]int, error) {
 		return be.FilterRowsRange(ctx, model, interm, column, op, bound, br.From, br.To)
 	})
-	if cerr := ctx.Err(); cerr != nil {
-		return nil, cerr
+	if g == nil {
+		return nil, err
 	}
-	res := &FilterResult{}
-	for i := range blocks {
-		if errs[i] != nil {
-			continue
-		}
-		// Blocks are row-disjoint and visited in ascending order, so
-		// concatenation keeps the global ascending invariant.
-		res.Rows = append(res.Rows, vals[i].([]int)...)
+	res := &FilterResult{Coverage: g.Coverage}
+	for _, rows := range g.served {
+		res.Rows = append(res.Rows, rows...)
 	}
-	return res, r.gather(model, interm, blocks, errs, &res.Coverage)
+	return res, err
 }
 
 // TopKResult is a scatter-gather TOPK answer in the engine's pinned rank
@@ -540,33 +554,27 @@ type TopKResult struct {
 	Coverage
 }
 
-// TopK merges per-block top-k candidate lists under diag.RankLess — the
-// same comparator every shard ranked with — so the merged answer is
-// bit-identical to a single-node TopK over the union of served blocks.
+// TopK ranks the k largest values of a column across the cluster. A
+// negative k wraps mistique.ErrBadQuery, as on one node.
+//
+// Merge rule: a k-way merge of per-block candidate lists under
+// diag.RankLess — the comparator every shard ranked with — so the answer
+// is bit-identical to a single-node TopK over the union of served blocks.
+// k candidates per block suffice: the global top-k holds at most k rows
+// from any one block.
 func (r *Router) TopK(ctx context.Context, model, interm, column string, k int) (*TopKResult, error) {
-	info, err := r.intermInfo(ctx, model, interm)
-	if err != nil {
-		return nil, err
-	}
 	if k < 0 {
-		k = 0
+		return nil, fmt.Errorf("cluster: %w: topk needs k >= 0, got %d", mistique.ErrBadQuery, k)
 	}
-	r.met.queries.Inc()
-	blocks := blockRanges(info.Rows, r.cfg.BlockRows)
-	vals, errs := r.scatter(ctx, model, interm, blocks, func(ctx context.Context, be Backend, br BlockRange) (any, error) {
-		// k candidates per block suffice: the global top-k contains at
-		// most k rows from any one block.
+	g, err := scatterGather(ctx, r, model, interm, 0, 0, func(ctx context.Context, be Backend, br BlockRange) ([]client.TopKEntry, error) {
 		return be.TopKRange(ctx, model, interm, column, k, br.From, br.To)
 	})
-	if cerr := ctx.Err(); cerr != nil {
-		return nil, cerr
+	if g == nil {
+		return nil, err
 	}
-	res := &TopKResult{}
-	for i := range blocks {
-		if errs[i] != nil {
-			continue
-		}
-		for _, e := range vals[i].([]client.TopKEntry) {
+	res := &TopKResult{Coverage: g.Coverage}
+	for _, entries := range g.served {
+		for _, e := range entries {
 			res.Entries = append(res.Entries, mistique.TopKEntry{Row: e.Row, Value: float32(e.Value)})
 		}
 	}
@@ -574,10 +582,8 @@ func (r *Router) TopK(ctx context.Context, model, interm, column string, k int) 
 		ea, eb := res.Entries[a], res.Entries[b]
 		return diag.RankLess(ea.Value, eb.Value, ea.Row, eb.Row)
 	})
-	if len(res.Entries) > k {
-		res.Entries = res.Entries[:k]
-	}
-	return res, r.gather(model, interm, blocks, errs, &res.Coverage)
+	res.Entries = res.Entries[:min(k, len(res.Entries))]
+	return res, err
 }
 
 // RowsResult is a scatter-gather row-range read. Data[i] is global row
@@ -591,69 +597,38 @@ type RowsResult struct {
 	Coverage
 }
 
-// GetRows reads rows [from, to) of the given columns (nil cols: all),
-// stitching per-block sub-reads back together in order.
+// GetRows reads rows [from, to) of the given columns (nil cols: all) with
+// the engine's range rules: to == 0 means the last row.
+//
+// Merge rule: row stitching — each served block's rows land at their
+// global offset.
 func (r *Router) GetRows(ctx context.Context, model, interm string, cols []string, from, to int) (*RowsResult, error) {
-	info, err := r.intermInfo(ctx, model, interm)
-	if err != nil {
-		return nil, err
-	}
-	if to > info.Rows {
-		to = info.Rows
-	}
-	if from < 0 || from > to {
-		return nil, fmt.Errorf("cluster: bad row range [%d, %d)", from, to)
-	}
-	if len(cols) == 0 {
-		cols = info.Columns
-	}
-	r.met.queries.Inc()
-	var blocks []BlockRange
-	for _, br := range blockRanges(info.Rows, r.cfg.BlockRows) {
-		if br.To <= from || br.From >= to {
-			continue
-		}
-		// Clip the block to the requested window.
-		if br.From < from {
-			br.From = from
-		}
-		if br.To > to {
-			br.To = to
-		}
-		blocks = append(blocks, br)
-	}
-	vals, errs := r.scatter(ctx, model, interm, blocks, func(ctx context.Context, be Backend, br BlockRange) (any, error) {
+	g, err := scatterGather(ctx, r, model, interm, from, to, func(ctx context.Context, be Backend, br BlockRange) (*client.RowsResponse, error) {
 		return be.GetRows(ctx, model, interm, cols, br.From, br.To)
 	})
-	if cerr := ctx.Err(); cerr != nil {
-		return nil, cerr
+	if g == nil {
+		return nil, err
 	}
-	res := &RowsResult{Cols: cols, From: from, To: to, Data: make([][]float32, to-from)}
-	for i, br := range blocks {
-		if errs[i] != nil {
+	if len(cols) == 0 {
+		cols = g.info.Columns
+	}
+	res := &RowsResult{Cols: cols, From: g.from, To: g.to, Data: make([][]float32, g.to-g.from), Coverage: g.Coverage}
+	for i, resp := range g.served {
+		if resp == nil {
 			continue
 		}
-		resp := vals[i].(*client.RowsResponse)
 		for j, row := range resp.Data {
-			res.Data[br.From-from+j] = client.Floats(row)
+			res.Data[g.blocks[i].From-g.from+j] = client.Floats(row)
 		}
 	}
-	return res, r.gather(model, interm, blocks, errs, &res.Coverage)
+	return res, err
 }
 
 // GetIntermediate fetches the first nEx rows (<= 0: all) of the named
 // columns. The router always reads stored chunks — the read-vs-rerun
 // choice is a per-shard concern the single-node API keeps.
 func (r *Router) GetIntermediate(ctx context.Context, model, interm string, cols []string, nEx int) (*RowsResult, error) {
-	info, err := r.intermInfo(ctx, model, interm)
-	if err != nil {
-		return nil, err
-	}
-	to := info.Rows
-	if nEx > 0 && nEx < to {
-		to = nEx
-	}
-	return r.GetRows(ctx, model, interm, cols, 0, to)
+	return r.GetRows(ctx, model, interm, cols, 0, max(nEx, 0))
 }
 
 // latencyWindow is a small sliding window of success latencies backing

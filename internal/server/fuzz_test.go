@@ -80,21 +80,25 @@ func FuzzRouting(f *testing.F) {
 		{"GET", "/api/v1/models", ""},
 		{"GET", "/api/v1/models/demo", ""},
 		{"GET", "/api/v1/models/demo/intermediates/joined", ""},
-		{"GET", "/api/v1/models/demo/intermediates/joined/columns/logerror?n=5", ""},
-		{"POST", "/api/v1/query", `{"model":"demo","intermediate":"joined","n_ex":4}`},
-		{"POST", "/api/v1/query", `{"model":"demo",`},
-		{"POST", "/api/v1/query", `{"model":"demo"} trailing`},
-		{"POST", "/api/v1/query", `{"unknown_field":1}`},
-		{"POST", "/api/v1/filter", `{"model":"m","intermediate":"i","column":"c","op":"between","bound":0}`},
-		{"POST", "/api/v1/rows", `{"model":"m","intermediate":"i","from":-5,"to":2}`},
-		{"GET", "/api/v1/estimate?model=&interm=", ""},
-		{"GET", "/api/v1/estimate?model=demo&interm=joined&n=NaN", ""},
-		{"DELETE", "/api/v1/query", ""},
+		{"POST", "/api/v1/execute", `{"op":"get_intermediate","model":"demo","intermediate":"joined","columns":["logerror"],"to":5}`},
+		{"POST", "/api/v1/execute", `{"op":"get_intermediate","model":"demo","intermediate":"joined","to":4}`},
+		{"POST", "/api/v1/execute", `{"op":"get_intermediate","model":"demo",`},
+		{"POST", "/api/v1/execute", `{"op":"get_intermediate","model":"demo"} trailing`},
+		{"POST", "/api/v1/execute", `{"unknown_field":1}`},
+		{"POST", "/api/v1/execute", `{"op":"filter_rows","model":"m","intermediate":"i","columns":["c"],"pred":"between","bound":0}`},
+		{"POST", "/api/v1/execute", `{"op":"get_rows","model":"m","intermediate":"i","from":-5,"to":2}`},
+		{"POST", "/api/v1/execute?explain=1", `{"op":"","model":"","intermediate":""}`},
+		{"POST", "/api/v1/execute?explain=NaN", `{"op":"get_intermediate","model":"demo","intermediate":"joined"}`},
+		{"DELETE", "/api/v1/execute", ""},
 		{"GET", "/", ""},
 		{"GET", "/metrics", ""},
 		{"GET", "/api/v1/stats", ""},
 		{"PATCH", "/api/v1/unknown/../../etc/passwd", ""},
 		{"POST", "/api/v1/compact", ""},
+		{"POST", "/api/v1/execute", `{"op":"drop_table","model":"demo","intermediate":"joined"}`},
+		{"POST", "/api/v1/execute", `{"op":"topk","model":"demo","intermediate":"joined","columns":["logerror"],"k":3,"pred":"gt"}`},
+		{"POST", "/api/v1/execute?explain=1", `{"op":"knn","model":"demo","intermediate":"joined","k":2,"row":1}`},
+		{"POST", "/api/v1/execute", `{"op":"get_intermediate","model":"demo","intermediate":"joined"}` + strings.Repeat(" ", maxBodyBytes)},
 	}
 	for _, s := range seeds {
 		f.Add(s.method, s.path, s.body)

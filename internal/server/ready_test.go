@@ -150,10 +150,12 @@ func TestRangeQueries(t *testing.T) {
 			t.Fatalf("entry %d row %d outside window [%d, %d)", i, e.Row, mid, it.Rows)
 		}
 	}
-	dwk, err := sys.TopKRangeCtx(ctx, "demo", "joined", "logerror", 5, mid, it.Rows)
+	a, err := sys.Execute(ctx, mistique.Query{Op: mistique.OpTopK, Model: "demo", Intermediate: "joined",
+		Columns: []string{"logerror"}, K: 5, From: mid, To: it.Rows})
 	if err != nil {
 		t.Fatal(err)
 	}
+	dwk := a.TopK
 	for i := range wk {
 		if wk[i].Row != dwk[i].Row || !eq(wk[i].Value, dwk[i].Value) {
 			t.Fatalf("window topk mismatch at %d: %+v vs %+v", i, wk[i], dwk[i])

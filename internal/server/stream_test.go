@@ -95,8 +95,7 @@ func TestIngestAndApproxEndpoints(t *testing.T) {
 
 	// SampleRows: real row ids, ascending, true values.
 	var sr client.SampleRowsResponse
-	if err := call(ctx, ts.URL, http.MethodPost, "/api/v1/approx/rows",
-		client.SampleRowsRequest{Model: "live", Intermediate: "acts", MaxRows: 50}, &sr); err != nil {
+	if err := c.Execute(ctx, client.Query{Op: client.OpSampleRows, Model: "live", Intermediate: "acts", To: 50}, &sr); err != nil {
 		t.Fatal(err)
 	}
 	if sr.Strategy != "SAMPLE" || len(sr.RowIDs) != 50 || sr.Rows != n {
@@ -128,8 +127,8 @@ func TestIngestAndApproxEndpoints(t *testing.T) {
 	if _, err := c.IngestRows(ctx, "live", "preds", []string{"label", "pred"}, rows); err != nil {
 		t.Fatal(err)
 	}
-	cm, err := c.Confusion(ctx, "live", "preds", "label", "pred", 0)
-	if err != nil {
+	var cm client.ConfusionResponse
+	if err := c.Execute(ctx, client.Query{Op: client.OpConfusion, Model: "live", Intermediate: "preds", Columns: []string{"label", "pred"}}, &cm); err != nil {
 		t.Fatal(err)
 	}
 	if cm.Strategy != "SAMPLE" || cm.Rows != n || cm.MaxBound != 0 {
@@ -169,10 +168,10 @@ func TestIngestValidation(t *testing.T) {
 	if code := post("/api/v1/ingest/live/acts", `{"columns":["b"],"rows":[[1]]}`); code < 400 {
 		t.Fatalf("column mismatch got %d", code)
 	}
-	if code := post("/api/v1/approx/coldist", `{"model":"live"}`); code != http.StatusBadRequest {
+	if code := post("/api/v1/execute", `{"op":"col_dist","model":"live"}`); code != http.StatusBadRequest {
 		t.Fatalf("incomplete coldist got %d", code)
 	}
-	if code := post("/api/v1/approx/topk", `{"model":"live","intermediate":"acts","column":"a","k":0}`); code != http.StatusBadRequest {
+	if code := post("/api/v1/execute", `{"op":"approx_topk","model":"live","intermediate":"acts","columns":["a"],"k":0}`); code != http.StatusBadRequest {
 		t.Fatalf("k=0 got %d", code)
 	}
 }

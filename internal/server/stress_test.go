@@ -142,7 +142,7 @@ func TestStressConcurrentClients(t *testing.T) {
 						}
 					}
 				case 5:
-					var est *client.EstimateResponse
+					var est *client.PlanResponse
 					est, err = c.Estimate(ctx, "demo", "joined", 100)
 					if err == nil && (est.EstReadSecs <= 0 || est.EstRerunSecs <= 0) {
 						err = fmt.Errorf("degenerate estimate %+v", est)
@@ -220,8 +220,8 @@ func TestGracefulShutdown(t *testing.T) {
 	results := make(chan result, 2)
 	for i := 0; i < 2; i++ {
 		go func() {
-			resp, err := http.Post(base+"/api/v1/query", "application/json",
-				strings.NewReader(`{"model":"demo","intermediate":"joined","n_ex":8}`))
+			resp, err := http.Post(base+"/api/v1/execute", "application/json",
+				strings.NewReader(`{"op":"get_intermediate","model":"demo","intermediate":"joined","to":8}`))
 			if err != nil {
 				results <- result{err: err}
 				return

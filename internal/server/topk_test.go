@@ -12,7 +12,7 @@ import (
 	"mistique/client"
 )
 
-// TestTopKEndpoint holds POST /api/v1/topk to exact parity with direct
+// TestTopKEndpoint holds the topk op on POST /api/v1/execute to exact parity with direct
 // System.TopK calls and checks its wire-level error shapes (malformed
 // targets are TestMalformedTargetsOverHTTP's).
 func TestTopKEndpoint(t *testing.T) {
@@ -48,12 +48,12 @@ func TestTopKEndpoint(t *testing.T) {
 	}
 
 	// Raw shapes: malformed body and wrong method.
-	resp, err := http.Post(ts.URL+"/api/v1/topk", "application/json", strings.NewReader("{not json"))
+	resp, err := http.Post(ts.URL+"/api/v1/execute", "application/json", strings.NewReader(`{"op":"topk",`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	errorShape(t, resp, 400)
-	resp, err = http.Get(ts.URL + "/api/v1/topk")
+	resp, err = http.Get(ts.URL + "/api/v1/execute")
 	if err != nil {
 		t.Fatal(err)
 	}

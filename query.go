@@ -289,21 +289,12 @@ func (s *System) FilterRows(model, interm, column string, op nindex.Op, bound fl
 
 // FilterRowsCtx is FilterRows under a context, honored at entry, inside
 // the column fetch behind an index build or the range scan, and between
-// a failed read and its heal-and-retry.
+// a failed read and its heal-and-retry. Execute with an OpFilter Query
+// restricts the scan to global rows [From, To), the shard-local form the
+// cluster router sends: offsets stay global and the scan path is the
+// same, so per-block answers concatenate to the single-node scan.
 func (s *System) FilterRowsCtx(ctx context.Context, model, interm, column string, op nindex.Op, bound float32) ([]int, error) {
-	return s.FilterRowsRangeCtx(ctx, model, interm, column, op, bound, 0, 0)
-}
-
-// FilterRowsRangeCtx restricts FilterRowsCtx to global rows [from, to) —
-// the shard-local form of the predicate scan used by the cluster router
-// (internal/cluster), which owns disjoint row-blocks of an intermediate
-// and must evaluate each block exactly once. to == 0 means the
-// intermediate's row count, so the zero range is the whole intermediate.
-// Offsets stay global and the scan path is the same, so a concatenation of
-// per-block answers in block order is byte-identical to the single-node
-// scan.
-func (s *System) FilterRowsRangeCtx(ctx context.Context, model, interm, column string, op nindex.Op, bound float32, from, to int) ([]int, error) {
-	a, err := s.Execute(ctx, Query{Op: OpFilter, Model: model, Intermediate: interm, Columns: []string{column}, Pred: op, Bound: bound, From: from, To: to})
+	a, err := s.Execute(ctx, Query{Op: OpFilter, Model: model, Intermediate: interm, Columns: []string{column}, Pred: op, Bound: bound})
 	if err != nil {
 		return nil, err
 	}

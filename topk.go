@@ -42,21 +42,14 @@ func (s *System) TopK(model, interm, column string, k int) ([]TopKEntry, error) 
 }
 
 // TopKCtx is TopK under a context, honored at entry and inside the
-// column fetch that backs an index build or scan fallback.
-func (s *System) TopKCtx(ctx context.Context, model, interm, column string, k int) ([]TopKEntry, error) {
-	return s.TopKRangeCtx(ctx, model, interm, column, k, 0, 0)
-}
-
-// TopKRangeCtx ranks only global rows [from, to) of a column, in the same
-// pinned diag.RankLess order as TopKCtx, returning global row ids. This is
-// the shard-local TOPK probe behind the cluster router's scatter-gather
-// (internal/cluster): each shard ranks the row-blocks it owns, and because
-// every path uses the one comparator, merging per-block candidate lists
-// with RankLess again reproduces the single-node answer bit for bit.
-// to == 0 or past the end means the row count. The full range is
+// column fetch that backs an index build or scan fallback. Execute with an
+// OpTopK Query ranks only global rows [From, To) — the shard-local probe
+// behind the cluster router's scatter-gather: every path uses the one
+// diag.RankLess comparator, so merging per-block candidate lists with it
+// again reproduces the single-node answer bit for bit. The full range is
 // index-accelerated.
-func (s *System) TopKRangeCtx(ctx context.Context, model, interm, column string, k, from, to int) ([]TopKEntry, error) {
-	a, err := s.Execute(ctx, Query{Op: OpTopK, Model: model, Intermediate: interm, Columns: []string{column}, K: k, From: from, To: to})
+func (s *System) TopKCtx(ctx context.Context, model, interm, column string, k int) ([]TopKEntry, error) {
+	a, err := s.Execute(ctx, Query{Op: OpTopK, Model: model, Intermediate: interm, Columns: []string{column}, K: k})
 	if err != nil {
 		return nil, err
 	}

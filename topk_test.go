@@ -95,11 +95,11 @@ func assertScanParity(t *testing.T, s *System) {
 				t.Fatalf("%s k=%d: %v", column, k, err)
 			}
 			sameTopK(t, fmt.Sprintf("%s k=%d", column, k), got, col, 0, k)
-			got, err = s.TopKRangeCtx(ctx, model, interm, column, k, from, to)
+			a, err := s.Execute(ctx, Query{Op: OpTopK, Model: model, Intermediate: interm, Columns: []string{column}, K: k, From: from, To: to})
 			if err != nil {
 				t.Fatalf("%s k=%d [%d,%d): %v", column, k, from, to, err)
 			}
-			sameTopK(t, fmt.Sprintf("%s k=%d [%d,%d)", column, k, from, to), got, col[from:to], from, k)
+			sameTopK(t, fmt.Sprintf("%s k=%d [%d,%d)", column, k, from, to), a.TopK, col[from:to], from, k)
 		}
 		for _, op := range []colstore.Op{colstore.Gt, colstore.Ge, colstore.Lt, colstore.Le} {
 			for _, bound := range []float32{col[n/2], float32(math.NaN())} {
@@ -108,7 +108,7 @@ func assertScanParity(t *testing.T, s *System) {
 					t.Fatalf("%s %v %v: %v", column, op, bound, err)
 				}
 				sameFilter(t, fmt.Sprintf("%s %v %v", column, op, bound), got, naiveFilter(col, op, bound))
-				got, err = s.FilterRowsRangeCtx(ctx, model, interm, column, op, bound, from, to)
+				a, err := s.Execute(ctx, Query{Op: OpFilter, Model: model, Intermediate: interm, Columns: []string{column}, Pred: op, Bound: bound, From: from, To: to})
 				if err != nil {
 					t.Fatalf("%s %v %v [%d,%d): %v", column, op, bound, from, to, err)
 				}
@@ -118,7 +118,7 @@ func assertScanParity(t *testing.T, s *System) {
 						want = append(want, r)
 					}
 				}
-				sameFilter(t, fmt.Sprintf("%s %v %v [%d,%d)", column, op, bound, from, to), got, want)
+				sameFilter(t, fmt.Sprintf("%s %v %v [%d,%d)", column, op, bound, from, to), a.Rows, want)
 			}
 		}
 	}
