@@ -82,6 +82,11 @@ var ops = map[Op]opTraits{
 	OpSampleRows: {to: true, sample: true},
 }
 
+// TakesTo reports whether o reads the rows before Query.To. Plan sets
+// Plan.To to the row count for every op, so only these ops' normalized
+// To may be sent back in a Query.
+func (o Op) TakesTo() bool { return ops[o].to }
+
 // Query describes one diagnostic query. The zero value of every field but
 // Op, Model and Intermediate means "no restriction".
 type Query struct {
