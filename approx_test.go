@@ -9,6 +9,7 @@ import (
 	"sort"
 	"testing"
 
+	"mistique/internal/colstore"
 	"mistique/internal/cost"
 )
 
@@ -93,7 +94,7 @@ func TestColDistDifferentialBounds(t *testing.T) {
 	for _, name := range names {
 		vals := dists[name]
 		t.Run(name, func(t *testing.T) {
-			s := openSys(t, Config{RowBlockRows: 256})
+			s := openSys(t, Config{Store: colstore.Config{RowBlockRows: 256}})
 			s.sampleCap = 512
 			ingestValues(t, s, "live", "d", "v", vals)
 
@@ -160,7 +161,7 @@ func TestColDistDifferentialBounds(t *testing.T) {
 func TestColDistTightBoundFallsBack(t *testing.T) {
 	_, dists := approxDists()
 	vals := dists["uniform"]
-	s := openSys(t, Config{RowBlockRows: 256})
+	s := openSys(t, Config{Store: colstore.Config{RowBlockRows: 256}})
 	s.sampleCap = 512
 	ingestValues(t, s, "live", "d", "v", vals)
 	if err := s.Flush(); err != nil {
@@ -190,7 +191,7 @@ func TestColDistTightBoundFallsBack(t *testing.T) {
 func TestApproxTopKDifferential(t *testing.T) {
 	_, dists := approxDists()
 	vals := dists["uniform"]
-	s := openSys(t, Config{RowBlockRows: 256})
+	s := openSys(t, Config{Store: colstore.Config{RowBlockRows: 256}})
 	s.sampleCap = 512
 	ingestValues(t, s, "live", "d", "v", vals)
 	if err := s.Flush(); err != nil {
@@ -306,7 +307,7 @@ func TestConfusionMatrixDifferential(t *testing.T) {
 		}
 	}
 
-	s := openSys(t, Config{RowBlockRows: 256})
+	s := openSys(t, Config{Store: colstore.Config{RowBlockRows: 256}})
 	s.sampleCap = 256
 	ingest(s)
 	cm, err := confusion(s, "live", "d", "label", "pred", 0)
@@ -339,7 +340,7 @@ func TestConfusionMatrixDifferential(t *testing.T) {
 // TestGetIntermediateApproxRowsAreReal verifies every sampled row carries
 // its true population values under its true row id.
 func TestGetIntermediateApproxRowsAreReal(t *testing.T) {
-	s := openSys(t, Config{RowBlockRows: 128})
+	s := openSys(t, Config{Store: colstore.Config{RowBlockRows: 128}})
 	s.sampleCap = 200
 	cols := []string{"a", "b"}
 	ingestStream(t, s, "live", "acts", cols, 0, 3000, 250)
@@ -430,7 +431,7 @@ func TestApproxOnLoggedModel(t *testing.T) {
 // them: ColDist and ApproxTopK must plan the exact READ and answer it.
 func TestStaleSampleAfterQuarantinePlansExact(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{RowBlockRows: 64}
+	cfg := Config{Store: colstore.Config{RowBlockRows: 64}}
 	s, err := Open(dir, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -40,7 +40,6 @@ func TestConfigSurface(t *testing.T) {
 		want []string
 	}{
 		{mistique.Config{}, []string{
-			"RowBlockRows",
 			"Store.RowBlockRows", "Store.MemBudgetBytes", "Store.PartitionTargetBytes", "Store.Mode",
 			"Store.SimilarityThreshold", "Store.DisableExactDedup", "Store.DisableApproxDedup",
 			"Store.ScatterWays", "Store.DeltaMaxDepth", "Store.Codec", "Store.FS", "Store.Obs",
@@ -65,19 +64,17 @@ func TestConfigSurface(t *testing.T) {
 	}
 }
 
-// TestOpenRefusesStoreSettingsItOwns: Open sets Store.RowBlockRows from
-// RowBlockRows and Store.Obs to the System's registry, so a value it would
-// replace is an error instead of being dropped silently.
+// TestOpenRefusesStoreSettingsItOwns: Open sets Store.Obs to the
+// System's registry, so a value it would replace is an error instead of
+// being dropped silently. The store's block height is the System's.
 func TestOpenRefusesStoreSettingsItOwns(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		cfg  mistique.Config
 		ok   bool
 	}{
-		{"store block rows differ", mistique.Config{Store: colstore.Config{RowBlockRows: 256}}, false},
-		{"store block rows differ from set", mistique.Config{RowBlockRows: 64, Store: colstore.Config{RowBlockRows: 256}}, false},
 		{"store obs", mistique.Config{Store: colstore.Config{Obs: obs.New()}}, false},
-		{"store block rows agree", mistique.Config{RowBlockRows: 256, Store: colstore.Config{RowBlockRows: 256}}, true},
+		{"store block rows agree", mistique.Config{Store: colstore.Config{RowBlockRows: 256}}, true},
 		{"store block rows match the default", mistique.Config{Store: colstore.Config{RowBlockRows: 1024}}, true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -86,11 +83,7 @@ func TestOpenRefusesStoreSettingsItOwns(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want := c.cfg.RowBlockRows
-				if want == 0 {
-					want = 1024
-				}
-				if got := s.Store().RowBlockRows(); got != want {
+				if got, want := s.Store().RowBlockRows(), c.cfg.Store.RowBlockRows; got != want {
 					t.Fatalf("store block rows %d, want %d", got, want)
 				}
 				return

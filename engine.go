@@ -79,10 +79,10 @@ const (
 
 // Config controls a System. Zero values select paper defaults.
 type Config struct {
-	// RowBlockRows is the RowBlock height (default 1024, the paper's 1K).
-	RowBlockRows int
 	// Store configures the column store; Mode and dedup switches select
-	// the STORE_ALL / DEDUP behaviours of the evaluation.
+	// the STORE_ALL / DEDUP behaviours of the evaluation, and RowBlockRows
+	// is the RowBlock height every model is chunked at (default 1024, the
+	// paper's 1K).
 	Store colstore.Config
 	// Gamma is the adaptive-materialization threshold in seconds/byte
 	// (Eq. 5). Negative disables adaptive mode and materializes
@@ -147,6 +147,9 @@ type System struct {
 	logging map[string]struct{}
 }
 
+// pipelineModel is a logged pipeline. Its transformers were fitted when
+// it was logged and re-runs write nothing, so any number of re-runs may
+// execute at once.
 type pipelineModel struct {
 	p   *pipeline.Pipeline
 	env map[string]*frame.Frame
@@ -154,20 +157,17 @@ type pipelineModel struct {
 	stageOf map[string]int
 	// colsOf maps intermediate name -> numeric column names.
 	colsOf map[string][]string
-	// exec serializes pipeline re-runs: transformers keep per-run state,
-	// so only one RunTo may execute at a time.
-	exec sync.Mutex
 }
 
+// dnnModel is a logged network: a private copy of the caller's weights,
+// so training the caller's network afterwards cannot change what a
+// re-run computes. Inference writes nothing, so re-runs need no lock.
 type dnnModel struct {
 	net   *nn.Network
 	input *tensor.T4
 	opts  DNNLogOptions
 	// layerOf maps intermediate (layer) name -> layer index.
 	layerOf map[string]int
-	// exec serializes forward passes: layers cache their last input for
-	// backprop, so Network is not reentrant.
-	exec sync.Mutex
 }
 
 // Open creates or reopens a System rooted at dir. Reopening a previously
@@ -177,18 +177,10 @@ type dnnModel struct {
 // available again once the corresponding pipelines/networks are re-logged
 // — their fitted transformer state lives in memory, as in the paper.
 func Open(dir string, cfg Config) (*System, error) {
-	if cfg.RowBlockRows <= 0 {
-		cfg.RowBlockRows = 1024
-	}
-	// Open owns these two store settings; refuse a value it would replace.
-	if cfg.Store.RowBlockRows != 0 && cfg.Store.RowBlockRows != cfg.RowBlockRows {
-		return nil, fmt.Errorf("mistique: Config.Store.RowBlockRows %d differs from Config.RowBlockRows %d (set only the latter)",
-			cfg.Store.RowBlockRows, cfg.RowBlockRows)
-	}
+	// Open owns this store setting; refuse a value it would replace.
 	if cfg.Store.Obs != nil {
 		return nil, errors.New("mistique: Config.Store.Obs must be nil: the store reports into System.Obs")
 	}
-	cfg.Store.RowBlockRows = cfg.RowBlockRows
 	// Every artifact (partitions, catalog, samples, WALs) writes through
 	// one fault-injectable FS.
 	if cfg.Store.FS == nil {
@@ -416,7 +408,7 @@ func releaseColBuf(b []float32) {
 // READ of the stored chunks would return — and persisted for the
 // approximate query path.
 func (s *System) storeMatrix(model, interm string, m *tensor.Dense, cols []string, mkQuant func(col []float32) (*quant.Quantizer, error)) (int64, error) {
-	blockRows := s.cfg.RowBlockRows
+	blockRows := s.store.RowBlockRows()
 	var mb *sample.MatrixBuilder
 	if m.Rows > s.sampleCap {
 		mb = sample.NewMatrixBuilder(cols, m.Rows, sample.Config{Cap: s.sampleCap})

@@ -10,6 +10,7 @@ import (
 	"slices"
 
 	"mistique"
+	"mistique/internal/colstore"
 	"mistique/internal/cost"
 	"mistique/internal/data"
 	"mistique/internal/nn"
@@ -66,7 +67,7 @@ func ExampleSystem_LogDNN() {
 	dir, _ := os.MkdirTemp("", "mq-example-*")
 	defer os.RemoveAll(dir)
 
-	sys, err := mistique.Open(dir, mistique.Config{RowBlockRows: 64})
+	sys, err := mistique.Open(dir, mistique.Config{Store: colstore.Config{RowBlockRows: 64}})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -26,8 +26,7 @@ func main() {
 	defer os.RemoveAll(dir)
 
 	sys, err := mistique.Open(dir, mistique.Config{
-		RowBlockRows: 128,
-		Store:        colstore.Config{Mode: colstore.ModeArrival},
+		Store: colstore.Config{RowBlockRows: 128, Mode: colstore.ModeArrival},
 	})
 	if err != nil {
 		log.Fatal(err)

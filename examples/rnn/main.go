@@ -37,8 +37,7 @@ func main() {
 	fmt.Printf("trained Elman RNN: accuracy %.2f on %d sequences\n", net.Accuracy(seqs, labels), seqs.N)
 
 	sys, err := mistique.Open(dir, mistique.Config{
-		RowBlockRows: 64,
-		Store:        colstore.Config{Mode: colstore.ModeArrival},
+		Store: colstore.Config{RowBlockRows: 64, Mode: colstore.ModeArrival},
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -51,11 +51,11 @@ type Answer struct {
 // n_query(i), dispatches to the op's operator, recovers from lost chunks,
 // and feeds the metrics, the slow-query log and adaptive materialization
 // (Alg. 4). Queries run without any engine-wide lock: reads fan chunk
-// fetches out across the worker pool, and re-runs serialize only on the
-// model's own execution mutex.
+// fetches out across the worker pool, and re-runs take no lock at all,
+// because a re-run writes nothing into the model.
 //
-// ctx is honored before any work starts, before queueing on a model's
-// execution mutex, and between chunk-read tasks. Recovery and adaptive
+// ctx is honored before any work starts, before a model re-run starts,
+// and between chunk-read tasks. Recovery and adaptive
 // materialization are deliberately *not* bound to ctx — once begun,
 // persistence proceeds even if the requesting client has gone away, so a
 // slow client cannot leave the store half-materialized.

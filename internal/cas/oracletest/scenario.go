@@ -35,9 +35,8 @@ type Scenario struct {
 	// Input is the fixed evaluation batch every epoch is logged against.
 	Input *tensor.T4
 	// master accumulates the weight drift; each epoch's snapshot is an
-	// independent clone so RERUN stays correct for every version.
+	// independent clone of it.
 	master *nn.Network
-	seed   int64
 	// PerturbRows is how many fc1 output rows drift per epoch (their
 	// columns delta-encode; the rest dedup exactly).
 	PerturbRows int
@@ -54,7 +53,6 @@ func NewScenario(seed int64, nImages int) *Scenario {
 	return &Scenario{
 		Input:       imgs,
 		master:      nn.SimpleCNN("cnn", 4, seed),
-		seed:        seed,
 		PerturbRows: 6,
 		Eps:         2e-5,
 	}
@@ -80,17 +78,9 @@ func (sc *Scenario) Advance(epoch int) {
 	}
 }
 
-// Snapshot clones the master network at its current weights. Each logged
-// version keeps its own clone (LogDNN retains the network for RERUN), so
-// re-running any epoch reproduces that epoch's activations even after the
-// master drifts on.
-func (sc *Scenario) Snapshot() *nn.Network {
-	clone := nn.SimpleCNN("cnn", 4, sc.seed)
-	if err := clone.LoadWeights(sc.master.SaveWeights()); err != nil {
-		panic(fmt.Sprintf("oracletest: clone weights: %v", err))
-	}
-	return clone
-}
+// Snapshot clones the master network at its current weights, so later
+// drift of the master leaves the snapshot alone.
+func (sc *Scenario) Snapshot() *nn.Network { return sc.master.Clone() }
 
 // VersionName names one epoch's model version.
 func VersionName(prefix string, epoch int) string {

@@ -75,7 +75,7 @@ func AblateDedupGranularity(o Options) (*Table, error) {
 		seen := map[[32]byte]bool{}
 		var stored int64
 		for _, p := range pipes {
-			res, err := p.Run()
+			res, err := p.Run(env)
 			if err != nil {
 				return 0, err
 			}
@@ -104,7 +104,7 @@ func AblateDedupGranularity(o Options) (*Table, error) {
 	// No dedup baseline for reference.
 	var none int64
 	for _, p := range pipes {
-		res, err := p.Run()
+		res, err := p.Run(env)
 		if err != nil {
 			return nil, err
 		}
@@ -234,7 +234,7 @@ func AblatePool(o Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		sys, err := mistique.Open(dir, mistique.Config{RowBlockRows: 256, Store: colstore.Config{Mode: colstore.ModeArrival, DisableExactDedup: true}})
+		sys, err := mistique.Open(dir, mistique.Config{Store: colstore.Config{RowBlockRows: 256, Mode: colstore.ModeArrival, DisableExactDedup: true}})
 		if err != nil {
 			os.RemoveAll(dir)
 			return nil, err
@@ -279,8 +279,7 @@ func CrossModel(o Options) (*Table, error) {
 	}
 	defer os.RemoveAll(dir)
 	sys, err := mistique.Open(dir, mistique.Config{
-		RowBlockRows: 256,
-		Store:        colstore.Config{Mode: colstore.ModeArrival},
+		Store: colstore.Config{RowBlockRows: 256, Mode: colstore.ModeArrival},
 	})
 	if err != nil {
 		return nil, err

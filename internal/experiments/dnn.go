@@ -41,8 +41,7 @@ func dnnSystem(o Options, scheme mistique.Scheme, layers []int) (*mistique.Syste
 	}
 	cleanup := func() { os.RemoveAll(dir) }
 	sys, err := mistique.Open(dir, mistique.Config{
-		RowBlockRows: 256,
-		Store:        colstore.Config{Mode: colstore.ModeArrival},
+		Store: colstore.Config{RowBlockRows: 256, Mode: colstore.ModeArrival},
 	})
 	if err != nil {
 		cleanup()
@@ -253,7 +252,7 @@ func Fig6b(o Options) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			cfg := mistique.Config{RowBlockRows: 256, Store: colstore.Config{Mode: colstore.ModeArrival}}
+			cfg := mistique.Config{Store: colstore.Config{RowBlockRows: 256, Mode: colstore.ModeArrival}}
 			if !sc.dedup {
 				cfg.Store.DisableExactDedup = true
 			}

@@ -487,11 +487,8 @@ func Fig11(o Options) (*Table, error) {
 				return 0, err
 			}
 			if cfg == nil {
-				if err := p.Bind(env, 0); err != nil {
-					return 0, err
-				}
 				start := time.Now()
-				if _, err := p.Run(); err != nil {
+				if _, err := p.Run(env); err != nil {
 					return 0, err
 				}
 				return time.Since(start).Seconds(), nil

@@ -248,18 +248,6 @@ func (f *Frame) Gather(idx []int) *Frame {
 	return out
 }
 
-// Head returns the first n rows (or fewer if the frame is shorter).
-func (f *Frame) Head(n int) *Frame {
-	if n > f.NumRows() {
-		n = f.NumRows()
-	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	return f.Gather(idx)
-}
-
 // JoinInner performs an inner join with other on the named int column. Rows
 // from f keep their row ids; matching columns from other are appended with
 // their names (the join key is not duplicated). If other has multiple rows

@@ -73,10 +73,6 @@ func TestGatherKeepsRowIDs(t *testing.T) {
 	if g.Col("price").F[0] != 300 || g.Col("city").S[1] != "bos" {
 		t.Fatal("gather values")
 	}
-	h := f.Head(2)
-	if h.NumRows() != 2 || f.Head(10).NumRows() != 3 {
-		t.Fatal("Head")
-	}
 }
 
 func TestCloneIsDeep(t *testing.T) {

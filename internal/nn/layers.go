@@ -5,6 +5,12 @@
 // models; SGD training with per-layer freezing (the VGG16 fine-tuning
 // setup, whose frozen conv stack is what makes cross-epoch DEDUP pay off);
 // and binary checkpointing of weights after every epoch.
+//
+// Inference is pure: Forward is a function of the weights and the input
+// and writes nothing, so one Network may serve any number of concurrent
+// forward passes. Only TrainStep writes: it accumulates gradients into
+// each Param and applies them to the weights, so a network must not run
+// inference while it trains (Clone it first).
 package nn
 
 import (
@@ -23,17 +29,17 @@ type Param struct {
 
 func newParam(n int) *Param { return &Param{W: make([]float32, n), G: make([]float32, n)} }
 
-// Layer is one network stage. Forward caches whatever Backward needs.
-// Layers are stateful and not safe for concurrent use; clone networks for
-// parallel inference.
+// Layer is one network stage. A layer keeps no per-call state: Forward
+// writes nothing, and Backward is handed the forward pass's input and
+// output instead of a cache, so concurrent Forward calls are safe.
 type Layer interface {
 	// Name is a short human-readable identifier, e.g. "conv3_1".
 	Name() string
 	// Forward computes the layer output for a batch.
 	Forward(x *tensor.T4) *tensor.T4
-	// Backward consumes dL/d(output) and returns dL/d(input), adding
-	// weight gradients into Params.
-	Backward(grad *tensor.T4) *tensor.T4
+	// Backward consumes dL/d(output) for the forward pass that mapped in
+	// to out and returns dL/d(input), adding weight gradients into Params.
+	Backward(in, out, grad *tensor.T4) *tensor.T4
 	// Params returns trainable parameters (nil for activation layers).
 	Params() []*Param
 }
@@ -46,7 +52,6 @@ type Conv2D struct {
 	InC, OutC, K int
 	Weight, Bias *Param
 	Frozen       bool
-	lastIn       *tensor.T4
 }
 
 // NewConv2D creates a Conv2D with He-initialized weights.
@@ -80,7 +85,6 @@ func (c *Conv2D) Forward(x *tensor.T4) *tensor.T4 {
 	if x.C != c.InC {
 		panic(fmt.Sprintf("nn: %s expects %d channels, got %d", c.name, c.InC, x.C))
 	}
-	c.lastIn = x
 	pad := c.K / 2
 	out := tensor.NewT4(x.N, c.OutC, x.H, x.W)
 	for n := 0; n < x.N; n++ {
@@ -120,11 +124,7 @@ func (c *Conv2D) Forward(x *tensor.T4) *tensor.T4 {
 }
 
 // Backward computes input gradients and accumulates weight/bias gradients.
-func (c *Conv2D) Backward(grad *tensor.T4) *tensor.T4 {
-	x := c.lastIn
-	if x == nil {
-		panic("nn: Conv2D.Backward before Forward")
-	}
+func (c *Conv2D) Backward(x, _, grad *tensor.T4) *tensor.T4 {
 	pad := c.K / 2
 	dx := tensor.NewT4(x.N, x.C, x.H, x.W)
 	for n := 0; n < x.N; n++ {
@@ -171,10 +171,7 @@ func (c *Conv2D) Backward(grad *tensor.T4) *tensor.T4 {
 // ---- ReLU ----
 
 // ReLU is the rectified-linear activation.
-type ReLU struct {
-	name   string
-	lastIn *tensor.T4
-}
+type ReLU struct{ name string }
 
 // NewReLU creates a ReLU layer.
 func NewReLU(name string) *ReLU { return &ReLU{name: name} }
@@ -182,7 +179,6 @@ func NewReLU(name string) *ReLU { return &ReLU{name: name} }
 func (r *ReLU) Name() string     { return r.name }
 func (r *ReLU) Params() []*Param { return nil }
 func (r *ReLU) Forward(x *tensor.T4) *tensor.T4 {
-	r.lastIn = x
 	out := tensor.NewT4(x.N, x.C, x.H, x.W)
 	for i, v := range x.Data {
 		if v > 0 {
@@ -192,9 +188,9 @@ func (r *ReLU) Forward(x *tensor.T4) *tensor.T4 {
 	return out
 }
 
-func (r *ReLU) Backward(grad *tensor.T4) *tensor.T4 {
+func (r *ReLU) Backward(in, _, grad *tensor.T4) *tensor.T4 {
 	dx := tensor.NewT4(grad.N, grad.C, grad.H, grad.W)
-	for i, v := range r.lastIn.Data {
+	for i, v := range in.Data {
 		if v > 0 {
 			dx.Data[i] = grad.Data[i]
 		}
@@ -205,11 +201,7 @@ func (r *ReLU) Backward(grad *tensor.T4) *tensor.T4 {
 // ---- MaxPool 2x2 ----
 
 // MaxPool is a 2x2, stride-2 max pooling layer.
-type MaxPool struct {
-	name    string
-	argmax  []int32
-	inShape [4]int
-}
+type MaxPool struct{ name string }
 
 // NewMaxPool creates a 2x2 max pooling layer.
 func NewMaxPool(name string) *MaxPool { return &MaxPool{name: name} }
@@ -219,28 +211,13 @@ func (m *MaxPool) Params() []*Param { return nil }
 func (m *MaxPool) Forward(x *tensor.T4) *tensor.T4 {
 	oh, ow := x.H/2, x.W/2
 	out := tensor.NewT4(x.N, x.C, oh, ow)
-	m.argmax = make([]int32, len(out.Data))
-	m.inShape = [4]int{x.N, x.C, x.H, x.W}
-	idx := 0
 	for n := 0; n < x.N; n++ {
 		for ch := 0; ch < x.C; ch++ {
 			src := x.Plane(n, ch)
 			dst := out.Plane(n, ch)
-			base := (n*x.C + ch) * x.H * x.W
 			for oy := 0; oy < oh; oy++ {
 				for ox := 0; ox < ow; ox++ {
-					bi := 2*oy*x.W + 2*ox
-					best := src[bi]
-					bestAt := bi
-					for _, off := range [3]int{1, x.W, x.W + 1} {
-						if v := src[bi+off]; v > best {
-							best = v
-							bestAt = bi + off
-						}
-					}
-					dst[oy*ow+ox] = best
-					m.argmax[idx] = int32(base + bestAt)
-					idx++
+					dst[oy*ow+ox] = src[poolArgmax(src, x.W, 2*oy*x.W+2*ox)]
 				}
 			}
 		}
@@ -248,21 +225,42 @@ func (m *MaxPool) Forward(x *tensor.T4) *tensor.T4 {
 	return out
 }
 
-func (m *MaxPool) Backward(grad *tensor.T4) *tensor.T4 {
-	dx := tensor.NewT4(m.inShape[0], m.inShape[1], m.inShape[2], m.inShape[3])
-	for i, v := range grad.Data {
-		dx.Data[m.argmax[i]] += v
+// Backward routes each output gradient to the input its window's maximum
+// came from, found again by the same scan Forward makes.
+func (m *MaxPool) Backward(in, _, grad *tensor.T4) *tensor.T4 {
+	dx := tensor.NewT4(in.N, in.C, in.H, in.W)
+	for n := 0; n < in.N; n++ {
+		for ch := 0; ch < in.C; ch++ {
+			src := in.Plane(n, ch)
+			g := grad.Plane(n, ch)
+			dsrc := dx.Plane(n, ch)
+			for oy := 0; oy < grad.H; oy++ {
+				for ox := 0; ox < grad.W; ox++ {
+					dsrc[poolArgmax(src, in.W, 2*oy*in.W+2*ox)] += g[oy*grad.W+ox]
+				}
+			}
+		}
 	}
 	return dx
+}
+
+// poolArgmax returns the index in src of the maximum of the 2x2 window
+// whose top-left corner is at bi in a plane w wide. The scan order and the
+// strict > fix which element a tie or a NaN picks.
+func poolArgmax(src []float32, w, bi int) int {
+	best, at := src[bi], bi
+	for _, off := range [3]int{1, w, w + 1} {
+		if v := src[bi+off]; v > best {
+			best, at = v, bi+off
+		}
+	}
+	return at
 }
 
 // ---- Flatten ----
 
 // Flatten reshapes (C, H, W) feature volumes into (C*H*W, 1, 1) vectors.
-type Flatten struct {
-	name    string
-	inShape [4]int
-}
+type Flatten struct{ name string }
 
 // NewFlatten creates a flatten layer.
 func NewFlatten(name string) *Flatten { return &Flatten{name: name} }
@@ -270,14 +268,13 @@ func NewFlatten(name string) *Flatten { return &Flatten{name: name} }
 func (f *Flatten) Name() string     { return f.name }
 func (f *Flatten) Params() []*Param { return nil }
 func (f *Flatten) Forward(x *tensor.T4) *tensor.T4 {
-	f.inShape = [4]int{x.N, x.C, x.H, x.W}
 	out := tensor.NewT4(x.N, x.C*x.H*x.W, 1, 1)
 	copy(out.Data, x.Data)
 	return out
 }
 
-func (f *Flatten) Backward(grad *tensor.T4) *tensor.T4 {
-	dx := tensor.NewT4(f.inShape[0], f.inShape[1], f.inShape[2], f.inShape[3])
+func (f *Flatten) Backward(in, _, grad *tensor.T4) *tensor.T4 {
+	dx := tensor.NewT4(in.N, in.C, in.H, in.W)
 	copy(dx.Data, grad.Data)
 	return dx
 }
@@ -291,7 +288,6 @@ type Dense struct {
 	Weight  *Param // Out x In, row-major
 	Bias    *Param
 	Frozen  bool
-	lastIn  *tensor.T4
 }
 
 // NewDense creates a Dense layer with He initialization.
@@ -317,7 +313,6 @@ func (d *Dense) Forward(x *tensor.T4) *tensor.T4 {
 	if x.C != d.In || x.H != 1 || x.W != 1 {
 		panic(fmt.Sprintf("nn: %s expects (%d,1,1) input, got (%d,%d,%d)", d.name, d.In, x.C, x.H, x.W))
 	}
-	d.lastIn = x
 	out := tensor.NewT4(x.N, d.Out, 1, 1)
 	for n := 0; n < x.N; n++ {
 		src := x.Example(n)
@@ -334,8 +329,7 @@ func (d *Dense) Forward(x *tensor.T4) *tensor.T4 {
 	return out
 }
 
-func (d *Dense) Backward(grad *tensor.T4) *tensor.T4 {
-	x := d.lastIn
+func (d *Dense) Backward(x, _, grad *tensor.T4) *tensor.T4 {
 	dx := tensor.NewT4(x.N, d.In, 1, 1)
 	for n := 0; n < x.N; n++ {
 		src := x.Example(n)

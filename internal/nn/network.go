@@ -110,7 +110,8 @@ func (n *Network) TrainStep(x *tensor.T4, labels []int, lr float32) float64 {
 	if x.N != len(labels) {
 		panic("nn: TrainStep batch size mismatch")
 	}
-	logits := n.Forward(x, len(n.Layers)-1)
+	acts := n.ForwardAll(x)
+	logits := acts[len(acts)-1]
 	if logits.H != 1 || logits.W != 1 {
 		panic("nn: TrainStep needs a (classes,1,1) output head")
 	}
@@ -129,9 +130,7 @@ func (n *Network) TrainStep(x *tensor.T4, labels []int, lr float32) float64 {
 			g[c] /= float32(logits.N)
 		}
 	}
-	for i := len(n.Layers) - 1; i >= 0; i-- {
-		grad = n.Layers[i].Backward(grad)
-	}
+	n.backward(x, acts, grad)
 	for _, p := range n.Params() {
 		for i := range p.W {
 			p.W[i] -= lr * p.G[i]
@@ -139,6 +138,20 @@ func (n *Network) TrainStep(x *tensor.T4, labels []int, lr float32) float64 {
 		}
 	}
 	return loss / float64(x.N)
+}
+
+// backward propagates grad, dL/d(output), from the last layer to the
+// first, given the input x and the per-layer activations ForwardAll
+// returned for it, and returns dL/d(input).
+func (n *Network) backward(x *tensor.T4, acts []*tensor.T4, grad *tensor.T4) *tensor.T4 {
+	for i := len(n.Layers) - 1; i >= 0; i-- {
+		in := x
+		if i > 0 {
+			in = acts[i-1]
+		}
+		grad = n.Layers[i].Backward(in, acts[i], grad)
+	}
+	return grad
 }
 
 func softmax(row []float32) []float32 {
@@ -300,6 +313,41 @@ func (n *Network) LoadWeights(blob []byte) error {
 		return fmt.Errorf("nn: %w", err)
 	}
 	return nil
+}
+
+// Clone returns a network with the same layers whose parameters are
+// copies: training either one leaves the other's weights alone. Parameters
+// that layers share (an RNN's steps) stay shared within the clone.
+func (n *Network) Clone() *Network {
+	params := make(map[*Param]*Param)
+	dup := func(p *Param) *Param {
+		if c, ok := params[p]; ok {
+			return c
+		}
+		c := &Param{W: append([]float32(nil), p.W...), G: append([]float32(nil), p.G...)}
+		params[p] = c
+		return c
+	}
+	out := &Network{Name: n.Name, InC: n.InC, InH: n.InH, InW: n.InW, Layers: make([]Layer, len(n.Layers))}
+	for i, l := range n.Layers {
+		switch t := l.(type) {
+		case *Conv2D:
+			c := *t
+			c.Weight, c.Bias = dup(t.Weight), dup(t.Bias)
+			out.Layers[i] = &c
+		case *Dense:
+			d := *t
+			d.Weight, d.Bias = dup(t.Weight), dup(t.Bias)
+			out.Layers[i] = &d
+		case *RNNStep:
+			r := *t
+			r.Wx, r.Wh, r.B = dup(t.Wx), dup(t.Wh), dup(t.B)
+			out.Layers[i] = &r
+		default:
+			out.Layers[i] = l // no parameters and no state: nothing to copy
+		}
+	}
+	return out
 }
 
 // allParams returns every parameter, including frozen ones (checkpoints

@@ -1,8 +1,10 @@
 package nn
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"mistique/internal/data"
@@ -72,7 +74,7 @@ func TestConvGradientCheck(t *testing.T) {
 	// Analytic gradient: dL/dy = y.
 	y := c.Forward(x)
 	grad := y.Clone()
-	dx := c.Backward(grad)
+	dx := c.Backward(x, y, grad)
 
 	const eps = 1e-3
 	// Check a few input gradients.
@@ -117,7 +119,7 @@ func TestDenseGradientCheck(t *testing.T) {
 		return s / 2
 	}
 	y := d.Forward(x)
-	dx := d.Backward(y.Clone())
+	dx := d.Backward(x, y, y.Clone())
 	const eps = 1e-3
 	for _, i := range []int{0, 5, 17} {
 		orig := x.Data[i]
@@ -156,7 +158,7 @@ func TestReLUAndPool(t *testing.T) {
 	}
 	g := tensor.NewT4(1, 1, 2, 2)
 	copy(g.Data, []float32{10, 10, 10, 10})
-	dx := r.Backward(g)
+	dx := r.Backward(x, y, g)
 	if dx.Data[0] != 0 || dx.Data[1] != 10 {
 		t.Fatalf("relu grad %v", dx.Data)
 	}
@@ -170,7 +172,7 @@ func TestReLUAndPool(t *testing.T) {
 	}
 	g2 := tensor.NewT4(1, 1, 1, 1)
 	g2.Data[0] = 7
-	dx2 := p.Backward(g2)
+	dx2 := p.Backward(x2, y2, g2)
 	if dx2.Data[1] != 7 || dx2.Data[0] != 0 {
 		t.Fatalf("pool grad routes to argmax: %v", dx2.Data)
 	}
@@ -183,7 +185,7 @@ func TestFlattenRoundTrip(t *testing.T) {
 	if y.C != 48 || y.H != 1 {
 		t.Fatalf("flatten shape %d,%d,%d", y.C, y.H, y.W)
 	}
-	back := f.Backward(y)
+	back := f.Backward(x, y, y)
 	for i := range x.Data {
 		if back.Data[i] != x.Data[i] {
 			t.Fatal("flatten backward not inverse")
@@ -343,6 +345,66 @@ func TestPredictAndAccuracy(t *testing.T) {
 	}
 	if acc := n.Accuracy(x, pred); acc != 1 {
 		t.Fatalf("self accuracy %g", acc)
+	}
+}
+
+// TestInferenceWritesNothing: a forward pass leaves the network exactly as
+// it was, so concurrent inference on one network needs no lock. Each
+// network is compared against a twin built from the same seed.
+func TestInferenceWritesNothing(t *testing.T) {
+	seqs, _ := data.Sequences(5, 4, 2, 2, 4)
+	for _, c := range []struct {
+		build func() *Network
+		x     *tensor.T4
+	}{
+		{func() *Network { return SimpleCNN("cnn", 4, 1) }, randT4(5, 3, 32, 32, 2)},
+		{func() *Network { return VGG16("vgg", 4, 2, 1) }, randT4(5, 3, 32, 32, 3)},
+		{func() *Network { return ElmanRNN("rnn", 4, 2, 3, 2, 1) }, seqs},
+	} {
+		n, twin := c.build(), c.build()
+		if !reflect.DeepEqual(n, twin) {
+			t.Fatalf("%s: twins differ before any call", n.Name)
+		}
+		last := n.NumLayers() - 1
+		n.Forward(c.x, last)
+		if !reflect.DeepEqual(n, twin) {
+			t.Fatalf("%s: Forward changed the network", n.Name)
+		}
+		n.ForwardBatched(c.x, last, 2)
+		if !reflect.DeepEqual(n, twin) {
+			t.Fatalf("%s: ForwardBatched changed the network", n.Name)
+		}
+	}
+}
+
+// TestCloneOwnsItsWeights: a clone computes what its source computes, and
+// training one leaves the other's weights alone. An RNN's steps keep
+// sharing one set of weights inside the clone.
+func TestCloneOwnsItsWeights(t *testing.T) {
+	x, labels := data.Images(16, 2, 5)
+	n := SimpleCNN("cnn", 2, 6)
+	c := n.Clone()
+	if !reflect.DeepEqual(n, c) {
+		t.Fatal("clone differs from its source")
+	}
+	before := n.SaveWeights()
+	c.TrainEpochs(x, labels, 1, 8, 0.05, nil)
+	if !bytes.Equal(n.SaveWeights(), before) {
+		t.Fatal("training the clone changed the source")
+	}
+	if bytes.Equal(c.SaveWeights(), before) {
+		t.Fatal("training the clone changed nothing")
+	}
+
+	r := ElmanRNN("rnn", 4, 2, 3, 2, 1)
+	rc := r.Clone()
+	if got := len(rc.allParams()); got != 5 {
+		t.Fatalf("clone has %d distinct params, want 5", got)
+	}
+	for i, p := range rc.allParams() {
+		if p == r.allParams()[i] {
+			t.Fatalf("clone shares param %d with its source", i)
+		}
 	}
 }
 

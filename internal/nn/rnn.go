@@ -27,9 +27,6 @@ type RNNStep struct {
 	SeqLen           int
 	Wx, Wh, B        *Param
 	Frozen           bool
-
-	lastIn *tensor.T4
-	lastH  []float32 // post-tanh activations, N x Hidden
 }
 
 // NewRNNStep creates step t sharing the given parameters.
@@ -58,9 +55,7 @@ func (r *RNNStep) Forward(x *tensor.T4) *tensor.T4 {
 	if x.C != r.width() || x.H != 1 || x.W != 1 {
 		panic(fmt.Sprintf("nn: %s expects (%d,1,1) input, got (%d,%d,%d)", r.name, r.width(), x.C, x.H, x.W))
 	}
-	r.lastIn = x
 	out := x.Clone()
-	r.lastH = make([]float32, x.N*r.Hidden)
 	seqBytes := r.SeqLen * r.InputDim
 	for n := 0; n < x.N; n++ {
 		in := x.Example(n)
@@ -77,27 +72,23 @@ func (r *RNNStep) Forward(x *tensor.T4) *tensor.T4 {
 			for i, v := range hPrev {
 				sum += whRow[i] * v
 			}
-			h := float32(math.Tanh(float64(sum)))
-			dst[j] = h
-			r.lastH[n*r.Hidden+j] = h
+			dst[j] = float32(math.Tanh(float64(sum)))
 		}
 	}
 	return out
 }
 
 // Backward propagates through the tanh recurrence (one BPTT step; chaining
-// step layers yields full backpropagation through time).
-func (r *RNNStep) Backward(grad *tensor.T4) *tensor.T4 {
-	x := r.lastIn
-	if x == nil {
-		panic("nn: RNNStep.Backward before Forward")
-	}
+// step layers yields full backpropagation through time). The post-tanh
+// activations h_t are out's hidden tail.
+func (r *RNNStep) Backward(x, out, grad *tensor.T4) *tensor.T4 {
 	dx := grad.Clone() // sequence region gradient passes through
 	seqBytes := r.SeqLen * r.InputDim
 	for n := 0; n < x.N; n++ {
 		in := x.Example(n)
 		xt := in[r.Step*r.InputDim : (r.Step+1)*r.InputDim]
 		hPrev := in[seqBytes:]
+		hOut := out.Example(n)[seqBytes:]
 		gOut := grad.Example(n)[seqBytes:]
 		gIn := dx.Example(n)
 		gxt := gIn[r.Step*r.InputDim : (r.Step+1)*r.InputDim]
@@ -106,7 +97,7 @@ func (r *RNNStep) Backward(grad *tensor.T4) *tensor.T4 {
 			ghPrev[j] = 0 // replaced, not passed through
 		}
 		for j := 0; j < r.Hidden; j++ {
-			h := r.lastH[n*r.Hidden+j]
+			h := hOut[j]
 			dpre := gOut[j] * (1 - h*h)
 			if dpre == 0 {
 				continue
@@ -134,7 +125,6 @@ func (r *RNNStep) Backward(grad *tensor.T4) *tensor.T4 {
 type PadHidden struct {
 	name   string
 	Hidden int
-	inC    int
 }
 
 // NewPadHidden creates the hidden-state initializer layer.
@@ -145,7 +135,6 @@ func NewPadHidden(name string, hidden int) *PadHidden {
 func (p *PadHidden) Name() string     { return p.name }
 func (p *PadHidden) Params() []*Param { return nil }
 func (p *PadHidden) Forward(x *tensor.T4) *tensor.T4 {
-	p.inC = x.C
 	out := tensor.NewT4(x.N, x.C+p.Hidden, 1, 1)
 	for n := 0; n < x.N; n++ {
 		copy(out.Example(n), x.Example(n))
@@ -153,10 +142,10 @@ func (p *PadHidden) Forward(x *tensor.T4) *tensor.T4 {
 	return out
 }
 
-func (p *PadHidden) Backward(grad *tensor.T4) *tensor.T4 {
-	dx := tensor.NewT4(grad.N, p.inC, 1, 1)
+func (p *PadHidden) Backward(in, _, grad *tensor.T4) *tensor.T4 {
+	dx := tensor.NewT4(grad.N, in.C, 1, 1)
 	for n := 0; n < grad.N; n++ {
-		copy(dx.Example(n), grad.Example(n)[:p.inC])
+		copy(dx.Example(n), grad.Example(n)[:in.C])
 	}
 	return dx
 }
@@ -165,7 +154,6 @@ func (p *PadHidden) Backward(grad *tensor.T4) *tensor.T4 {
 type TakeHidden struct {
 	name   string
 	Hidden int
-	inC    int
 }
 
 // NewTakeHidden creates the final-state extraction layer.
@@ -176,7 +164,6 @@ func NewTakeHidden(name string, hidden int) *TakeHidden {
 func (t *TakeHidden) Name() string     { return t.name }
 func (t *TakeHidden) Params() []*Param { return nil }
 func (t *TakeHidden) Forward(x *tensor.T4) *tensor.T4 {
-	t.inC = x.C
 	out := tensor.NewT4(x.N, t.Hidden, 1, 1)
 	for n := 0; n < x.N; n++ {
 		copy(out.Example(n), x.Example(n)[x.C-t.Hidden:])
@@ -184,10 +171,10 @@ func (t *TakeHidden) Forward(x *tensor.T4) *tensor.T4 {
 	return out
 }
 
-func (t *TakeHidden) Backward(grad *tensor.T4) *tensor.T4 {
-	dx := tensor.NewT4(grad.N, t.inC, 1, 1)
+func (t *TakeHidden) Backward(in, _, grad *tensor.T4) *tensor.T4 {
+	dx := tensor.NewT4(grad.N, in.C, 1, 1)
 	for n := 0; n < grad.N; n++ {
-		copy(dx.Example(n)[t.inC-t.Hidden:], grad.Example(n))
+		copy(dx.Example(n)[in.C-t.Hidden:], grad.Example(n))
 	}
 	return dx
 }

@@ -49,11 +49,8 @@ func TestRNNGradientCheck(t *testing.T) {
 		}
 		return s / 2
 	}
-	y := n.Forward(x, n.NumLayers()-1)
-	grad := y.Clone()
-	for i := n.NumLayers() - 1; i >= 0; i-- {
-		grad = n.Layers[i].Backward(grad)
-	}
+	acts := n.ForwardAll(x)
+	grad := n.backward(x, acts, acts[len(acts)-1].Clone())
 	// Input gradient check.
 	const eps = 1e-3
 	for _, i := range []int{0, 5, 17} {
@@ -83,11 +80,8 @@ func TestRNNGradientCheck(t *testing.T) {
 				p.G[j] = 0
 			}
 		}
-		y := n.Forward(x, n.NumLayers()-1)
-		g := y.Clone()
-		for li := n.NumLayers() - 1; li >= 0; li-- {
-			g = n.Layers[li].Backward(g)
-		}
+		acts := n.ForwardAll(x)
+		n.backward(x, acts, acts[len(acts)-1].Clone())
 		want := float64(step.Wh.G[i])
 		orig := step.Wh.W[i]
 		step.Wh.W[i] = orig + eps
@@ -148,7 +142,7 @@ func TestPadAndTakeHidden(t *testing.T) {
 		t.Fatalf("pad forward wrong: %v", y.Data)
 	}
 	g := y.Clone()
-	back := p.Backward(g)
+	back := p.Backward(x, y, g)
 	if back.C != 4 || back.At(1, 2, 0, 0) != y.At(1, 2, 0, 0) {
 		t.Fatal("pad backward wrong")
 	}
@@ -162,7 +156,7 @@ func TestPadAndTakeHidden(t *testing.T) {
 	for i := range gz.Data {
 		gz.Data[i] = 1
 	}
-	bz := tk.Backward(gz)
+	bz := tk.Backward(y, z, gz)
 	if bz.C != 7 || bz.At(0, 4, 0, 0) != 1 || bz.At(0, 0, 0, 0) != 0 {
 		t.Fatal("take backward wrong")
 	}

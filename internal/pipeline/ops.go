@@ -23,7 +23,7 @@ import (
 // Op is a pipeline transformer. Apply consumes input frames and produces
 // one or more output frames. fit is true on the logging run (the op may
 // learn state, e.g. category vocabularies, means, model weights) and false
-// on re-runs, which must reuse the stored state.
+// on re-runs, which must reuse the stored state and write nothing.
 type Op interface {
 	// Apply transforms inputs into outputs. The number of outputs must
 	// match the stage's declared output names.
@@ -141,13 +141,9 @@ func needInputs(inputs []*frame.Frame, n int, op string) error {
 
 // ---- read_table ----
 
-// readTable pulls a named table from the execution environment. The
-// environment table is injected by the executor before Apply runs.
-type readTable struct {
-	table string
-	env   *frame.Frame // set by the executor
-	limit int          // optional row cap for scaled re-runs
-}
+// readTable emits a named table of the run's environment, which the
+// executor hands it as its one input.
+type readTable struct{ table string }
 
 func newReadTable(params map[string]any) (Op, error) {
 	t, err := pStr(params, "table")
@@ -157,14 +153,11 @@ func newReadTable(params map[string]any) (Op, error) {
 	return &readTable{table: t}, nil
 }
 
-func (o *readTable) Apply(_ []*frame.Frame, _ bool) ([]*frame.Frame, error) {
-	if o.env == nil {
-		return nil, fmt.Errorf("pipeline: table %q not bound", o.table)
+func (o *readTable) Apply(inputs []*frame.Frame, _ bool) ([]*frame.Frame, error) {
+	if err := needInputs(inputs, 1, "read_table"); err != nil {
+		return nil, err
 	}
-	if o.limit > 0 && o.limit < o.env.NumRows() {
-		return one(o.env.Head(o.limit)), nil
-	}
-	return one(o.env), nil
+	return inputs, nil
 }
 
 // ---- join ----
@@ -639,9 +632,11 @@ func (o *split) Apply(inputs []*frame.Frame, fit bool) ([]*frame.Frame, error) {
 		return nil, err
 	}
 	in := inputs[0]
-	if fit || len(o.perm) != in.NumRows() {
+	if fit {
 		rng := rand.New(rand.NewSource(o.seed))
 		o.perm = rng.Perm(in.NumRows())
+	} else if len(o.perm) != in.NumRows() {
+		return nil, fmt.Errorf("pipeline: split fitted on %d rows, got %d", len(o.perm), in.NumRows())
 	}
 	cut := int(o.frac * float64(in.NumRows()))
 	return []*frame.Frame{in.Gather(o.perm[:cut]), in.Gather(o.perm[cut:])}, nil
@@ -749,7 +744,10 @@ func (o *selectKBest) Apply(inputs []*frame.Frame, fit bool) ([]*frame.Frame, er
 		return nil, err
 	}
 	in := inputs[0]
-	if fit || o.keep == nil {
+	if !fit && o.keep == nil {
+		return nil, fmt.Errorf("pipeline: select_k_best not fitted")
+	}
+	if fit {
 		tc := in.Col(o.target)
 		if tc == nil {
 			return nil, fmt.Errorf("pipeline: select_k_best: no target %q", o.target)

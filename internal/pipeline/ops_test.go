@@ -239,11 +239,7 @@ stages:
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := envTables(t)
-	if err := p.Bind(env, 0); err != nil {
-		t.Fatal(err)
-	}
-	res, err := p.Run()
+	res, err := p.Run(envTables(t))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,7 +34,9 @@ type stage struct {
 
 // Pipeline is an instantiated, runnable pipeline. Fitted transformer state
 // lives inside the stage ops, so a pipeline logged once can be re-run
-// (transform-only) at query time.
+// (transform-only) at query time. Only fitting writes that state: once a
+// full run has fitted the pipeline, runs write nothing and may execute
+// concurrently.
 type Pipeline struct {
 	Name   string
 	stages []*stage
@@ -75,7 +77,7 @@ func New(spec Spec) (*Pipeline, error) {
 			return nil, fmt.Errorf("pipeline %s: stage %q: %w", spec.Name, ss.Name, err)
 		}
 		if po, ok := op.(*predictOp); ok {
-			po.resolve = p.resolvePredictor
+			po.p = p
 		}
 		for _, out := range ss.Outputs {
 			produced[out] = true
@@ -98,25 +100,6 @@ func (p *Pipeline) resolvePredictor(stageName string) (predictor, error) {
 		}
 	}
 	return nil, fmt.Errorf("pipeline %s: no stage %q", p.Name, stageName)
-}
-
-// Bind attaches environment tables to the pipeline's read_table stages and
-// optionally caps the rows they emit (limit <= 0 means all rows; caps are
-// how scaled re-runs model n_ex < TOTAL_EXAMPLES).
-func (p *Pipeline) Bind(env map[string]*frame.Frame, limit int) error {
-	for _, s := range p.stages {
-		rt, ok := s.op.(*readTable)
-		if !ok {
-			continue
-		}
-		f, ok := env[rt.table]
-		if !ok {
-			return fmt.Errorf("pipeline %s: stage %q: no table %q in environment", p.Name, s.spec.Name, rt.table)
-		}
-		rt.env = f
-		rt.limit = limit
-	}
-	return nil
 }
 
 // StageResult records one executed stage.
@@ -152,15 +135,16 @@ func (r *RunResult) Intermediate(name string) *frame.Frame {
 	return nil
 }
 
-// Run executes the full pipeline. The first Run fits transformer state;
+// Run executes the full pipeline over env, which maps each read_table
+// stage's table name to its frame. The first Run fits transformer state;
 // subsequent runs are transform-only re-executions of the stored
 // transformers (RERUN in the cost model).
-func (p *Pipeline) Run() (*RunResult, error) {
-	return p.RunTo(len(p.stages) - 1)
+func (p *Pipeline) Run(env map[string]*frame.Frame) (*RunResult, error) {
+	return p.RunTo(env, len(p.stages)-1)
 }
 
-// RunTo executes stages [0, upTo] and returns their trace.
-func (p *Pipeline) RunTo(upTo int) (*RunResult, error) {
+// RunTo executes stages [0, upTo] over env and returns their trace.
+func (p *Pipeline) RunTo(env map[string]*frame.Frame, upTo int) (*RunResult, error) {
 	if upTo < 0 || upTo >= len(p.stages) {
 		return nil, fmt.Errorf("pipeline %s: RunTo(%d) out of range", p.Name, upTo)
 	}
@@ -176,6 +160,13 @@ func (p *Pipeline) RunTo(upTo int) (*RunResult, error) {
 				return nil, fmt.Errorf("pipeline %s: stage %q: input %q not available", p.Name, s.spec.Name, in)
 			}
 			inputs[j] = f
+		}
+		if rt, ok := s.op.(*readTable); ok {
+			f, ok := env[rt.table]
+			if !ok {
+				return nil, fmt.Errorf("pipeline %s: stage %q: no table %q in environment", p.Name, s.spec.Name, rt.table)
+			}
+			inputs = []*frame.Frame{f}
 		}
 		start := time.Now()
 		outs, err := s.op.Apply(inputs, fit)

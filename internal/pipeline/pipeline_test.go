@@ -2,6 +2,8 @@ package pipeline
 
 import (
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 
 	"mistique/internal/data"
@@ -44,10 +46,8 @@ func intermediateNames(r *RunResult) []string {
 
 func TestPipelineEndToEnd(t *testing.T) {
 	p := buildDemo(t)
-	if err := p.Bind(env(t), 0); err != nil {
-		t.Fatal(err)
-	}
-	res, err := p.Run()
+	e := env(t)
+	res, err := p.Run(e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,14 +96,12 @@ func TestPipelineEndToEnd(t *testing.T) {
 
 func TestPipelineRerunIsDeterministicWithoutRefit(t *testing.T) {
 	p := buildDemo(t)
-	if err := p.Bind(env(t), 0); err != nil {
-		t.Fatal(err)
-	}
-	first, err := p.Run()
+	e := env(t)
+	first, err := p.Run(e)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := p.Run() // transform-only re-run
+	second, err := p.Run(e) // transform-only re-run
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,41 +116,111 @@ func TestPipelineRerunIsDeterministicWithoutRefit(t *testing.T) {
 
 func TestPipelineRunToPartial(t *testing.T) {
 	p := buildDemo(t)
-	if err := p.Bind(env(t), 0); err != nil {
+	e := env(t)
+	if _, err := p.Run(e); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Run(); err != nil {
-		t.Fatal(err)
-	}
-	res, err := p.RunTo(2)
+	res, err := p.RunTo(e, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Stages) != 3 || res.Intermediate("joined") == nil {
 		t.Fatalf("partial run: %v", intermediateNames(res))
 	}
-	if _, err := p.RunTo(99); err == nil {
+	if _, err := p.RunTo(e, 99); err == nil {
 		t.Fatal("out of range RunTo accepted")
 	}
 }
 
-func TestPipelineBindLimit(t *testing.T) {
-	p := buildDemo(t)
-	if err := p.Bind(env(t), 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Run(); err != nil { // fit first
-		t.Fatal(err)
-	}
-	if err := p.Bind(env(t), 100); err != nil {
-		t.Fatal(err)
-	}
-	res, err := p.RunTo(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := res.Intermediate("sales").NumRows(); got != 100 {
-		t.Fatalf("limited read rows %d", got)
+// statefulSpec chains every op that fits state on the logging run.
+const statefulSpec = `
+name: stateful
+stages:
+  - name: props
+    op: read_table
+    params: {table: properties}
+  - name: sales
+    op: read_table
+    params: {table: train}
+  - name: joined
+    op: join
+    inputs: [sales, props]
+    params: {on: parcelid}
+  - name: hood
+    op: neighborhood
+    inputs: [joined]
+  - name: avg
+    op: group_avg
+    inputs: [hood]
+    params: {group: regionidzip, col: taxvaluedollarcnt}
+  - name: hot
+    op: onehot
+    inputs: [avg]
+    params: {cols: [propertytype]}
+  - name: filled
+    op: fillna
+    inputs: [hot]
+  - name: scaled
+    op: scale
+    inputs: [filled]
+  - name: selected
+    op: select_k_best
+    inputs: [scaled]
+    params: {target: logerror, k: 6}
+  - name: splits
+    op: split
+    inputs: [selected]
+    outputs: [train_split, test_split]
+  - name: model
+    op: train_lgbm
+    inputs: [train_split]
+    params: {target: logerror, rounds: 3}
+  - name: pred_test
+    op: predict
+    inputs: [test_split]
+    params: {model: model}
+`
+
+// TestTransformOnlyRunWritesNothing: once a pipeline is fitted, its runs
+// write no op state, so concurrent re-runs need no lock. Each pipeline is
+// compared against a twin fitted on the same tables; a run on tables the
+// split was not fitted on fails instead of refitting.
+func TestTransformOnlyRunWritesNothing(t *testing.T) {
+	e := env(t)
+	h := data.Housing(300, 600, 2)
+	other := map[string]*frame.Frame{"properties": h.Properties, "train": h.Train}
+	for _, src := range []string{sampleSpec, statefulSpec} {
+		spec, err := SpecFromYAML(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ps [2]*Pipeline
+		for i := range ps {
+			if ps[i], err = New(spec); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ps[i].Run(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		p, twin := ps[0], ps[1]
+		if !reflect.DeepEqual(p, twin) {
+			t.Fatalf("%s: twins differ after fitting", spec.Name)
+		}
+		for upTo := range p.stages {
+			if _, err := p.RunTo(e, upTo); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(p, twin) {
+				t.Fatalf("%s: transform-only RunTo(%d) changed the pipeline", spec.Name, upTo)
+			}
+		}
+		if _, err := p.Run(other); err == nil || !strings.Contains(err.Error(), "split fitted on") {
+			t.Fatalf("%s: run on 600 sales rows after fitting on 900: %v", spec.Name, err)
+		}
+		if !reflect.DeepEqual(p, twin) {
+			t.Fatalf("%s: a failed run changed the pipeline", spec.Name)
+		}
 	}
 }
 
@@ -179,8 +247,8 @@ func TestPipelineValidation(t *testing.T) {
 
 func TestPipelineMissingTable(t *testing.T) {
 	p := buildDemo(t)
-	if err := p.Bind(map[string]*frame.Frame{}, 0); err == nil {
-		t.Fatal("bind with empty env accepted")
+	if _, err := p.Run(map[string]*frame.Frame{}); err == nil {
+		t.Fatal("run with empty env accepted")
 	}
 }
 
@@ -193,10 +261,8 @@ func TestPredictBeforeTrainFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Bind(env(t), 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Run(); err == nil {
+	e := env(t)
+	if _, err := p.Run(e); err == nil {
 		t.Fatal("predict against non-model stage accepted")
 	}
 }
@@ -237,10 +303,8 @@ stages:
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Bind(env(t), 0); err != nil {
-		t.Fatal(err)
-	}
-	res, err := p.Run()
+	e := env(t)
+	res, err := p.Run(e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,10 +371,8 @@ stages:
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Bind(env(t), 0); err != nil {
-		t.Fatal(err)
-	}
-	res, err := p.Run()
+	e := env(t)
+	res, err := p.Run(e)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,11 +40,19 @@ type model interface {
 // predictions as its intermediate. Downstream predict stages reference the
 // fitted model through the executor.
 type trainOp struct {
-	target   string
-	flavor   string
-	fit      func(x *tensor.Dense, y []float64) model
+	target string
+	flavor string
+	// params is the regressor's ml.GBMParams or ml.ElasticNetParams.
+	params   any
 	m        model
 	features []string
+}
+
+func (o *trainOp) train(x *tensor.Dense, y []float64) model {
+	if p, ok := o.params.(ml.ElasticNetParams); ok {
+		return ml.TrainElasticNet(x, y, p)
+	}
+	return ml.TrainGBM(x, y, o.params.(ml.GBMParams))
 }
 
 func (o *trainOp) Apply(inputs []*frame.Frame, fit bool) ([]*frame.Frame, error) {
@@ -61,9 +69,11 @@ func (o *trainOp) Apply(inputs []*frame.Frame, fit bool) ([]*frame.Frame, error)
 		return nil, fmt.Errorf("pipeline: train_%s: target %q not numeric", o.flavor, o.target)
 	}
 	x, names := featureMatrix(in, o.target)
-	if fit || o.m == nil {
-		o.m = o.fit(x, y)
+	if fit {
+		o.m = o.train(x, y)
 		o.features = names
+	} else if o.m == nil {
+		return nil, fmt.Errorf("pipeline: train_%s not fitted", o.flavor)
 	}
 	pred := o.m.Predict(x)
 	out := frame.WithRowIDs(in.RowIDs())
@@ -114,9 +124,7 @@ func newTrainXGB(params map[string]any) (Op, error) {
 		MaxDepth:     pIntDefault(params, "max_depth", 4),
 		Seed:         int64(pIntDefault(params, "seed", 1)),
 	}
-	return &trainOp{target: target, flavor: "xgb", fit: func(x *tensor.Dense, y []float64) model {
-		return ml.TrainGBM(x, y, p)
-	}}, nil
+	return &trainOp{target: target, flavor: "xgb", params: p}, nil
 }
 
 func newTrainLGBM(params map[string]any) (Op, error) {
@@ -133,9 +141,7 @@ func newTrainLGBM(params map[string]any) (Op, error) {
 		MaxDepth:        pIntDefault(params, "max_depth", 5),
 		Seed:            int64(pIntDefault(params, "seed", 2)),
 	}
-	return &trainOp{target: target, flavor: "lgbm", fit: func(x *tensor.Dense, y []float64) model {
-		return ml.TrainGBM(x, y, p)
-	}}, nil
+	return &trainOp{target: target, flavor: "lgbm", params: p}, nil
 }
 
 func newTrainElastic(params map[string]any) (Op, error) {
@@ -149,15 +155,13 @@ func newTrainElastic(params map[string]any) (Op, error) {
 		Tol:       pFloatDefault(params, "tol", 1e-4),
 		Normalize: pIntDefault(params, "normalize", 0) != 0,
 	}
-	return &trainOp{target: target, flavor: "elastic", fit: func(x *tensor.Dense, y []float64) model {
-		return ml.TrainElasticNet(x, y, p)
-	}}, nil
+	return &trainOp{target: target, flavor: "elastic", params: p}, nil
 }
 
 // predictOp applies a previously trained stage's model to its input frame.
 type predictOp struct {
 	modelStage string
-	resolve    func(stage string) (predictor, error) // wired by the executor
+	p          *Pipeline // the pipeline the op belongs to, set by New
 }
 
 func newPredict(params map[string]any) (Op, error) {
@@ -172,10 +176,7 @@ func (o *predictOp) Apply(inputs []*frame.Frame, _ bool) ([]*frame.Frame, error)
 	if err := needInputs(inputs, 1, "predict"); err != nil {
 		return nil, err
 	}
-	if o.resolve == nil {
-		return nil, fmt.Errorf("pipeline: predict op not bound to an executor")
-	}
-	p, err := o.resolve(o.modelStage)
+	p, err := o.p.resolvePredictor(o.modelStage)
 	if err != nil {
 		return nil, err
 	}

@@ -648,7 +648,7 @@ func TestClientRetries5xx(t *testing.T) {
 // full disk does not heal within a backoff window.
 func TestENOSPCIs507(t *testing.T) {
 	inj := faultfs.NewInjector(nil)
-	sys := newSys(t, mistique.Config{RowBlockRows: 64, Store: colstore.Config{FS: inj}})
+	sys := newSys(t, mistique.Config{Store: colstore.Config{RowBlockRows: 64, FS: inj}})
 	var calls atomic.Int32
 	h := New(sys, Config{}).Handler()
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

@@ -11,6 +11,7 @@ import (
 
 	"mistique"
 	"mistique/client"
+	"mistique/internal/colstore"
 )
 
 func streamCell(row int64, col int) float32 { return float32(row%353) + float32(col)*0.5 }
@@ -18,7 +19,7 @@ func streamCell(row int64, col int) float32 { return float32(row%353) + float32(
 // newStreamService stands up a service tuned for streaming tests.
 func newStreamService(t *testing.T, scfg Config) (*mistique.System, *Server, *httptest.Server) {
 	t.Helper()
-	sys, err := mistique.Open(t.TempDir(), mistique.Config{RowBlockRows: 128})
+	sys, err := mistique.Open(t.TempDir(), mistique.Config{Store: colstore.Config{RowBlockRows: 128}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,7 +65,7 @@ func TestBuildAndRunSubset(t *testing.T) {
 	}
 	// Run one variant per template end-to-end.
 	for i := 0; i < 50; i += 5 {
-		res, err := pipes[i].Run()
+		res, err := pipes[i].Run(env)
 		if err != nil {
 			t.Fatalf("pipeline %s: %v", pipes[i].Name, err)
 		}
@@ -86,11 +86,11 @@ func TestSharedPrefixAcrossPipelines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := pipes[0].Run() // p1_v0
+	r1, err := pipes[0].Run(env) // p1_v0
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := pipes[1].Run() // p1_v1
+	r2, err := pipes[1].Run(env) // p1_v1
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,8 +55,10 @@ func (o DNNLogOptions) withDefaults(blockRows int) DNNLogOptions {
 
 // LogDNN runs input through net layer by layer, applies the configured
 // quantization/summarization scheme, and logs every layer's activations as
-// a model intermediate named after the layer. The network and input are
-// retained so queries can re-run the forward pass (the RERUN strategy).
+// a model intermediate named after the layer. A copy of the network's
+// weights and the input are retained so queries can re-run the forward
+// pass (the RERUN strategy): training net after LogDNN returns does not
+// change what a re-run computes.
 //
 // Log each training checkpoint under its own model name (e.g. "vgg@e3");
 // frozen layers then produce byte-identical chunks across epochs, which
@@ -73,11 +75,13 @@ func (s *System) LogDNN(name string, net *nn.Network, input *tensor.T4, opts DNN
 	var done *dnnModel
 	defer func() { s.endLogging(name, nil, done) }()
 	s.meta.DeleteModel(name) // re-attach after reopen (see LogPipeline)
-	opts = opts.withDefaults(s.cfg.RowBlockRows)
-	if opts.BatchRows != s.cfg.RowBlockRows {
+	net = net.Clone()
+	blockRows := s.store.RowBlockRows()
+	opts = opts.withDefaults(blockRows)
+	if opts.BatchRows != blockRows {
 		// Keeping batch == RowBlock makes block boundaries align with
 		// forward batches; other sizes are legal but would interleave.
-		opts.BatchRows = s.cfg.RowBlockRows
+		opts.BatchRows = blockRows
 	}
 	before := s.store.Stats()
 	start := time.Now()
@@ -144,10 +148,10 @@ func (s *System) LogDNN(name string, net *nn.Network, input *tensor.T4, opts DNN
 	}
 
 	// Stream batches: the forward pass runs layer by layer on this
-	// goroutine (Network is not reentrant); each logged activation block is
-	// handed to the worker pool to summarize, encode and store while the
-	// next batch computes. Layer outputs are freshly allocated and never
-	// mutated, so workers read them without copies.
+	// goroutine; each logged activation block is handed to the worker pool
+	// to summarize, encode and store while the next batch computes. Layer
+	// outputs are freshly allocated and never mutated, so workers read them
+	// without copies.
 	g := parallel.NewGroup(0)
 	storedBytes := make([]int64, net.NumLayers())
 	for block := 0; block*opts.BatchRows < input.N; block++ {

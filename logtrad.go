@@ -2,6 +2,7 @@ package mistique
 
 import (
 	"fmt"
+	"maps"
 	"time"
 
 	"mistique/internal/frame"
@@ -37,13 +38,13 @@ func (s *System) LogPipeline(p *pipeline.Pipeline, env map[string]*frame.Frame) 
 	// the catalog entry; identical chunks re-presented to the store dedup
 	// against the flushed data, so the re-log is cheap and idempotent.
 	s.meta.DeleteModel(name)
-	if err := p.Bind(env, 0); err != nil {
-		return nil, err
-	}
+	// Keep our own table map, so a caller's later edits to env do not
+	// change what a re-run reads.
+	env = maps.Clone(env)
 
 	before := s.store.Stats()
 	start := time.Now()
-	res, err := p.Run()
+	res, err := p.Run(env)
 	if err != nil {
 		return nil, fmt.Errorf("mistique: run %s: %w", name, err)
 	}
@@ -58,7 +59,7 @@ func (s *System) LogPipeline(p *pipeline.Pipeline, env map[string]*frame.Frame) 
 	}
 	timedCh := make(chan timedRun, 1)
 	go func() {
-		r, err := p.Run()
+		r, err := p.Run(env)
 		timedCh <- timedRun{res: r, err: err}
 	}()
 
@@ -70,6 +71,7 @@ func (s *System) LogPipeline(p *pipeline.Pipeline, env map[string]*frame.Frame) 
 	}
 	model := &metadata.Model{Name: name, Kind: metadata.TRAD}
 	report := &LogReport{Model: name}
+	blockRows := s.store.RowBlockRows()
 
 	// Store each intermediate in turn; storeMatrix fans its columns out
 	// across the worker pool, so the column axis (the wide one) is already
@@ -93,7 +95,7 @@ func (s *System) LogPipeline(p *pipeline.Pipeline, env map[string]*frame.Frame) 
 				StageIndex: si,
 				Columns:    cols,
 				Rows:       m.Rows,
-				Blocks:     (m.Rows + s.cfg.RowBlockRows - 1) / s.cfg.RowBlockRows,
+				Blocks:     (m.Rows + blockRows - 1) / blockRows,
 			}
 			model.Intermediates = append(model.Intermediates, it)
 			model.Stages[si].OutputColumns = len(cols)
@@ -144,17 +146,13 @@ func (s *System) LogPipeline(p *pipeline.Pipeline, env map[string]*frame.Frame) 
 }
 
 // materializeTRAD stores one pipeline intermediate on demand (the adaptive
-// path). It re-runs the stored transformers to obtain the frame; the
-// re-run holds the model's execution lock (transformers keep per-run
-// state), storage does not.
+// path). It re-runs the stored transformers to obtain the frame.
 func (s *System) materializeTRAD(pm *pipelineModel, model, interm string) error {
 	si, ok := pm.stageOf[interm]
 	if !ok {
 		return fmt.Errorf("mistique: %w %s.%s", ErrUnknownIntermediate, model, interm)
 	}
-	pm.exec.Lock()
-	res, err := pm.p.RunTo(si)
-	pm.exec.Unlock()
+	res, err := pm.p.RunTo(pm.env, si)
 	if err != nil {
 		return err
 	}

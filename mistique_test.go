@@ -188,7 +188,7 @@ func TestErrors(t *testing.T) {
 }
 
 // dnnSetupConfig is the configuration dnnSetup opens its System with.
-var dnnSetupConfig = Config{RowBlockRows: 64, Store: colstore.Config{Mode: colstore.ModeArrival}}
+var dnnSetupConfig = Config{Store: colstore.Config{RowBlockRows: 64, Mode: colstore.ModeArrival}}
 
 func dnnSetup(t *testing.T, scheme Scheme, n int) (*System, *nn.Network) {
 	t.Helper()
@@ -285,7 +285,7 @@ func TestLogDNN8BitApproximates(t *testing.T) {
 }
 
 func TestDNNLayerSubset(t *testing.T) {
-	s := openSys(t, Config{RowBlockRows: 64})
+	s := openSys(t, Config{Store: colstore.Config{RowBlockRows: 64}})
 	net := nn.SimpleCNN("cnn", 4, 3)
 	imgs, _ := data.Images(64, 4, 4)
 	if _, err := s.LogDNN("cnn", net, imgs, DNNLogOptions{Scheme: SchemeFull, Layers: []int{0, 13}}); err != nil {
@@ -303,7 +303,7 @@ func TestDNNLayerSubset(t *testing.T) {
 }
 
 func TestDNNDedupAcrossEpochsFrozenLayers(t *testing.T) {
-	s := openSys(t, Config{RowBlockRows: 64, Store: colstore.Config{Mode: colstore.ModeArrival}})
+	s := openSys(t, Config{Store: colstore.Config{RowBlockRows: 64, Mode: colstore.ModeArrival}})
 	imgs, labels := data.Images(64, 2, 5)
 	net := nn.VGG16("vgg", 2, 1, 6)
 	net.FreezeConv()
@@ -484,7 +484,7 @@ func TestReopenServesMaterializedReads(t *testing.T) {
 }
 
 func TestFilterRowsAndGetRows(t *testing.T) {
-	s := openSys(t, Config{RowBlockRows: 64})
+	s := openSys(t, Config{Store: colstore.Config{RowBlockRows: 64}})
 	logDemo(t, s)
 
 	// Predicate scan over the stored yearbuilt column.
@@ -545,7 +545,7 @@ func TestFilterRowsRequiresMaterialization(t *testing.T) {
 }
 
 func TestLogRNNIntermediates(t *testing.T) {
-	s := openSys(t, Config{RowBlockRows: 64, Store: colstore.Config{Mode: colstore.ModeArrival}})
+	s := openSys(t, Config{Store: colstore.Config{RowBlockRows: 64, Mode: colstore.ModeArrival}})
 	seqs, _ := data.Sequences(64, 6, 2, 3, 1)
 	net := nn.ElmanRNN("rnn", 6, 2, 8, 3, 2)
 	rep, err := s.LogDNN("rnn", net, seqs, DNNLogOptions{Scheme: SchemeFull})
@@ -747,7 +747,7 @@ func TestGetRowsOnPooledDNN(t *testing.T) {
 }
 
 func TestMaxPoolScheme(t *testing.T) {
-	s := openSys(t, Config{RowBlockRows: 64})
+	s := openSys(t, Config{Store: colstore.Config{RowBlockRows: 64}})
 	net := nn.SimpleCNN("cnn", 4, 1)
 	imgs, _ := data.Images(64, 4, 2)
 	if _, err := s.LogDNN("cnn", net, imgs, DNNLogOptions{Scheme: SchemePool2, PoolAgg: quant.Max}); err != nil {
@@ -783,7 +783,7 @@ func TestMaxPoolScheme(t *testing.T) {
 // throughout; operations racing a concurrent DropModel of a scratch model
 // may fail, but only with a clean error.
 func TestConcurrentEngine(t *testing.T) {
-	s := openSys(t, Config{RowBlockRows: 64, Store: colstore.Config{Mode: colstore.ModeArrival}})
+	s := openSys(t, Config{Store: colstore.Config{RowBlockRows: 64, Mode: colstore.ModeArrival}})
 	logDemo(t, s)
 
 	want, err := s.GetIntermediate("demo", "joined", []string{"logerror"}, 0)

@@ -181,7 +181,7 @@ type opResult struct {
 // are gob-encoded (bit-exact, NaN included) by model and op.
 func everyOpAnswers(t *testing.T, procs int) map[string][]byte {
 	pinProcs(t, procs)
-	s := openSys(t, Config{RowBlockRows: 64, Store: colstore.Config{Mode: colstore.ModeArrival}})
+	s := openSys(t, Config{Store: colstore.Config{RowBlockRows: 64, Mode: colstore.ModeArrival}})
 	logDemo(t, s)
 	net := nn.SimpleCNN("cnn", 4, 1)
 	imgs, _ := data.Images(96, 4, 2)

@@ -137,7 +137,7 @@ func TestPlanAgreesWithExecute(t *testing.T) {
 	lazy := openSys(t, Config{Gamma: 1e30}) // adaptive on: RERUN is the only strategy
 	logDemo(t, lazy)
 	cnn, _ := dnnSetup(t, SchemeFull, 96)
-	stream := openSys(t, Config{RowBlockRows: 64})
+	stream := openSys(t, Config{Store: colstore.Config{RowBlockRows: 64}})
 	ingestStream(t, stream, "live", "acts", []string{"v", "w"}, 0, 300, 50)
 	if err := stream.Flush(); err != nil {
 		t.Fatal(err)
@@ -288,7 +288,7 @@ func typoQueries(s *System, model, interm string) map[string]func() error {
 // (which cannot be re-materialized) the old path destroyed every flushed
 // row; on a pipeline it deleted, re-ran and re-stored the intermediate.
 func TestTypoColumnNeverDeletesStoredData(t *testing.T) {
-	stream := openSys(t, Config{RowBlockRows: 64})
+	stream := openSys(t, Config{Store: colstore.Config{RowBlockRows: 64}})
 	streamCols := []string{"v", "w"}
 	ingestStream(t, stream, "live", "acts", streamCols, 0, 300, 50)
 	if err := stream.Flush(); err != nil {
@@ -348,7 +348,7 @@ func TestTypoColumnNeverDeletesStoredData(t *testing.T) {
 func TestStreamBadPartitionKeepsHealthyBlocks(t *testing.T) {
 	dir := t.TempDir()
 	// One chunk per partition, so a bad file is a bad block, not the store.
-	s, err := Open(dir, Config{RowBlockRows: 64, Store: colstore.Config{PartitionTargetBytes: 1}})
+	s, err := Open(dir, Config{Store: colstore.Config{RowBlockRows: 64, PartitionTargetBytes: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -106,7 +106,7 @@ func (s *System) Estimate(model, interm string, nEx int) (readSecs, rerunSecs fl
 // at chunk granularity.
 func (s *System) readMatrix(ctx context.Context, model, interm string, cols []string, nEx int) (*tensor.Dense, error) {
 	out := tensor.NewDense(nEx, len(cols))
-	blockRows := s.cfg.RowBlockRows
+	blockRows := s.store.RowBlockRows()
 	nBlocks := (nEx + blockRows - 1) / blockRows
 	type task struct{ j, b int }
 	tasks := make([]task, 0, len(cols)*nBlocks)
@@ -164,8 +164,8 @@ func (s *System) executor(m *metadata.Model) (*pipelineModel, *dnnModel, error) 
 }
 
 // rerunMatrix recomputes the intermediate by executing the stored model.
-// ctx is checked before queueing on the model's execution mutex — a
-// canceled query should not lengthen the line for a serialized re-run.
+// Re-runs write nothing into the model, so concurrent ones run in
+// parallel; ctx is checked once, before the run starts.
 func (s *System) rerunMatrix(ctx context.Context, m *metadata.Model, it *metadata.Interm, cols []string, nEx int) (*tensor.Dense, error) {
 	pm, dm, err := s.executor(m)
 	if err != nil {
@@ -177,9 +177,7 @@ func (s *System) rerunMatrix(ctx context.Context, m *metadata.Model, it *metadat
 	if dm != nil {
 		return s.rerunDNN(dm, it, cols, nEx)
 	}
-	pm.exec.Lock()
-	res, err := pm.p.RunTo(it.StageIndex)
-	pm.exec.Unlock()
+	res, err := pm.p.RunTo(pm.env, it.StageIndex)
 	if err != nil {
 		return nil, err
 	}
@@ -196,9 +194,7 @@ func (s *System) rerunDNN(dm *dnnModel, it *metadata.Interm, cols []string, nEx 
 	if nEx < in.N {
 		in = in.SliceN(0, nEx)
 	}
-	dm.exec.Lock()
 	act := dm.net.ForwardBatched(in, it.StageIndex, dm.opts.BatchRows)
-	dm.exec.Unlock()
 	// Apply the same summarization as storage so the column space matches
 	// the catalog (pooled schemes shrink the unit count).
 	act = s.transformActivation(act, dm.opts.Scheme, dm.opts.PoolAgg)
@@ -222,8 +218,6 @@ func (s *System) RerunRawDNN(model, layer string, nEx int) (*tensor.T4, error) {
 	if nEx > 0 && nEx < in.N {
 		in = in.SliceN(0, nEx)
 	}
-	dm.exec.Lock()
-	defer dm.exec.Unlock()
 	return dm.net.ForwardBatched(in, li, dm.opts.BatchRows), nil
 }
 

@@ -325,7 +325,7 @@ func TestReopenSweepsOrphanTemps(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			inj := faultfs.NewInjector(nil)
-			s, err := Open(dir, Config{RowBlockRows: 64, Store: colstore.Config{FS: inj}})
+			s, err := Open(dir, Config{Store: colstore.Config{RowBlockRows: 64, FS: inj}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -349,7 +349,7 @@ func TestReopenSweepsOrphanTemps(t *testing.T) {
 				t.Fatalf("no orphan temp in %s: the crash point moved", artifactDir)
 			}
 
-			s2, err := Open(dir, Config{RowBlockRows: 64})
+			s2, err := Open(dir, Config{Store: colstore.Config{RowBlockRows: 64}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -370,7 +370,7 @@ func TestReopenSweepsOrphanTemps(t *testing.T) {
 // carrying on as if the quarantine had worked.
 func TestOpenFailsWhenQuarantineFails(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Config{RowBlockRows: 64})
+	s, err := Open(dir, Config{Store: colstore.Config{RowBlockRows: 64}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,14 +394,14 @@ func TestOpenFailsWhenQuarantineFails(t *testing.T) {
 		}
 		inj := faultfs.NewInjector(nil)
 		inj.Arm(faultfs.Fault{Op: faultfs.OpRename, PathContains: filepath.Base(path) + ".corrupt"})
-		if _, err := Open(dir, Config{RowBlockRows: 64, Store: colstore.Config{FS: inj}}); !errors.Is(err, faultfs.ErrInjected) {
+		if _, err := Open(dir, Config{Store: colstore.Config{RowBlockRows: 64, FS: inj}}); !errors.Is(err, faultfs.ErrInjected) {
 			t.Fatalf("open with unquarantinable %s: err = %v", filepath.Base(path), err)
 		}
 		if _, err := os.Stat(path); err != nil {
 			t.Fatalf("%s vanished on a failed quarantine: %v", path, err)
 		}
 		// On a healthy filesystem the same file is set aside and Open succeeds.
-		if _, err := Open(dir, Config{RowBlockRows: 64}); err != nil {
+		if _, err := Open(dir, Config{Store: colstore.Config{RowBlockRows: 64}}); err != nil {
 			t.Fatalf("open with quarantinable %s: %v", filepath.Base(path), err)
 		}
 		if _, err := os.Stat(path + ".corrupt"); err != nil {
@@ -420,7 +420,7 @@ func TestOpenFailsWhenQuarantineFails(t *testing.T) {
 // pointed at a newer directory must not quarantine it into an empty store).
 func TestOpenRefusesNewerArtifactsAndLeavesThem(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Config{RowBlockRows: 64})
+	s, err := Open(dir, Config{Store: colstore.Config{RowBlockRows: 64}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,7 +470,7 @@ func TestOpenRefusesNewerArtifactsAndLeavesThem(t *testing.T) {
 		if err := os.WriteFile(path, newer, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Open(dir, Config{RowBlockRows: 64}); !errors.Is(err, durable.ErrUnsupported) {
+		if _, err := Open(dir, Config{Store: colstore.Config{RowBlockRows: 64}}); !errors.Is(err, durable.ErrUnsupported) {
 			t.Fatalf("open over a newer %s: err = %v, want ErrUnsupported", filepath.Base(path), err)
 		}
 		if kept, err := os.ReadFile(path); err != nil || !bytes.Equal(kept, newer) {
@@ -483,7 +483,7 @@ func TestOpenRefusesNewerArtifactsAndLeavesThem(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s2, err := Open(dir, Config{RowBlockRows: 64})
+	s2, err := Open(dir, Config{Store: colstore.Config{RowBlockRows: 64}})
 	if err != nil {
 		t.Fatalf("open after restoring every file: %v", err)
 	}

@@ -314,7 +314,7 @@ func (s *System) openStream(model, interm string, cols []string) (*streamState, 
 	it, ok := s.meta.IntermSnapshot(model, interm)
 	if ok && it.Rows > 0 {
 		base := int64(it.Rows)
-		blockRows := int64(s.cfg.RowBlockRows)
+		blockRows := int64(s.store.RowBlockRows())
 		st.rows, st.drained = base, base
 		st.blockStart = base - base%blockRows
 		if st.blockStart < base {
@@ -344,7 +344,7 @@ func (s *System) openStream(model, interm string, cols []string) (*streamState, 
 // cutFullBlocksLocked moves every full RowBlock from the open block into
 // the column store and advances the catalog. Caller holds st.mu.
 func (st *streamState) cutFullBlocksLocked(s *System) error {
-	blockRows := int64(s.cfg.RowBlockRows)
+	blockRows := int64(s.store.RowBlockRows())
 	for int64(len(st.pend[0])) >= blockRows {
 		if err := st.putOpenBlockLocked(s, int(blockRows)); err != nil {
 			return err
@@ -377,7 +377,7 @@ func (st *streamState) drainTailLocked(s *System) error {
 // the store (replacing any previous shorter cut of the same block) and
 // advances the catalog row count to cover them.
 func (st *streamState) putOpenBlockLocked(s *System, n int) error {
-	block := int(st.blockStart) / s.cfg.RowBlockRows
+	block := int(st.blockStart) / s.store.RowBlockRows()
 	var delta int64
 	for j, c := range st.cols {
 		key := colstore.ColumnKey{Model: st.model, Intermediate: st.interm, Column: c, Block: block}

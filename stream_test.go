@@ -76,7 +76,7 @@ func checkStreamRead(t *testing.T, s *System, model, interm string, cols []strin
 }
 
 func TestStreamIngestAndExactRead(t *testing.T) {
-	s := openSys(t, Config{RowBlockRows: 64})
+	s := openSys(t, Config{Store: colstore.Config{RowBlockRows: 64}})
 	cols := []string{"a", "b", "c"}
 
 	res := ingestStream(t, s, "live", "acts", cols, 0, 300, 7)
@@ -136,7 +136,7 @@ func TestStreamIngestAndExactRead(t *testing.T) {
 
 func TestStreamReplayOnReopen(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{RowBlockRows: 64}
+	cfg := Config{Store: colstore.Config{RowBlockRows: 64}}
 	s1, err := Open(dir, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -188,7 +188,7 @@ func TestStreamReplayOnReopen(t *testing.T) {
 func TestStreamCrashMidAppendKeepsAckedRows(t *testing.T) {
 	dir := t.TempDir()
 	inj := faultfs.NewInjector(nil)
-	cfg := Config{RowBlockRows: 64, Store: colstore.Config{FS: inj}}
+	cfg := Config{Store: colstore.Config{RowBlockRows: 64, FS: inj}}
 	s1, err := Open(dir, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -203,7 +203,7 @@ func TestStreamCrashMidAppendKeepsAckedRows(t *testing.T) {
 	}
 
 	// Reboot on a healthy filesystem.
-	s2, err := Open(dir, Config{RowBlockRows: 64})
+	s2, err := Open(dir, Config{Store: colstore.Config{RowBlockRows: 64}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestStreamCrashMidAppendKeepsAckedRows(t *testing.T) {
 }
 
 func TestStreamColumnAndKindConflicts(t *testing.T) {
-	s := openSys(t, Config{RowBlockRows: 64})
+	s := openSys(t, Config{Store: colstore.Config{RowBlockRows: 64}})
 	if _, err := s.IngestRows("live", "acts", []string{"a", "b"}, [][]float32{{1, 2}}); err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestStreamConcurrentStress(t *testing.T) {
 		rowsPer  = 1500
 		batch    = 21
 	)
-	s := openSys(t, Config{RowBlockRows: 128})
+	s := openSys(t, Config{Store: colstore.Config{RowBlockRows: 128}})
 	s.sampleCap = 256
 	cols := []string{"v", "w"}
 
@@ -388,7 +388,7 @@ func TestStreamConcurrentStress(t *testing.T) {
 // TestStreamDropModel removes the WAL, the sample, and the stream state.
 func TestStreamDropModel(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Config{RowBlockRows: 64})
+	s, err := Open(dir, Config{Store: colstore.Config{RowBlockRows: 64}})
 	if err != nil {
 		t.Fatal(err)
 	}

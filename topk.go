@@ -118,7 +118,7 @@ func (s *System) columnFetcher(ctx context.Context, p *Plan) nindex.Fetch {
 			return nil, 0, err
 		}
 		vals, err := s.store.GetColumnRange(p.Model, p.Intermediate, p.Columns[0], 0, p.it.Rows)
-		return vals, s.cfg.RowBlockRows, err
+		return vals, s.store.RowBlockRows(), err
 	}
 }
 

@@ -455,7 +455,7 @@ func TestTopKDisabledIndexStillAnswers(t *testing.T) {
 // must retire the index built over the shorter block: rows that become the
 // new maximum show up in the next TOPK and FilterRows.
 func TestIndexSeesGrowthOfOpenBlock(t *testing.T) {
-	s := openSys(t, Config{RowBlockRows: 64})
+	s := openSys(t, Config{Store: colstore.Config{RowBlockRows: 64}})
 	ingest := func(lo, hi int) {
 		t.Helper()
 		rows := make([][]float32, 0, hi-lo)

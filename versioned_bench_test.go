@@ -11,6 +11,7 @@ import (
 
 	"mistique"
 	"mistique/internal/cas/oracletest"
+	"mistique/internal/colstore"
 	"mistique/internal/cost"
 )
 
@@ -22,7 +23,7 @@ func BenchmarkVersionedIngest(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		sc := oracletest.NewScenario(3, 64)
-		s, err := mistique.Open(b.TempDir(), mistique.Config{RowBlockRows: 64})
+		s, err := mistique.Open(b.TempDir(), mistique.Config{Store: colstore.Config{RowBlockRows: 64}})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -47,7 +48,7 @@ func BenchmarkVersionedIngest(b *testing.B) {
 // the model (the cost model charges depth+1 reads for exactly this).
 func BenchmarkDeltaChainRead(b *testing.B) {
 	sc := oracletest.NewScenario(5, 64)
-	s, err := mistique.Open(b.TempDir(), mistique.Config{RowBlockRows: 64})
+	s, err := mistique.Open(b.TempDir(), mistique.Config{Store: colstore.Config{RowBlockRows: 64}})
 	if err != nil {
 		b.Fatal(err)
 	}
