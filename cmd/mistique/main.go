@@ -129,6 +129,28 @@ func open(dir string, dedup bool, gamma float64, codecName string) (*mistique.Sy
 	return mistique.Open(dir, cfg)
 }
 
+// openRelogged opens the store and re-logs the first n Zillow pipelines:
+// that rebuilds the in-memory transformer state RERUN needs, and their
+// stored chunks dedup against the store, so it is cheap on a warm
+// directory.
+func openRelogged(dir, codecName string, n int, seed int64) (*mistique.System, error) {
+	sys, err := open(dir, true, 0, codecName)
+	if err != nil || n <= 0 {
+		return sys, err
+	}
+	env := zillow.Env(400, 2048, seed)
+	pipes, err := zillow.Build(env)
+	if err != nil {
+		return nil, err
+	}
+	for _, p := range pipes[:min(n, len(pipes))] {
+		if _, err := sys.LogPipeline(p, env); err != nil {
+			return nil, err
+		}
+	}
+	return sys, nil
+}
+
 func runLog(dir string, args []string) error {
 	fs := flag.NewFlagSet("log", flag.ExitOnError)
 	nPipes := fs.Int("pipelines", 5, "number of Zillow pipelines to log (max 50)")
@@ -182,23 +204,10 @@ func runQuery(dir string, args []string) error {
 		return fmt.Errorf("query needs -model and -interm")
 	}
 
-	// Re-log to rebuild in-memory transformer state; stored chunks dedup
-	// against the existing store so this is cheap on a warm directory.
-	sys, err := open(dir, true, 0, "")
+	sys, err := openRelogged(dir, "", *nPipes, *seed)
 	if err != nil {
 		return err
 	}
-	env := zillow.Env(400, 2048, *seed)
-	pipes, err := zillow.Build(env)
-	if err != nil {
-		return err
-	}
-	for _, p := range pipes[:*nPipes] {
-		if _, err := sys.LogPipeline(p, env); err != nil {
-			return err
-		}
-	}
-
 	var cols []string
 	if *col != "" {
 		cols = strings.Split(*col, ",")
@@ -239,19 +248,9 @@ func runScan(dir string, args []string) error {
 	if err != nil {
 		return err
 	}
-	sys, err := open(dir, true, 0, "")
+	sys, err := openRelogged(dir, "", *nPipes, *seed)
 	if err != nil {
 		return err
-	}
-	env := zillow.Env(400, 2048, *seed)
-	pipes, err := zillow.Build(env)
-	if err != nil {
-		return err
-	}
-	for _, p := range pipes[:*nPipes] {
-		if _, err := sys.LogPipeline(p, env); err != nil {
-			return err
-		}
 	}
 	rows, err := sys.FilterRows(*model, *interm, *col, op, float32(*bound))
 	if err != nil {
@@ -384,24 +383,9 @@ func runServe(dir string, args []string) error {
 		return fmt.Errorf("serve needs -addr")
 	}
 
-	sys, err := open(dir, true, 0, *codecName)
+	sys, err := openRelogged(dir, *codecName, *nPipes, *seed)
 	if err != nil {
 		return err
-	}
-	if *nPipes > 0 {
-		env := zillow.Env(400, 2048, *seed)
-		pipes, err := zillow.Build(env)
-		if err != nil {
-			return err
-		}
-		if *nPipes > len(pipes) {
-			*nPipes = len(pipes)
-		}
-		for _, p := range pipes[:*nPipes] {
-			if _, err := sys.LogPipeline(p, env); err != nil {
-				return err
-			}
-		}
 	}
 
 	srv := server.New(sys, server.Config{

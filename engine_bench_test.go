@@ -6,6 +6,7 @@ package mistique
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"mistique/internal/colstore"
@@ -99,5 +100,44 @@ func BenchmarkFilterRowsRangeScan(b *testing.B) {
 		if _, err := s.Execute(ctx, q); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkPlanGet costs an OpGet of the demo pipeline on a store that
+// also holds one delta chunk among 1 k, 10 k and 100 k column keys: the
+// plan charges READ its chain depth, and that must not grow with the store.
+func BenchmarkPlanGet(b *testing.B) {
+	for _, n := range []int{1_000, 10_000, 100_000} {
+		b.Run(fmt.Sprintf("keys=%d", n), func(b *testing.B) {
+			s := benchSystem(b)
+			st := s.Store()
+			base := make([]float32, 1024)
+			for i := range base {
+				base[i] = float32(i)
+			}
+			child := append([]float32(nil), base...)
+			child[7]++
+			parent := colstore.ColumnKey{Model: "v0", Intermediate: "act", Column: "c", Block: 0}
+			if _, err := st.PutColumn(parent, base, nil); err != nil {
+				b.Fatal(err)
+			}
+			if r, err := st.PutColumnDelta(colstore.ColumnKey{Model: "v1", Intermediate: "act", Column: "c", Block: 0}, child, nil, parent); err != nil || !r.Delta {
+				b.Fatalf("delta put: %+v %v", r, err)
+			}
+			filler := []float32{1, 2, 3, 4}
+			for i := 2; i < n; i++ {
+				k := colstore.ColumnKey{Model: "filler", Intermediate: fmt.Sprintf("i%d", i/64), Column: fmt.Sprintf("c%d", i%64)}
+				if _, err := st.PutColumn(k, filler, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+			q := Query{Op: OpGet, Model: "demo", Intermediate: "joined", Columns: []string{"logerror"}, To: 40}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.Plan(q); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -247,3 +247,47 @@ func BenchmarkPutColumnDelta(b *testing.B) {
 		})
 	}
 }
+
+// deltaStore returns a store holding n column keys in 64-column
+// intermediates, one of whose columns is a delta chunk: the shape in which
+// every costed plan asks MaxDeltaDepth.
+func deltaStore(b *testing.B, n int) *Store {
+	b.Helper()
+	s, err := Open(b.TempDir(), Config{DisableApproxDedup: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	base := randCol(1024, 1)
+	if _, err := s.PutColumn(vkey("v0"), base, nil); err != nil {
+		b.Fatal(err)
+	}
+	if r, err := s.PutColumnDelta(vkey("v1"), perturbCol(base, 3, 0.1), nil, vkey("v0")); err != nil || !r.Delta {
+		b.Fatalf("delta put: %+v %v", r, err)
+	}
+	filler := []float32{1, 2, 3, 4}
+	for i := 2; i < n; i++ {
+		k := key("filler", fmt.Sprintf("i%d", i/64), fmt.Sprintf("c%d", i%64), 0)
+		if _, err := s.PutColumn(k, filler, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return s
+}
+
+// BenchmarkMaxDeltaDepth costs a READ's chain amplification, which every
+// Plan of an op not bound to stored chunks asks, at 1 k, 10 k and 100 k
+// column keys with one delta chunk stored. It must not grow with the store.
+func BenchmarkMaxDeltaDepth(b *testing.B) {
+	for _, n := range []int{1_000, 10_000, 100_000} {
+		b.Run(fmt.Sprintf("keys=%d", n), func(b *testing.B) {
+			s := deltaStore(b, n)
+			if d := s.MaxDeltaDepth("v1", "act"); d != 1 {
+				b.Fatalf("MaxDeltaDepth = %d, want 1", d)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.MaxDeltaDepth("v1", "act")
+			}
+		})
+	}
+}

@@ -44,12 +44,12 @@ func vkey(version string) ColumnKey {
 // deltaDepth returns the delta-chain depth of a stored column (0 = stored
 // full or not stored), from resident metadata only.
 func deltaDepth(s *Store, k ColumnKey) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	id, ok := s.columns[k]
+	id, ok := s.Lookup(k)
 	if !ok {
 		return 0
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return s.deltas[id].Depth
 }
 

@@ -39,7 +39,7 @@ func (s *Store) ColumnSignature(model, interm, column string) (uint32, error) {
 	var buf [16]byte
 	for b := 0; ; b++ {
 		key := ColumnKey{Model: model, Intermediate: interm, Column: column, Block: b}
-		id, ok := s.columns[key]
+		id, ok := s.idLocked(key)
 		if !ok {
 			if b == 0 {
 				return 0, fmt.Errorf("colstore: column %s: %w", key, ErrNotStored)
@@ -69,7 +69,7 @@ func (s *Store) GetColumnRange(model, interm, column string, from, to int) ([]fl
 	s.mu.Lock()
 	for b := firstBlock; b*blockRows < to; b++ {
 		key := ColumnKey{Model: model, Intermediate: interm, Column: column, Block: b}
-		if _, ok := s.columns[key]; !ok {
+		if _, ok := s.idLocked(key); !ok {
 			s.mu.Unlock()
 			return nil, fmt.Errorf("colstore: column %s (range [%d,%d)): %w", key, from, to, ErrNotStored)
 		}
@@ -84,8 +84,8 @@ func (s *Store) GetColumnRange(model, interm, column string, from, to int) ([]fl
 			return nil, err
 		}
 		base := b * blockRows
-		lo := maxI(from-base, 0)
-		hi := minI(to-base, len(vals))
+		lo := max(from-base, 0)
+		hi := min(to-base, len(vals))
 		if lo > len(vals) {
 			return nil, fmt.Errorf("colstore: row range [%d,%d) beyond column %s.%s.%s", from, to, model, interm, column)
 		}
@@ -98,18 +98,4 @@ func (s *Store) GetColumnRange(model, interm, column string, from, to int) ([]fl
 		return nil, fmt.Errorf("colstore: column %s.%s.%s has too few rows for [%d,%d)", model, interm, column, from, to)
 	}
 	return out, nil
-}
-
-func minI(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxI(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

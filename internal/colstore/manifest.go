@@ -77,9 +77,9 @@ type manifest struct {
 func (s *Store) writeManifestLocked() error {
 	s.generation++
 	m := manifest{Version: manifestVersion, Generation: s.generation, NextPart: s.nextPart, Stats: s.stats}
-	for k, id := range s.columns {
+	s.eachColumnLocked(func(k ColumnKey, id ChunkID) {
 		m.Columns = append(m.Columns, manifestColumn{Key: k, Chunk: id})
-	}
+	})
 	for id, d := range s.deltas {
 		m.Deltas = append(m.Deltas, manifestDelta{Chunk: id, Base: d.Base, Depth: d.Depth})
 	}
@@ -169,12 +169,6 @@ func (s *Store) loadManifest() error {
 	s.generation = m.Generation
 	s.nextPart = m.NextPart
 	s.stats = m.Stats
-	for _, mc := range m.Columns {
-		s.columns[mc.Key] = mc.Chunk
-	}
-	for _, md := range m.Deltas {
-		s.deltas[md.Chunk] = deltaRef{Base: md.Base, Depth: md.Depth}
-	}
 	for _, mp := range m.Partitions {
 		s.parts[mp.ID] = &partition{
 			id:         mp.ID,
@@ -188,6 +182,17 @@ func (s *Store) loadManifest() error {
 			diskChunks: -1,  // unknown until the recovery sweep verifies
 			wantChunks: mp.Chunks,
 		}
+	}
+	// Partitions first, then chain links, then columns: each mapping takes
+	// its chunk's reference and its directory's depth as it lands.
+	for _, md := range m.Deltas {
+		s.addDeltaLocked(md.Chunk, deltaRef{Base: md.Base, Depth: md.Depth})
+	}
+	for _, mc := range m.Columns {
+		if mc.Key.Block < 0 {
+			return fmt.Errorf("colstore: manifest: %w: column %s", durable.ErrCorrupt, mc.Key)
+		}
+		s.mapLocked(mc.Key, mc.Chunk)
 	}
 	return nil
 }

@@ -58,16 +58,9 @@ func applyScheme(act *tensor.T4, scheme string) (*tensor.T4, error) {
 	case "POOL2_QT":
 		return quant.Pool(act, 2, quant.Avg), nil
 	case "POOL32_QT":
-		return quant.Pool(act, maxIi(act.H, act.W), quant.Avg), nil
+		return quant.Pool(act, max(act.H, act.W), quant.Avg), nil
 	}
 	return nil, fmt.Errorf("unknown scheme %q", scheme)
-}
-
-func maxIi(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // unitMeans collapses an activation tensor to per-channel means so that

@@ -187,7 +187,7 @@ func tradQueries(model2 string) []tradQuery {
 			if err != nil {
 				return 0, err
 			}
-			n := minI(feat.Data.Rows, pred.Data.Rows)
+			n := min(feat.Data.Rows, pred.Data.Rows)
 			resid := make([]float64, n)
 			for i := 0; i < n; i++ {
 				resid[i] = float64(pred.Data.At(i, 0) - pred.Data.At(i, 1))
@@ -270,13 +270,6 @@ func runMedian(n int, f func() (float64, error)) (float64, error) {
 		}
 	}
 	return vals[len(vals)/2], nil
-}
-
-func minI(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // Fig6a reproduces the Zillow storage comparison: STORE_ALL vs DEDUP total

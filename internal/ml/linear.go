@@ -172,10 +172,3 @@ func (m *ElasticNet) Predict(x *tensor.Dense) []float64 {
 	}
 	return out
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -104,10 +104,10 @@ func (c *Conv2D) Forward(x *tensor.T4) *tensor.T4 {
 						}
 						dy := ky - pad
 						dx := kx - pad
-						y0 := maxInt(0, -dy)
-						y1 := minInt(x.H, x.H-dy)
-						x0 := maxInt(0, -dx)
-						x1 := minInt(x.W, x.W-dx)
+						y0 := max(0, -dy)
+						y1 := min(x.H, x.H-dy)
+						x0 := max(0, -dx)
+						x1 := min(x.W, x.W-dx)
 						for y := y0; y < y1; y++ {
 							srow := src[(y+dy)*x.W : (y+dy)*x.W+x.W]
 							drow := dst[y*x.W : y*x.W+x.W]
@@ -145,10 +145,10 @@ func (c *Conv2D) Backward(x, _, grad *tensor.T4) *tensor.T4 {
 						dxo := kx - pad
 						var wg float32
 						w := c.Weight.W[c.wAt(oc, ic, ky, kx)]
-						y0 := maxInt(0, -dyo)
-						y1 := minInt(x.H, x.H-dyo)
-						x0 := maxInt(0, -dxo)
-						x1 := minInt(x.W, x.W-dxo)
+						y0 := max(0, -dyo)
+						y1 := min(x.H, x.H-dyo)
+						x0 := max(0, -dxo)
+						x1 := min(x.W, x.W-dxo)
 						for y := y0; y < y1; y++ {
 							grow := g[y*x.W : y*x.W+x.W]
 							srow := src[(y+dyo)*x.W : (y+dyo)*x.W+x.W]
@@ -350,18 +350,4 @@ func (d *Dense) Backward(x, _, grad *tensor.T4) *tensor.T4 {
 		}
 	}
 	return dx
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

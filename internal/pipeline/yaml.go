@@ -357,13 +357,6 @@ func splitFlow(s string, num int) ([]string, error) {
 	return parts, nil
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // SpecFromYAML parses a pipeline specification document:
 //
 //	name: my_pipeline

@@ -7,12 +7,14 @@ package mistique_test
 // workload the tests prove bit-exact.
 
 import (
+	"runtime"
 	"testing"
 
 	"mistique"
 	"mistique/internal/cas/oracletest"
 	"mistique/internal/colstore"
 	"mistique/internal/cost"
+	"mistique/internal/data"
 )
 
 // BenchmarkVersionedIngest measures logging one fine-tuning checkpoint as
@@ -74,5 +76,42 @@ func BenchmarkDeltaChainRead(b *testing.B) {
 		if _, err := s.Fetch(last, "fc1", nil, 0, cost.Read); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkReopenLiveHeap reports the live heap of a reopened lib-cold-
+// shaped store: two Parent-linked checkpoints of the SimpleCNN, every
+// layer logged LP_QT over 128 images (about 106 000 column keys). The
+// column index is most of what a reopened System keeps resident.
+func BenchmarkReopenLiveHeap(b *testing.B) {
+	dir := b.TempDir()
+	cfg := mistique.Config{Store: colstore.Config{MemBudgetBytes: 1 << 20, PartitionTargetBytes: 256 << 10, DisableApproxDedup: true}}
+	logLibCold(b, dir, cfg)
+	var ms runtime.MemStats
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := mistique.Open(dir, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		runtime.KeepAlive(s)
+	}
+	b.ReportMetric(float64(ms.HeapAlloc)/(1<<20), "live-MiB")
+}
+
+func logLibCold(b *testing.B, dir string, cfg mistique.Config) {
+	s, err := mistique.Open(dir, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sc := oracletest.NewScenario(7, 128)
+	sc.Input, _ = data.Images(128, 4, 1)
+	if _, err := sc.RunEpochs(2, mistique.SchemeLP, nil, oracletest.Target{Sys: s, Prefix: "cnn", Linked: true}); err != nil {
+		b.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		b.Fatal(err)
 	}
 }
