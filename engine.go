@@ -436,10 +436,7 @@ func (s *System) storeMatrix(model, interm string, m *tensor.Dense, cols []strin
 		}
 		for b := 0; b*blockRows < len(col); b++ {
 			lo := b * blockRows
-			hi := lo + blockRows
-			if hi > len(col) {
-				hi = len(col)
-			}
+			hi := min(lo+blockRows, len(col))
 			key := colstore.ColumnKey{Model: model, Intermediate: interm, Column: cols[j], Block: b}
 			res, err := s.store.PutColumn(key, col[lo:hi], q)
 			if err != nil {

@@ -342,11 +342,7 @@ func verifyPayload(payload []byte, want uint32, name string) ([]byte, error) {
 func xorBytes(a, b []byte) []byte {
 	out := make([]byte, len(a))
 	copy(out, a)
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
+	for i := range min(len(a), len(b)) {
 		out[i] ^= b[i]
 	}
 	return out

@@ -425,9 +425,7 @@ func analyzeBlock(b []byte) (shuffle, compressible bool) {
 	}
 	stride := len(b) / 4096
 	stride &^= 1 // keep parity while sampling
-	if stride < 2 {
-		stride = 2
-	}
+	stride = max(stride, 2)
 	var even, odd [256]int
 	n := 0
 	for i := 0; i+1 < len(b); i += stride {

@@ -103,9 +103,7 @@ func buildLengths(freq *[256]int, lens *[256]uint8) bool {
 		}
 		maxLen := uint8(0)
 		for _, l := range lens {
-			if l > maxLen {
-				maxLen = l
-			}
+			maxLen = max(maxLen, l)
 		}
 		if maxLen <= huffMaxBits {
 			return true

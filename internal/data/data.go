@@ -125,10 +125,7 @@ func Housing(nProps, nTrain int, seed int64) HousingTables {
 	train.AddFloats("month", months)
 	train.AddFloats("logerror", logerr)
 
-	nTest := nTrain / 4
-	if nTest < 1 {
-		nTest = 1
-	}
+	nTest := max(nTrain/4, 1)
 	testIDs := make([]int64, nTest)
 	testMonths := make([]float64, nTest)
 	for i := 0; i < nTest; i++ {
@@ -211,9 +208,7 @@ func Sequences(n, seqLen, inputDim, classes int, seed int64) (*tensor.T4, []int)
 // early-layer filters tend to track, so concept-aligned units score a
 // meaningful IoU. The mask tensor is (n, 1, H, W) with values in {0, 1}.
 func ConceptMasks(imgs *tensor.T4, n int) *tensor.T4 {
-	if n > imgs.N {
-		n = imgs.N
-	}
+	n = min(n, imgs.N)
 	out := tensor.NewT4(n, 1, imgs.H, imgs.W)
 	for i := 0; i < n; i++ {
 		dst := out.Plane(i, 0)

@@ -71,9 +71,7 @@ func TopK(col []float32, k int) []int {
 	if k < 0 {
 		k = 0
 	}
-	if k > len(col) {
-		k = len(col)
-	}
+	k = min(k, len(col))
 	idx := make([]int, len(col))
 	for i := range idx {
 		idx[i] = i
@@ -177,9 +175,7 @@ func KNN(x *tensor.Dense, query []float32, k, selfIdx int) []int {
 	if k < 0 {
 		k = 0
 	}
-	if k > len(cands) {
-		k = len(cands)
-	}
+	k = min(k, len(cands))
 	out := make([]int, k)
 	for i := 0; i < k; i++ {
 		out[i] = cands[i].idx

@@ -51,10 +51,7 @@ func Fig14(o Options) (*Table, error) {
 				col := make([]float32, rows)
 				for si := range shared {
 					start := si * seg
-					end := start + seg
-					if end > rows {
-						end = rows
-					}
+					end := min(start+seg, rows)
 					if shared[si] {
 						copy(col[start:end], base[start:end])
 					} else {

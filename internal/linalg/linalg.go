@@ -321,10 +321,7 @@ func CCA(x, y *Mat) []float64 {
 		prod = prod.T()
 	}
 	_, s, _ := prod.SVD()
-	k := min(qx.C, qy.C)
-	if k > len(s) {
-		k = len(s)
-	}
+	k := min(qx.C, qy.C, len(s))
 	out := make([]float64, k)
 	for i := 0; i < k; i++ {
 		c := s[i]

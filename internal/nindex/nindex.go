@@ -243,10 +243,7 @@ func (s *segment) decodeVals() ([]float32, error) {
 // positions of the priority order. decoded reports how many segments were
 // decoded (the partial-scan signal).
 func (x *Index) TopK(k int) (entries []Entry, decoded int, err error) {
-	if k > x.rows {
-		k = x.rows
-	}
-	if k <= 0 {
+	if k = min(k, x.rows); k <= 0 {
 		return nil, 0, nil
 	}
 	covered := 0

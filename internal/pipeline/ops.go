@@ -773,10 +773,7 @@ func (o *selectKBest) Apply(inputs []*frame.Frame, fit bool) ([]*frame.Frame, er
 			cands = append(cands, scored{name: c.Name, abs: math.Abs(safePearson(vals, y))})
 		}
 		sort.SliceStable(cands, func(a, b int) bool { return cands[a].abs > cands[b].abs })
-		k := o.k
-		if k > len(cands) {
-			k = len(cands)
-		}
+		k := min(o.k, len(cands))
 		o.keep = nil
 		for _, c := range cands[:k] {
 			o.keep = append(o.keep, c.name)

@@ -341,10 +341,7 @@ type RowValue struct {
 func (s *Sample) TopK(col, k int, largest bool) ([]RowValue, float64) {
 	vals, idx := s.rank(col)
 	kFin := int64(len(vals))
-	n := k
-	if n > len(vals) {
-		n = len(vals)
-	}
+	n := min(k, len(vals))
 	out := make([]RowValue, 0, n)
 	if largest {
 		// Walk equal-value groups from the top of the ascending order;

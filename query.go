@@ -121,10 +121,7 @@ func (s *System) readMatrix(ctx context.Context, model, interm string, cols []st
 		}
 		t := tasks[i]
 		lo := t.b * blockRows
-		want := nEx - lo
-		if want > blockRows {
-			want = blockRows
-		}
+		want := min(nEx-lo, blockRows)
 		key := colstore.ColumnKey{Model: model, Intermediate: interm, Column: cols[t.j], Block: t.b}
 		vals, err := s.store.GetColumnInto(grabColBuf(), key)
 		if err != nil {
@@ -222,9 +219,7 @@ func (s *System) RerunRawDNN(model, layer string, nEx int) (*tensor.T4, error) {
 }
 
 func selectCols(full *tensor.Dense, names, want []string, nEx int) (*tensor.Dense, error) {
-	if nEx > full.Rows {
-		nEx = full.Rows
-	}
+	nEx = min(nEx, full.Rows)
 	idx := make([]int, len(want))
 	pos := make(map[string]int, len(names))
 	for i, n := range names {
