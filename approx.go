@@ -82,7 +82,9 @@ func (s *System) ColDistCtx(ctx context.Context, model, interm, column string, m
 // sampleAnswer answers p from the reservoir sample. It returns nil when
 // the sample lacks a column or the bound it can deliver is wider than
 // p.MaxError (the caller plans the exact path instead), else the answer
-// and the sample rows behind it. limit is OpSampleRows' row limit.
+// and the sample rows behind it. limit is OpSampleRows' row limit. The
+// answer shares no memory with sm, which may be a stream's live
+// reservoir.
 func sampleAnswer(p *Plan, limit int, sm *sample.Sample) (*Answer, int64) {
 	idx := make([]int, len(p.Columns))
 	for i, c := range p.Columns {
@@ -126,14 +128,10 @@ func sampleAnswer(p *Plan, limit int, sm *sample.Sample) (*Answer, int64) {
 	if limit > 0 && limit < n {
 		n = limit
 	}
-	order := make([]int, sm.Rows())
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return sm.RowIDs[order[a]] < sm.RowIDs[order[b]] })
+	order := sm.RowOrder()
 	a := &Answer{RowIDs: make([]int64, n), Data: tensor.NewDense(n, len(idx)), Population: sm.Seen}
 	for r := 0; r < n; r++ {
-		sr := order[r]
+		sr := int(order[r])
 		a.RowIDs[r] = sm.RowIDs[sr]
 		for j, cj := range idx {
 			a.Data.Set(r, j, sm.Value(sr, cj))
@@ -325,14 +323,21 @@ func (s *System) confusion(ctx context.Context, p *Plan) (*ConfusionMatrix, erro
 	return out, nil
 }
 
-// sampleFor returns the freshest sample for (model, interm): the live
-// stream sampler's snapshot for streams, the sample manager's resident or
-// persisted snapshot otherwise. nil means no sample exists (callers fall
-// back to the exact path).
-func (s *System) sampleFor(model, interm string) *sample.Sample {
+// sampleFor runs fn on the freshest sample for (model, interm): a live
+// stream's reservoir, under its builder's lock, or the sample manager's
+// resident or persisted snapshot. fn is not called when no sample exists
+// (callers fall back to the exact path), and must copy out what it keeps.
+func (s *System) sampleFor(model, interm string, fn func(*sample.Sample)) {
 	if st := s.streamFor(model, interm); st != nil {
-		return st.sampleSnapshot()
+		// The stream lock too: IngestRows feeds the sampler before it cuts
+		// blocks and returns, and an answer must not cover rows whose
+		// batch has not been acknowledged yet.
+		st.mu.Lock()
+		defer st.mu.Unlock()
+		st.sampler.View(fn)
+		return
 	}
-	sm, _ := s.samples.Load(model, interm) // an unreadable file reads as absent
-	return sm
+	if sm, _ := s.samples.Load(model, interm); sm != nil { // an unreadable file reads as absent
+		fn(sm)
+	}
 }

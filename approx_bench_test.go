@@ -2,6 +2,7 @@ package mistique
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -192,5 +193,60 @@ func BenchmarkStreamingIngest(b *testing.B) {
 			}
 			b.StartTimer()
 		}
+	}
+}
+
+// BenchmarkStreamSampleAfterBatch: a sampled TOPK and COL_DIST on a
+// 32-column stream whose reservoir is full, each op right after one more
+// 1024-row batch — the probe a live dashboard makes while training writes.
+// TOPK asks for 0.02 of rank, as bench/'s write-mixed does: a full
+// 32768-row reservoir's rank bound passes 0.01 once the stream is past
+// ~240 000 rows, and the op would fall back to the exact path.
+func BenchmarkStreamSampleAfterBatch(b *testing.B) {
+	s, err := Open(b.TempDir(), Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	const batch, nCols = 1024, 32
+	cols := make([]string, nCols)
+	for j := range cols {
+		cols[j] = fmt.Sprintf("u%d", j)
+	}
+	rows := make([][]float32, batch)
+	for i := range rows {
+		rows[i] = make([]float32, nCols)
+	}
+	next := int64(0)
+	ingest := func() {
+		for _, r := range rows {
+			for j := range r {
+				r[j] = streamVal(next*7919, j) // a pseudo-random walk over 977 levels
+			}
+			next++
+		}
+		if _, err := s.IngestRows("live", "acts", cols, rows); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for next < 40*batch {
+		ingest()
+	}
+	ctx := context.Background()
+	probe := func() {
+		if a, err := s.ApproxTopKCtx(ctx, "live", "acts", "u0", 10, 0.02); err != nil || a.Strategy != cost.Sample {
+			b.Fatalf("topk: %v", err)
+		}
+		if d, err := s.ColDistCtx(ctx, "live", "acts", "u0", 0.01); err != nil || d.Strategy != cost.Sample {
+			b.Fatalf("coldist: %v", err)
+		}
+	}
+	probe()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		ingest()
+		b.StartTimer()
+		probe()
 	}
 }

@@ -22,7 +22,7 @@ func (r *splitmix) next() uint64 {
 // is far below anything the bounds can feel.
 func (r *splitmix) intn(n int64) int64 { return int64(r.next() % uint64(n)) }
 
-// Builder maintains a Sample incrementally, one row at a time — the
+// Builder maintains a Sample incrementally, batch by batch — the
 // streaming ingest path's sampler. Safe for concurrent use.
 type Builder struct {
 	mu  sync.Mutex
@@ -66,17 +66,31 @@ func (b *Builder) Seen() int64 {
 }
 
 // Add offers one row (len(vals) must equal the column count).
-func (b *Builder) Add(vals []float32) error {
+func (b *Builder) Add(vals []float32) error { return b.AddRows([][]float32{vals}) }
+
+// AddRows offers a batch of rows as one step: every row is checked
+// first, then all are added under one lock hold, so View never sees part
+// of a batch.
+func (b *Builder) AddRows(rows [][]float32) error {
+	c := len(b.s.Cols)
+	for _, r := range rows {
+		if len(r) != c {
+			return fmt.Errorf("sample: row has %d values, want %d", len(r), c)
+		}
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	s := b.s
-	if len(vals) != len(s.Cols) {
-		return fmt.Errorf("sample: row has %d values, want %d", len(vals), len(s.Cols))
+	for _, r := range rows {
+		b.addLocked(r)
 	}
+	return nil
+}
+
+// addLocked is Algorithm R's step for one row. Caller holds b.mu.
+func (b *Builder) addLocked(vals []float32) {
+	s := b.s
 	row := s.Seen
 	c := len(s.Cols)
-
-	// Uniform reservoir (Algorithm R).
 	if len(s.RowIDs) < s.Cap {
 		s.RowIDs = append(s.RowIDs, row)
 		s.Data = append(s.Data, vals...)
@@ -84,13 +98,20 @@ func (b *Builder) Add(vals []float32) error {
 		s.RowIDs[j] = row
 		copy(s.Data[j*int64(c):(j+1)*int64(c)], vals)
 	}
-
 	for i, v := range vals {
 		s.Stats[i].observe(v)
 	}
 	s.Seen++
 	s.RNGState = b.rng.s
-	return nil
+}
+
+// View runs fn on the live sample under the builder's lock, so fn sees
+// whole batches and rows added meanwhile wait. Nothing is copied: fn
+// must copy out whatever it keeps, and must not call back into b.
+func (b *Builder) View(fn func(*Sample)) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	fn(b.s)
 }
 
 // Snapshot returns a deep copy safe to persist or query while the builder

@@ -28,7 +28,8 @@ type ManagerConfig struct {
 // Manager owns the sample snapshots of every (model, intermediate): the
 // resident copy queries read, and its checksummed MQSM file
 // (durable.Publish), hash-named with the real identity stored — and
-// verified — inside the file.
+// verified — inside the file. A live stream keeps its reservoir itself
+// and uses only the file half (Read, Publish).
 type Manager struct {
 	dir string
 	fs  faultfs.FS
@@ -94,6 +95,22 @@ func (m *Manager) Save(model, interm string, s *Sample) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.install(model, interm, s)
+	return m.publishLocked(model, interm, img)
+}
+
+// Publish persists a sample whose caller keeps the one in-memory copy
+// itself (a live stream's reservoir), leaving none resident here.
+func (m *Manager) Publish(model, interm string, s *Sample) error {
+	img := Encode(model, interm, s)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.memMu.Lock()
+	delete(m.resident, model+"\x00"+interm)
+	m.memMu.Unlock()
+	return m.publishLocked(model, interm, img)
+}
+
+func (m *Manager) publishLocked(model, interm string, img []byte) error {
 	_, err := durable.Publish(m.fs, m.path(model, interm), func(w io.Writer) error {
 		_, err := w.Write(img)
 		return err
@@ -108,9 +125,6 @@ func (m *Manager) Save(model, interm string, s *Sample) error {
 
 // Load returns the resident sample for (model, interm), reading and
 // installing the persisted one on a miss, or (nil, nil) when none exists.
-// A corrupt or mismatched file is quarantined and one from a newer binary
-// is left in place; both read as absent: the sample is an accelerator,
-// not a source of truth, and the caller falls back to exact reads.
 // Callers must treat the returned sample as read-only.
 func (m *Manager) Load(model, interm string) (*Sample, error) {
 	key := model + "\x00" + interm
@@ -128,6 +142,27 @@ func (m *Manager) Load(model, interm string) (*Sample, error) {
 	if s != nil {
 		return s, nil
 	}
+	s, err := m.readLocked(model, interm)
+	if s != nil {
+		m.install(model, interm, s)
+	}
+	return s, err
+}
+
+// Read returns the persisted sample for (model, interm) without keeping
+// it resident — the caller (a stream resuming its reservoir) holds the
+// one copy — or (nil, nil) when none exists.
+func (m *Manager) Read(model, interm string) (*Sample, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.readLocked(model, interm)
+}
+
+// readLocked decodes the persisted sample. A corrupt or mismatched file
+// is quarantined and one from a newer binary is left in place; both read
+// as absent: the sample is an accelerator, not a source of truth, and the
+// caller falls back to exact reads. Caller holds m.mu.
+func (m *Manager) readLocked(model, interm string) (*Sample, error) {
 	path := m.path(model, interm)
 	data, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
@@ -148,7 +183,6 @@ func (m *Manager) Load(model, interm string) (*Sample, error) {
 		return nil, nil
 	}
 	m.loads.Inc()
-	m.install(model, interm, s)
 	return s, nil
 }
 

@@ -40,6 +40,36 @@ func TestManagerSaveLoadRemove(t *testing.T) {
 	}
 }
 
+// TestManagerPublishKeepsNothingResident: Publish and Read move a live
+// stream's sample through the file only. A Save-installed copy is dropped
+// by Publish, Read never installs one, and only Load does.
+func TestManagerPublishKeepsNothingResident(t *testing.T) {
+	reg := obs.New()
+	m, err := NewManager(ManagerConfig{Dir: filepath.Join(t.TempDir(), "sample"), Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := sampleForCodec(t)
+	if err := m.Save("m1", "i1", s); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Publish("m1", "i1", s); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 2; i++ {
+		got, err := m.Read("m1", "i1")
+		if err != nil || got == s || !reflect.DeepEqual(Encode("m1", "i1", got), Encode("m1", "i1", s)) {
+			t.Fatalf("Read %d: %p, %v", i, got, err)
+		}
+	}
+	if got, err := m.Load("m1", "i1"); err != nil || got == s {
+		t.Fatalf("Load after Publish = %p, %v; want a copy read from the file", got, err)
+	}
+	if n := reg.Snapshot().Counters["mistique_sample_loads_total"]; n != 3 {
+		t.Fatalf("loads = %d, want 3: two Reads and the Load all read the file", n)
+	}
+}
+
 // TestManagerRemoveDropsResident: Save installs the snapshot, Load answers
 // from memory without reading the file, and Remove drops both copies, so
 // Load returns nil although a snapshot was resident.

@@ -28,6 +28,8 @@ package sample
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -107,22 +109,40 @@ type Sample struct {
 	RowIDs []int64   // len k ≤ Cap: which rows are sampled
 	Data   []float32 // k×C row-major sampled values
 
-	// Rank memoization: snapshots are logically immutable, so the first
-	// quantile/top-k probe per column pays one sort and every later call
-	// reuses it — the difference between interactive (~µs) and a fresh
-	// O(k log k) per query. Guarded by rankMu; clone() and the codec start
-	// fresh. (The mutex also makes Sample non-copyable under vet, which is
-	// what keeps the memo coherent.)
-	rankMu   sync.Mutex
-	rankVals [][]float32 // per column: finite sampled values, ascending
-	rankIdx  [][]int32   // per column: matching sample-row order
-	rankMom  []moments   // per column: memoized colMoments
+	// Rank memoization: the first quantile/top-k probe per column pays
+	// one radix sort and every later call reuses it — the difference
+	// between interactive (~µs) and a fresh sort per query. A builder's
+	// live sample keeps changing, so each memo records the Seen it
+	// reflects and a stale one is patched, not rebuilt: a row offered
+	// since then has a row id at or past that Seen, so the slots whose
+	// RowIDs say so are exactly the ones rewritten (RowIDs doubles as
+	// each slot's write stamp). Guarded by rankMu; clone() and the codec
+	// start fresh. (The mutex also makes Sample non-copyable under vet,
+	// which is what keeps the memo coherent.)
+	rankMu sync.Mutex
+	ranks  []colRank // per column
+	// order lists the sample rows by ascending row id as of orderSeen.
+	order     []int32
+	orderSeen int64
 }
 
-// moments is one memoized colMoments result.
+// colRank is one column's memo. The zero value is the memo of an empty
+// sample.
+type colRank struct {
+	// vals are the column's finite sampled values, ascending (−0 and +0
+	// equal), ties by ascending row id; idx the matching sample rows. Both
+	// reflect the sample as of seen.
+	vals []float32
+	idx  []int32
+	seen int64
+	mom  moments
+}
+
+// moments is one memoized colMoments result, taken at Seen == seen.
 type moments struct {
 	mean, std float64
 	k         int64
+	seen      int64
 	ok        bool
 }
 
@@ -222,28 +242,29 @@ type Estimate struct {
 }
 
 // colMoments computes mean and (Bessel-corrected) standard deviation over
-// the finite sampled values of a column.
+// the finite sampled values of a column, in sample-row order. One strided
+// pass gathers them; both sums then run over the contiguous copy.
 func (s *Sample) colMoments(col int) (mean, std float64, k int64) {
 	c := len(s.Cols)
-	var sum float64
+	fin := make([]float32, 0, len(s.RowIDs))
 	for r := 0; r < len(s.RowIDs); r++ {
-		v := float64(s.Data[r*c+col])
-		if !math.IsInf(v, 0) && v == v {
-			sum += v
-			k++
+		if v := s.Data[r*c+col]; v == v && !math.IsInf(float64(v), 0) {
+			fin = append(fin, v)
 		}
 	}
-	if k == 0 {
+	if len(fin) == 0 {
 		return math.NaN(), 0, 0
 	}
+	var sum float64
+	for _, v := range fin {
+		sum += float64(v)
+	}
+	k = int64(len(fin))
 	mean = sum / float64(k)
 	var ss float64
-	for r := 0; r < len(s.RowIDs); r++ {
-		v := float64(s.Data[r*c+col])
-		if !math.IsInf(v, 0) && v == v {
-			d := v - mean
-			ss += d * d
-		}
+	for _, v := range fin {
+		d := float64(v) - mean
+		ss += d * d
 	}
 	if k > 1 {
 		std = math.Sqrt(ss / float64(k-1))
@@ -251,59 +272,199 @@ func (s *Sample) colMoments(col int) (mean, std float64, k int64) {
 	return mean, std, k
 }
 
+// memoLocked returns column col's memo. Caller holds rankMu.
+func (s *Sample) memoLocked(col int) *colRank {
+	if s.ranks == nil {
+		s.ranks = make([]colRank, len(s.Cols))
+	}
+	return &s.ranks[col]
+}
+
 // rank returns the column's finite sampled values in ascending order
-// (ties by ascending row id) plus the matching sample-row order, built
-// once per column and memoized.
+// (ties by ascending row id) plus the matching sample-row order. The
+// result is the memo itself: on a builder's live sample it is valid only
+// while the builder's lock is held (Builder.View).
 func (s *Sample) rank(col int) (vals []float32, idx []int32) {
 	s.rankMu.Lock()
 	defer s.rankMu.Unlock()
-	if s.rankVals == nil {
-		s.rankVals = make([][]float32, len(s.Cols))
-		s.rankIdx = make([][]int32, len(s.Cols))
+	r := s.memoLocked(col)
+	if r.seen == s.Seen {
+		return r.vals, r.idx
 	}
-	if s.rankVals[col] == nil {
-		c := len(s.Cols)
-		idx := make([]int32, 0, len(s.RowIDs))
-		for r := 0; r < len(s.RowIDs); r++ {
-			v := s.Data[r*c+col]
-			if v == v && !math.IsInf(float64(v), 0) {
-				idx = append(idx, int32(r))
-			}
+	// The slots rewritten since the memo was built hold rows at or past
+	// r.seen: the tail of the row-id order.
+	order := s.rowOrderLocked()
+	from := sort.Search(len(order), func(i int) bool { return s.RowIDs[order[i]] >= r.seen })
+	c := len(s.Cols)
+	buf := getSortBuf(len(order) - from)
+	defer sortBufs.Put(buf)
+	n := 0
+	for _, sr := range order[from:] {
+		if v := s.Data[int(sr)*c+col]; v == v && !math.IsInf(float64(v), 0) {
+			buf.keys[n], buf.slots[n] = valueKey(v), sr
+			n++
 		}
-		sort.Slice(idx, func(a, b int) bool {
-			va, vb := s.Data[int(idx[a])*c+col], s.Data[int(idx[b])*c+col]
-			if va != vb {
-				return va < vb
-			}
-			return s.RowIDs[idx[a]] < s.RowIDs[idx[b]]
-		})
-		vals := make([]float32, len(idx))
-		for i, r := range idx {
-			vals[i] = s.Data[int(r)*c+col]
-		}
-		s.rankVals[col], s.rankIdx[col] = vals, idx
 	}
-	return s.rankVals[col], s.rankIdx[col]
+	r.merge(s, col, buf.sort(n, 4), r.seen)
+	r.seen = s.Seen
+	return r.vals, r.idx
+}
+
+// merge drops the entries of sample rows rewritten at or after since and
+// merges fresh (sample rows sorted by value, then row id) in, in place
+// from the back, so a patch reuses the memo's buffers.
+func (r *colRank) merge(s *Sample, col int, fresh []int32, since int64) {
+	keep := 0
+	for i, sr := range r.idx {
+		if s.RowIDs[sr] < since {
+			r.vals[keep], r.idx[keep] = r.vals[i], sr
+			keep++
+		}
+	}
+	n := keep + len(fresh)
+	r.vals = slices.Grow(r.vals[:keep], len(fresh))[:n]
+	r.idx = slices.Grow(r.idx[:keep], len(fresh))[:n]
+	c := len(s.Cols)
+	i, j := keep-1, len(fresh)-1
+	for w := n - 1; j >= 0; w-- {
+		fr := fresh[j]
+		fv := s.Data[int(fr)*c+col]
+		if i >= 0 && (r.vals[i] > fv || r.vals[i] == fv && s.RowIDs[r.idx[i]] > s.RowIDs[fr]) {
+			r.vals[w], r.idx[w] = r.vals[i], r.idx[i]
+			i--
+		} else {
+			r.vals[w], r.idx[w] = fv, fr
+			j--
+		}
+	}
+}
+
+// RowOrder returns the sample rows in ascending row-id order. Like rank's
+// result it is the memo itself: read it only while the sample cannot
+// change.
+func (s *Sample) RowOrder() []int32 {
+	s.rankMu.Lock()
+	defer s.rankMu.Unlock()
+	return s.rowOrderLocked()
+}
+
+// rowOrderLocked brings the row-id order up to date: entries of rewritten
+// slots drop out and the rewritten slots, radix-sorted by their new row
+// ids (all past every kept one), go on the end. Caller holds rankMu.
+func (s *Sample) rowOrderLocked() []int32 {
+	since := s.orderSeen
+	if since == s.Seen {
+		return s.order
+	}
+	keep := 0
+	for _, sr := range s.order {
+		if s.RowIDs[sr] < since {
+			s.order[keep] = sr
+			keep++
+		}
+	}
+	buf := getSortBuf(len(s.RowIDs) - keep)
+	defer sortBufs.Put(buf)
+	n := 0
+	for sr, id := range s.RowIDs {
+		if id >= since {
+			buf.keys[n], buf.slots[n] = uint64(id), int32(sr)
+			n++
+		}
+	}
+	s.order = append(s.order[:keep], buf.sort(n, (bits.Len64(uint64(s.Seen))+7)/8)...)
+	s.orderSeen = s.Seen
+	return s.order
+}
+
+// sortBuf is radix sort scratch: keys and the sample rows they belong
+// to, plus the ping-pong twins. Pooled, so a sample keeps no scratch.
+type sortBuf struct {
+	keys, keysTmp   []uint64
+	slots, slotsTmp []int32
+}
+
+var sortBufs = sync.Pool{New: func() any { return new(sortBuf) }}
+
+// getSortBuf returns pooled scratch with room for n keys.
+func getSortBuf(n int) *sortBuf {
+	b := sortBufs.Get().(*sortBuf)
+	if len(b.keys) < n {
+		*b = sortBuf{make([]uint64, n), make([]uint64, n), make([]int32, n), make([]int32, n)}
+	}
+	return b
+}
+
+// sort radix-sorts the first n (key, slot) pairs by key over the low
+// `bytes` key bytes and returns the slots in that order.
+func (b *sortBuf) sort(n, bytes int) []int32 {
+	radixSort(b.keys[:n], b.slots[:n], b.keysTmp[:n], b.slotsTmp[:n], bytes)
+	return b.slots[:n]
+}
+
+// valueKey maps a finite float32 to a key whose unsigned order is the
+// value order, with −0 and +0 on one key.
+func valueKey(v float32) uint64 {
+	if v == 0 {
+		v = 0 // −0 → +0
+	}
+	b := math.Float32bits(v)
+	if b>>31 != 0 {
+		return uint64(^b)
+	}
+	return uint64(b | 1<<31)
+}
+
+// radixSort stably sorts keys ascending, moving idx along, by an LSD
+// radix sort over the low `bytes` bytes. Passes on which every key has
+// the same byte are skipped. tk and ti are scratch of the same length.
+func radixSort(keys []uint64, idx []int32, tk []uint64, ti []int32, bytes int) {
+	n := len(keys)
+	if n < 2 {
+		return
+	}
+	var counts [8][256]int
+	for _, k := range keys {
+		for b := 0; b < bytes; b++ {
+			counts[b][byte(k>>(8*b))]++
+		}
+	}
+	sk, si, dk, di := keys, idx, tk, ti
+	for b := 0; b < bytes; b++ {
+		c := &counts[b]
+		shift := 8 * b
+		if c[byte(sk[0]>>shift)] == n {
+			continue
+		}
+		pos := 0
+		for d, m := range c {
+			c[d], pos = pos, pos+m
+		}
+		for i, k := range sk {
+			d := byte(k >> shift)
+			dk[c[d]], di[c[d]] = k, si[i]
+			c[d]++
+		}
+		sk, si, dk, di = dk, di, sk, si
+	}
+	if &sk[0] != &keys[0] {
+		copy(keys, sk)
+		copy(idx, si)
+	}
 }
 
 // Moments returns the sample mean and standard deviation over the finite
 // values of a column (NaN mean when none are sampled), memoized like the
-// rank structures.
+// rank structures and recomputed once the sample has seen more rows.
 func (s *Sample) Moments(col int) (mean, std float64, k int64) {
 	s.rankMu.Lock()
-	if s.rankMom == nil {
-		s.rankMom = make([]moments, len(s.Cols))
+	defer s.rankMu.Unlock()
+	m := &s.memoLocked(col).mom
+	if !m.ok || m.seen != s.Seen {
+		mean, std, k := s.colMoments(col)
+		*m = moments{mean: mean, std: std, k: k, seen: s.Seen, ok: true}
 	}
-	if m := s.rankMom[col]; m.ok {
-		s.rankMu.Unlock()
-		return m.mean, m.std, m.k
-	}
-	s.rankMu.Unlock()
-	mean, std, k = s.colMoments(col)
-	s.rankMu.Lock()
-	s.rankMom[col] = moments{mean: mean, std: std, k: k, ok: true}
-	s.rankMu.Unlock()
-	return mean, std, k
+	return m.mean, m.std, m.k
 }
 
 // MeanEstimate estimates the mean of a column's finite values. The bound

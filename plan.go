@@ -8,6 +8,7 @@ import (
 	"mistique/internal/cost"
 	"mistique/internal/metadata"
 	"mistique/internal/nindex"
+	"mistique/internal/sample"
 )
 
 // Typed query errors. Plan wraps these with %w — identically for every op,
@@ -202,14 +203,17 @@ func (s *System) Plan(q Query) (*Plan, error) {
 		// stream) does not describe the intermediate, and an empty one
 		// describes nothing even while the catalog still shows 0 rows; plan
 		// the exact path.
-		if sm := s.sampleFor(q.Model, q.Intermediate); sm != nil && sm.Seen > 0 && sm.Seen >= int64(it.Rows) {
+		s.sampleFor(q.Model, q.Intermediate, func(sm *sample.Sample) {
+			if sm.Seen == 0 || sm.Seen < int64(it.Rows) {
+				return
+			}
 			// The sample is as fresh as the last acknowledged row, so it is
 			// asked with the caller's row limit, not the catalog's.
 			if a, rows := sampleAnswer(p, q.To, sm); a != nil {
 				p.sampled, p.Strategy = a, cost.Sample
 				p.EstSampleSecs = cost.SampleReadSeconds(rows, int64(4*len(p.Columns)), costP)
 			}
-		}
+		})
 	}
 	if !tr.stored {
 		// READ is charged its delta-chain amplification: reconstructing a

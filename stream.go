@@ -130,11 +130,6 @@ type streamState struct {
 	drained    int64
 	blockStart int64
 	pend       [][]float32
-
-	// snap caches the last sampler snapshot for lock-free approximate
-	// queries; refreshed whenever the row count moved.
-	snap     *sample.Sample
-	snapSeen int64
 }
 
 // IngestResult acknowledges one streaming batch.
@@ -198,9 +193,10 @@ func (s *System) IngestRows(model, interm string, cols []string, rows [][]float3
 	s.metrics.streamBatches.Inc()
 	s.metrics.streamRows.Add(int64(len(rows)))
 	s.metrics.walAppendBytes.Add(int64(len(rec)) + 8)
-	// Acknowledged: feed the sampler and the open block.
+	// Acknowledged: feed the sampler (the whole batch at once, so a
+	// sampled answer always covers whole batches) and the open block.
+	_ = st.sampler.AddRows(rows) // row widths were checked above
 	for _, r := range rows {
-		st.sampler.Add(r)
 		for j, v := range r {
 			st.pend[j] = append(st.pend[j], v)
 		}
@@ -298,7 +294,7 @@ func (s *System) openStream(model, interm string, cols []string) (*streamState, 
 			return nil, fmt.Errorf("mistique: stream wal header: %w", err)
 		}
 	}
-	smp, err := s.samples.Load(model, interm)
+	smp, err := s.samples.Read(model, interm)
 	if err != nil {
 		l.Close()
 		return nil, err
@@ -398,29 +394,14 @@ func (st *streamState) putOpenBlockLocked(s *System, n int) error {
 // catalog are durable; a crash before the rewrite replays the records
 // idempotently. Caller holds st.mu.
 func (st *streamState) checkpointLocked(s *System) error {
-	snap := st.sampler.Snapshot()
-	if err := s.samples.Save(st.model, st.interm, snap); err != nil {
+	if err := s.samples.Publish(st.model, st.interm, st.sampler.Snapshot()); err != nil {
 		return err
 	}
-	st.snap, st.snapSeen = snap, st.rows
 	if err := st.log.Rewrite([][]byte{st.headerRec}); err != nil {
 		return fmt.Errorf("mistique: stream wal checkpoint %s.%s: %w", st.model, st.interm, err)
 	}
 	s.metrics.walRewrites.Inc()
 	return nil
-}
-
-// sampleSnapshot returns a point-in-time sample of the stream, covering
-// every acknowledged row. Consecutive calls between batches share one
-// snapshot.
-func (st *streamState) sampleSnapshot() *sample.Sample {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.snap == nil || st.snapSeen != st.rows {
-		st.snap = st.sampler.Snapshot()
-		st.snapSeen = st.rows
-	}
-	return st.snap
 }
 
 // streamFor returns the live stream state, or nil.
